@@ -65,27 +65,33 @@ ORIGIN = ChainState(0, 0)
 @dataclass(frozen=True)
 class RngStream:
     """Reproducible random stream: (seed, stream_id) pins the draw sequence,
-    distinct stream ids give statistically independent streams."""
+    distinct stream ids give statistically independent streams.  A child
+    stream's id is a tuple, its SeedSequence spawn key: substream() extends
+    the key by two entries and shard() by one, so stream keys have odd
+    length, shard keys even, and no two reachable generators share one."""
 
     seed: int
-    stream_id: int = 0
+    stream_id: Union[int, tuple] = 0
+
+    @property
+    def _key(self) -> tuple:
+        sid = self.stream_id
+        return sid if isinstance(sid, tuple) else (sid,)
 
     def generator(self) -> np.random.Generator:
         return np.random.default_rng(
-            np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_id,))
+            np.random.SeedSequence(entropy=self.seed, spawn_key=self._key)
         )
 
     def shard(self, index: int) -> np.random.Generator:
         """Independent child generator for worker `index`."""
         return np.random.default_rng(
-            np.random.SeedSequence(
-                entropy=self.seed, spawn_key=(self.stream_id, index)
-            )
+            np.random.SeedSequence(entropy=self.seed, spawn_key=self._key + (index,))
         )
 
     def substream(self, index: int) -> "RngStream":
         """Child stream addressable by further sharding."""
-        return RngStream(seed=self.seed, stream_id=(self.stream_id << 16) ^ (index + 1))
+        return RngStream(seed=self.seed, stream_id=self._key + (index, 0))
 
 
 RngLike = Union[RngStream, np.random.Generator]

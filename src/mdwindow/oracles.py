@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import Optional
 
 import numpy as np
-from scipy.stats import norm
 
 from .chain import RngLike, RngStream, as_generator, interval_alias
 from .composite import WindowSet
@@ -46,6 +46,12 @@ from .paths import (
 )
 
 _TARGETS = ("total", "tilde", "boundary", "dprime")
+# Levels per block of the per-call level series below (boundary tail, lag-k
+# autocovariance).  At 64 KiB the temporaries are recycled from malloc's
+# heap.  Larger ones are mapped and unmapped, or trimmed, on every call or
+# not at all, as glibc's adaptive thresholds happen to stand in the process,
+# so a lag-0 autocovariance took 1.0x or 1.6x from one process to the next.
+_LEVEL_BLOCK = 1 << 13
 
 
 def _worker_cap() -> int:
@@ -121,7 +127,7 @@ def wilson_interval(hits: int, reps: int, confidence: float) -> tuple[float, flo
         raise ParameterError("confidence must lie in (0, 1)")
     if hits == 0:
         return 0.0, 1.0 - (1.0 - confidence) ** (1.0 / reps)
-    z = float(norm.ppf(0.5 + 0.5 * confidence))
+    z = NormalDist().inv_cdf(0.5 + 0.5 * confidence)
     p = hits / reps
     denom = 1.0 + z * z / reps
     center = (p + z * z / (2.0 * reps)) / denom
@@ -299,9 +305,8 @@ def _dprime_abs_tail_sum(params: Params, n: int, x: float, n_max: int) -> float:
     """sum over levels tau <= n_max of mu_tau * #qualifying (a, b) pairs."""
     beta = params.beta
     total = 0.0
-    chunk = 1 << 21
-    for lo in range(2, n_max + 1, chunk):
-        hi = min(lo + chunk - 1, n_max)
+    for lo in range(2, n_max + 1, _LEVEL_BLOCK):
+        hi = min(lo + _LEVEL_BLOCK - 1, n_max)
         taus = np.arange(lo, hi + 1, dtype=np.int64)
         s = _floor_sqrt(taus)
         q = x * taus.astype(np.float64) ** beta
@@ -500,15 +505,15 @@ def autocovariance_exact(params: Params, k: int, tol: float = 1e-12) -> float:
             raise PrecisionError(f"lag-{k} autocovariance needs too many terms")
     N = max(N, start)
     total = 0.0
-    chunk = 1 << 22
-    for lo in range(start, N + 1, chunk):
-        hi = min(lo + chunk - 1, N)
-        taus = np.arange(lo, hi + 1, dtype=np.int64)
-        counts = np.maximum(_floor_sqrt(taus) - k, 0).astype(np.float64)
-        mu = np.exp(_level_log_mu(params, lo, hi))
-        total += float(
-            (mu * counts * taus.astype(np.float64) ** (-2.0 * b)).sum()
-        )
+    for lo in range(start, N + 1, _LEVEL_BLOCK):
+        hi = min(lo + _LEVEL_BLOCK - 1, N)
+        w = np.exp(_level_log_mu(params, lo, hi)) * np.arange(
+            lo, hi + 1, dtype=np.float64) ** (-2.0 * b)
+        # the levels s^2 .. (s+1)^2 - 1 share the count s - k >= 1 (every
+        # level from start on has isqrt > k), so sum w per such run
+        s = np.arange(math.isqrt(lo), math.isqrt(hi) + 1, dtype=np.int64)
+        runs = np.add.reduceat(w, np.maximum(s * s - lo, 0))
+        total += float(((s - k) * runs).sum())
     return total
 
 

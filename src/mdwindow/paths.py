@@ -20,8 +20,9 @@ falls out of them rather than being assumed.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Iterator
 
 import numpy as np
@@ -31,10 +32,9 @@ from .chain import (
     as_generator,
     interval_alias,
     sample_stationary_levels,
-    stationary_level_from_uniform,
 )
-from .errors import ParameterError
-from .measure import MU0, Params
+from .errors import ParameterError, PrecisionError
+from .measure import LOG_MU0, MU0, Params, _level_log_mu, p1
 
 _TAU_VAR_GUESS = 14.0  # rough Var(tau) upper bound for draw budgeting
 
@@ -283,52 +283,50 @@ def iter_sums(
     Yields dict chunks with the decomposition terms and end states; the
     per-time values are never materialized, so horizons up to ~1e4 with
     millions of paths stay affordable.  With with_rewards=False the middle
-    term is skipped (no per-excursion sign draws), which roughly halves the
-    cost of boundary-only studies.  The draw layout is a pure function of
-    (generator state, n, reps, with_rewards, chunk); callers wanting
-    bit-reproducibility must hold all of these fixed, as the public
-    front ends do.
+    term is skipped and no excursion is rolled: the end state is drawn
+    exactly from its law given the first renewal, so boundary-only studies
+    cost O(1) per path at any horizon the renewal table covers.  The draw
+    layout is a pure function of (generator state, n, reps, with_rewards,
+    chunk); callers wanting bit-reproducibility must hold all of these
+    fixed, as the public front ends do.
     """
     if n < 1 or reps < 0:
         raise ParameterError("need n >= 1 and reps >= 0")
     gen = as_generator(rng)
-    alias = interval_alias(params)
-    r_tab = _reward_table(params) if with_rewards else None
-    beta = params.beta
+    if with_rewards:
+        draw = partial(
+            _roll_chunk, params, n, gen, interval_alias(params), _reward_table(params)
+        )
+    else:
+        draw = partial(_boundary_chunk, params, n, gen, _renewal_table(params, n))
     done = 0
     while done < reps:
         c = min(chunk, reps - done)
         done += c
-        yield _roll_chunk(params, n, c, gen, alias, r_tab, beta, with_rewards)
+        yield draw(c)
 
 
-_BLOCK = 64  # excursions drawn per path per vectorized round
+def _start_chunk(params, n, gen, c) -> dict:
+    """Stationary start states of `c` paths with their leading terms.
 
-
-def _roll_chunk(params, n, c, gen, alias, r_tab, beta, with_rewards):
-    u0 = gen.random(c)
-    tau1 = stationary_level_from_uniform(u0, params.alpha)
-    origin = tau1 == 0
-    a1 = np.zeros(c, dtype=np.int64)
-    exc = ~origin
-    if np.any(exc):
-        span = (tau1[exc] - 1).astype(np.float64)
-        a = 1 + np.floor(gen.random(int(exc.sum())) * span).astype(np.int64)
-        a1[exc] = np.minimum(a, tau1[exc] - 1)
-    b1 = np.where(origin, 0, tau1 - a1)
+    Fills S'_n, and for paths whose first renewal 1 + B_1 lies past n (no
+    renewal in the window) also the end state and S''_n; the caller fills
+    the end state of the others (rows marked `interior`).
+    """
+    tau1, a1 = sample_stationary_levels(params, gen, c)
+    b1 = tau1 - a1  # 0 at the origin
     sign0 = np.where(gen.random(c) < 0.5, 1.0, -1.0)
-
+    exc = tau1 > 0
     pow1 = np.ones(c)
     if np.any(exc):
-        pow1[exc] = tau1[exc].astype(np.float64) ** (-beta)
+        pow1[exc] = tau1[exc].astype(np.float64) ** (-params.beta)
 
     s_prime = np.zeros(c)
-    s_tilde = np.zeros(c)
     s_dprime = np.zeros(c)
     an = np.zeros(c, dtype=np.int64)
     bn = np.zeros(c, dtype=np.int64)
 
-    no_renew = exc & (b1 >= n)  # first renewal 1 + b1 would land past n
+    no_renew = b1 >= n
     if np.any(no_renew):
         an[no_renew] = a1[no_renew] + (n - 1)
         bn[no_renew] = b1[no_renew] - (n - 1)
@@ -340,8 +338,135 @@ def _roll_chunk(params, n, c, gen, alias, r_tab, beta, with_rewards):
         cnt = _s_prime_count_arr(a1[pmask], b1[pmask], n)
         s_prime[pmask] = sign0[pmask] * cnt * pow1[pmask]
 
-    t = np.where(origin, 1, 1 + b1)
-    idx = np.flatnonzero(~no_renew & (t <= n - 1))
+    return {
+        "s_prime": s_prime,
+        "s_dprime": s_dprime,
+        "a1": a1,
+        "b1": b1,
+        "an": an,
+        "bn": bn,
+        "interior": ~no_renew,
+    }
+
+
+def _set_end_excursion(out, n, rows, a, b, sign, beta):
+    """Record end state (a, b), a >= 1, and its S''_n on `rows`."""
+    cnt = _s_double_prime_count_arr(a, b, n)
+    out["s_dprime"][rows] = sign * cnt * (a + b).astype(np.float64) ** (-beta)
+    out["an"][rows] = a
+    out["bn"][rows] = b
+
+
+_RENEWAL_BLOCK = 128  # times per directly solved block of the renewal table
+_RENEWAL_CAP = 1 << 24  # longest renewal table (128 MiB of float64)
+_RENEWAL_LOCK = threading.Lock()
+
+
+def _renewal_table(params: Params, n: int) -> np.ndarray:
+    """The cached table for (params, n).  Shard threads that miss the
+    cache together wait for one build instead of each repeating it."""
+    with _RENEWAL_LOCK:
+        return _build_renewal_table(params, n)
+
+
+@lru_cache(maxsize=8)
+def _build_renewal_table(params: Params, n: int) -> np.ndarray:
+    """Renewal function u(j) = P[renewal at time j | renewal at time 0]
+    for j = 0..n-1, from u(0) = 1, u(j) = sum_{k=1..j} p_k u(j-k).
+
+    Only p_1..p_(n-1) enter, so nothing is truncated.  The first block of
+    _RENEWAL_BLOCK times is solved term by term.  Later blocks receive the
+    contributions of all earlier times by FFT convolution, in
+    divide-and-conquer order (O(n log^2 n) overall), and then solve their
+    own in-block recursion u = f + L u, with L the strictly lower Toeplitz
+    matrix of p, as u = T f: since U(z) = 1/(1 - P(z)), the inverse of
+    I - L is the lower Toeplitz matrix T of u(0..block-1).  Rounding adds
+    up along the table: the FFT blocks leave about 1e-16 per entry, and
+    u(n-1) strays from its limit mu_0 by about 1e-11 at n = 1e6.
+    """
+    if n < 1:
+        raise ParameterError(f"horizon must be >= 1, got {n}")
+    if n > _RENEWAL_CAP:
+        raise PrecisionError(
+            f"horizon n={n} needs a renewal table beyond {_RENEWAL_CAP} terms"
+        )
+    p = np.zeros(n)
+    if n > 1:
+        p[1] = p1(params)
+    if n > 2:
+        p[2:] = np.exp(_level_log_mu(params, 2, n - 1) - LOG_MU0)
+    u = np.zeros(n)  # a block holds the contributions of earlier times until solved
+    u[0] = 1.0
+    blk = min(n, _RENEWAL_BLOCK)
+    for j in range(1, blk):
+        u[j] = p[1 : j + 1] @ u[j - 1 :: -1]
+    lag = np.subtract.outer(np.arange(blk), np.arange(blk))
+    toeplitz = np.where(lag >= 0, u[np.maximum(lag, 0)], 0.0)
+    p_hat = {}
+
+    def solve(lo: int, hi: int) -> None:
+        # on entry u[lo:hi] holds the contributions of u[:lo]
+        if lo >= n:
+            return
+        top = min(hi, n)
+        if hi - lo == blk:
+            if lo:
+                u[lo:top] = toeplitz[: top - lo, : top - lo] @ u[lo:top]
+            return
+        mid = (lo + hi) // 2
+        solve(lo, mid)
+        if mid < top:
+            size = hi - lo
+            if size not in p_hat:
+                p_hat[size] = np.fft.rfft(p[:size], size)
+            conv = np.fft.irfft(np.fft.rfft(u[lo:mid], size) * p_hat[size], size)
+            u[mid:top] += conv[mid - lo : top - lo]  # circular wrap hits only [0, mid-lo)
+        solve(mid, hi)
+
+    span = blk
+    while span < n:
+        span *= 2
+    solve(0, span)
+    u.setflags(write=False)
+    return u
+
+
+def _boundary_chunk(params, n, gen, u_tab, c):
+    """Boundary terms of `c` paths without rolling any excursion.
+
+    Given the first renewal r_1 = 1 + B_1 <= n, with m = n - r_1 time
+    steps left, the end state has law P[(A_n, B_n) = (a, b)] =
+    u(m - a) p_(a+b) (last renewal at n - a, then an excursion of length
+    a + b), and P[A_n = 0] = u(m).  Since the invariant measure is
+    pi(a, b) = mu_0 p_(a+b) and pi(origin) = mu_0, a stationary proposal
+    accepted with probability u(m - a) (zero for a > m) is an exact draw;
+    u <= u(0) = 1, and the acceptance rate is exactly mu_0 = 1 - 1/e.
+    """
+    out = _start_chunk(params, n, gen, c)
+    idx = np.flatnonzero(out["interior"])
+    m = n - 1 - out["b1"][idx]
+    while idx.size:
+        lev, age = sample_stationary_levels(params, gen, idx.size)
+        lag = m - age
+        keep = (lag >= 0) & (gen.random(idx.size) < u_tab[np.maximum(lag, 0)])
+        ended = keep & (age > 0)  # origin proposals leave the zero end state
+        if np.any(ended):
+            rows = idx[ended]
+            a = age[ended]
+            sign = np.where(gen.random(rows.size) < 0.5, 1.0, -1.0)
+            _set_end_excursion(out, n, rows, a, lev[ended] - a, sign, params.beta)
+        idx, m = idx[~keep], m[~keep]
+    return out
+
+
+_BLOCK = 64  # excursions drawn per path per vectorized round
+
+
+def _roll_chunk(params, n, gen, alias, r_tab, c):
+    out = _start_chunk(params, n, gen, c)
+    s_tilde = np.zeros(c)
+    t = 1 + out["b1"]  # first renewal
+    idx = np.flatnonzero(t <= n - 1)
     t = t[idx]
     kk = alias.K
     while idx.size:
@@ -355,51 +480,30 @@ def _roll_chunk(params, n, c, gen, alias, r_tab, beta, with_rewards):
             tau[bucket] = alias._tail_draw(gen, int(bucket.sum()))
         pos = np.cumsum(tau, axis=1)
         pos += t[:, None]
-        if with_rewards:
-            sgn = np.copysign(1.0, gen.random((m, _BLOCK)) - 0.5)
-            rm = r_tab[np.minimum(tau, r_tab.size - 1)]
-            if np.any(bucket):
-                rm[bucket] = reward_magnitudes(params, tau[bucket])
-            contrib = sgn * rm
-            contrib[pos > n] = 0.0  # beyond the horizon or past a crossing
-            s_tilde[idx] += contrib.sum(axis=1)
+        sgn = np.copysign(1.0, gen.random((m, _BLOCK)) - 0.5)
+        rm = r_tab[np.minimum(tau, r_tab.size - 1)]
+        if np.any(bucket):
+            rm[bucket] = reward_magnitudes(params, tau[bucket])
+        contrib = sgn * rm
+        contrib[pos > n] = 0.0  # beyond the horizon or past a crossing
+        s_tilde[idx] += contrib.sum(axis=1)
         crossed = pos[:, -1] > n
         if np.any(crossed):
             rows = np.flatnonzero(crossed)
             kstar = (pos[rows] > n).argmax(axis=1)
             pos_c = pos[rows, kstar]
             tau_c = tau[rows, kstar]
-            t_prev = pos_c - tau_c
-            ac = n - t_prev
-            bc = pos_c - n
+            ac = n - (pos_c - tau_c)
             ended = ac > 0  # ac == 0 means the path ended at a renewal at n
             if np.any(ended):
-                sub = idx[rows[ended]]
-                aa, bb, tt = ac[ended], bc[ended], tau_c[ended]
-                if with_rewards:
-                    sc = sgn[rows[ended], kstar[ended]]
-                else:
-                    sc = np.where(
-                        gen.random(int(ended.sum())) < 0.5, 1.0, -1.0
-                    )
-                cnt = _s_double_prime_count_arr(aa, bb, n)
-                s_dprime[sub] = sc * cnt * tt.astype(np.float64) ** (-beta)
-                an[sub] = aa
-                bn[sub] = bb
+                _set_end_excursion(
+                    out, n, idx[rows[ended]], ac[ended], (pos_c - n)[ended],
+                    sgn[rows[ended], kstar[ended]], params.beta,
+                )
         alive = pos[:, -1] <= n - 1
         idx = idx[alive]
         t = pos[alive, -1]
 
-    out = {
-        "s_prime": s_prime,
-        "s_dprime": s_dprime,
-        "a1": a1,
-        "b1": b1,
-        "an": an,
-        "bn": bn,
-        "interior": ~no_renew,
-    }
-    if with_rewards:
-        out["s_tilde"] = s_tilde
-        out["s_total"] = s_prime + s_tilde + s_dprime
+    out["s_tilde"] = s_tilde
+    out["s_total"] = out["s_prime"] + s_tilde + out["s_dprime"]
     return out

@@ -16,10 +16,27 @@ def three_se(p: float, n: int) -> float:
     return 3.0 * np.sqrt(max(p * (1.0 - p), 1e-12) / n)
 
 
+_setup_s = {}
+
+
 def pytest_runtest_logreport(report):
-    """One visible pass/fail line per acceptance criterion."""
-    if report.when != "call" or "test_acceptance" not in report.nodeid:
+    """One visible pass/fail line per acceptance criterion.  The time
+    includes the test's setup phase, where a module fixture shared by
+    several criteria is paid by the first one that uses it."""
+    if "test_acceptance" not in report.nodeid:
+        return
+    if report.when == "setup":
+        _setup_s[report.nodeid] = report.duration
+        if not report.failed:  # a failed setup has no call phase
+            return
+    elif report.when != "call":
         return
     name = report.nodeid.split("::")[-1]
     status = "PASS" if report.passed else "FAIL"
-    print(f"\n[{status}] {name} ({report.duration:.1f}s)", flush=True)
+    setup = _setup_s.pop(report.nodeid, 0.0)
+    call = report.duration if report.when == "call" else 0.0
+    print(
+        f"\n[{status}] {name} ({call + setup:.1f}s: {call:.1f}s call"
+        f" + {setup:.1f}s setup)",
+        flush=True,
+    )

@@ -57,6 +57,30 @@ def test_rng_shards_distinct():
     assert not np.array_equal(s.shard(0).random(4), s.shard(1).random(4))
 
 
+def test_rng_stream_draws_are_pinned():
+    # raw words of plain streams and shards, recorded before child streams
+    # moved to spawn-key tuples; CLI and benchmark outputs depend on them
+    g = RngStream(42_007, 3).generator()
+    assert g.bit_generator.random_raw(3).tolist() == [
+        17575700725659016436, 12875186270722910310, 3408792656636117186]
+    assert RngStream(42_007, 3).shard(5).bit_generator.random_raw(3).tolist() == [
+        2622883764046653511, 10574162455268030762, 12484854167183614900]
+    assert RngStream(7).generator().bit_generator.random_raw(2).tolist() == [
+        14717904226557406096, 979409276310299390]
+
+
+def test_substreams_do_not_collide():
+    # the child of stream 0 once drew exactly what stream 1 draws
+    root = RngStream(5, 0)
+    draws = [root.substream(0).generator().random(4)]
+    draws += [RngStream(5, k).generator().random(4) for k in range(4)]
+    draws += [root.shard(k).random(4) for k in range(4)]
+    draws += [root.substream(k).shard(0).random(4) for k in range(3)]
+    draws += [root.substream(0).substream(0).generator().random(4)]
+    assert len({d.tobytes() for d in draws}) == len(draws)
+    assert root.substream(1) == RngStream(5, 0).substream(1)
+
+
 # -------------------------------------------------------------- stationarity
 
 def test_stationary_origin_fraction():

@@ -31,6 +31,7 @@ from mdwindow import (
     sigma,
     wilson_interval,
 )
+from mdwindow import oracles
 from mdwindow.oracles import _case2_min_n, conditioned_dprime_exceedance
 
 from conftest import DEFAULT, three_se
@@ -40,6 +41,25 @@ N_GRID = (10 ** 6, 10 ** 8, 10 ** 10, 10 ** 12)
 
 
 # ------------------------------------------------------------------ wilson CI
+
+def test_wilson_z_matches_scipy():
+    # z comes from the standard library; SciPy's normal quantile is the
+    # reference, measured at most 2 ulp away at these confidences
+    from statistics import NormalDist
+
+    from scipy.stats import norm
+
+    for conf in (0.95, 0.99, 0.999, 0.9999):
+        ref = float(norm.ppf(0.5 + 0.5 * conf))
+        assert abs(NormalDist().inv_cdf(0.5 + 0.5 * conf) - ref) <= 2.0 * math.ulp(ref)
+        p, n = 0.037, 1000
+        denom = 1 + ref * ref / n
+        center = (p + ref * ref / (2 * n)) / denom
+        spread = ref * math.sqrt((p * (1 - p) + ref * ref / (4 * n)) / n) / denom
+        lo, hi = wilson_interval(37, n, conf)
+        assert lo == pytest.approx(center - spread, rel=1e-14)
+        assert hi == pytest.approx(center + spread, rel=1e-14)
+
 
 def test_wilson_matches_textbook_value():
     # 5 successes out of 100 at 95%: classic Wilson bounds
@@ -387,6 +407,17 @@ def test_autocovariance_long_run_identity_with_sigma():
         autocovariance_exact(DEFAULT, k, 1e-13) for k in range(1, 201)
     )
     assert series == pytest.approx(stats.sigma ** 2, abs=1e-8)
+
+
+def test_autocovariance_does_not_depend_on_level_blocks(monkeypatch):
+    # a block edge may split the levels that share one isqrt; 777 splits
+    # many of them, 2^22 none (one block per series)
+    lags = (0, 1, 3, 60, 90, 150)
+    base = [autocovariance_exact(DEFAULT, k) for k in lags]
+    for block in (777, 1 << 22):
+        monkeypatch.setattr(oracles, "_LEVEL_BLOCK", block)
+        for k, ref in zip(lags, base):
+            assert autocovariance_exact(DEFAULT, k) == pytest.approx(ref, rel=1e-13)
 
 
 def test_autocovariance_matches_empirical():

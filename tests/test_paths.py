@@ -355,3 +355,136 @@ def test_iter_sums_fixed_chunking_is_reproducible():
         [p["s_total"] for p in iter_sums(DEFAULT, 80, 4000, RngStream(608).generator(), chunk=4000)]
     )
     assert other.shape == runs[0].shape
+
+
+# ---------------------------------------------------- boundary-only sampler
+
+def _p_law(params, n):
+    from mdwindow import p1
+    from mdwindow.measure import LOG_MU0, _level_log_mu
+
+    p = np.zeros(n)
+    p[1] = p1(params)
+    p[2:] = np.exp(_level_log_mu(params, 2, n - 1) - LOG_MU0)
+    return p
+
+
+@pytest.mark.parametrize("n", [1000, 5000])
+def test_renewal_table_last_renewal_identity(n):
+    # sum_{k<=j} u(k) P[tau > j-k] = 1: the last renewal at or before j is
+    # at some k and the interval opened there outlasts j.  The identity
+    # holds for the truncated law p_1..p_(n-1) the table uses, so the tails
+    # are summed exactly in rationals.  n = 5000 spans several FFT levels.
+    from fractions import Fraction
+    from itertools import accumulate
+
+    from mdwindow.paths import _renewal_table
+
+    for params in (DEFAULT, Params(0.1, 0.0), Params(0.45, 0.0)):
+        u = _renewal_table(params, n)
+        assert u.size == n and u[0] == 1.0
+        p = _p_law(params, n)
+        tail = np.array([float(1 - f) for f in accumulate(map(Fraction, p))])
+        resid = np.abs(np.convolve(u, tail)[:n] - 1.0)
+        assert float(resid.max()) < 1e-12, f"alpha={params.alpha}"
+
+
+def test_renewal_table_matches_mpmath_recursion():
+    # 50-digit recursion from the closed-form level weights; p_1 enters as
+    # the certified float from p1
+    import mpmath
+
+    from mdwindow import p1
+    from mdwindow.paths import _renewal_table
+
+    jmax = 200
+    with mpmath.workdps(50):
+        a = mpmath.mpf(DEFAULT.alpha)
+        mu0 = 1 - mpmath.exp(-1)
+        p = [mpmath.mpf(0), mpmath.mpf(p1(DEFAULT))] + [
+            (mpmath.exp(-((k - 1) ** a)) - mpmath.exp(-(k ** a))) / ((k - 1) * mu0)
+            for k in range(2, jmax + 1)
+        ]
+        ref = [mpmath.mpf(1)]
+        for j in range(1, jmax + 1):
+            ref.append(mpmath.fsum(p[k] * ref[j - k] for k in range(1, j + 1)))
+        ref = np.array([float(v) for v in ref])
+    u = _renewal_table(DEFAULT, jmax + 1)
+    assert np.allclose(u, ref, rtol=1e-13, atol=0.0)
+
+
+def test_renewal_table_built_once_under_threads():
+    # shard threads that miss the cache together share one build
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    from mdwindow.paths import _build_renewal_table, _renewal_table
+
+    n = 3001  # a horizon no other test tabulates
+    before = _build_renewal_table.cache_info().misses
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            tables = list(pool.map(lambda _: _renewal_table(DEFAULT, n), range(8)))
+    finally:
+        sys.setswitchinterval(interval)
+    assert _build_renewal_table.cache_info().misses == before + 1
+    assert all(t is tables[0] for t in tables)
+
+
+def test_renewal_table_refuses_beyond_cap():
+    from mdwindow import PrecisionError
+    from mdwindow.paths import _RENEWAL_CAP, _renewal_table
+
+    with pytest.raises(PrecisionError):
+        _renewal_table(DEFAULT, _RENEWAL_CAP + 1)
+
+
+def _joint_cells(ch, n):
+    # (interior, A_1, B_1, A_n, A_n + B_n, sign of S'') with the unbounded
+    # coordinates binned on a log scale, plus the time between the first
+    # and the last renewal, n - 1 - B_1 - A_n, binned finely: the renewal
+    # weight u acts on it
+    gap = np.where(ch["interior"], n - 1 - ch["b1"] - ch["an"], -1)
+    b1_edges = [1 << k for k in range(n.bit_length()) if 1 << k < n] + [n]
+    cols = (
+        ch["interior"].astype(np.int64),
+        np.searchsorted([1, 2, 4, 16], ch["a1"], side="right"),
+        np.searchsorted(b1_edges, ch["b1"], side="right"),
+        np.searchsorted([1, 2, 4, 16, 64], ch["an"], side="right"),
+        np.searchsorted([2, 8, 32, 128, 512], ch["an"] + ch["bn"], side="right"),
+        np.sign(ch["s_dprime"]).astype(np.int64) + 1,
+        np.searchsorted([0, 1, 2, 3, 8], gap, side="right"),
+    )
+    key = np.zeros(ch["a1"].size, dtype=np.int64)
+    for col in cols:
+        key = key * 16 + col
+    return key
+
+
+@pytest.mark.parametrize("n", [6, 40])
+def test_boundary_sampler_matches_rolled_engine_joint_law(n):
+    # the rewards engine rolls every excursion, an independent route to
+    # the same joint law of start state, end state and trailing sign; at
+    # n = 6 the renewal weights u(0..5) differ most from their limit mu_0
+    from scipy.stats import chi2
+
+    reps = 300_000
+    keys = [
+        _joint_cells(next(iter_sums(DEFAULT, n, reps, RngStream(seed, n).generator(),
+                                    with_rewards=rewards, chunk=reps)), n)
+        for seed, rewards in ((611, False), (612, True))
+    ]
+    cells, inv = np.unique(np.concatenate(keys), return_inverse=True)
+    x = np.bincount(inv[:reps], minlength=cells.size)
+    y = np.bincount(inv[reps:], minlength=cells.size)
+    sparse = x + y < 20  # pooled into one cell
+    x = np.append(x[~sparse], x[sparse].sum())
+    y = np.append(y[~sparse], y[sparse].sum())
+    keep = x + y > 0
+    x, y = x[keep], y[keep]
+    stat = float(((x - y) ** 2 / (x + y)).sum())
+    dof = x.size - 1
+    assert dof > 50
+    assert chi2.sf(stat, dof) > 1e-3, f"chi2={stat:.1f} on {dof} dof"
