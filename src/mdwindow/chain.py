@@ -6,21 +6,22 @@ the origin a fresh interval length is drawn from the return law {p_n}.
 
 Stationary draws invert the closed-form size-biased tail exp(-k^alpha), so
 they carry no truncation bias even though the support is unbounded.  Draws
-from {p_n} itself have no closed-form inverse; they go through a lazily
-grown CDF table, with an exact size-biased rejection step for the rare mass
-beyond the table.
+from {p_n} itself have no closed-form inverse; they go through one alias
+table, with an exact size-biased rejection step for the rare mass beyond
+the table.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import threading
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Union
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, PrecisionError
 from .measure import (
     LOG_MU0,
     MU0,
@@ -29,9 +30,38 @@ from .measure import (
     p1,
 )
 
-# Interval lengths are clamped here; for the supported exponent range the
-# probability of ever exceeding it is below exp(-2^(62 alpha)) ~ 1e-34.
+# Interval lengths are clamped here, so they fit int64.  The stationary mass
+# beyond the cap, exp(-2^(62 alpha)), is 9.4% at alpha = 0.02 and 1.8e-4 at
+# 0.05, so draws are refused below alpha ~ 0.084 (_check_tau_cap).
 _TAU_CAP = 1 << 62
+
+
+def _check_tau_cap(alpha: float, n_min: int = 0) -> None:
+    """Refuse size-biased tail draws beyond n_min (0: the stationary law)
+    whose mass beyond _TAU_CAP, exp(n_min^alpha - _TAU_CAP^alpha), exceeds
+    2^-53.  The rejection step accepts a capped proposal least often, so
+    this mass also bounds the clamped share of its draws."""
+    if float(n_min) ** alpha - float(_TAU_CAP) ** alpha > -53.0 * math.log(2.0):
+        raise PrecisionError(
+            f"alpha={alpha:g}: over 2^-53 of the interval draws would be clamped at 2^62"
+        )
+
+
+def locked_cache(maxsize: int):
+    """lru_cache whose misses are built once: threads (the Monte Carlo
+    shards) that miss together wait for one build instead of repeating it."""
+
+    def wrap(build):
+        cached, lock = functools.lru_cache(maxsize)(build), threading.Lock()
+
+        def get(*args):
+            with lock:
+                return cached(*args)
+
+        get.cache_info = cached.cache_info
+        return functools.update_wrapper(get, build)
+
+    return wrap
 
 
 @dataclass(frozen=True)
@@ -104,35 +134,27 @@ def as_generator(rng: RngLike) -> np.random.Generator:
     return rng
 
 
-def stationary_level_from_uniform(u: np.ndarray, alpha: float) -> np.ndarray:
-    """Map uniforms on [0,1) to stationary levels (0 = origin).
-
-    With probability mu_0 the state is the origin; otherwise u - mu_0 is
-    uniform on (0, 1/e) and the level is the unique m with
-    exp(-m^alpha) <= u - mu_0 < exp(-(m-1)^alpha), i.e.
-    m = ceil((-log(u - mu_0))^(1/alpha)).
-    """
-    u = np.asarray(u, dtype=np.float64)
-    tau = np.zeros(u.shape, dtype=np.int64)
-    exc = u >= MU0
-    if np.any(exc):
-        v = u[exc] - MU0
-        v = np.maximum(v, 5e-324)  # guard the measure-zero endpoint
-        m = np.ceil((-np.log(v)) ** (1.0 / alpha))
-        m = np.minimum(m, float(_TAU_CAP))
-        tau[exc] = np.maximum(m.astype(np.int64), 2)
-    return tau
-
-
 def sample_stationary_levels(
     params: Params, rng: RngLike, size: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vector of stationary states as (level, age) arrays; level 0 = origin."""
+    """Vector of stationary states as (level, age) arrays; level 0 = origin.
+
+    A uniform u gives the origin with probability mu_0; otherwise u - mu_0
+    is uniform on (0, 1/e) and the level is the unique m with
+    exp(-m^alpha) <= u - mu_0 < exp(-(m-1)^alpha), i.e.
+    m = ceil((-log(u - mu_0))^(1/alpha)).  The age is uniform on 1..m-1.
+    """
+    alpha = params.alpha
+    _check_tau_cap(alpha)
     gen = as_generator(rng)
-    tau = stationary_level_from_uniform(gen.random(size), params.alpha)
+    u = gen.random(size)
+    tau = np.zeros(size, dtype=np.int64)
     age = np.zeros(size, dtype=np.int64)
-    exc = tau > 0
+    exc = u >= MU0
     if np.any(exc):
+        v = np.maximum(u[exc] - MU0, 5e-324)  # guard the measure-zero endpoint
+        m = np.minimum(np.ceil((-np.log(v)) ** (1.0 / alpha)), float(_TAU_CAP))
+        tau[exc] = np.maximum(m.astype(np.int64), 2)
         span = (tau[exc] - 1).astype(np.float64)
         a = 1 + np.floor(gen.random(int(exc.sum())) * span).astype(np.int64)
         age[exc] = np.minimum(a, tau[exc] - 1)
@@ -164,6 +186,7 @@ def _interval_tail_reject(
     ratio normalized by its supremum on the tail.
     """
     a = params.alpha
+    _check_tau_cap(a, n_min)
     tail = math.exp(-(float(n_min) ** a))
     out = np.empty(count, dtype=np.int64)
     need = np.arange(count)
@@ -177,80 +200,59 @@ def _interval_tail_reject(
     return out
 
 
-class PLawSampler:
-    """Inverse-CDF sampler for the return-interval law {p_n}.
-
-    The cumulative table is extended lazily (doubling) whenever a uniform
-    lands beyond the tabulated mass; past the growth cap the draw falls
-    back to the exact size-biased rejection step.
-    """
-
-    _GROW_CAP = 1 << 20
-
-    def __init__(self, params: Params, n0: int = 4096):
-        self.params = params
-        self._p1 = p1(params)
-        self._rebuild(n0)
-
-    def _rebuild(self, n: int):
-        probs = np.exp(_level_log_mu(self.params, 2, n) - LOG_MU0)
-        cdf = np.empty(n)  # cdf[k-1] = P[tau <= k]
-        cdf[0] = self._p1
-        cdf[1:] = self._p1 + np.cumsum(probs)
-        self.cdf = cdf
-        self.n = n
-
-    def _tail_draw(self, gen: np.random.Generator, count: int) -> np.ndarray:
-        return _interval_tail_reject(self.params, gen, count, self.n)
-
-    def draw(self, rng: RngLike, size: int) -> np.ndarray:
-        gen = as_generator(rng)
-        u = gen.random(size)
-        while self.n < self._GROW_CAP and np.any(u >= self.cdf[-1]):
-            self._rebuild(self.n * 2)
-        tau = np.searchsorted(self.cdf, u, side="right").astype(np.int64) + 1
-        beyond = u >= self.cdf[-1]
-        if np.any(beyond):
-            tau[beyond] = self._tail_draw(gen, int(beyond.sum()))
-        return tau
+_FRAC_BITS = 50
+_FRAC_MASK = (1 << _FRAC_BITS) - 1
 
 
-@lru_cache(maxsize=32)
-def p_sampler(params: Params) -> PLawSampler:
-    return PLawSampler(params)
+def raw_words(gen: np.random.Generator, shape) -> np.ndarray:
+    """Uniform 64-bit words from the generator's bit stream, as int64."""
+    return gen.bit_generator.random_raw(shape).view(np.int64)
 
 
 class IntervalAlias:
-    """O(1) alias-method draw for {p_n}, used by the batched path engines.
+    """O(1) alias-method draw for {p_n} (Vose, IEEE TSE 1991).
 
     Outcomes 1..K-1 are exact table entries; the last slot is a bucket for
-    the whole mass beyond K-1 and resolves through the same size-biased
-    rejection step as the CDF sampler, so the combined draw is exact.
-    The two samplers are cross-checked against each other in the tests.
+    the whole mass beyond K-1 and resolves through the exact size-biased
+    rejection step, so the combined draw is exact.  A draw costs one 64-bit
+    word (`decode`).
     """
 
-    K = 8192
+    K = 8192  # 2^13 columns, so 13 bits of a word pick one uniformly
 
     def __init__(self, params: Params):
-        self.params = params
         k = self.K
+        _check_tau_cap(params.alpha, k - 1)
+        self.params = params
         probs = np.empty(k)
         probs[0] = p1(params)
         probs[1 : k - 1] = np.exp(_level_log_mu(params, 2, k - 1) - LOG_MU0)
         probs[k - 1] = max(1.0 - probs[: k - 1].sum(), 0.0)  # tail bucket
-        self._accept, self._alias = _vose_tables(probs / probs.sum())
+        self.weights = probs / probs.sum()
+        accept, alias = _vose_tables(self.weights)
+        # for an integer f, f < ceil(x) exactly when f < x
+        self.thr = np.ceil(np.ldexp(accept, _FRAC_BITS)).astype(np.int64)
+        # pair[2 col + take]: the alias when the accept test fails, else col
+        self.pair = np.column_stack((alias, np.arange(k))).ravel()
+
+    def decode(self, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Slot (tau - 1) and sign bit of each int64 word: the top 13 bits
+        pick the column, bit 50 is the sign, and the low 50 bits f keep the
+        column's own slot when f < thr[col], i.e. f * 2^-50 < accept[col]."""
+        col = (words >> 51) & (self.K - 1)
+        take = (words & _FRAC_MASK) < self.thr.take(col)
+        col <<= 1
+        col |= take
+        return self.pair.take(col), (words >> _FRAC_BITS) & 1
 
     def _tail_draw(self, gen: np.random.Generator, count: int) -> np.ndarray:
         return _interval_tail_reject(self.params, gen, count, self.K - 1)
 
     def draw(self, rng: RngLike, size: int) -> np.ndarray:
         gen = as_generator(rng)
-        u = gen.random((size, 2))
-        j = (u[:, 0] * self.K).astype(np.int64)
-        take = u[:, 1] < self._accept[j]
-        slot = np.where(take, j, self._alias[j])
-        tau = slot + 1
-        bucket = slot == self.K - 1
+        tau, _ = self.decode(raw_words(gen, size))
+        tau += 1
+        bucket = tau == self.K
         if np.any(bucket):
             tau[bucket] = self._tail_draw(gen, int(bucket.sum()))
         return tau
@@ -277,14 +279,14 @@ def _vose_tables(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return accept, alias
 
 
-@lru_cache(maxsize=32)
+@locked_cache(maxsize=32)
 def interval_alias(params: Params) -> IntervalAlias:
     return IntervalAlias(params)
 
 
 def sample_p_interval(params: Params, rng: RngLike) -> int:
     """One interval length from {p_n} (the law of a fresh excursion)."""
-    return int(p_sampler(params).draw(rng, 1)[0])
+    return int(interval_alias(params).draw(rng, 1)[0])
 
 
 def step(params: Params, state: ChainState, rng: RngLike) -> ChainState:

@@ -313,10 +313,6 @@ class MeasureTable:
             raise StateIndexError("level 1 is not in the state space")
         return float(self.log_mu_levels[n - 2])
 
-    def mu_levels(self) -> np.ndarray:
-        """Weights mu_2 .. mu_n_max as plain floats."""
-        return np.exp(self.log_mu_levels)
-
 
 @lru_cache(maxsize=16)
 def build_measure_table(params: Params, n_max: int) -> MeasureTable:

@@ -38,8 +38,8 @@ from .measure import (
     window_from_params,
 )
 from .paths import (
-    SignedPath,
     _floor_sqrt,
+    _signed_path,
     decompose,
     iter_sums,
     s_double_prime_count,
@@ -577,18 +577,7 @@ def conditioned_dprime_exceedance(
                 levels[span - 1] = t_back
                 sgn[span - 1] = s
             edge -= t_back
-        x = np.zeros(n)
-        inside = ages > 0
-        hit = inside & (ages * ages <= levels)
-        x[hit] = sgn[hit] * levels[hit].astype(np.float64) ** (-params.beta)
-        path = SignedPath(
-            params=params,
-            n=n,
-            ages=ages,
-            residuals=np.where(inside, levels - ages, 0),
-            x=x,
-            signs={},
-        )
+        path = _signed_path(params, ages, levels, sgn, {})
         if decompose(path).s_double_prime > threshold:
             hits += 1
     lo, hi = wilson_interval(hits, reps, 0.99)

@@ -20,17 +20,19 @@ falls out of them rather than being assumed.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 from typing import Iterator
 
 import numpy as np
 
 from .chain import (
+    IntervalAlias,
     RngLike,
     as_generator,
     interval_alias,
+    locked_cache,
+    raw_words,
     sample_stationary_levels,
 )
 from .errors import ParameterError, PrecisionError
@@ -124,12 +126,13 @@ def reward_magnitudes(params: Params, tau: np.ndarray) -> np.ndarray:
     return count * tau.astype(np.float64) ** (-params.beta)
 
 
-@lru_cache(maxsize=32)
-def _reward_table(params: Params) -> np.ndarray:
-    """Reward magnitudes for tau = 0..K-1 (index = tau), K = alias table size."""
-    k = interval_alias(params).K
-    tab = np.zeros(k)
-    tab[1:] = reward_magnitudes(params, np.arange(1, k))
+@locked_cache(maxsize=32)
+def _signed_rewards(params: Params) -> np.ndarray:
+    """Signed reward of a full excursion by alias draw: entry 2 slot + sign
+    is (-1)^sign |reward| of length tau = slot + 1.  The tail bucket's two
+    entries are 0; the engine fills those draws in from their own tau."""
+    mag = np.append(reward_magnitudes(params, np.arange(1, IntervalAlias.K)), 0.0)
+    tab = np.column_stack((mag, -mag)).ravel()
     tab.setflags(write=False)
     return tab
 
@@ -236,18 +239,21 @@ def generate_path(params: Params, n: int, rng: RngLike) -> SignedPath:
         levels[times - 1] = np.repeat(exc_tau[keep], ln)
         sgn[times - 1] = np.repeat(signs[keep], ln)
 
-    inside = ages > 0
-    residuals = np.where(inside, levels - ages, 0)
-    x = np.zeros(n)
-    hit = inside & (ages * ages <= levels)
-    x[hit] = sgn[hit] * levels[hit].astype(np.float64) ** (-params.beta)
-
     sign_map = dict(
         zip(exc_start.tolist(), np.where(signs > 0.0, 1, -1).tolist())
     )
-    return SignedPath(
-        params=params, n=n, ages=ages, residuals=residuals, x=x, signs=sign_map
-    )
+    return _signed_path(params, ages, levels, sgn, sign_map)
+
+
+def _signed_path(params: Params, ages, levels, sgn, signs: dict) -> SignedPath:
+    """SignedPath from per-time ages, levels and excursion signs (ages 0 at
+    renewals): X_t = sign * level^(-beta) where age^2 <= level."""
+    inside = ages > 0
+    hit = inside & (ages * ages <= levels)
+    x = np.zeros(ages.size)
+    x[hit] = sgn[hit] * levels[hit].astype(np.float64) ** (-params.beta)
+    residuals = np.where(inside, levels - ages, 0)
+    return SignedPath(params, ages.size, ages, residuals, x, signs)
 
 
 def decompose(path: SignedPath) -> SumDecomposition:
@@ -281,21 +287,23 @@ def iter_sums(
     """Stream excursion-level path statistics for `reps` stationary paths.
 
     Yields dict chunks with the decomposition terms and end states; the
-    per-time values are never materialized, so horizons up to ~1e4 with
-    millions of paths stay affordable.  With with_rewards=False the middle
-    term is skipped and no excursion is rolled: the end state is drawn
-    exactly from its law given the first renewal, so boundary-only studies
-    cost O(1) per path at any horizon the renewal table covers.  The draw
-    layout is a pure function of (generator state, n, reps, with_rewards,
-    chunk); callers wanting bit-reproducibility must hold all of these
-    fixed, as the public front ends do.
+    per-time values are never materialized.  With rewards every excursion
+    is rolled from one 64-bit word (`_roll_chunk`), about 1e-8 s per chain
+    step on one CPU, so horizons up to ~1e4 with millions of paths stay
+    affordable.  With with_rewards=False the middle term is skipped and no
+    excursion is rolled: the end state is drawn exactly from its law given
+    the first renewal, so boundary-only studies cost O(1) per path at any
+    horizon the renewal table covers.  The draw layout is a pure function
+    of (generator state, n, reps, with_rewards, chunk); callers wanting
+    bit-reproducibility must hold all of these fixed, as the public front
+    ends do.
     """
     if n < 1 or reps < 0:
         raise ParameterError("need n >= 1 and reps >= 0")
     gen = as_generator(rng)
     if with_rewards:
         draw = partial(
-            _roll_chunk, params, n, gen, interval_alias(params), _reward_table(params)
+            _roll_chunk, params, n, gen, interval_alias(params), _signed_rewards(params)
         )
     else:
         draw = partial(_boundary_chunk, params, n, gen, _renewal_table(params, n))
@@ -359,18 +367,10 @@ def _set_end_excursion(out, n, rows, a, b, sign, beta):
 
 _RENEWAL_BLOCK = 128  # times per directly solved block of the renewal table
 _RENEWAL_CAP = 1 << 24  # longest renewal table (128 MiB of float64)
-_RENEWAL_LOCK = threading.Lock()
 
 
+@locked_cache(maxsize=8)
 def _renewal_table(params: Params, n: int) -> np.ndarray:
-    """The cached table for (params, n).  Shard threads that miss the
-    cache together wait for one build instead of each repeating it."""
-    with _RENEWAL_LOCK:
-        return _build_renewal_table(params, n)
-
-
-@lru_cache(maxsize=8)
-def _build_renewal_table(params: Params, n: int) -> np.ndarray:
     """Renewal function u(j) = P[renewal at time j | renewal at time 0]
     for j = 0..n-1, from u(0) = 1, u(j) = sum_{k=1..j} p_k u(j-k).
 
@@ -459,50 +459,61 @@ def _boundary_chunk(params, n, gen, u_tab, c):
     return out
 
 
-_BLOCK = 64  # excursions drawn per path per vectorized round
+_BLOCK = 64  # excursions drawn per path per round
+_TILE = 512  # rows rolled together
 
 
-def _roll_chunk(params, n, gen, alias, r_tab, c):
+def _roll_chunk(params, n, gen, alias, signed, c):
+    """All decomposition terms of `c` paths, every excursion rolled.
+
+    A round draws _BLOCK excursions for each live row of a tile, one 64-bit
+    word each, split by `alias.decode`: the top 13 bits pick the alias
+    column, exactly uniform as K = 2^13; bit 50 is the excursion's sign; the
+    low 50 bits are an accept fraction f, and the column keeps its own slot
+    when the integer f < thr = ceil(accept * 2^50), which holds exactly when
+    f * 2^-50 < accept.  The fields are independent, so tau = slot + 1 has
+    the alias table's law and a fair sign independent of it, and
+    `signed[2 slot + sign]` is the signed reward.  Row sums of the rewards
+    go to S~_n; only rows whose renewals cross n take a cumulative sum, to
+    find the excursion straddling n.  Tiles of _TILE rows keep a round's
+    temporaries (256 KiB each) near the size of an L2 cache.
+    """
     out = _start_chunk(params, n, gen, c)
     s_tilde = np.zeros(c)
-    t = 1 + out["b1"]  # first renewal
-    idx = np.flatnonzero(t <= n - 1)
-    t = t[idx]
-    kk = alias.K
-    while idx.size:
-        m = idx.size
-        u1 = gen.random((m, _BLOCK))
-        u2 = gen.random((m, _BLOCK))
-        j = (u1 * kk).astype(np.int64)
-        tau = np.where(u2 < alias._accept[j], j, alias._alias[j]) + 1
-        bucket = tau == kk
-        if np.any(bucket):
-            tau[bucket] = alias._tail_draw(gen, int(bucket.sum()))
-        pos = np.cumsum(tau, axis=1)
-        pos += t[:, None]
-        sgn = np.copysign(1.0, gen.random((m, _BLOCK)) - 0.5)
-        rm = r_tab[np.minimum(tau, r_tab.size - 1)]
-        if np.any(bucket):
-            rm[bucket] = reward_magnitudes(params, tau[bucket])
-        contrib = sgn * rm
-        contrib[pos > n] = 0.0  # beyond the horizon or past a crossing
-        s_tilde[idx] += contrib.sum(axis=1)
-        crossed = pos[:, -1] > n
-        if np.any(crossed):
-            rows = np.flatnonzero(crossed)
-            kstar = (pos[rows] > n).argmax(axis=1)
-            pos_c = pos[rows, kstar]
-            tau_c = tau[rows, kstar]
-            ac = n - (pos_c - tau_c)
-            ended = ac > 0  # ac == 0 means the path ended at a renewal at n
-            if np.any(ended):
-                _set_end_excursion(
-                    out, n, idx[rows[ended]], ac[ended], (pos_c - n)[ended],
-                    sgn[rows[ended], kstar[ended]], params.beta,
-                )
-        alive = pos[:, -1] <= n - 1
-        idx = idx[alive]
-        t = pos[alive, -1]
+    first = 1 + out["b1"]  # first renewal
+    todo = np.flatnonzero(first <= n - 1)
+    for lo in range(0, todo.size, _TILE):
+        idx = todo[lo : lo + _TILE]
+        t = first[idx]
+        while idx.size:
+            slot, sign = alias.decode(raw_words(gen, (idx.size, _BLOCK)))
+            reward = signed.take((slot << 1) | sign)
+            tau = slot
+            tau += 1
+            if tau.max() == alias.K:  # tail bucket
+                bucket = tau == alias.K
+                tau[bucket] = big = alias._tail_draw(gen, int(bucket.sum()))
+                reward[bucket] = (1 - 2 * sign[bucket]) * reward_magnitudes(params, big)
+            end = t + tau.sum(axis=1)
+            gain = reward.sum(axis=1)
+            rows = np.flatnonzero(end > n)  # renewals cross n
+            if rows.size:
+                pos = np.cumsum(tau[rows], axis=1)
+                pos += t[rows, None]
+                kstar = (pos > n).argmax(axis=1)  # the excursion straddling n
+                before = np.arange(_BLOCK) < kstar[:, None]
+                gain[rows] = (reward[rows] * before).sum(axis=1)
+                pos_c = pos[np.arange(rows.size), kstar]
+                ac = n - (pos_c - tau[rows, kstar])
+                ended = ac > 0  # ac == 0 means the path ended at a renewal at n
+                if np.any(ended):
+                    _set_end_excursion(
+                        out, n, idx[rows[ended]], ac[ended], (pos_c - n)[ended],
+                        1.0 - 2.0 * sign[rows[ended], kstar[ended]], params.beta,
+                    )
+            s_tilde[idx] += gain
+            alive = end <= n - 1
+            idx, t = idx[alive], end[alive]
 
     out["s_tilde"] = s_tilde
     out["s_total"] = out["s_prime"] + s_tilde + out["s_dprime"]

@@ -1,7 +1,17 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import mdwindow
 from mdwindow import Params
+
+# the CLI tests run the package in child processes: point them at the copy
+# these tests import, installed or not
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, (str(Path(mdwindow.__file__).parents[1]), os.environ.get("PYTHONPATH")))
+)
 
 DEFAULT = Params(0.3, 0.05)
 ALPHA_GRID = (0.1, 0.3, 0.45)

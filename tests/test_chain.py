@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 from mdwindow import (
@@ -10,6 +12,8 @@ from mdwindow import (
     ChainState,
     ORIGIN,
     ParameterError,
+    Params,
+    PrecisionError,
     RngStream,
     run_path,
     sample_p_interval,
@@ -18,9 +22,10 @@ from mdwindow import (
     step,
 )
 from mdwindow.chain import (
-    PLawSampler,
+    IntervalAlias,
+    _interval_tail_reject,
+    _vose_tables,
     interval_alias,
-    p_sampler,
     sample_stationary_levels,
 )
 from mdwindow.measure import build_measure_table, p1, small_mass_tail
@@ -125,19 +130,19 @@ def test_sample_stationary_state_scalar():
 # ----------------------------------------------------------------- p sampler
 
 def test_p_sampler_frequency_of_self_loop():
-    draws = p_sampler(DEFAULT).draw(RngStream(201), 10 ** 6)
+    draws = interval_alias(DEFAULT).draw(RngStream(201), 10 ** 6)
     expect = p1(DEFAULT)
     assert abs(float((draws == 1).mean()) - expect) < three_se(expect, 10 ** 6)
 
 
 def test_p_sampler_mean_interval():
-    draws = p_sampler(DEFAULT).draw(RngStream(202), 10 ** 6)
+    draws = interval_alias(DEFAULT).draw(RngStream(202), 10 ** 6)
     se = float(draws.std(ddof=1)) / math.sqrt(draws.size)
     assert abs(float(draws.mean()) - MEAN_TAU) < 3.0 * se
 
 
 def test_p_sampler_support():
-    draws = p_sampler(DEFAULT).draw(RngStream(203), 10 ** 5)
+    draws = interval_alias(DEFAULT).draw(RngStream(203), 10 ** 5)
     assert int(draws.min()) >= 1
 
 
@@ -155,23 +160,23 @@ def _observed_counts(draws, levels):
     return np.array(obs)
 
 
-@pytest.mark.parametrize("sampler_kind", ["cdf", "alias"])
+@pytest.mark.parametrize("sampler_kind", ["alias", "scalar"])
 def test_interval_samplers_match_exact_law(sampler_kind):
-    reps = 10 ** 6
     levels = list(range(1, 13))
-    if sampler_kind == "cdf":
-        draws = p_sampler(DEFAULT).draw(RngStream(204), reps)
-    else:
+    if sampler_kind == "alias":
+        reps = 10 ** 6
         draws = interval_alias(DEFAULT).draw(RngStream(205), reps)
+    else:  # the one-draw route that step takes from the origin
+        reps = 4 * 10 ** 4
+        gen = RngStream(209).generator()
+        draws = np.array([sample_p_interval(DEFAULT, gen) for _ in range(reps)])
     stat = chisquare(_observed_counts(draws, levels), _expected_counts(DEFAULT, reps, levels))
     assert stat.pvalue > 0.001
 
 
 def test_tail_rejection_sampler_matches_conditional_law():
-    # force the rejection path by building a tiny table
-    ps = PLawSampler(DEFAULT, n0=64)
     gen = RngStream(206).generator()
-    draws = ps._tail_draw(gen, 200000)
+    draws = _interval_tail_reject(DEFAULT, gen, 200000, 64)
     assert int(draws.min()) >= 65
     # conditional weights mu_k / sum_{j>64} mu_j
     table = build_measure_table(DEFAULT, 90)
@@ -186,13 +191,92 @@ def test_tail_rejection_sampler_matches_conditional_law():
     assert stat.pvalue > 0.001
 
 
+class _TinyAlias(IntervalAlias):
+    K = 4  # the low 2 of the 13 column bits: still exactly uniform
+
+
 def test_sampler_beyond_table_via_public_draw():
-    # a tiny starting table must grow and then defer to the exact tail
-    ps = PLawSampler(DEFAULT, n0=4)
-    draws = ps.draw(RngStream(207), 10 ** 5)
+    # a 4-slot table sends about 5% of the draws (every level from 4 on)
+    # through the exact tail step; the mean and the law must not notice
+    reps = 10 ** 5
+    draws = _TinyAlias(DEFAULT).draw(RngStream(207), reps)
     assert int(draws.min()) >= 1
+    assert int((draws >= 4).sum()) > 4000
     se = float(draws.std(ddof=1)) / math.sqrt(draws.size)
     assert abs(float(draws.mean()) - MEAN_TAU) < 3.0 * se
+    levels = list(range(1, 21))
+    stat = chisquare(_observed_counts(draws, levels), _expected_counts(DEFAULT, reps, levels))
+    assert stat.pvalue > 0.001
+
+
+# ------------------------------------------------------------ word decoding
+
+def test_alias_thresholds_rebuild_the_input_law():
+    # column col keeps its slot with probability thr/2^50 and otherwise
+    # sends the draw to its alias; summed in exact integers
+    alias = interval_alias(DEFAULT)
+    k, cap = alias.K, 1 << 50
+    assert np.array_equal(alias.pair[1::2], np.arange(k))
+    assert np.all((alias.thr >= 0) & (alias.thr <= cap))
+    mass = [0] * k
+    for col, (thr, other) in enumerate(zip(alias.thr.tolist(), alias.pair[0::2].tolist())):
+        mass[col] += thr
+        mass[other] += cap - thr
+    assert sum(mass) == k * cap
+    rebuilt = np.array([m / (k * cap) for m in mass])
+    assert float(np.abs(rebuilt - alias.weights).max()) < 1e-15
+
+
+_ALIAS = interval_alias(DEFAULT)
+_ACCEPT, _ALIAS_OF = _vose_tables(_ALIAS.weights)
+
+
+@st.composite
+def _threshold_words(draw):
+    # words whose fraction sits at the column's threshold or next to it
+    col = draw(st.integers(0, _ALIAS.K - 1))
+    sign = draw(st.integers(0, 1))
+    thr = int(_ALIAS.thr[col])
+    frac = draw(st.sampled_from([max(thr - 1, 0), min(thr, (1 << 50) - 1)]))
+    word = (col << 51) | (sign << 50) | frac
+    return word - (1 << 64) if word >= 1 << 63 else word
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.integers(-(1 << 63), (1 << 63) - 1), _threshold_words()),
+                min_size=1, max_size=64))
+def test_decode_matches_vose_rule(words):
+    slot, sign = _ALIAS.decode(np.array(words, dtype=np.int64))
+    for w, s, b in zip(words, slot.tolist(), sign.tolist()):
+        u = w % (1 << 64)  # the word's bits as an unsigned integer
+        col, frac = u >> 51, u & ((1 << 50) - 1)
+        assert s == (col if frac * 2.0 ** -50 < _ACCEPT[col] else int(_ALIAS_OF[col]))
+        assert b == (u >> 50) & 1
+
+
+# ------------------------------------------------------------ clamp refusal
+
+@pytest.mark.parametrize("alpha", [0.02, 0.05])
+def test_draws_refuse_mass_clamped_at_cap(alpha):
+    # 9.4% (alpha = 0.02) and 1.8e-4 (0.05) of stationary draws would sit
+    # at the 2^62 clamp
+    params = Params(alpha, 0.0)
+    gen = RngStream(210).generator()
+    with pytest.raises(PrecisionError):
+        sample_stationary_levels(params, gen, 10)
+    with pytest.raises(PrecisionError):
+        _interval_tail_reject(params, gen, 10, IntervalAlias.K - 1)
+    with pytest.raises(PrecisionError):
+        IntervalAlias(params)
+    assert 0.0 < p1(params) < 1.0  # the exact oracles take any alpha
+
+
+def test_draws_at_alpha_one_tenth_sample():
+    params = Params(0.1, 0.0)
+    gen = RngStream(211).generator()
+    tau, _ = sample_stationary_levels(params, gen, 1000)
+    assert int(tau.min()) >= 0
+    assert int(_interval_tail_reject(params, gen, 100, IntervalAlias.K - 1).min()) >= IntervalAlias.K
 
 
 def test_sample_p_interval_scalar():

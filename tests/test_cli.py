@@ -108,6 +108,16 @@ def test_simulate_header_and_identity():
         assert int(r["shard"]) in (0, 1, 2)
 
 
+def test_simulate_refuses_clamped_interval_draws_exit_3():
+    # the window maps to alpha ~ 0.018, where 11% of stationary levels
+    # would be clamped at 2^62
+    res = run_cli("simulate", "--windows", "0.01:0.4", "--n", "100",
+                  "--reps", "10", "--seed", "1")
+    assert res.returncode == 3
+    assert "clamped" in res.stderr
+    assert res.stdout == ""
+
+
 def test_simulate_byte_identical_reruns():
     args = ["simulate", "--alpha", "0.3", "--beta", "0.05",
             "--n", "150", "--reps", "80", "--seed", "9", "--shards", "4"]

@@ -66,10 +66,10 @@ def test_reward_magnitude_brute_force(beta):
 def test_second_moment_matches_mc_over_excursions():
     # empirical mean of squared per-excursion rewards vs the exact series
     from mdwindow import second_moment_jump
-    from mdwindow.chain import p_sampler
+    from mdwindow.chain import interval_alias
     from mdwindow.paths import reward_magnitudes
 
-    draws = p_sampler(DEFAULT).draw(RngStream(620), 10 ** 6)
+    draws = interval_alias(DEFAULT).draw(RngStream(620), 10 ** 6)
     sq = reward_magnitudes(DEFAULT, draws) ** 2
     se = float(sq.std(ddof=1)) / math.sqrt(sq.size)
     assert abs(float(sq.mean()) - second_moment_jump(DEFAULT, 1e-12)) < 3.0 * se
@@ -413,24 +413,48 @@ def test_renewal_table_matches_mpmath_recursion():
     assert np.allclose(u, ref, rtol=1e-13, atol=0.0)
 
 
-def test_renewal_table_built_once_under_threads():
-    # shard threads that miss the cache together share one build
+def _build_under_threads(get, args):
+    # eight threads miss a cold cache together; returns the number of
+    # builds and whether all threads received the same object
     import sys
     from concurrent.futures import ThreadPoolExecutor
 
-    from mdwindow.paths import _build_renewal_table, _renewal_table
-
-    n = 3001  # a horizon no other test tabulates
-    before = _build_renewal_table.cache_info().misses
+    before = get.cache_info().misses
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=8) as pool:
-            tables = list(pool.map(lambda _: _renewal_table(DEFAULT, n), range(8)))
+            got = list(pool.map(lambda _: get(*args), range(8)))
     finally:
         sys.setswitchinterval(interval)
-    assert _build_renewal_table.cache_info().misses == before + 1
-    assert all(t is tables[0] for t in tables)
+    return get.cache_info().misses - before, all(g is got[0] for g in got)
+
+
+def test_renewal_table_built_once_under_threads():
+    from mdwindow.paths import _renewal_table
+
+    # a horizon no other test tabulates
+    assert _build_under_threads(_renewal_table, (DEFAULT, 3001)) == (1, True)
+
+
+def test_engine_tables_built_once_under_threads():
+    from mdwindow.chain import interval_alias
+    from mdwindow.paths import _signed_rewards
+
+    params = Params(0.3125, 0.0625)  # a pair no other test uses
+    assert _build_under_threads(interval_alias, (params,)) == (1, True)
+    assert _build_under_threads(_signed_rewards, (params,)) == (1, True)
+
+
+def test_mc_tail_curve_shards_share_one_alias_table():
+    # the two shard threads of a rewards curve once built the table twice
+    from mdwindow.chain import interval_alias
+    from mdwindow.oracles import mc_tail_curve
+
+    params = Params(0.31, 0.05)
+    before = interval_alias.cache_info().misses
+    mc_tail_curve(params, 200, {"total": [1.0]}, 4000, 0.95, RngStream(3), shards=2)
+    assert interval_alias.cache_info().misses == before + 1
 
 
 def test_renewal_table_refuses_beyond_cap():
