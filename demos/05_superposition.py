@@ -13,7 +13,7 @@ from mdwindow import (
     WindowSet,
     build_composite,
     case2_certificate,
-    composite_predicted_rate,
+    predicted_rate,
     sample_composite_path,
 )
 
@@ -40,7 +40,7 @@ def main():
 
     print("predicted limit rate across scales (c = 1):")
     for gamma in (0.05, 0.12, 0.20, 0.30, 0.45):
-        r = composite_predicted_rate(windows, gamma, 1.0)
+        r = predicted_rate(windows, gamma, 1.0)
         where = windows.locate(gamma)
         print(f"  gamma={gamma:4}: {r:+.1f}   ({where})")
     print()

@@ -34,9 +34,9 @@ from .errors import (
 from .measure import (
     MEAN_TAU,
     MU0,
+    Params,
     p1,
     sigma,
-    validate_params,
     window_from_params,
 )
 from .oracles import (
@@ -233,7 +233,7 @@ def _components(cfg: dict):
 
             comps.append(params_from_window(u, v))
         return comps, ws
-    params = validate_params(cfg["alpha"], cfg["beta"])
+    params = Params(float(cfg["alpha"]), float(cfg["beta"]))
     w = window_from_params(params)
     return [params], WindowSet([(w.u, w.v)])
 

@@ -71,30 +71,17 @@ def build_composite(windows: WindowSet, tol: float = 1e-10) -> CompositeProcess:
     return CompositeProcess(components=tuple(comps), combined_sigma=sqrt(var))
 
 
-def component_streams(rng: RngStream, count: int) -> list[RngStream]:
-    """Disjoint child streams, one per component, from one master stream."""
-    return [rng.substream(i) for i in range(count)]
-
-
 def sample_composite_path(
     composite: CompositeProcess, n: int, rng: RngStream
 ) -> np.ndarray:
-    """Pointwise sum of independently sampled component paths, divided by
-    the combined normalizer."""
+    """Pointwise sum of independently sampled component paths (component i
+    draws from rng.substream(i)), divided by the combined normalizer."""
     from .paths import generate_path
 
     if n < 1:
         raise ParameterError(f"path length must be >= 1, got {n}")
-    streams = component_streams(rng, len(composite.components))
     total = np.zeros(n)
-    for (params, _), stream in zip(composite.components, streams):
-        total += generate_path(params, n, stream).x
+    for i, (params, _) in enumerate(composite.components):
+        total += generate_path(params, n, rng.substream(i)).x
     return total / composite.combined_sigma
 
-
-def composite_predicted_rate(windows: WindowSet, gamma: float, c: float) -> float:
-    """Limit rate of the normalized superposition: 0 inside any window,
-    -c^2/2 in the interior of the complement, error on endpoints."""
-    from .oracles import predicted_rate
-
-    return predicted_rate(windows, gamma, c)

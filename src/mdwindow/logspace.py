@@ -38,16 +38,6 @@ def log1mexp(x):
     return out
 
 
-def log_diff_exp(neg_x, neg_y):
-    """log(exp(neg_x) - exp(neg_y)) for neg_x > neg_y, without underflow.
-
-    Computed as neg_x + log(1 - exp(neg_y - neg_x)); the raw subtraction of
-    the two exponentials underflows as soon as neg_x goes below ~-745.
-    """
-    gap = np.asarray(neg_x) - np.asarray(neg_y)
-    return neg_x + log1mexp(gap)
-
-
 def power_gap(m, a):
     """m^a - (m-1)^a with full relative precision, m >= 2, 0 < a < 1.
 

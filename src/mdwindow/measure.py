@@ -13,8 +13,20 @@ Differencing gives the closed form
 and the identity at n = 1 plus normalization forces mu_0 = 1 - 1/e and a
 mean return interval of e/(e-1), independent of alpha.  Transition weights
 follow from mu_0 * p_n = mu_n.  Everything here is a pure function of the
-exponent pair; heavy truncations pick their length from the exact
-size-biased tail so every truncation error carries a rigorous bound.
+exponent pair.
+
+Every series over the levels (p_1, sigma^2, the autocovariances r(k), the
+tail of S''_n) goes through one kernel, `level_series`.  For a weight with
+0 <= w(m) <= C m^e, e <= 1, the ratio m^e / (m - 1) falls in m, so the
+identity above bounds the levels beyond a cut N by
+
+    sum_{m > N} mu_m w(m) <= C (N+1)^e / N * exp(-N^alpha).
+
+The kernel doubles N until that remainder is below the tolerance (or past
+2^26 levels refuses with PrecisionError), then walks the levels in blocks
+of _LEVEL_BLOCK.  Where direct summation cannot reach float resolution
+(p_1 at small alpha) the mass beyond the cut has a closed form,
+`small_mass_tail`, built from incomplete gamma functions.
 """
 
 from __future__ import annotations
@@ -24,7 +36,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import ParameterError, PrecisionError, StateIndexError
 from .logspace import log1mexp, power_gap
@@ -35,8 +46,16 @@ MU0 = -math.expm1(-1.0)        # 1 - 1/e, weight of the origin
 LOG_MU0 = math.log(MU0)
 MEAN_TAU = 1.0 / MU0           # e/(e-1), mean return interval
 
-_SERIES_CAP = 1 << 26          # hard cap on direct summation length
-_CHUNK = 1 << 22
+# Levels per block of a level series.  At 64 KiB the temporaries are
+# recycled from malloc's heap.  Larger ones are mapped and unmapped, or
+# trimmed, on every call or not at all, as glibc's adaptive thresholds happen
+# to stand in the process, so a call's cost changed from one process to the
+# next (a lag-0 autocovariance took 1.0x or 1.6x).
+_LEVEL_BLOCK = 1 << 13
+_FIRST_CUT = 1 << 10           # first truncation level a series tries
+_LEVEL_CAP = 1 << 26           # deepest truncation level; beyond it, refuse
+_P1_CUT = 1 << 14              # p_1 sums this far and adds the closed-form tail
+_GAMMA_TERMS = 8               # powers x^-2 .. x^-8 of 1/(x(x-1)) in the tail
 
 
 @dataclass(frozen=True)
@@ -85,11 +104,6 @@ class ProcessStats:
     sigma: float                  # sqrt(E X^2 / E tau)
 
 
-def validate_params(alpha: float, beta: float) -> Params:
-    """Check the exponent constraints and return the validated pair."""
-    return Params(float(alpha), float(beta))
-
-
 def log_mu(params: Params, n: int) -> float:
     """Log weight of one state at level n, n in {0} u {2, 3, ...}.
 
@@ -122,66 +136,117 @@ def log_interval_tail(params: Params, k: int) -> float:
     return -(float(k) ** params.alpha)
 
 
-def mean_tau(params: Params) -> float:
-    """Expected return interval; e/(e-1) regardless of the exponents."""
-    return MEAN_TAU
+def level_series(
+    params: Params,
+    block_sum,
+    start: int = 2,
+    tol: float = 1e-12,
+    growth: tuple = (1.0, 0.0),
+    relative: bool = False,
+    first: int = _FIRST_CUT,
+) -> tuple[float, float, int]:
+    """Certified sum_{m >= start} mu_m w(m) as (value, remainder_bound, n_terms).
+
+    growth = (C, e) bounds the weight, 0 <= w(m) <= C m^e with e <= 1, and
+    block_sum(lo, hi, mu) returns sum_{m=lo..hi} mu_m w(m) given the array
+    mu = (mu_lo, ..., mu_hi).  The cut N runs over max(start, first 2^j),
+    j = 0, 1, ..., up to the first whose remainder C (N+1)^e / N exp(-N^alpha)
+    is below tol; the levels start..N are then walked in blocks of
+    _LEVEL_BLOCK.  With relative=True the test is remainder < tol * value,
+    and each doubling adds only its new levels to the value.  tol = inf sums
+    exactly the levels start..max(start, first).  A cut past _LEVEL_CAP
+    raises PrecisionError.
+    """
+    c, e = growth
+
+    def walk(lo: int, hi: int) -> float:
+        total = 0.0
+        for b in range(lo, hi + 1, _LEVEL_BLOCK):
+            top = min(b + _LEVEL_BLOCK - 1, hi)
+            total += block_sum(b, top, np.exp(_level_log_mu(params, b, top)))
+        return total
+
+    value, done = 0.0, start - 1
+    while True:
+        cut = max(start, first)
+        if relative:
+            value += walk(done + 1, cut)
+            done = cut
+        rem = c * (cut + 1.0) ** e / cut * math.exp(-(float(cut) ** params.alpha))
+        if rem < (tol * value if relative else tol):
+            break
+        if cut >= _LEVEL_CAP:
+            raise PrecisionError(
+                f"no cut up to {_LEVEL_CAP} levels brings the remainder bound "
+                f"{rem:.3e} below the tolerance; relax it"
+            )
+        first <<= 1
+    if not relative:
+        value = walk(start, cut)
+    return value, rem, cut - start + 1
 
 
-def _tail_g(x: float, alpha: float) -> float:
-    # summand of the correction series in the small-mass tail identity
-    return math.exp(-(x ** alpha)) / (x * (x - 1.0))
+def _upper_gamma(s: float, t: float) -> float:
+    """Gamma(s, t) for s < 0 < t from Legendre's continued fraction
+
+        e^-t t^s / (t + 1 - s - 1 (1 - s) / (t + 3 - s - 2 (2 - s) / ...)),
+
+    evaluated by the modified Lentz method (under 50 terms in the tail)."""
+    tiny = 1e-300
+    b = t + 1.0 - s
+    c, d = 1.0 / tiny, 1.0 / b
+    h = d
+    for i in range(1, 200):
+        an = -i * (i - s)
+        b += 2.0
+        d = an * d + b
+        d = 1.0 / (d if abs(d) > tiny else tiny)
+        c = b + an / c
+        c = c if abs(c) > tiny else tiny
+        h *= c * d
+        if abs(c * d - 1.0) < 1e-15:
+            return math.exp(s * math.log(t) - t) * h
+    raise PrecisionError(f"Gamma({s}, {t}): continued fraction did not converge")
 
 
 def small_mass_tail(params: Params, n_trunc: int) -> tuple[float, float]:
-    """sum_{k > N} mu_k with an error estimate.
+    """sum_{k > N} mu_k with a rigorous error bound.
 
     Abel summation against the exact size-biased tail T(n) = exp(-n^alpha)
     turns the sum into
 
-        T(N)/N - sum_{k > N} T(k) / (k (k-1)),
+        T(N)/N - sum_{k > N} g(k),    g(x) = T(x) / (x (x-1)),
 
-    and the correction series is handled by Euler-Maclaurin plus an
-    integral in the t = x^alpha variable, where the integrand decays like
-    e^-t.  The returned error bound covers quadrature error and the first
-    neglected Euler-Maclaurin term; it is tiny compared to T(N)/N even for
-    small alpha, where direct summation to float resolution is hopeless.
+    and Euler-Maclaurin turns the correction series into the integral of g
+    over [N+1, inf) plus g(N+1)/2 - g'(N+1)/12, with |g'(N+1)|/6 bounding
+    the rest.  Since 1/(x(x-1)) = sum_{j>=2} x^-j, the integral is
+    sum_j Gamma((1-j)/alpha, (N+1)^alpha) / alpha; the powers j > 8 add at
+    most (N+1)^-7 / (1 - 1/(N+1)) times the j = 2 term.  The bound also
+    covers rounding: exp(-t) carries about t ulps of relative error.  Direct
+    summation to float resolution is hopeless for small alpha.
     """
     a = params.alpha
     N = int(n_trunc)
-    t0 = float(N + 1) ** a
-
-    def integrand(t):
-        x = t ** (1.0 / a)
-        return math.exp(-t) / (a * t * (x - 1.0))
-
-    integral, quad_err = quad(
-        integrand, t0, np.inf, limit=400, epsabs=1e-16, epsrel=1e-13
-    )
-    g1 = _tail_g(N + 1.0, a)
-    # g'(N+1), analytic: g * (-(a x^(a-1)) - 1/x - 1/(x-1))
     x = N + 1.0
-    gp = g1 * (-(a * x ** (a - 1.0)) - 1.0 / x - 1.0 / (x - 1.0))
-    correction = integral + 0.5 * g1 - gp / 12.0
-    tail = math.exp(-(float(N) ** a)) / N - correction
-    err = quad_err + abs(gp) / 6.0 + 1e-16 * correction
-    return tail, err
+    t = x ** a
+    terms = [_upper_gamma((1.0 - j) / a, t) / a for j in range(2, _GAMMA_TERMS + 1)]
+    beyond = terms[0] * x ** (1 - _GAMMA_TERMS) / (1.0 - 1.0 / x)
+    g = math.exp(-t) / (x * (x - 1.0))
+    gp = -g * (a * x ** (a - 1.0) + 1.0 / x + 1.0 / (x - 1.0))  # g'(N+1)
+    head = math.exp(-(float(N) ** a)) / N
+    tail = head - (math.fsum(terms) + 0.5 * g - gp / 12.0)
+    return tail, abs(gp) / 6.0 + beyond + 4e-16 * (1.0 + t) * head
 
 
 @lru_cache(maxsize=64)
 def _p1_cached(params: Params) -> tuple[float, float]:
-    """(p1, error bound): the self-loop weight 1 - sum_{k>=2} mu_k / mu_0."""
-    # Direct sum far enough that the analytic tail estimate takes over.
-    N = 1 << 14
-    while math.exp(-(float(N) ** params.alpha)) / N > 1e-18 and N < (1 << 21):
-        N <<= 1
-    total = 0.0
-    for lo in range(2, N + 1, _CHUNK):
-        hi = min(lo + _CHUNK - 1, N)
-        total += float(np.exp(_level_log_mu(params, lo, hi)).sum())
-    tail, tail_err = small_mass_tail(params, N)
-    s = total + tail
-    err = (tail_err + 1e-15) / MU0
-    return 1.0 - s / MU0, err
+    """(p1, error bound): the self-loop weight 1 - sum_{k>=2} mu_k / mu_0,
+    summed directly to _P1_CUT and in closed form beyond."""
+    head, _, _ = level_series(
+        params, lambda lo, hi, mu: float(mu.sum()), tol=math.inf, first=_P1_CUT
+    )
+    tail, tail_err = small_mass_tail(params, _P1_CUT)
+    return 1.0 - (head + tail) / MU0, (tail_err + 1e-15) / MU0
 
 
 def p1(params: Params, tol: float = 1e-12) -> float:
@@ -207,54 +272,43 @@ def log_p(params: Params, n: int) -> float:
     return log_mu(params, n) - LOG_MU0
 
 
-def _reward_count(ns: np.ndarray) -> np.ndarray:
-    """Number of reward-carrying ages in an excursion of length n (array).
+def _floor_sqrt(arr: np.ndarray) -> np.ndarray:
+    """Exact floor square root of an int64 array (float sqrt, corrected)."""
+    s = np.sqrt(arr.astype(np.float64)).astype(np.int64)
+    s -= s * s > arr
+    s += (s + 1) * (s + 1) <= arr
+    return s
 
-    Exact integer count #{k : 1 <= k <= n-1, k^2 <= n} = min(isqrt(n), n-1),
-    with the float sqrt corrected to a true floor.
+
+def excursion_reward_magnitude(params: Params, tau):
+    """Total |reward| of full excursions of lengths tau >= 1 (int or array).
+
+    Exactly count(tau) * tau^(-beta) with
+    count(tau) = #{k : 1 <= k <= tau-1, k^2 <= tau} = min(isqrt(tau), tau-1);
+    a length-1 excursion never leaves the origin and earns nothing.
     """
-    s = np.sqrt(ns.astype(np.float64)).astype(np.int64)
-    s -= s * s > ns
-    s += (s + 1) * (s + 1) <= ns
-    return np.minimum(s, ns - 1)
+    tau = np.asarray(tau, dtype=np.int64)
+    if np.any(tau < 1):
+        raise ParameterError("interval lengths must be >= 1")
+    return np.minimum(_floor_sqrt(tau), tau - 1) * tau.astype(np.float64) ** (-params.beta)
 
 
 def second_moment_jump(params: Params, tol: float = 1e-12) -> float:
     """E X^2 of the per-excursion reward, absolute error < tol.
 
-    The reward of an excursion of length tau has magnitude
-    count(tau) * tau^(-beta); the series over the return law {p_n} is
-    truncated at N with the remainder bounded through the exact size-biased
-    tail:  count^2 tau^(-2 beta) / (tau - 1) is decreasing, so the mass
-    beyond N is at most exp(-N^alpha) * (N+1)^(1-2 beta) / (N * mu_0).
+    E X^2 = sum_{m >= 2} mu_m |reward(m)|^2 / mu_0, and the weight
+    count(m)^2 m^(-2 beta) / mu_0 is at most m^(1 - 2 beta) / mu_0, so the
+    levels beyond a cut N add at most exp(-N^alpha) (N+1)^(1-2 beta) / (N mu_0).
     """
     if tol <= 0.0:
         raise ParameterError("tol must be positive")
-    a, b = params.alpha, params.beta
-    N = 1 << 10
 
-    def rem(N):
-        return (
-            math.exp(-(float(N) ** a))
-            * (N + 1.0) ** (1.0 - 2.0 * b)
-            / (N * MU0)
-        )
+    def block_sum(lo, hi, mu):
+        mag = excursion_reward_magnitude(params, np.arange(lo, hi + 1))
+        return float((mu * mag * mag).sum()) / MU0
 
-    while rem(N) >= tol:
-        N <<= 1
-        if N > _SERIES_CAP:
-            raise PrecisionError(
-                f"second moment needs > {_SERIES_CAP} terms for tol={tol:.1e}; "
-                "relax the tolerance"
-            )
-    total = 0.0
-    for lo in range(2, N + 1, _CHUNK):
-        hi = min(lo + _CHUNK - 1, N)
-        ns = np.arange(lo, hi + 1, dtype=np.int64)
-        weights = np.exp(_level_log_mu(params, lo, hi) - LOG_MU0)
-        counts = _reward_count(ns).astype(np.float64)
-        total += float((weights * counts ** 2 * ns.astype(np.float64) ** (-2.0 * b)).sum())
-    return total
+    growth = (1.0 / MU0, 1.0 - 2.0 * params.beta)
+    return level_series(params, block_sum, tol=tol, growth=growth)[0]
 
 
 def sigma(params: Params, tol: float = 1e-12) -> ProcessStats:

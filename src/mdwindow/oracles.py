@@ -33,12 +33,12 @@ from .errors import (
 )
 from .measure import (
     Params,
-    _level_log_mu,
+    _floor_sqrt,
+    level_series,
     log_mu,
     window_from_params,
 )
 from .paths import (
-    _floor_sqrt,
     _signed_path,
     decompose,
     iter_sums,
@@ -46,12 +46,6 @@ from .paths import (
 )
 
 _TARGETS = ("total", "tilde", "boundary", "dprime")
-# Levels per block of the per-call level series below (boundary tail, lag-k
-# autocovariance).  At 64 KiB the temporaries are recycled from malloc's
-# heap.  Larger ones are mapped and unmapped, or trimmed, on every call or
-# not at all, as glibc's adaptive thresholds happen to stand in the process,
-# so a lag-0 autocovariance took 1.0x or 1.6x from one process to the next.
-_LEVEL_BLOCK = 1 << 13
 
 
 def _worker_cap() -> int:
@@ -273,9 +267,9 @@ def boundary_tail_exact(
 
     and the signed tail is half of that.  The count is unimodal in the age,
     so the qualifying ages per level form one interval and each level is
-    O(1).  The level cut N is raised until the neglected size-biased mass
-    exp(-N^alpha) is below rel_tail times the accumulated sum; if that
-    cannot be certified the requested point is unreachable.
+    O(1).  At most tau - 1 pairs qualify, so the level series stops once its
+    remainder bound is below rel_tail times the accumulated sum; if no cut
+    certifies that, the requested point is unreachable.
     """
     if x <= 0.0:
         raise ParameterError(f"threshold must be > 0, got {x}")
@@ -286,45 +280,25 @@ def boundary_tail_exact(
     if x >= float(n) ** (1.0 - 2.0 * beta):
         return -math.inf
 
-    cap = 1 << 24
-    n_levels = 1 << 12
-    while True:
-        total = _dprime_abs_tail_sum(params, n, x, n_levels)
-        neglected = math.exp(-(float(n_levels) ** params.alpha))
-        if total > 0.0 and neglected <= rel_tail * total:
-            return math.log(0.5 * total)
-        if n_levels >= cap:
-            raise PrecisionError(
-                f"P[S'' > {x}] at n={n} is below the best rigorous remainder "
-                f"bound {neglected:.3e}; the point is unreachable"
-            )
-        n_levels <<= 1
-
-
-def _dprime_abs_tail_sum(params: Params, n: int, x: float, n_max: int) -> float:
-    """sum over levels tau <= n_max of mu_tau * #qualifying (a, b) pairs."""
-    beta = params.beta
-    total = 0.0
-    for lo in range(2, n_max + 1, _LEVEL_BLOCK):
-        hi = min(lo + _LEVEL_BLOCK - 1, n_max)
+    def block_sum(lo, hi, mu):
         taus = np.arange(lo, hi + 1, dtype=np.int64)
         s = _floor_sqrt(taus)
         q = x * taus.astype(np.float64) ** beta
-        top = np.minimum(s, n).astype(np.float64)
-        qual = top > q
-        if not np.any(qual):
-            # q grows with the level; once it clears the age cap n no
-            # later level can qualify either
-            if float(q[0]) > n:
-                break
-            continue
         qf = np.floor(q).astype(np.int64)
-        lo_age = qf + 1
-        hi_age = np.minimum(taus - 1, n + s - qf - 1)
-        pairs = np.where(qual, np.maximum(hi_age - lo_age + 1, 0), 0)
-        mu = np.exp(_level_log_mu(params, lo, hi))
-        total += float((mu * pairs).sum())
-    return total
+        hi_age = np.minimum(taus - 1, n + s - qf - 1)  # ages from qf + 1
+        pairs = np.where(np.minimum(s, n) > q, np.maximum(hi_age - qf, 0), 0)
+        return float((mu * pairs).sum())
+
+    try:
+        total = level_series(
+            params, block_sum, tol=rel_tail, growth=(1.0, 1.0), relative=True
+        )[0]
+    except PrecisionError as err:
+        raise PrecisionError(
+            f"P[S'' > {x}] at n={n} is below the best rigorous remainder "
+            "bound; the point is unreachable"
+        ) from err
+    return math.log(0.5 * total)
 
 
 def rate_transform(log_p_value: float, n: int, gamma: float) -> float:
@@ -483,38 +457,27 @@ def autocovariance_exact(params: Params, k: int, tol: float = 1e-12) -> float:
 
         r(k) = sum_tau mu_tau tau^(-2 beta) (isqrt(tau) - k)^+ .
 
-    Levels below (k+1)^2 contribute nothing.  Truncation picks N from the
-    exact size-biased tail so the remainder stays under tol.
+    Levels below (k+1)^2 contribute nothing, and the weight is at most
+    tau^(1/2 - 2 beta), so the level series keeps the remainder under tol.
     """
     if k < 0:
         raise ParameterError(f"lag must be >= 0, got {k}")
     if tol <= 0.0:
         raise ParameterError("tol must be positive")
-    a, b = params.alpha, params.beta
-    N = 1 << 10
+    b = params.beta
 
-    def rem(N):
-        # per-term (isqrt - k) tau^(-2b) <= sqrt(tau) tau^(-2b) and
-        # mu_tau = Delta(tau)/(tau-1): tail <= exp(-N^a) * 2 N^(-1/2-2b)
-        return 2.0 * math.exp(-(float(N) ** a)) * float(N) ** (-0.5 - 2.0 * b)
-
-    start = max((k + 1) * (k + 1), 2)
-    while rem(max(N, start)) >= tol:
-        N <<= 1
-        if N > 1 << 26:
-            raise PrecisionError(f"lag-{k} autocovariance needs too many terms")
-    N = max(N, start)
-    total = 0.0
-    for lo in range(start, N + 1, _LEVEL_BLOCK):
-        hi = min(lo + _LEVEL_BLOCK - 1, N)
-        w = np.exp(_level_log_mu(params, lo, hi)) * np.arange(
-            lo, hi + 1, dtype=np.float64) ** (-2.0 * b)
+    def block_sum(lo, hi, mu):
+        w = mu * np.arange(lo, hi + 1, dtype=np.float64) ** (-2.0 * b)
         # the levels s^2 .. (s+1)^2 - 1 share the count s - k >= 1 (every
-        # level from start on has isqrt > k), so sum w per such run
+        # level from (k+1)^2 on has isqrt > k), so sum w per such run
         s = np.arange(math.isqrt(lo), math.isqrt(hi) + 1, dtype=np.int64)
         runs = np.add.reduceat(w, np.maximum(s * s - lo, 0))
-        total += float(((s - k) * runs).sum())
-    return total
+        return float(((s - k) * runs).sum())
+
+    # C = 2 although 1 would do: the cuts then stay those of the bound
+    # 2 N^(-1/2 - 2 beta) exp(-N^alpha), so the values do not move
+    start = max((k + 1) * (k + 1), 2)
+    return level_series(params, block_sum, start, tol, (2.0, 0.5 - 2.0 * b))[0]
 
 
 def autocovariance_bound(params: Params, k: int) -> float:

@@ -36,7 +36,15 @@ from .chain import (
     sample_stationary_levels,
 )
 from .errors import ParameterError, PrecisionError
-from .measure import LOG_MU0, MU0, Params, _level_log_mu, p1
+from .measure import (
+    LOG_MU0,
+    MU0,
+    Params,
+    _floor_sqrt,
+    _level_log_mu,
+    excursion_reward_magnitude,
+    p1,
+)
 
 _TAU_VAR_GUESS = 14.0  # rough Var(tau) upper bound for draw budgeting
 
@@ -52,22 +60,6 @@ def phi(params: Params, k: int, l: int) -> float:
     if k * k <= level:
         return float(level) ** (-params.beta)
     return 0.0
-
-
-def excursion_reward_magnitude(params: Params, tau: int) -> float:
-    """Total |reward| of a full excursion of length tau.
-
-    Exactly count(tau) * tau^(-beta) with
-    count(tau) = #{k : 1 <= k <= tau-1, k^2 <= tau} = min(isqrt(tau), tau-1);
-    a length-1 excursion never leaves the origin and earns nothing.
-    """
-    tau = int(tau)
-    if tau < 1:
-        raise ParameterError(f"interval length must be >= 1, got {tau}")
-    count = min(math.isqrt(tau), tau - 1)
-    if count == 0:
-        return 0.0
-    return count * float(tau) ** (-params.beta)
 
 
 def s_prime_count(a: int, b: int, n: int) -> int:
@@ -99,14 +91,6 @@ def s_double_prime_count(a: int, b: int, n: int) -> int:
     return max(0, min(a, math.isqrt(a + b)) - max(a - n, 0))
 
 
-def _floor_sqrt(arr: np.ndarray) -> np.ndarray:
-    """Exact floor square root of an int64 array (float sqrt, corrected)."""
-    s = np.sqrt(arr.astype(np.float64)).astype(np.int64)
-    s -= s * s > arr
-    s += (s + 1) * (s + 1) <= arr
-    return s
-
-
 def _s_prime_count_arr(a, b, n):
     tau = a + b
     return np.maximum(np.minimum(_floor_sqrt(tau), tau - 1) - a + 1, 0)
@@ -119,19 +103,13 @@ def _s_double_prime_count_arr(a, b, n):
     )
 
 
-def reward_magnitudes(params: Params, tau: np.ndarray) -> np.ndarray:
-    """Vectorized |reward| of full excursions (tau >= 1)."""
-    tau = np.asarray(tau, dtype=np.int64)
-    count = np.minimum(_floor_sqrt(tau), tau - 1).astype(np.float64)
-    return count * tau.astype(np.float64) ** (-params.beta)
-
-
 @locked_cache(maxsize=32)
 def _signed_rewards(params: Params) -> np.ndarray:
     """Signed reward of a full excursion by alias draw: entry 2 slot + sign
     is (-1)^sign |reward| of length tau = slot + 1.  The tail bucket's two
     entries are 0; the engine fills those draws in from their own tau."""
-    mag = np.append(reward_magnitudes(params, np.arange(1, IntervalAlias.K)), 0.0)
+    taus = np.arange(1, IntervalAlias.K)
+    mag = np.append(excursion_reward_magnitude(params, taus), 0.0)
     tab = np.column_stack((mag, -mag)).ravel()
     tab.setflags(write=False)
     return tab
@@ -493,7 +471,8 @@ def _roll_chunk(params, n, gen, alias, signed, c):
             if tau.max() == alias.K:  # tail bucket
                 bucket = tau == alias.K
                 tau[bucket] = big = alias._tail_draw(gen, int(bucket.sum()))
-                reward[bucket] = (1 - 2 * sign[bucket]) * reward_magnitudes(params, big)
+                mag = excursion_reward_magnitude(params, big)
+                reward[bucket] = (1 - 2 * sign[bucket]) * mag
             end = t + tau.sum(axis=1)
             gain = reward.sum(axis=1)
             rows = np.flatnonzero(end > n)  # renewals cross n

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from mdwindow import (
+    MEAN_TAU,
     Params,
     RateQuery,
     RngStream,
@@ -28,14 +29,13 @@ from mdwindow import (
     build_measure_table,
     case1_upper,
     case2_certificate,
-    composite_predicted_rate,
     decompose,
     generate_path,
     iter_sums,
     log_mu,
     mc_tail_curve,
-    mean_tau,
     p1,
+    predicted_rate,
     sigma,
     stationary_push_l1,
     window_from_params,
@@ -134,10 +134,10 @@ def test_criterion_01_measure_identity():
 
 
 def test_criterion_02_universal_constants():
+    assert abs(MEAN_TAU - math.e / (math.e - 1.0)) < 1e-12
     for alpha in ALPHAS:
         params = Params(alpha, 0.0)
         assert abs(math.exp(log_mu(params, 0)) - (1.0 - math.exp(-1.0))) < 1e-12
-        assert abs(mean_tau(params) - math.e / (math.e - 1.0)) < 1e-12
         assert p1(params) > 0.4
 
 
@@ -304,7 +304,7 @@ def test_criterion_10_superposition():
     for gamma, expect in [
         (0.05, -0.5), (0.12, 0.0), (0.2, -0.5), (0.3, 0.0), (0.45, -0.5),
     ]:
-        assert composite_predicted_rate(windows, gamma, 1.0) == expect
+        assert predicted_rate(windows, gamma, 1.0) == expect
 
 
 def test_criterion_11_cli_determinism(tmp_path):

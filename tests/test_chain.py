@@ -74,6 +74,13 @@ def test_rng_stream_draws_are_pinned():
         14717904226557406096, 979409276310299390]
 
 
+def test_substreams_are_disjoint():
+    master = RngStream(42)
+    draws = [master.substream(i).generator().random(4) for i in range(3)]
+    assert not np.array_equal(draws[0], draws[1])
+    assert not np.array_equal(draws[1], draws[2])
+
+
 def test_substreams_do_not_collide():
     # the child of stream 0 once drew exactly what stream 1 draws
     root = RngStream(5, 0)

@@ -28,6 +28,14 @@ def parse_csv(text):
     return rows[0], rows[1:]
 
 
+def test_cli_import_loads_no_scipy():
+    # SciPy is a test dependency only; the package must not pull it in
+    code = "import sys, mdwindow.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
+
+
 # -------------------------------------------------------------------- params
 
 def test_params_basic_output():

@@ -13,13 +13,12 @@ from mdwindow import (
     build_composite,
     case1_upper,
     case2_certificate,
-    composite_predicted_rate,
     generate_path,
     iter_sums,
+    predicted_rate,
     sample_composite_path,
     window_from_params,
 )
-from mdwindow.composite import component_streams
 
 WINDOWS = WindowSet([(0.1, 0.15), (0.25, 0.4)])
 
@@ -77,14 +76,6 @@ def test_build_composite_sigma_quadrature():
 
 # ----------------------------------------------------------------- sampling
 
-def test_component_streams_are_disjoint():
-    master = RngStream(42)
-    streams = component_streams(master, 3)
-    draws = [s.generator().random(4) for s in streams]
-    assert not np.array_equal(draws[0], draws[1])
-    assert not np.array_equal(draws[1], draws[2])
-
-
 def test_sample_composite_path_deterministic_and_bounded():
     comp = build_composite(WINDOWS, tol=1e-4)
     a = sample_composite_path(comp, 500, RngStream(7))
@@ -96,7 +87,7 @@ def test_sample_composite_path_deterministic_and_bounded():
 
 def test_component_paths_uncorrelated():
     comp = build_composite(WINDOWS, tol=1e-4)
-    streams = component_streams(RngStream(11), 2)
+    streams = [RngStream(11).substream(i) for i in range(2)]
     n = 20000
     x1 = generate_path(comp.components[0][0], n, streams[0]).x
     x2 = generate_path(comp.components[1][0], n, streams[1]).x
@@ -127,16 +118,16 @@ def test_normalized_middle_sums_have_unit_variance_rate():
 # ------------------------------------------------------------------- rates
 
 def test_composite_predicted_rate_piecewise():
-    assert composite_predicted_rate(WINDOWS, 0.3, 1.0) == 0.0
-    assert composite_predicted_rate(WINDOWS, 0.12, 1.0) == 0.0
-    assert composite_predicted_rate(WINDOWS, 0.2, 1.0) == -0.5  # gap
-    assert composite_predicted_rate(WINDOWS, 0.05, 2.0) == -2.0
-    assert composite_predicted_rate(WINDOWS, 0.45, 1.0) == -0.5
+    assert predicted_rate(WINDOWS, 0.3, 1.0) == 0.0
+    assert predicted_rate(WINDOWS, 0.12, 1.0) == 0.0
+    assert predicted_rate(WINDOWS, 0.2, 1.0) == -0.5  # gap
+    assert predicted_rate(WINDOWS, 0.05, 2.0) == -2.0
+    assert predicted_rate(WINDOWS, 0.45, 1.0) == -0.5
 
 
 def test_composite_predicted_rate_boundary_error():
     with pytest.raises(WindowBoundaryError):
-        composite_predicted_rate(WINDOWS, 0.15, 1.0)
+        predicted_rate(WINDOWS, 0.15, 1.0)
 
 
 def test_per_component_certificates_and_negligibility():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mdwindow.logspace import log1mexp, log_diff_exp, power_gap
+from mdwindow.logspace import log1mexp, power_gap
 
 
 def test_log1mexp_matches_direct_in_easy_range():
@@ -29,19 +29,6 @@ def test_log1mexp_array_agrees_with_scalar():
     out = log1mexp(xs)
     for x, o in zip(xs, out):
         assert o == pytest.approx(log1mexp(float(x)), rel=1e-14)
-
-
-def test_log_diff_exp_against_direct():
-    # ln(e^-2 - e^-3)
-    assert log_diff_exp(-2.0, -3.0) == pytest.approx(
-        math.log(math.exp(-2) - math.exp(-3)), rel=1e-13
-    )
-
-
-def test_log_diff_exp_underflow_regime():
-    # both exponentials underflow but the log-domain result is finite
-    v = log_diff_exp(-1000.0, -1001.0)
-    assert v == pytest.approx(-1000.0 + math.log(1 - math.exp(-1.0)), rel=1e-13)
 
 
 @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.45])

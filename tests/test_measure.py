@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import mpmath
@@ -9,20 +10,20 @@ from mdwindow import (
     MU0,
     ParameterError,
     Params,
+    PrecisionError,
     StateIndexError,
     build_measure_table,
     log_interval_tail,
     log_mu,
     log_p,
-    mean_tau,
     p1,
     params_from_window,
     second_moment_jump,
     sigma,
-    validate_params,
     window_from_params,
 )
-from mdwindow.measure import small_mass_tail
+from mdwindow import measure, oracles
+from mdwindow.measure import level_series, small_mass_tail
 
 from conftest import ALPHA_GRID, DEFAULT
 
@@ -30,7 +31,7 @@ from conftest import ALPHA_GRID, DEFAULT
 # ---------------------------------------------------------------- parameters
 
 def test_validate_params_accepts_valid_pair():
-    p = validate_params(0.3, 0.05)
+    p = Params(0.3, 0.05)
     assert (p.alpha, p.beta) == (0.3, 0.05)
 
 
@@ -46,7 +47,7 @@ def test_validate_params_accepts_valid_pair():
 )
 def test_validate_params_names_violated_inequality(alpha, beta, fragment):
     with pytest.raises(ParameterError) as err:
-        validate_params(alpha, beta)
+        Params(alpha, beta)
     assert fragment in str(err.value)
 
 
@@ -134,6 +135,58 @@ def test_p1_against_direct_summation():
     assert p1(Params(alpha, 0.0)) == pytest.approx(direct, abs=1e-12)
 
 
+def _mp_small_mass_tail(alpha, n, extra=50):
+    """sum_{k > n} mu_k in mpmath at the working precision: T(n)/n minus
+    sum_{k > n} g(k), g(x) = exp(-x^alpha) / (x (x-1)), whose first `extra`
+    terms are summed directly and the rest by Euler-Maclaurin to the fifth
+    derivative, with the integral by quadrature in t = x^alpha shifted to
+    start at 0 (quad loses about 1e-7 relative on the unshifted form at
+    large n)."""
+    a = mpmath.mpf(alpha)
+
+    def g(x):
+        return mpmath.exp(-x ** a) / (x * (x - 1))
+
+    start = mpmath.mpf(n + 1 + extra)
+    head = mpmath.fsum(g(mpmath.mpf(k)) for k in range(n + 1, n + 1 + extra))
+    t0 = start ** a
+    shifted = mpmath.quad(
+        lambda u: mpmath.exp(-u) / ((t0 + u) * ((t0 + u) ** (1 / a) - 1)),
+        [0, 1, 4, 16, 64, mpmath.inf],
+    )
+    em = mpmath.exp(-t0) / a * shifted + g(start) / 2
+    with mpmath.workdps(mpmath.mp.dps + 40):
+        for p in (1, 2, 3):
+            em -= mpmath.bernoulli(2 * p) / mpmath.factorial(2 * p) * mpmath.diff(
+                g, start, 2 * p - 1
+            )
+    return mpmath.exp(-mpmath.mpf(n) ** a) / n - head - em
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.108, 0.3, 0.45])
+@pytest.mark.parametrize("n_trunc", [64, 1 << 10, 1 << 14, 1 << 21])
+def test_small_mass_tail_within_bound_of_mpmath(alpha, n_trunc):
+    with mpmath.workdps(40):
+        ref = _mp_small_mass_tail(alpha, n_trunc)
+    tail, err = small_mass_tail(Params(alpha, 0.0), n_trunc)
+    assert abs(tail - float(ref)) <= err
+    assert err <= 1e-2 * tail  # and the bound is not vacuous
+
+
+@pytest.mark.parametrize("alpha", [0.09, 0.108, 0.3])
+def test_p1_against_fifty_digit_reference(alpha):
+    with mpmath.workdps(50):
+        a = mpmath.mpf(alpha)
+        head = mpmath.fsum(
+            (mpmath.exp(-(mpmath.mpf(k) - 1) ** a) - mpmath.exp(-mpmath.mpf(k) ** a))
+            / (k - 1)
+            for k in range(2, 65)
+        )
+        mu0 = -mpmath.expm1(-1)
+        ref = 1 - (head + _mp_small_mass_tail(alpha, 64)) / mu0
+    assert abs(p1(Params(alpha, 0.0)) - float(ref)) <= 1e-13
+
+
 def test_small_mass_tail_against_direct_summation():
     alpha = 0.45
     p = Params(alpha, 0.0)
@@ -198,10 +251,67 @@ def test_interval_tail_strictly_decreasing():
 
 @pytest.mark.parametrize("alpha", ALPHA_GRID)
 def test_mean_tau_universal(alpha):
-    assert mean_tau(Params(alpha, 0.0)) == pytest.approx(
-        math.e / (math.e - 1.0), abs=1e-14
+    # E tau = p_1 + sum_{m>=2} m mu_m / mu_0: levels 2..N by the level
+    # series, beyond N the exact size-biased tail plus the small-mass tail
+    p = Params(alpha, 0.0)
+    n = 1 << 12
+    head, _, n_terms = level_series(
+        p, lambda lo, hi, mu: float((np.arange(lo, hi + 1) * mu).sum()),
+        tol=math.inf, first=n,
     )
-    assert mean_tau(Params(alpha, 0.0)) == MEAN_TAU
+    assert n_terms == n - 1
+    beyond = math.exp(-(float(n) ** alpha)) + small_mass_tail(p, n)[0]
+    assert p1(p) + (head + beyond) / MU0 == pytest.approx(MEAN_TAU, abs=1e-12)
+    assert MEAN_TAU == pytest.approx(math.e / (math.e - 1.0), abs=1e-14)
+
+
+SERIES = {
+    "p1": lambda p: measure._p1_cached.__wrapped__(p),
+    "second_moment": lambda p: second_moment_jump(p, 1e-12),
+    "autocovariance": lambda p: oracles.autocovariance_exact(p, 3),
+    "boundary_tail": lambda p: oracles.boundary_tail_exact(p, 1000, 5.0),
+}
+
+
+@pytest.mark.parametrize("series", sorted(SERIES))
+def test_level_series_remainder_covers_a_tighter_tolerance(monkeypatch, series):
+    # the value at tol and at tol/1e4 differ by at most the remainder bound
+    # returned at tol (p_1 sums a fixed range, tol = inf: there 1e-4 of the
+    # bound plays the tighter tolerance)
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs, level_series(*args, **kwargs)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(measure, "level_series", spy)
+    monkeypatch.setattr(oracles, "level_series", spy)
+    SERIES[series](DEFAULT)
+    (args, kwargs, (value, bound, n_terms)), = calls
+    bound_args = inspect.signature(level_series).bind(*args, **kwargs)
+    bound_args.apply_defaults()
+    tol = bound_args.arguments["tol"]
+    bound_args.arguments["tol"] = tol / 1e4 if math.isfinite(tol) else bound / 1e4
+    tight, _, tight_terms = level_series(*bound_args.args, **bound_args.kwargs)
+    assert tight_terms > n_terms
+    assert 0.0 < bound < 1e-6
+    assert abs(tight - value) <= bound
+
+
+@pytest.mark.parametrize("series", ["boundary_tail", "p1", "second_moment"])
+def test_level_series_do_not_depend_on_level_blocks(monkeypatch, series):
+    # as test_autocovariance_does_not_depend_on_level_blocks: a block edge
+    # splits the levels anywhere (777) or nowhere (2^22)
+    ref = SERIES[series](DEFAULT)
+    for block in (777, 1 << 22):
+        monkeypatch.setattr(measure, "_LEVEL_BLOCK", block)
+        got = SERIES[series](DEFAULT)
+        assert np.allclose(got, ref, rtol=1e-13, atol=0.0)
+
+
+def test_level_series_refuses_beyond_the_cap():
+    with pytest.raises(PrecisionError):
+        level_series(Params(0.1, 0.0), lambda lo, hi, mu: float(mu.sum()), tol=1e-15)
 
 
 def test_second_moment_brute_force_beta_zero():

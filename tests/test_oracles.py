@@ -31,7 +31,7 @@ from mdwindow import (
     sigma,
     wilson_interval,
 )
-from mdwindow import oracles
+from mdwindow import measure, oracles
 from mdwindow.oracles import _case2_min_n, conditioned_dprime_exceedance
 
 from conftest import DEFAULT, three_se
@@ -337,6 +337,20 @@ def test_case2_case3_bracket_switch_continuous_at_alpha():
     assert abs(math.log(lo.c_n) - math.log(hi.c_n)) < 1e-4
 
 
+@pytest.mark.parametrize("n", [10 ** 10, 10 ** 12])
+def test_certificate_levels_beyond_int64_stay_exact(n):
+    golden = json.loads(GOLDEN.read_text())
+    entry = next(e for e in golden["case2"] if e["n"] == n)
+    c_n, a_n, b_n = entry["c_n"], entry["a_n"], entry["b_n"]
+    assert c_n > np.iinfo(np.int64).max  # no int64 array can hold the level
+    count = s_double_prime_count(a_n, b_n, n)
+    # a_n = isqrt(c_n) + 1 < n, so every age up to isqrt(c_n) counts
+    assert type(count) is int and count == math.isqrt(c_n)
+    cert = case2_certificate(DEFAULT, RateQuery(n, golden["gamma_inside"], 1.0))
+    assert (cert.c_n, cert.a_n, cert.b_n) == (c_n, a_n, b_n)
+    assert (cert.log_prob, cert.rate) == (entry["log_prob"], entry["rate"])
+
+
 def test_certificates_match_golden_file():
     golden = json.loads(GOLDEN.read_text())
     for entry in golden["case2"]:
@@ -415,7 +429,7 @@ def test_autocovariance_does_not_depend_on_level_blocks(monkeypatch):
     lags = (0, 1, 3, 60, 90, 150)
     base = [autocovariance_exact(DEFAULT, k) for k in lags]
     for block in (777, 1 << 22):
-        monkeypatch.setattr(oracles, "_LEVEL_BLOCK", block)
+        monkeypatch.setattr(measure, "_LEVEL_BLOCK", block)
         for k, ref in zip(lags, base):
             assert autocovariance_exact(DEFAULT, k) == pytest.approx(ref, rel=1e-13)
 

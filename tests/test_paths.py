@@ -67,10 +67,9 @@ def test_second_moment_matches_mc_over_excursions():
     # empirical mean of squared per-excursion rewards vs the exact series
     from mdwindow import second_moment_jump
     from mdwindow.chain import interval_alias
-    from mdwindow.paths import reward_magnitudes
 
     draws = interval_alias(DEFAULT).draw(RngStream(620), 10 ** 6)
-    sq = reward_magnitudes(DEFAULT, draws) ** 2
+    sq = excursion_reward_magnitude(DEFAULT, draws) ** 2
     se = float(sq.std(ddof=1)) / math.sqrt(sq.size)
     assert abs(float(sq.mean()) - second_moment_jump(DEFAULT, 1e-12)) < 3.0 * se
 
