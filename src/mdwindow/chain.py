@@ -22,13 +22,7 @@ from typing import Union
 import numpy as np
 
 from .errors import ParameterError, PrecisionError
-from .measure import (
-    LOG_MU0,
-    MU0,
-    Params,
-    _level_log_mu,
-    p1,
-)
+from .measure import MU0, Params, _level_log_mu, _p_law
 
 # Interval lengths are clamped here, so they fit int64.  The stationary mass
 # beyond the cap, exp(-2^(62 alpha)), is 9.4% at alpha = 0.02 and 1.8e-4 at
@@ -134,6 +128,15 @@ def as_generator(rng: RngLike) -> np.random.Generator:
     return rng
 
 
+def _size_biased_level(v: np.ndarray, alpha: float, floor: int) -> np.ndarray:
+    """Invert the size-biased tail: the level m with exp(-m^alpha) <= v <
+    exp(-(m-1)^alpha), i.e. ceil((-log v)^(1/alpha)), clamped to
+    [floor, _TAU_CAP]."""
+    v = np.maximum(v, 5e-324)  # guard the measure-zero endpoint
+    m = np.maximum(np.ceil((-np.log(v)) ** (1.0 / alpha)), float(floor))
+    return np.minimum(m, float(_TAU_CAP)).astype(np.int64)
+
+
 def sample_stationary_levels(
     params: Params, rng: RngLike, size: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -152,9 +155,7 @@ def sample_stationary_levels(
     age = np.zeros(size, dtype=np.int64)
     exc = u >= MU0
     if np.any(exc):
-        v = np.maximum(u[exc] - MU0, 5e-324)  # guard the measure-zero endpoint
-        m = np.minimum(np.ceil((-np.log(v)) ** (1.0 / alpha)), float(_TAU_CAP))
-        tau[exc] = np.maximum(m.astype(np.int64), 2)
+        tau[exc] = _size_biased_level(u[exc] - MU0, alpha, 2)
         span = (tau[exc] - 1).astype(np.float64)
         a = 1 + np.floor(gen.random(int(exc.sum())) * span).astype(np.int64)
         age[exc] = np.minimum(a, tau[exc] - 1)
@@ -191,9 +192,7 @@ def _interval_tail_reject(
     out = np.empty(count, dtype=np.int64)
     need = np.arange(count)
     while need.size:
-        v = np.maximum(tail * gen.random(need.size), 5e-324)
-        k = np.maximum(np.ceil((-np.log(v)) ** (1.0 / a)), float(n_min + 1))
-        k = np.minimum(k, float(_TAU_CAP)).astype(np.int64)
+        k = _size_biased_level(tail * gen.random(need.size), a, n_min + 1)
         accept = gen.random(need.size) < n_min / (k - 1).astype(np.float64)
         out[need[accept]] = k[accept]
         need = need[~accept]
@@ -224,9 +223,7 @@ class IntervalAlias:
         k = self.K
         _check_tau_cap(params.alpha, k - 1)
         self.params = params
-        probs = np.empty(k)
-        probs[0] = p1(params)
-        probs[1 : k - 1] = np.exp(_level_log_mu(params, 2, k - 1) - LOG_MU0)
+        probs = np.append(_p_law(params, k - 1)[1:], 0.0)  # slot j: p_(j+1)
         probs[k - 1] = max(1.0 - probs[: k - 1].sum(), 0.0)  # tail bucket
         self.weights = probs / probs.sum()
         accept, alias = _vose_tables(self.weights)
@@ -337,11 +334,10 @@ def stationary_push_l1(params: Params, n_max: int) -> dict:
     exp(-N^alpha)/N).  Returns the exactly computable part and a rigorous
     upper bound on the total.
     """
-    logs = _level_log_mu(params, 2, n_max)
-    mu = np.exp(logs)
-    p = np.exp(logs - LOG_MU0)
-    origin_new = MU0 * p1(params) + float(mu.sum())
-    exact = abs(origin_new - MU0) + float(np.abs(MU0 * p - mu).sum())
+    mu = np.exp(_level_log_mu(params, 2, n_max))
+    p = _p_law(params, max(n_max, 1))
+    origin_new = MU0 * float(p[1]) + float(mu.sum())
+    exact = abs(origin_new - MU0) + float(np.abs(MU0 * p[2:] - mu).sum())
     tail = math.exp(-(float(n_max) ** params.alpha))
     return {
         "exact_part": exact,

@@ -46,7 +46,7 @@ from .oracles import (
     case1_upper,
     case2_certificate,
     gaussian_reference,
-    mc_tail,
+    mc_tail_curve,
     predicted_rate,
     rate_transform,
 )
@@ -72,12 +72,46 @@ def _fmt(x) -> str:
     return format(x, ".12g")
 
 
-def _parse_windows(text: str):
-    out = []
-    for part in text.split(","):
-        u, _, v = part.partition(":")
-        out.append((float(u), float(v)))
-    return out
+def _integer(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError("not an integer")
+    return value
+
+
+def _count(value) -> int:
+    """Counts may be written as floats (1e6); nan and inf do not convert."""
+    return int(float(value))
+
+
+def _grid(read):
+    """Comma-separated text or a list, each entry read by `read`."""
+    return lambda v: [read(x) for x in (v.split(",") if isinstance(v, str) else v)]
+
+
+def _windows(value) -> list:
+    """u:v pairs, comma-separated (0.1:0.15,0.25:0.4) or as a list."""
+    if isinstance(value, str):
+        value = [part.split(":") for part in value.split(",")]
+    return [(float(u), float(v)) for u, v in value]
+
+
+# how each configuration field is read, from a flag or a config file
+_READERS = {
+    "seed": _integer,
+    "shards": _integer,
+    "alpha": float,
+    "beta": float,
+    "tol": float,
+    "c": float,
+    "confidence": float,
+    "n": _count,
+    "reps": _count,
+    "k_max": _count,
+    "length": _count,
+    "n_grid": _grid(_count),
+    "gamma_grid": _grid(float),
+    "windows": _windows,
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -159,6 +193,8 @@ def _resolve_config(args: argparse.Namespace) -> dict:
                 file_cfg = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ParameterError(f"config: cannot read {args.config}: {exc}")
+        if not isinstance(file_cfg, dict):
+            raise ParameterError(f"config: {args.config} does not hold a JSON object")
         for key, value in file_cfg.items():
             if key not in cfg:
                 raise ParameterError(f"config: unknown field {key!r}")
@@ -167,15 +203,15 @@ def _resolve_config(args: argparse.Namespace) -> dict:
         flag = getattr(args, key, None)
         if flag is not None:
             cfg[key] = flag
-    if isinstance(cfg.get("windows"), str):
-        cfg["windows"] = _parse_windows(cfg["windows"])
-    for key in ("n", "reps", "k_max", "length"):
-        if cfg.get(key) is not None:
-            cfg[key] = int(float(cfg[key]))
-    if isinstance(cfg.get("n_grid"), str):
-        cfg["n_grid"] = [int(float(v)) for v in cfg["n_grid"].split(",")]
-    if isinstance(cfg.get("gamma_grid"), str):
-        cfg["gamma_grid"] = [float(v) for v in cfg["gamma_grid"].split(",")]
+    for key, read in _READERS.items():
+        if cfg[key] is not None:
+            try:
+                cfg[key] = read(cfg[key])
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ParameterError(f"{key}: cannot read {cfg[key]!r}: {exc}") from None
+    for key in ("seed", "n", "reps", "k_max", "length"):
+        if cfg[key] is not None and cfg[key] < 0:
+            raise ParameterError(f"{key}: must be >= 0, got {cfg[key]}")
 
     has_pair = cfg["alpha"] is not None or cfg["beta"] is not None
     if has_pair and cfg["windows"] is not None:
@@ -332,8 +368,10 @@ def cmd_rates(cfg: dict) -> tuple[list, list]:
                     rows.append([n, gamma, "case2_lower", "", "", "", "", "",
                                  predicted, f"bracket_empty;min_n={exc.min_n}"])
             if cfg["reps"]:
-                est = mc_tail(params, query, "total", cfg["reps"],
-                              cfg["confidence"], stream, cfg["shards"])
+                est = mc_tail_curve(
+                    params, n, {"total": [query.threshold]}, cfg["reps"],
+                    cfg["confidence"], stream, cfg["shards"],
+                )["total"][0]
                 if est.hits:
                     lp = math.log(est.p_hat)
                     rows.append([n, gamma, "mc", lp, est.p_hat, est.ci_low,

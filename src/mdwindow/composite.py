@@ -15,7 +15,7 @@ import numpy as np
 
 from .chain import RngStream
 from .errors import ParameterError
-from .measure import Params, ProcessStats, params_from_window, sigma
+from .measure import params_from_window, sigma
 
 
 @dataclass(frozen=True)

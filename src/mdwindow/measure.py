@@ -259,6 +259,17 @@ def p1(params: Params, tol: float = 1e-12) -> float:
     return value
 
 
+def _p_law(params: Params, m: int) -> np.ndarray:
+    """Transition weights (p_0, ..., p_m) with p_0 = 0: p_1 from `p1`, and
+    p_k = mu_k / mu_0 for k >= 2."""
+    p = np.zeros(m + 1)
+    if m >= 1:
+        p[1] = p1(params)
+    if m >= 2:
+        p[2:] = np.exp(_level_log_mu(params, 2, m) - LOG_MU0)
+    return p
+
+
 def log_p(params: Params, n: int) -> float:
     """Log transition weight from the origin to an excursion of length n.
 
@@ -300,8 +311,8 @@ def second_moment_jump(params: Params, tol: float = 1e-12) -> float:
     count(m)^2 m^(-2 beta) / mu_0 is at most m^(1 - 2 beta) / mu_0, so the
     levels beyond a cut N add at most exp(-N^alpha) (N+1)^(1-2 beta) / (N mu_0).
     """
-    if tol <= 0.0:
-        raise ParameterError("tol must be positive")
+    if not 0.0 < tol < math.inf:  # inf would stop at an uncertified cut, nan at none
+        raise ParameterError(f"tol must be positive and finite, got {tol}")
 
     def block_sum(lo, hi, mu):
         mag = excursion_reward_magnitude(params, np.arange(lo, hi + 1))

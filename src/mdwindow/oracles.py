@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .chain import RngLike, RngStream, as_generator, interval_alias
+from .chain import RngLike, RngStream, as_generator
 from .composite import WindowSet
 from .errors import (
     BracketEmptyError,
@@ -38,12 +38,7 @@ from .measure import (
     log_mu,
     window_from_params,
 )
-from .paths import (
-    _signed_path,
-    decompose,
-    iter_sums,
-    s_double_prime_count,
-)
+from .paths import conditioned_path, decompose, iter_sums, s_double_prime_count
 
 _TARGETS = ("total", "tilde", "boundary", "dprime")
 
@@ -87,6 +82,12 @@ class TailEstimate:
     reps: int
     hits: int
     confidence: float
+
+    @classmethod
+    def from_hits(cls, hits: int, reps: int, confidence: float) -> "TailEstimate":
+        """hits / reps with its Wilson interval at `confidence`."""
+        lo, hi = wilson_interval(hits, reps, confidence)
+        return cls(hits / reps, lo, hi, reps, hits, confidence)
 
 
 @dataclass(frozen=True)
@@ -195,46 +196,10 @@ def mc_tail_curve(
     else:
         for target, local in run_shard(0).items():
             hits[target] += local
-    out = {}
-    for target, v in xs.items():
-        ests = []
-        for i in range(v.size):
-            h = int(hits[target][i])
-            lo, hi = wilson_interval(h, reps, confidence)
-            ests.append(
-                TailEstimate(
-                    p_hat=h / reps,
-                    ci_low=lo,
-                    ci_high=hi,
-                    reps=reps,
-                    hits=h,
-                    confidence=confidence,
-                )
-            )
-        out[target] = ests
-    return out
-
-
-def mc_tail(
-    params: Params,
-    query: RateQuery,
-    target: str,
-    reps: int,
-    confidence: float,
-    rng: RngStream,
-    shards: int = 1,
-) -> TailEstimate:
-    """Monte Carlo exceedance probability of one deviation event."""
-    curve = mc_tail_curve(
-        params,
-        query.n,
-        {target: np.array([query.threshold])},
-        reps,
-        confidence,
-        rng,
-        shards,
-    )
-    return curve[target][0]
+    return {
+        target: [TailEstimate.from_hits(int(h), reps, confidence) for h in counts]
+        for target, counts in hits.items()
+    }
 
 
 def boundary_sum_sup(params: Params, n: int) -> float:
@@ -462,8 +427,8 @@ def autocovariance_exact(params: Params, k: int, tol: float = 1e-12) -> float:
     """
     if k < 0:
         raise ParameterError(f"lag must be >= 0, got {k}")
-    if tol <= 0.0:
-        raise ParameterError("tol must be positive")
+    if not 0.0 < tol < math.inf:  # inf would stop at an uncertified cut, nan at none
+        raise ParameterError(f"tol must be positive and finite, got {tol}")
     b = params.beta
 
     def block_sum(lo, hi, mu):
@@ -502,53 +467,15 @@ def conditioned_dprime_exceedance(
 ) -> TailEstimate:
     """Empirical P[S''_n > threshold] given (A_n, B_n) = (a, b).
 
-    Direct rejection on the end state has probability mu_(a+b), hopeless
-    for certificate-sized levels, so the conditioning is structural: the
-    final excursion is imposed (its interior law is deterministic anyway)
-    and the prefix before the renewal at n - a is generated backward from
-    that renewal.  Reversing time maps the chain onto itself with age and
-    residual swapped, and the invariant measure is symmetric under that
-    swap, so the backward prefix is again a plain interval roll.  The paths
-    are materialized and pushed through the standard decomposition, making
-    this an end-to-end check of the certificate's event rather than a
-    restatement of the count formula.
+    The paths come from `conditioned_path` (the final excursion imposed,
+    the prefix rolled backward from the renewal at n - a) and are pushed
+    through the standard decomposition, making this an end-to-end check of
+    the certificate's event rather than a restatement of the count formula.
     """
-    if not (1 <= n - a <= n - 1):
-        raise ParameterError("need 1 <= n - a <= n - 1 for an interior renewal")
     gen = as_generator(rng)
-    alias = interval_alias(params)
-    tau = a + b
     hits = 0
-    r = n - a
     for _ in range(reps):
-        ages = np.zeros(n, dtype=np.int64)
-        levels = np.zeros(n, dtype=np.int64)
-        sgn = np.zeros(n)
-        # imposed final excursion: ages 1..a at times r+1..n
-        ages[r : n] = np.arange(1, a + 1)
-        levels[r : n] = tau
-        sgn[r : n] = 1.0 if gen.random() < 0.5 else -1.0
-        # backward prefix: renewal at r, intervals rolled toward time 1
-        edge = r
-        while edge > 1:
-            t_back = int(alias.draw(gen, 1)[0])
-            s = 1.0 if gen.random() < 0.5 else -1.0
-            lo = max(1, edge - t_back + 1)
-            if t_back > 1 and lo <= edge - 1:
-                span = np.arange(lo, edge)
-                ages[span - 1] = span - (edge - t_back)
-                levels[span - 1] = t_back
-                sgn[span - 1] = s
-            edge -= t_back
-        path = _signed_path(params, ages, levels, sgn, {})
+        path = conditioned_path(params, n, a, b, gen)
         if decompose(path).s_double_prime > threshold:
             hits += 1
-    lo, hi = wilson_interval(hits, reps, 0.99)
-    return TailEstimate(
-        p_hat=hits / reps,
-        ci_low=lo,
-        ci_high=hi,
-        reps=reps,
-        hits=hits,
-        confidence=0.99,
-    )
+    return TailEstimate.from_hits(hits, reps, 0.99)

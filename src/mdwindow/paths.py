@@ -36,15 +36,7 @@ from .chain import (
     sample_stationary_levels,
 )
 from .errors import ParameterError, PrecisionError
-from .measure import (
-    LOG_MU0,
-    MU0,
-    Params,
-    _floor_sqrt,
-    _level_log_mu,
-    excursion_reward_magnitude,
-    p1,
-)
+from .measure import MU0, Params, _floor_sqrt, _p_law, excursion_reward_magnitude
 
 _TAU_VAR_GUESS = 14.0  # rough Var(tau) upper bound for draw budgeting
 
@@ -131,11 +123,6 @@ class SignedPath:
     x: np.ndarray
     signs: dict
 
-    def state(self, t: int):
-        from .chain import ChainState
-
-        return ChainState(int(self.ages[t - 1]), int(self.residuals[t - 1]))
-
 
 @dataclass(frozen=True)
 class SumDecomposition:
@@ -184,20 +171,50 @@ def generate_path(params: Params, n: int, rng: RngLike) -> SignedPath:
 
     if first_renewal <= n:
         taus = _draw_taus_until(params, gen, n - first_renewal + 1)
-        renewals = first_renewal + np.concatenate(
+        starts = first_renewal + np.concatenate(
             ([0], np.cumsum(taus[:-1]))
         ).astype(np.int64)
     else:
-        taus = np.empty(0, dtype=np.int64)
-        renewals = np.empty(0, dtype=np.int64)
+        taus = starts = np.empty(0, dtype=np.int64)
+    if tau0:  # the excursion straddling time 1 opens the table
+        starts = np.concatenate(([1 - age0], starts))
+        taus = np.concatenate(([tau0], taus))
+    return _materialize(params, n, gen, starts, taus)
 
-    # excursion table: opening renewal time + length (straddler first)
-    if tau0 == 0:
-        exc_start, exc_tau = renewals, taus
-    else:
-        exc_start = np.concatenate(([1 - age0], renewals))
-        exc_tau = np.concatenate(([tau0], taus))
 
+def conditioned_path(params: Params, n: int, a: int, b: int, rng: RngLike) -> SignedPath:
+    """Sample a signed path conditioned on the end state (A_n, B_n) = (a, b).
+
+    Direct rejection on the end state has probability mu_(a+b), hopeless
+    for certificate-sized levels, so the conditioning is structural: the
+    final excursion, of length a + b, is imposed from the renewal at n - a,
+    and the prefix before that renewal is generated backward from it.
+    Reversing time maps the chain onto itself with age and residual
+    swapped, and the invariant measure is symmetric under that swap, so the
+    backward prefix is again a plain interval roll until the intervals
+    cover time 1.
+    """
+    if not 1 <= a <= n - 1:
+        raise ParameterError(f"need 1 <= a <= n - 1 for a renewal at n - a, got a={a}")
+    if b < 1:
+        raise ParameterError(f"(A_n, B_n) = ({a}, {b}) is not a state: need b >= 1")
+    gen = as_generator(rng)
+    r = n - a
+    taus = (
+        _draw_taus_until(params, gen, r - 1) if r > 1 else np.empty(0, dtype=np.int64)
+    )
+    starts = r - np.cumsum(taus)  # opening renewals, backward from r
+    return _materialize(
+        params, n, gen, np.append(starts[::-1], r), np.append(taus[::-1], a + b)
+    )
+
+
+def _materialize(params: Params, n: int, gen, exc_start, exc_tau) -> SignedPath:
+    """SignedPath on times 1..n from an excursion table: the renewal opening
+    each excursion (possibly <= 0) and its length, in time order, covering
+    1..n.  Draws one fair sign per excursion; inside an excursion opened at
+    s with length tau, time t has age t - s and X_t = sign * tau^(-beta)
+    where age^2 <= tau, and times at renewals have age 0."""
     signs = np.where(gen.random(exc_start.size) < 0.5, 1.0, -1.0)
 
     ages = np.zeros(n, dtype=np.int64)
@@ -217,21 +234,15 @@ def generate_path(params: Params, n: int, rng: RngLike) -> SignedPath:
         levels[times - 1] = np.repeat(exc_tau[keep], ln)
         sgn[times - 1] = np.repeat(signs[keep], ln)
 
+    inside = ages > 0
+    hit = inside & (ages * ages <= levels)
+    x = np.zeros(n)
+    x[hit] = sgn[hit] * levels[hit].astype(np.float64) ** (-params.beta)
+    residuals = np.where(inside, levels - ages, 0)
     sign_map = dict(
         zip(exc_start.tolist(), np.where(signs > 0.0, 1, -1).tolist())
     )
-    return _signed_path(params, ages, levels, sgn, sign_map)
-
-
-def _signed_path(params: Params, ages, levels, sgn, signs: dict) -> SignedPath:
-    """SignedPath from per-time ages, levels and excursion signs (ages 0 at
-    renewals): X_t = sign * level^(-beta) where age^2 <= level."""
-    inside = ages > 0
-    hit = inside & (ages * ages <= levels)
-    x = np.zeros(ages.size)
-    x[hit] = sgn[hit] * levels[hit].astype(np.float64) ** (-params.beta)
-    residuals = np.where(inside, levels - ages, 0)
-    return SignedPath(params, ages.size, ages, residuals, x, signs)
+    return SignedPath(params, n, ages, residuals, x, sign_map)
 
 
 def decompose(path: SignedPath) -> SumDecomposition:
@@ -368,11 +379,7 @@ def _renewal_table(params: Params, n: int) -> np.ndarray:
         raise PrecisionError(
             f"horizon n={n} needs a renewal table beyond {_RENEWAL_CAP} terms"
         )
-    p = np.zeros(n)
-    if n > 1:
-        p[1] = p1(params)
-    if n > 2:
-        p[2:] = np.exp(_level_log_mu(params, 2, n - 1) - LOG_MU0)
+    p = _p_law(params, n - 1)
     u = np.zeros(n)  # a block holds the contributions of earlier times until solved
     u[0] = 1.0
     blk = min(n, _RENEWAL_BLOCK)

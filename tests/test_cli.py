@@ -296,6 +296,39 @@ def test_config_file_unknown_field_exit_2(tmp_path):
     assert "bogus" in res.stderr
 
 
+_PAIR = ("--alpha", "0.3", "--beta", "0.05")
+
+
+@pytest.mark.parametrize(
+    "args, config, field",
+    [
+        (("simulate", *_PAIR, "--n", "nan", "--reps", "5"), None, "n"),
+        (("simulate", *_PAIR, "--n", "inf", "--reps", "5"), None, "n"),
+        (("simulate", *_PAIR, "--n", "10", "--reps", "5", "--seed", "-1"), None, "seed"),
+        (("rates", *_PAIR, "--n-grid", "abc", "--gamma-grid", "0.3"), None, "n_grid"),
+        (("rates", *_PAIR, "--n-grid", "100", "--gamma-grid", "x"), None, "gamma_grid"),
+        (("params", "--windows", "0.1"), None, "windows"),
+        (("autocov", *_PAIR, "--k-max", "-3"), None, "k_max"),
+        (("params",), {"alpha": 0.3, "beta": 0.05, "shards": "2"}, "shards"),
+        (("params",), {"alpha": "x", "beta": 0.05}, "alpha"),
+        (("params", *_PAIR, "--tol", "inf"), None, "tol"),
+        (("autocov", *_PAIR, "--tol", "nan"), None, "tol"),
+    ],
+    ids=["n-nan", "n-inf", "seed", "n-grid", "gamma-grid", "windows", "k-max",
+         "config-shards", "config-alpha", "tol-inf", "tol-nan"],
+)
+def test_malformed_input_exit_2(tmp_path, args, config, field):
+    if config is not None:
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config))
+        args = (*args, "--config", str(path))
+    res = run_cli(*args)
+    assert res.returncode == 2, res.stderr
+    assert res.stderr.startswith(f"error: {field}"), res.stderr
+    assert "Traceback" not in res.stderr
+    assert res.stdout == ""
+
+
 def test_output_file(tmp_path):
     out = tmp_path / "table.csv"
     res = run_cli(

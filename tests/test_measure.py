@@ -211,6 +211,16 @@ def test_p_law_normalizes(alpha):
     assert mass == pytest.approx(1.0, abs=rem + 1e-12)
 
 
+@pytest.mark.parametrize("m", [0, 1, 2, 300])
+def test_p_law_table_matches_log_p(m):
+    from mdwindow.measure import _p_law
+
+    p = _p_law(DEFAULT, m)
+    assert p.shape == (m + 1,) and p[0] == 0.0
+    for k in range(1, m + 1):
+        assert p[k] == pytest.approx(math.exp(log_p(DEFAULT, k)), rel=1e-14)
+
+
 def test_p_values_nonnegative():
     p = DEFAULT
     for n in range(1, 2000):

@@ -9,6 +9,7 @@ import pytest
 from mdwindow import (
     BracketEmptyError,
     ParameterError,
+    Params,
     PrecisionError,
     RateQuery,
     RngStream,
@@ -23,7 +24,6 @@ from mdwindow import (
     gaussian_reference,
     generate_path,
     log_mu,
-    mc_tail,
     mc_tail_curve,
     predicted_rate,
     rate_transform,
@@ -31,7 +31,7 @@ from mdwindow import (
     sigma,
     wilson_interval,
 )
-from mdwindow import measure, oracles
+from mdwindow import measure
 from mdwindow.oracles import _case2_min_n, conditioned_dprime_exceedance
 
 from conftest import DEFAULT, three_se
@@ -106,7 +106,9 @@ def test_rate_query_validation():
 def test_mc_tilde_at_negligible_threshold_is_at_most_half():
     # the middle term is symmetric with an atom at zero
     query = RateQuery(300, 0.25, 1e-300)
-    est = mc_tail(DEFAULT, query, "tilde", 20000, 0.99, RngStream(801))
+    est = mc_tail_curve(
+        DEFAULT, 300, {"tilde": [query.threshold]}, 20000, 0.99, RngStream(801)
+    )["tilde"][0]
     assert est.p_hat <= 0.5 + three_se(0.5, 20000)
     assert 0.3 < est.p_hat  # sanity: not degenerate
 
@@ -125,15 +127,15 @@ def test_mc_boundary_above_deterministic_cap_never_hits():
 
 
 def test_mc_tail_deterministic_across_reruns():
-    q = RateQuery(200, 0.3, 0.5)
-    a = mc_tail(DEFAULT, q, "total", 30000, 0.99, RngStream(803), shards=3)
-    b = mc_tail(DEFAULT, q, "total", 30000, 0.99, RngStream(803), shards=3)
+    thr = {"total": [RateQuery(200, 0.3, 0.5).threshold]}
+    a = mc_tail_curve(DEFAULT, 200, thr, 30000, 0.99, RngStream(803), shards=3)
+    b = mc_tail_curve(DEFAULT, 200, thr, 30000, 0.99, RngStream(803), shards=3)
     assert a == b
 
 
 def test_mc_tail_rejects_unknown_target():
     with pytest.raises(ParameterError):
-        mc_tail(DEFAULT, RateQuery(50, 0.3, 1.0), "bogus", 10, 0.9, RngStream(1))
+        mc_tail_curve(DEFAULT, 50, {"bogus": [1.0]}, 10, 0.9, RngStream(1))
 
 
 def test_mc_symmetry_between_signed_tails():
@@ -378,6 +380,24 @@ def test_conditioned_soundness_of_case2_event():
         DEFAULT, min_n, cert.a_n, cert.b_n, thr, reps=4000, rng=RngStream(807)
     )
     assert abs(est.p_hat - 0.5) < three_se(0.5, 4000)
+
+
+@pytest.mark.parametrize("n, a, b", [(50, 10, 5), (50, 49, 3), (200, 30, 1000), (12, 11, 200)])
+def test_conditioned_exceedance_zero_at_the_pinned_magnitude(n, a, b):
+    # given (A_n, B_n) = (a, b), |S''_n| is exactly count * (a+b)^(-beta)
+    mag = s_double_prime_count(a, b, n) * float(a + b) ** -DEFAULT.beta
+    for thr in (mag, 1.5 * mag):
+        est = conditioned_dprime_exceedance(DEFAULT, n, a, b, thr, 300, RngStream(809))
+        assert est.hits == 0
+    below = conditioned_dprime_exceedance(DEFAULT, n, a, b, 0.999 * mag, 300, RngStream(809))
+    assert 0 < below.hits < 300  # the sign is a fair coin
+
+
+@pytest.mark.parametrize("a, b", [(10, 0), (10, -4), (0, 5), (50, 5)])
+def test_conditioned_exceedance_rejects_off_space_end_state(a, b):
+    # b < 1 is no state; a outside 1..n-1 leaves no renewal at n - a
+    with pytest.raises(ParameterError):
+        conditioned_dprime_exceedance(Params(0.3, 0.05), 50, a, b, 1.0, 200, RngStream(810))
 
 
 # -------------------------------------------------------------- boundary sup

@@ -16,6 +16,8 @@ from mdwindow import (
     s_prime_count,
 )
 
+from mdwindow.paths import conditioned_path
+
 from conftest import DEFAULT, three_se
 
 
@@ -195,6 +197,86 @@ def test_generate_path_determinism():
     assert np.array_equal(a.x, b.x) and a.signs == b.signs
 
 
+def _assert_chain_path(path):
+    # per-time states follow the step rules, every excursion's key (the
+    # renewal opening it, t - A_t) is in the sign map, and X_t is that
+    # excursion's sign times phi
+    ages, res = path.ages.tolist(), path.residuals.tolist()
+    for t in range(path.n - 1):
+        if res[t] > 1:
+            assert (ages[t + 1], res[t + 1]) == (ages[t] + 1, res[t] - 1), t
+        elif res[t] == 1:
+            assert (ages[t + 1], res[t + 1]) == (0, 0), t
+        else:
+            assert ages[t] == 0 and ages[t + 1] in (0, 1), t
+    for t in range(path.n):
+        if ages[t] == 0:
+            assert res[t] == 0 and path.x[t] == 0.0
+            if t < path.n - 1:  # a renewal before n opens an excursion
+                assert t + 1 in path.signs
+        else:
+            sign = path.signs[t + 1 - ages[t]]
+            want = sign * phi(path.params, ages[t], res[t])
+            assert path.x[t] == pytest.approx(want, rel=1e-15, abs=0.0)
+
+
+def test_generate_path_follows_the_chain():
+    for seed in range(5):
+        _assert_chain_path(generate_path(DEFAULT, 400, RngStream(506, seed)))
+
+
+@pytest.mark.parametrize(
+    "n, a, b", [(50, 10, 5), (50, 49, 3), (200, 1, 1), (200, 30, 1000), (12, 11, 200)]
+)
+def test_conditioned_path_pins_the_end_state(n, a, b):
+    for seed in range(20):
+        path = conditioned_path(DEFAULT, n, a, b, RngStream(509, seed))
+        assert path.ages[n - a - 1] == 0  # renewal at n - a
+        assert (path.ages[-1], path.residuals[-1]) == (a, b)
+        assert path.signs.keys() >= {n - a}
+        _assert_chain_path(path)
+
+
+def test_conditioned_path_draws_only_signs_without_a_prefix():
+    # n - a = 1: the renewal at time 1 needs no backward prefix, so the one
+    # draw is the final excursion's sign
+    gen, ref = (np.random.default_rng(510) for _ in range(2))
+    path = conditioned_path(DEFAULT, 30, 29, 4, gen)
+    ref.random(1)
+    assert gen.random() == ref.random()
+    assert list(path.signs) == [1]
+
+
+def test_conditioned_path_first_renewal_law():
+    # given a renewal at r, the first renewal in [1, r] sits at j with
+    # probability u(r - j) P[tau >= j] (the backward roll from r last
+    # renews at j, and the interval opened there reaches back past 1)
+    from scipy.stats import chisquare
+
+    from mdwindow.measure import _p_law
+    from mdwindow.paths import _renewal_table
+
+    n, a, reps = 30, 6, 20000
+    r = n - a
+    gen = RngStream(511).generator()
+    first = np.array(
+        [int(np.argmax(conditioned_path(DEFAULT, n, a, 2, gen).ages == 0)) + 1
+         for _ in range(reps)]
+    )
+    u = _renewal_table(DEFAULT, r)
+    at_least = 1.0 - np.concatenate(([0.0], np.cumsum(_p_law(DEFAULT, r)[1:])))
+    j = np.arange(1, r + 1)
+    law = u[r - j] * at_least[j - 1]
+    assert law.sum() == pytest.approx(1.0, abs=1e-12)
+    seen = np.bincount(first, minlength=r + 1)[1:]
+    cells = np.minimum(j, 12) - 1  # first renewals past 12 pooled
+    seen = np.bincount(cells, weights=seen)
+    expected = np.bincount(cells, weights=law) * reps
+    assert expected.min() > 20
+    stat = chisquare(seen, expected * (reps / expected.sum()))
+    assert stat.pvalue > 1e-3, stat
+
+
 # ------------------------------------------------------------- decomposition
 
 def test_decompose_identity_on_random_paths():
@@ -358,16 +440,6 @@ def test_iter_sums_fixed_chunking_is_reproducible():
 
 # ---------------------------------------------------- boundary-only sampler
 
-def _p_law(params, n):
-    from mdwindow import p1
-    from mdwindow.measure import LOG_MU0, _level_log_mu
-
-    p = np.zeros(n)
-    p[1] = p1(params)
-    p[2:] = np.exp(_level_log_mu(params, 2, n - 1) - LOG_MU0)
-    return p
-
-
 @pytest.mark.parametrize("n", [1000, 5000])
 def test_renewal_table_last_renewal_identity(n):
     # sum_{k<=j} u(k) P[tau > j-k] = 1: the last renewal at or before j is
@@ -377,12 +449,13 @@ def test_renewal_table_last_renewal_identity(n):
     from fractions import Fraction
     from itertools import accumulate
 
+    from mdwindow.measure import _p_law
     from mdwindow.paths import _renewal_table
 
     for params in (DEFAULT, Params(0.1, 0.0), Params(0.45, 0.0)):
         u = _renewal_table(params, n)
         assert u.size == n and u[0] == 1.0
-        p = _p_law(params, n)
+        p = _p_law(params, n - 1)
         tail = np.array([float(1 - f) for f in accumulate(map(Fraction, p))])
         resid = np.abs(np.convolve(u, tail)[:n] - 1.0)
         assert float(resid.max()) < 1e-12, f"alpha={params.alpha}"
