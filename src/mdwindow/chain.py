@@ -6,9 +6,10 @@ the origin a fresh interval length is drawn from the return law {p_n}.
 
 Stationary draws invert the closed-form size-biased tail exp(-k^alpha), so
 they carry no truncation bias even though the support is unbounded.  Draws
-from {p_n} itself have no closed-form inverse; they go through one alias
-table, with an exact size-biased rejection step for the rare mass beyond
-the table.
+from {p_n} itself split at the self-loop: a run of self-loops is one
+geometric inversion, and each non-trivial interval comes from one alias
+table over k >= 2, with an exact size-biased rejection step for the rare
+mass beyond the table.
 """
 
 from __future__ import annotations
@@ -209,15 +210,18 @@ def raw_words(gen: np.random.Generator, shape) -> np.ndarray:
 
 
 class IntervalAlias:
-    """O(1) alias-method draw for {p_n} (Vose, IEEE TSE 1991).
+    """Draws from {p_n}: self-loop runs and one alias table (Vose, IEEE TSE
+    1991) over the non-trivial law p_k / (1 - p_1), k >= 2.
 
-    Outcomes 1..K-1 are exact table entries; the last slot is a bucket for
-    the whole mass beyond K-1 and resolves through the exact size-biased
-    rejection step, so the combined draw is exact.  A draw costs one 64-bit
-    word (`decode`).
+    A run of G self-loops, P[G >= g] = p_1^g (`runs`, one uniform double),
+    then one table draw (`decode`, one 64-bit word) make a block of {p_n}.
+    Slot tau - 1 holds tau: slot 0 has mass exactly 0, and the last slot is
+    a bucket for the mass beyond K-1, resolved by the exact size-biased
+    rejection step.  p1 is the self-loop weight of the same normalized law.
     """
 
     K = 8192  # 2^13 columns, so 13 bits of a word pick one uniformly
+    _TILE = 1 << 14  # most blocks per `draw` round
 
     def __init__(self, params: Params):
         k = self.K
@@ -225,6 +229,9 @@ class IntervalAlias:
         self.params = params
         probs = np.append(_p_law(params, k - 1)[1:], 0.0)  # slot j: p_(j+1)
         probs[k - 1] = max(1.0 - probs[: k - 1].sum(), 0.0)  # tail bucket
+        probs /= probs.sum()
+        self.p1 = float(probs[0])
+        probs[0] = 0.0
         self.weights = probs / probs.sum()
         accept, alias = _vose_tables(self.weights)
         # for an integer f, f < ceil(x) exactly when f < x
@@ -242,16 +249,36 @@ class IntervalAlias:
         col |= take
         return self.pair.take(col), (words >> _FRAC_BITS) & 1
 
+    def runs(self, u: np.ndarray) -> np.ndarray:
+        """Self-loop run lengths floor(log u / log p_1) of uniforms u, so
+        P[G >= g] = P[u <= p_1^g] = p_1^g; u = 0 is guarded as in
+        `_size_biased_level`."""
+        return (np.log(np.maximum(u, 5e-324)) / math.log(self.p1)).astype(np.int64)
+
     def _tail_draw(self, gen: np.random.Generator, count: int) -> np.ndarray:
         return _interval_tail_reject(self.params, gen, count, self.K - 1)
 
     def draw(self, rng: RngLike, size: int) -> np.ndarray:
+        """`size` intervals from {p_n}: blocks laid end to end, cut to
+        `size`.  A round draws the runs of at most _TILE blocks, enough to
+        cover the rest with high probability, then words for the table draws
+        that land inside."""
         gen = as_generator(rng)
-        tau, _ = self.decode(raw_words(gen, size))
-        tau += 1
-        bucket = tau == self.K
-        if np.any(bucket):
-            tau[bucket] = self._tail_draw(gen, int(bucket.sum()))
+        tau = np.ones(size, dtype=np.int64)
+        at = 0
+        while at < size:
+            left = size - at
+            m = min(self._TILE, int(left * (1.0 - self.p1) + 3.0 * math.sqrt(left)) + 1)
+            pos = np.cumsum(self.runs(gen.random(m)) + 1) + (at - 1)  # table draws
+            kept = int(np.searchsorted(pos, size))
+            if kept:
+                slot, _ = self.decode(raw_words(gen, kept))
+                slot += 1
+                if slot.max() == self.K:  # tail bucket
+                    bucket = slot == self.K
+                    slot[bucket] = self._tail_draw(gen, int(bucket.sum()))
+                tau[pos[:kept]] = slot
+            at = int(pos[-1]) + 1
         return tau
 
 
@@ -261,8 +288,9 @@ def _vose_tables(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     scaled = w * k
     accept = np.ones(k)
     alias = np.arange(k, dtype=np.int64)
-    small = [i for i in range(k) if scaled[i] < 1.0]
-    large = [i for i in range(k) if scaled[i] >= 1.0]
+    small = np.flatnonzero((scaled > 0.0) & (scaled < 1.0)).tolist()
+    small += np.flatnonzero(scaled == 0.0).tolist()  # popped first: leftovers get accept 1
+    large = np.flatnonzero(scaled >= 1.0).tolist()
     scaled = scaled.copy()
     while small and large:
         s = small.pop()

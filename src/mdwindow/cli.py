@@ -342,7 +342,13 @@ def cmd_rates(cfg: dict) -> tuple[list, list]:
               "rate", "predicted_rate", "note"]
     rows = []
     for n in cfg["n_grid"]:
-        for gamma in cfg["gamma_grid"]:
+        queries = [RateQuery(n, gamma, c) for gamma in cfg["gamma_grid"]]
+        if cfg["reps"]:  # one set of paths serves every threshold of this n
+            mc = mc_tail_curve(
+                params, n, {"total": [q.threshold for q in queries]}, cfg["reps"],
+                cfg["confidence"], stream, cfg["shards"],
+            )["total"]
+        for i, (gamma, query) in enumerate(zip(cfg["gamma_grid"], queries)):
             try:
                 predicted = predicted_rate(windows, gamma, c)
                 pnote = ""
@@ -351,7 +357,6 @@ def cmd_rates(cfg: dict) -> tuple[list, list]:
                 pnote = "window_boundary"
             rows.append([n, gamma, "gaussian_reference", "", "", "", "",
                          gaussian_reference(c), predicted, pnote])
-            query = RateQuery(n, gamma, c)
             if gamma < w.u:
                 cert = case1_upper(params, query)
                 rows.append([n, gamma, cert.kind, cert.log_prob, "", "", "",
@@ -368,10 +373,7 @@ def cmd_rates(cfg: dict) -> tuple[list, list]:
                     rows.append([n, gamma, "case2_lower", "", "", "", "", "",
                                  predicted, f"bracket_empty;min_n={exc.min_n}"])
             if cfg["reps"]:
-                est = mc_tail_curve(
-                    params, n, {"total": [query.threshold]}, cfg["reps"],
-                    cfg["confidence"], stream, cfg["shards"],
-                )["total"][0]
+                est = mc[i]
                 if est.hits:
                     lp = math.log(est.p_hat)
                     rows.append([n, gamma, "mc", lp, est.p_hat, est.ci_low,

@@ -154,8 +154,9 @@ def level_series(
     is below tol; the levels start..N are then walked in blocks of
     _LEVEL_BLOCK.  With relative=True the test is remainder < tol * value,
     and each doubling adds only its new levels to the value.  tol = inf sums
-    exactly the levels start..max(start, first).  A cut past _LEVEL_CAP
-    raises PrecisionError.
+    exactly the levels start..max(start, first).  PrecisionError is raised
+    once no cut up to _LEVEL_CAP can pass: the cap's remainder reaches tol,
+    or in relative mode tol (value + remainder), a bound on tol * full sum.
     """
     c, e = growth
 
@@ -166,19 +167,25 @@ def level_series(
             total += block_sum(b, top, np.exp(_level_log_mu(params, b, top)))
         return total
 
+    def remainder(cut: int) -> float:
+        return c * (cut + 1.0) ** e / cut * math.exp(-(float(cut) ** params.alpha))
+
+    # the remainder at the last cut, the doubling's first at or past the cap
+    best = remainder(max(start, first << ((_LEVEL_CAP - 1) // first).bit_length()))
     value, done = 0.0, start - 1
     while True:
         cut = max(start, first)
         if relative:
             value += walk(done + 1, cut)
             done = cut
-        rem = c * (cut + 1.0) ** e / cut * math.exp(-(float(cut) ** params.alpha))
+        rem = remainder(cut)
         if rem < (tol * value if relative else tol):
             break
-        if cut >= _LEVEL_CAP:
+        # the full sum is at most value + rem, so no later cut can certify
+        if cut >= _LEVEL_CAP or best >= tol * (value + rem if relative else 1.0):
             raise PrecisionError(
                 f"no cut up to {_LEVEL_CAP} levels brings the remainder bound "
-                f"{rem:.3e} below the tolerance; relax it"
+                f"{best:.3e} below the tolerance; relax it"
             )
         first <<= 1
     if not relative:
@@ -302,6 +309,18 @@ def excursion_reward_magnitude(params: Params, tau):
     if np.any(tau < 1):
         raise ParameterError("interval lengths must be >= 1")
     return np.minimum(_floor_sqrt(tau), tau - 1) * tau.astype(np.float64) ** (-params.beta)
+
+
+def _s_tilde_variance(params: Params, n: int) -> float:
+    """Exact Var(S~_n) = mu_0 sum_{j<n} p_j R(j)^2 (n - j), R the reward
+    magnitude of a length-j excursion: signs are independent and fair, so
+    the variance is the expected sum of R^2 over the complete excursions in
+    the window, and one of length j opens at each of the n - j times
+    1..n-j with probability mu_0 p_j.  R(1) = 0, so p_1 never enters."""
+    j = np.arange(n)
+    r2 = np.zeros(n)
+    r2[1:] = excursion_reward_magnitude(params, j[1:]) ** 2
+    return MU0 * float(_p_law(params, n - 1) @ (r2 * (n - j)))
 
 
 def second_moment_jump(params: Params, tol: float = 1e-12) -> float:

@@ -32,6 +32,7 @@ from .errors import (
     WindowBoundaryError,
 )
 from .measure import (
+    _LEVEL_CAP,
     Params,
     _floor_sqrt,
     level_series,
@@ -255,6 +256,8 @@ def boundary_tail_exact(
         return float((mu * pairs).sum())
 
     try:
+        if x >= float(_LEVEL_CAP) ** (0.5 - beta):  # |S''| <= tau^(1/2 - beta) at level tau
+            raise PrecisionError(f"no level up to {_LEVEL_CAP} reaches {x}")
         total = level_series(
             params, block_sum, tol=rel_tail, growth=(1.0, 1.0), relative=True
         )[0]

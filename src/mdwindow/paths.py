@@ -36,9 +36,7 @@ from .chain import (
     sample_stationary_levels,
 )
 from .errors import ParameterError, PrecisionError
-from .measure import MU0, Params, _floor_sqrt, _p_law, excursion_reward_magnitude
-
-_TAU_VAR_GUESS = 14.0  # rough Var(tau) upper bound for draw budgeting
+from .measure import Params, _floor_sqrt, _p_law, excursion_reward_magnitude
 
 
 def phi(params: Params, k: int, l: int) -> float:
@@ -136,26 +134,10 @@ class SumDecomposition:
 
 
 def _draw_taus_until(params, gen, needed: int) -> np.ndarray:
-    """Interval draws whose cumulative sum first reaches `needed`."""
-    alias = interval_alias(params)
-    blocks = []
-    covered = 0
-    remaining = needed
-    while True:
-        budget = int(
-            remaining * MU0
-            + 6.0 * math.sqrt(max(remaining, 1) * _TAU_VAR_GUESS) * MU0
-            + 16
-        )
-        taus = alias.draw(gen, budget)
-        cum = np.cumsum(taus)
-        if covered + cum[-1] >= needed:
-            stop = int(np.searchsorted(cum, needed - covered))
-            blocks.append(taus[: stop + 1])
-            return np.concatenate(blocks)
-        blocks.append(taus)
-        covered += int(cum[-1])
-        remaining = needed - covered
+    """Interval draws whose cumulative sum first reaches `needed`; as many
+    draws as steps always suffice, since each interval is at least 1."""
+    taus = interval_alias(params).draw(gen, needed)
+    return taus[: int(np.searchsorted(np.cumsum(taus), needed)) + 1]
 
 
 def generate_path(params: Params, n: int, rng: RngLike) -> SignedPath:
@@ -169,13 +151,8 @@ def generate_path(params: Params, n: int, rng: RngLike) -> SignedPath:
     tau0, age0 = int(tau0[0]), int(age0[0])
     first_renewal = 1 if tau0 == 0 else 1 + (tau0 - age0)  # 1 + B_1
 
-    if first_renewal <= n:
-        taus = _draw_taus_until(params, gen, n - first_renewal + 1)
-        starts = first_renewal + np.concatenate(
-            ([0], np.cumsum(taus[:-1]))
-        ).astype(np.int64)
-    else:
-        taus = starts = np.empty(0, dtype=np.int64)
+    taus = _draw_taus_until(params, gen, max(n + 1 - first_renewal, 0))
+    starts = first_renewal + np.cumsum(taus) - taus
     if tau0:  # the excursion straddling time 1 opens the table
         starts = np.concatenate(([1 - age0], starts))
         taus = np.concatenate(([tau0], taus))
@@ -200,9 +177,7 @@ def conditioned_path(params: Params, n: int, a: int, b: int, rng: RngLike) -> Si
         raise ParameterError(f"(A_n, B_n) = ({a}, {b}) is not a state: need b >= 1")
     gen = as_generator(rng)
     r = n - a
-    taus = (
-        _draw_taus_until(params, gen, r - 1) if r > 1 else np.empty(0, dtype=np.int64)
-    )
+    taus = _draw_taus_until(params, gen, r - 1)
     starts = r - np.cumsum(taus)  # opening renewals, backward from r
     return _materialize(
         params, n, gen, np.append(starts[::-1], r), np.append(taus[::-1], a + b)
@@ -277,15 +252,15 @@ def iter_sums(
 
     Yields dict chunks with the decomposition terms and end states; the
     per-time values are never materialized.  With rewards every excursion
-    is rolled from one 64-bit word (`_roll_chunk`), about 1e-8 s per chain
-    step on one CPU, so horizons up to ~1e4 with millions of paths stay
-    affordable.  With with_rewards=False the middle term is skipped and no
-    excursion is rolled: the end state is drawn exactly from its law given
-    the first renewal, so boundary-only studies cost O(1) per path at any
-    horizon the renewal table covers.  The draw layout is a pure function
-    of (generator state, n, reps, with_rewards, chunk); callers wanting
-    bit-reproducibility must hold all of these fixed, as the public front
-    ends do.
+    is rolled in blocks of a self-loop run and one excursion (`_roll_chunk`),
+    about 4e-9 s per chain step on one CPU, so horizons up to ~1e4 with
+    millions of paths stay affordable.  With with_rewards=False the middle
+    term is skipped and no excursion is rolled: the end state is drawn
+    exactly from its law given the first renewal, so boundary-only studies
+    cost O(1) per path at any horizon the renewal table covers.  The draw
+    layout is a pure function of (generator state, n, reps, with_rewards,
+    chunk); callers wanting bit-reproducibility must hold all of these
+    fixed, as the public front ends do.
     """
     if n < 1 or reps < 0:
         raise ParameterError("need n >= 1 and reps >= 0")
@@ -444,24 +419,22 @@ def _boundary_chunk(params, n, gen, u_tab, c):
     return out
 
 
-_BLOCK = 64  # excursions drawn per path per round
+_BLOCK = 48  # blocks (a self-loop run and one excursion) drawn per path per round
 _TILE = 512  # rows rolled together
 
 
 def _roll_chunk(params, n, gen, alias, signed, c):
     """All decomposition terms of `c` paths, every excursion rolled.
 
-    A round draws _BLOCK excursions for each live row of a tile, one 64-bit
-    word each, split by `alias.decode`: the top 13 bits pick the alias
-    column, exactly uniform as K = 2^13; bit 50 is the excursion's sign; the
-    low 50 bits are an accept fraction f, and the column keeps its own slot
-    when the integer f < thr = ceil(accept * 2^50), which holds exactly when
-    f * 2^-50 < accept.  The fields are independent, so tau = slot + 1 has
-    the alias table's law and a fair sign independent of it, and
-    `signed[2 slot + sign]` is the signed reward.  Row sums of the rewards
-    go to S~_n; only rows whose renewals cross n take a cumulative sum, to
-    find the excursion straddling n.  Tiles of _TILE rows keep a round's
-    temporaries (256 KiB each) near the size of an L2 cache.
+    A path advances in blocks: a run of G self-loops (`alias.runs`, one
+    uniform double), then one excursion of length tau >= 2 with a fair sign
+    from one 64-bit word (`alias.decode`), so a block spans G + tau steps
+    and `signed[2 slot + sign]` is its signed reward.  A round draws _BLOCK
+    blocks for each live row of a tile; row sums of the rewards go to S~_n,
+    and only rows whose renewals cross n take a cumulative sum, to find the
+    block straddling n.  If n falls in its self-loop run the path ends at
+    the origin, otherwise inside its excursion.  Tiles of _TILE rows keep a
+    round's temporaries (192 KiB each) near the size of an L2 cache.
     """
     out = _start_chunk(params, n, gen, c)
     s_tilde = np.zeros(c)
@@ -471,7 +444,9 @@ def _roll_chunk(params, n, gen, alias, signed, c):
         idx = todo[lo : lo + _TILE]
         t = first[idx]
         while idx.size:
-            slot, sign = alias.decode(raw_words(gen, (idx.size, _BLOCK)))
+            shape = (idx.size, _BLOCK)
+            slot, sign = alias.decode(raw_words(gen, shape))
+            span = alias.runs(gen.random(shape))
             reward = signed.take((slot << 1) | sign)
             tau = slot
             tau += 1
@@ -480,18 +455,19 @@ def _roll_chunk(params, n, gen, alias, signed, c):
                 tau[bucket] = big = alias._tail_draw(gen, int(bucket.sum()))
                 mag = excursion_reward_magnitude(params, big)
                 reward[bucket] = (1 - 2 * sign[bucket]) * mag
-            end = t + tau.sum(axis=1)
+            span += tau
+            end = t + span.sum(axis=1)
             gain = reward.sum(axis=1)
             rows = np.flatnonzero(end > n)  # renewals cross n
             if rows.size:
-                pos = np.cumsum(tau[rows], axis=1)
+                pos = np.cumsum(span[rows], axis=1)
                 pos += t[rows, None]
-                kstar = (pos > n).argmax(axis=1)  # the excursion straddling n
+                kstar = (pos > n).argmax(axis=1)  # the block straddling n
                 before = np.arange(_BLOCK) < kstar[:, None]
                 gain[rows] = (reward[rows] * before).sum(axis=1)
                 pos_c = pos[np.arange(rows.size), kstar]
                 ac = n - (pos_c - tau[rows, kstar])
-                ended = ac > 0  # ac == 0 means the path ended at a renewal at n
+                ended = ac > 0  # ac <= 0: n falls on a self-loop renewal
                 if np.any(ended):
                     _set_end_excursion(
                         out, n, idx[rows[ended]], ac[ended], (pos_c - n)[ended],

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import mdwindow
-from mdwindow import Params
+from mdwindow import Params, params_from_window
 
 # the CLI tests run the package in child processes: point them at the copy
 # these tests import, installed or not
@@ -14,6 +14,7 @@ os.environ["PYTHONPATH"] = os.pathsep.join(
 )
 
 DEFAULT = Params(0.3, 0.05)
+SMALL_ALPHA = params_from_window(0.1, 0.15)  # alpha ~0.108: p_1 ~0.92
 ALPHA_GRID = (0.1, 0.3, 0.45)
 
 

@@ -28,9 +28,9 @@ from mdwindow.chain import (
     interval_alias,
     sample_stationary_levels,
 )
-from mdwindow.measure import build_measure_table, p1, small_mass_tail
+from mdwindow.measure import _p_law, build_measure_table, p1, small_mass_tail
 
-from conftest import DEFAULT, three_se
+from conftest import DEFAULT, SMALL_ALPHA, three_se
 
 
 # --------------------------------------------------------------------- state
@@ -232,6 +232,54 @@ def test_alias_thresholds_rebuild_the_input_law():
     assert sum(mass) == k * cap
     rebuilt = np.array([m / (k * cap) for m in mass])
     assert float(np.abs(rebuilt - alias.weights).max()) < 1e-15
+
+
+@pytest.mark.parametrize(
+    "params", [DEFAULT, SMALL_ALPHA, Params(0.09, 0.0), Params(0.2, 0.1), Params(0.45, 0.01)]
+)
+def test_alias_table_never_draws_a_self_loop(params):
+    # self-loops come only from the runs: rebuilt in exact integers, the
+    # table's tau = 1 slot has mass exactly 0, and with p1 the table gives
+    # back the normalized full law
+    alias = IntervalAlias(params)
+    k, cap = alias.K, 1 << 50
+    mass = [0] * k
+    for col, (thr, other) in enumerate(zip(alias.thr.tolist(), alias.pair[0::2].tolist())):
+        mass[col] += thr
+        mass[other] += cap - thr
+    assert mass[0] == 0
+    full = np.append(alias.p1, (1.0 - alias.p1) * alias.weights[1:])
+    law = np.append(_p_law(params, k - 1)[1:], 0.0)
+    law[-1] = 1.0 - law[:-1].sum()
+    assert float(np.abs(full - law).max()) < 1e-15
+    assert abs(alias.p1 - p1(params)) < 1e-15
+
+
+@pytest.mark.parametrize("params", [DEFAULT, SMALL_ALPHA])
+def test_self_loop_runs_are_geometric(params):
+    # P[G = g] = p1^g (1 - p1), the longest runs pooled into one cell
+    alias = interval_alias(params)
+    reps = 400_000
+    g = alias.runs(RngStream(212).generator().random(reps))
+    q = alias.p1
+    top = int(math.log(10.0 / reps) / math.log(q))  # about 10 expected beyond
+    obs = np.bincount(np.minimum(g, top), minlength=top + 1)
+    exp = q ** np.arange(top + 1) * (1.0 - q) * reps
+    exp[top] = q ** top * reps
+    assert chisquare(obs, exp).pvalue > 0.001
+
+
+def test_self_loop_run_of_a_zero_uniform_is_finite():
+    alias = interval_alias(DEFAULT)
+    g = alias.runs(np.array([0.0, 5e-324, 1.0 - 2.0 ** -53]))
+    assert g[0] == g[1] > 3000 and g[2] == 0  # log(5e-324) / log(0.797)
+
+
+@pytest.mark.parametrize("size", [0, 1, 2, 17, 40_000])
+def test_draw_returns_the_requested_size(size):
+    draws = interval_alias(SMALL_ALPHA).draw(RngStream(213), size)
+    assert draws.shape == (size,) and draws.dtype == np.int64
+    assert size == 0 or int(draws.min()) >= 1
 
 
 _ALIAS = interval_alias(DEFAULT)

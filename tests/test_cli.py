@@ -229,6 +229,32 @@ def test_rates_with_mc_rows():
         )
 
 
+def test_rates_mc_rows_match_one_call_per_point():
+    # one set of paths per horizon serves all its thresholds: the rows equal
+    # those of a separate mc_tail_curve call per (n, gamma)
+    from mdwindow import Params, RateQuery, RngStream, mc_tail_curve
+    from mdwindow.cli import _fmt
+
+    res = run_cli(
+        "rates", "--alpha", "0.3", "--beta", "0.05",
+        "--n-grid", "200,400", "--gamma-grid", "0.15,0.3,0.45", "--c", "0.2",
+        "--reps", "3000", "--seed", "5", "--shards", "2",
+    )
+    assert res.returncode == 0
+    header, rows = parse_csv(res.stdout)
+    mc = [dict(zip(header, r)) for r in rows if r[2] == "mc"]
+    assert len(mc) == 6
+    for row in mc:
+        n, gamma = int(row["n"]), float(row["gamma"])
+        est = mc_tail_curve(
+            Params(0.3, 0.05), n, {"total": [RateQuery(n, gamma, 0.2).threshold]},
+            3000, 0.999, RngStream(seed=5), 2,
+        )["total"][0]
+        assert [row["p_hat"], row["ci_low"], row["ci_high"]] == [
+            _fmt(est.p_hat), _fmt(est.ci_low), _fmt(est.ci_high)
+        ]
+
+
 def test_rates_byte_identical_reruns():
     args = [
         "rates", "--alpha", "0.3", "--beta", "0.05",

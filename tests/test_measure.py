@@ -23,9 +23,9 @@ from mdwindow import (
     window_from_params,
 )
 from mdwindow import measure, oracles
-from mdwindow.measure import level_series, small_mass_tail
+from mdwindow.measure import _s_tilde_variance, level_series, small_mass_tail
 
-from conftest import ALPHA_GRID, DEFAULT
+from conftest import ALPHA_GRID, DEFAULT, SMALL_ALPHA
 
 
 # ---------------------------------------------------------------- parameters
@@ -322,6 +322,34 @@ def test_level_series_do_not_depend_on_level_blocks(monkeypatch, series):
 def test_level_series_refuses_beyond_the_cap():
     with pytest.raises(PrecisionError):
         level_series(Params(0.1, 0.0), lambda lo, hi, mu: float(mu.sum()), tol=1e-15)
+
+
+def test_level_series_refuses_an_unreachable_relative_tolerance_at_once():
+    # at the first cut the cap's remainder already reaches tol (value +
+    # remainder), a bound on the full sum, so no deeper cut is walked
+    walked = []
+
+    def block_sum(lo, hi, mu):
+        walked.append(hi)
+        return float(mu.sum())
+
+    with pytest.raises(PrecisionError):
+        level_series(DEFAULT, block_sum, tol=1e-120, relative=True)
+    assert max(walked) == measure._FIRST_CUT
+
+
+@pytest.mark.parametrize("params", [DEFAULT, SMALL_ALPHA, Params(0.2, 0.0)])
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 50])
+def test_s_tilde_variance_against_fifty_digit_sum(params, n):
+    # mu_0 p_j = mu_j, and a length-1 excursion earns nothing
+    with mpmath.workdps(50):
+        a, b = mpmath.mpf(params.alpha), mpmath.mpf(params.beta)
+        ref = mpmath.fsum(
+            (mpmath.exp(-mpmath.mpf(j - 1) ** a) - mpmath.exp(-mpmath.mpf(j) ** a))
+            / (j - 1) * (min(math.isqrt(j), j - 1) * mpmath.mpf(j) ** -b) ** 2 * (n - j)
+            for j in range(2, n)
+        )
+    assert _s_tilde_variance(params, n) == pytest.approx(float(ref), rel=1e-13, abs=0.0)
 
 
 def test_second_moment_brute_force_beta_zero():

@@ -16,9 +16,10 @@ from mdwindow import (
     s_prime_count,
 )
 
+from mdwindow.measure import MU0, _s_tilde_variance
 from mdwindow.paths import conditioned_path
 
-from conftest import DEFAULT, three_se
+from conftest import DEFAULT, SMALL_ALPHA, three_se
 
 
 # ----------------------------------------------------------------------- phi
@@ -412,6 +413,31 @@ def test_iter_sums_boundary_sign_symmetry_and_independence():
     assert m > 1000
     assert abs(float(sp.mean())) < 3.0 / math.sqrt(m)
     assert abs(float((sp * sd).mean())) < 3.0 / math.sqrt(m)
+
+
+@pytest.mark.parametrize("params", [DEFAULT, SMALL_ALPHA], ids=["default", "small_alpha"])
+@pytest.mark.parametrize("n", [3, 37, 1000])
+def test_rolled_paths_end_at_the_origin_with_weight_mu0(params, n):
+    # a path whose horizon falls on a self-loop renewal ends at the origin;
+    # a wrong sign or an off-by-one there moves P[(A_n, B_n) = 0] off mu_0
+    reps = 1 << 16
+    ch = next(iter_sums(params, n, reps, RngStream(614, n).generator(), chunk=reps))
+    origin = ch["an"] == 0
+    assert np.array_equal(origin, ch["bn"] == 0)
+    se = math.sqrt(MU0 * (1.0 - MU0) / reps)
+    assert abs(float(origin.mean()) - MU0) < 5.0 * se
+
+
+@pytest.mark.parametrize("params", [DEFAULT, SMALL_ALPHA], ids=["default", "small_alpha"])
+def test_rolled_middle_term_has_the_exact_variance(params):
+    n, reps = 1000, 1 << 18
+    x = np.concatenate(
+        [c["s_tilde"] for c in iter_sums(params, n, reps, RngStream(615).generator())]
+    )
+    var = float(x.var())
+    m4 = float(np.mean((x - x.mean()) ** 4))
+    se = math.sqrt((m4 - var * var) / reps)
+    assert abs(var - _s_tilde_variance(params, n)) < 5.0 * se
 
 
 def test_iter_sums_without_rewards_skips_middle_term():
