@@ -1,8 +1,10 @@
-"""Exact stationary sampling and stepping of the age/residual-life chain.
+"""Exact stationary and interval sampling of the age/residual-life chain.
 
 The chain state is either the origin or a pair (age, residual) of positive
 integers; inside an excursion the only move is (k, l) -> (k+1, l-1), and at
 the origin a fresh interval length is drawn from the return law {p_n}.
+`step` is that transition for one state, the reference kernel; paths are
+sampled in bulk from the same draws by `mdwindow.paths`.
 
 Stationary draws invert the closed-form size-biased tail exp(-k^alpha), so
 they carry no truncation bias even though the support is unbounded.  Draws
@@ -163,20 +165,6 @@ def sample_stationary_levels(
     return tau, age
 
 
-def sample_stationary_state(params: Params, rng: RngLike) -> ChainState:
-    """One draw from the invariant measure.
-
-    Origin with probability 1 - 1/e; otherwise the level comes from the
-    size-biased law P[tau = m] = (m-1) mu_m by exact tail inversion and the
-    age is uniform on {1, ..., tau-1}.
-    """
-    tau, age = sample_stationary_levels(params, rng, 1)
-    t, a = int(tau[0]), int(age[0])
-    if t == 0:
-        return ORIGIN
-    return ChainState(a, t - a)
-
-
 def _interval_tail_reject(
     params: Params, gen: np.random.Generator, count: int, n_min: int
 ) -> np.ndarray:
@@ -309,11 +297,6 @@ def interval_alias(params: Params) -> IntervalAlias:
     return IntervalAlias(params)
 
 
-def sample_p_interval(params: Params, rng: RngLike) -> int:
-    """One interval length from {p_n} (the law of a fresh excursion)."""
-    return int(interval_alias(params).draw(rng, 1)[0])
-
-
 def step(params: Params, state: ChainState, rng: RngLike) -> ChainState:
     """One transition of the chain.
 
@@ -326,21 +309,10 @@ def step(params: Params, state: ChainState, rng: RngLike) -> ChainState:
         if state.residual > 1:
             return ChainState(state.age + 1, state.residual - 1)
         return ORIGIN
-    tau = sample_p_interval(params, rng)
+    tau = int(interval_alias(params).draw(rng, 1)[0])
     if tau == 1:
         return ORIGIN
     return ChainState(1, tau - 1)
-
-
-def run_path(params: Params, n: int, rng: RngLike) -> list[ChainState]:
-    """States at times 1..n: stationary start, then chain steps."""
-    if n < 1:
-        raise ParameterError(f"path length must be >= 1, got {n}")
-    gen = as_generator(rng)
-    states = [sample_stationary_state(params, gen)]
-    for _ in range(n - 1):
-        states.append(step(params, states[-1], gen))
-    return states
 
 
 def stationary_push_l1(params: Params, n_max: int) -> dict:

@@ -36,6 +36,7 @@ from .measure import (
     MU0,
     Params,
     p1,
+    params_from_window,
     sigma,
     window_from_params,
 )
@@ -235,7 +236,7 @@ def _emit(cfg: dict, header: list, rows: list, out_path):
             {k: (None if v == "" else _py(v)) for k, v in zip(header, row)}
             for row in rows
         ]
-        doc = {"config": _jsonable(cfg), "results": results}
+        doc = {"config": cfg, "results": results}
         text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     if out_path:
         with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
@@ -250,25 +251,11 @@ def _py(v):
     return v
 
 
-def _jsonable(cfg: dict) -> dict:
-    out = {}
-    for k, v in cfg.items():
-        if isinstance(v, tuple):
-            v = list(v)
-        out[k] = v
-    return out
-
-
 def _components(cfg: dict):
     """(params, window) pairs for either input style."""
     if cfg["windows"] is not None:
         ws = WindowSet(cfg["windows"])
-        comps = []
-        for u, v in ws.windows:
-            from .measure import params_from_window
-
-            comps.append(params_from_window(u, v))
-        return comps, ws
+        return [params_from_window(u, v) for u, v in ws.windows], ws
     params = Params(float(cfg["alpha"]), float(cfg["beta"]))
     w = window_from_params(params)
     return [params], WindowSet([(w.u, w.v)])
@@ -316,15 +303,8 @@ def cmd_simulate(cfg: dict) -> tuple[list, list]:
             continue
         gen = stream.shard(s)
         for chunk in iter_sums(params, n, r, gen):
-            for i in range(len(chunk["s_total"])):
-                rows.append([
-                    s,
-                    chunk["s_prime"][i], chunk["s_tilde"][i],
-                    chunk["s_dprime"][i], chunk["s_total"][i],
-                    chunk["a1"][i], chunk["b1"][i],
-                    chunk["an"][i], chunk["bn"][i],
-                    bool(chunk["interior"][i]),
-                ])
+            columns = [chunk[k].tolist() for k in header[1:]]
+            rows.extend([s, *row] for row in zip(*columns))
     return header, rows
 
 

@@ -16,6 +16,7 @@ import numpy as np
 from .chain import RngStream
 from .errors import ParameterError
 from .measure import params_from_window, sigma
+from .paths import generate_path
 
 
 @dataclass(frozen=True)
@@ -76,8 +77,6 @@ def sample_composite_path(
 ) -> np.ndarray:
     """Pointwise sum of independently sampled component paths (component i
     draws from rng.substream(i)), divided by the combined normalizer."""
-    from .paths import generate_path
-
     if n < 1:
         raise ParameterError(f"path length must be >= 1, got {n}")
     total = np.zeros(n)

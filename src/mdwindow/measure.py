@@ -376,39 +376,12 @@ def params_from_window(u: float, v: float) -> Params:
     return Params(alpha, beta)
 
 
-@dataclass(frozen=True, eq=False)
-class MeasureTable:
-    """Tabulated log level weights with the exact mass bound beyond them.
-
-    log_mu_levels[i] is log mu_(i+2); log_tail is the log of the exact
-    size-biased mass sum_{k > n_max} (k-1) mu_k = exp(-n_max^alpha).
-    """
-
-    params: Params
-    n_max: int
-    log_mu0: float
-    log_mu_levels: np.ndarray
-    log_tail: float
-
-    def log_mu(self, n: int) -> float:
-        if n == 0:
-            return self.log_mu0
-        if n == 1:
-            raise StateIndexError("level 1 is not in the state space")
-        return float(self.log_mu_levels[n - 2])
-
-
 @lru_cache(maxsize=16)
-def build_measure_table(params: Params, n_max: int) -> MeasureTable:
-    """Tabulate log mu_n for n = 2..n_max (cached per parameter pair)."""
+def build_measure_table(params: Params, n_max: int) -> np.ndarray:
+    """Read-only log mu_n for n = 2..n_max, entry i at level i + 2 (cached
+    per parameter pair)."""
     if n_max < 2:
         raise ParameterError(f"n_max must be >= 2, got {n_max}")
     levels = _level_log_mu(params, 2, n_max)
     levels.setflags(write=False)
-    return MeasureTable(
-        params=params,
-        n_max=n_max,
-        log_mu0=LOG_MU0,
-        log_mu_levels=levels,
-        log_tail=-(float(n_max) ** params.alpha),
-    )
+    return levels

@@ -17,6 +17,7 @@ probabilities stay exact to float precision.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from statistics import NormalDist
 from typing import Optional
@@ -42,12 +43,6 @@ from .measure import (
 from .paths import conditioned_path, decompose, iter_sums, s_double_prime_count
 
 _TARGETS = ("total", "tilde", "boundary", "dprime")
-
-
-def _worker_cap() -> int:
-    import os
-
-    return max(os.cpu_count() or 1, 1)
 
 
 @dataclass(frozen=True)
@@ -190,7 +185,7 @@ def mc_tail_curve(
     if shards > 1:
         from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=min(shards, _worker_cap())) as pool:
+        with ThreadPoolExecutor(max_workers=min(shards, os.cpu_count() or 1)) as pool:
             for local in pool.map(run_shard, range(shards)):
                 for target in xs:
                     hits[target] += local[target]

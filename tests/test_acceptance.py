@@ -120,7 +120,7 @@ def test_criterion_01_measure_identity():
         top = 1000 + pad
         table = build_measure_table(params, top)
         ks = np.arange(2, top + 1, dtype=np.float64)
-        sized = (ks - 1.0) * np.exp(table.log_mu_levels)
+        sized = (ks - 1.0) * np.exp(table)
         suffix = np.concatenate((np.cumsum(sized[::-1])[::-1], [0.0]))
         ns = np.arange(1, 1001)
         partial = suffix[ns + 1 - 2] - suffix[ns + pad + 1 - 2]
@@ -292,15 +292,11 @@ def test_criterion_10_superposition():
         sd = np.concatenate(sd)
         assert float(np.abs(sp).max()) <= cap + 1e-9
         assert float(np.abs(sd).max()) <= cap + 1e-9
-        reps = tildes.size
         for x in (0.5, 2.0):
-            p_up = float((tildes > x).mean())
-            p_dn = float((tildes < -x).mean())
-            joint = math.sqrt(
-                max(p_up * (1 - p_up), 1e-12) / reps
-                + max(p_dn * (1 - p_dn), 1e-12) / reps
-            )
-            assert abs(p_up - p_dn) <= 3.0 * joint
+            up = int((tildes > x).sum())
+            dn = int((tildes < -x).sum())
+            # given up + dn exceedances, up is Binomial(up + dn, 1/2)
+            assert abs(up - dn) <= 3.0 * math.sqrt(up + dn), (x, up, dn)
 
     # piecewise predicted rate on a grid that avoids endpoints
     for gamma, expect in [

@@ -15,9 +15,9 @@ from mdwindow import (
     Params,
     PrecisionError,
     RngStream,
-    run_path,
-    sample_p_interval,
-    sample_stationary_state,
+    generate_path,
+    log_mu,
+    log_p,
     stationary_push_l1,
     step,
 )
@@ -28,7 +28,7 @@ from mdwindow.chain import (
     interval_alias,
     sample_stationary_levels,
 )
-from mdwindow.measure import _p_law, build_measure_table, p1, small_mass_tail
+from mdwindow.measure import _p_law, p1, small_mass_tail
 
 from conftest import DEFAULT, SMALL_ALPHA, three_se
 
@@ -129,11 +129,6 @@ def test_stationary_age_uniform_given_level():
     assert stat.pvalue > 0.001
 
 
-def test_sample_stationary_state_scalar():
-    st = sample_stationary_state(DEFAULT, RngStream(7))
-    assert st.is_origin or (st.age >= 1 and st.residual >= 1)
-
-
 # ----------------------------------------------------------------- p sampler
 
 def test_p_sampler_frequency_of_self_loop():
@@ -154,9 +149,7 @@ def test_p_sampler_support():
 
 
 def _expected_counts(params, reps, levels):
-    table = build_measure_table(params, levels[-1])
-    probs = [p1(params)]
-    probs += [math.exp(table.log_mu(k) - table.log_mu0) for k in levels[1:]]
+    probs = [math.exp(log_p(params, k)) for k in levels]
     rest = 1.0 - sum(probs)
     return np.array(probs + [rest]) * reps
 
@@ -173,10 +166,10 @@ def test_interval_samplers_match_exact_law(sampler_kind):
     if sampler_kind == "alias":
         reps = 10 ** 6
         draws = interval_alias(DEFAULT).draw(RngStream(205), reps)
-    else:  # the one-draw route that step takes from the origin
+    else:  # step from the origin: tau is the level, or 1 for the self-loop
         reps = 4 * 10 ** 4
         gen = RngStream(209).generator()
-        draws = np.array([sample_p_interval(DEFAULT, gen) for _ in range(reps)])
+        draws = np.array([step(DEFAULT, ORIGIN, gen).level or 1 for _ in range(reps)])
     stat = chisquare(_observed_counts(draws, levels), _expected_counts(DEFAULT, reps, levels))
     assert stat.pvalue > 0.001
 
@@ -186,12 +179,11 @@ def test_tail_rejection_sampler_matches_conditional_law():
     draws = _interval_tail_reject(DEFAULT, gen, 200000, 64)
     assert int(draws.min()) >= 65
     # conditional weights mu_k / sum_{j>64} mu_j
-    table = build_measure_table(DEFAULT, 90)
     total, _ = small_mass_tail(DEFAULT, 64)
     obs, exp = [], []
     for k in range(65, 81):
         obs.append(int((draws == k).sum()))
-        exp.append(math.exp(table.log_mu(k)) / total * draws.size)
+        exp.append(math.exp(log_mu(DEFAULT, k)) / total * draws.size)
     obs.append(int((draws > 80).sum()))
     exp.append(draws.size - sum(exp))
     stat = chisquare(np.array(obs), np.array(exp))
@@ -334,10 +326,6 @@ def test_draws_at_alpha_one_tenth_sample():
     assert int(_interval_tail_reject(params, gen, 100, IntervalAlias.K - 1).min()) >= IntervalAlias.K
 
 
-def test_sample_p_interval_scalar():
-    assert sample_p_interval(DEFAULT, RngStream(208)) >= 1
-
-
 # --------------------------------------------------------------------- steps
 
 def test_step_deterministic_inside_excursion():
@@ -363,55 +351,27 @@ def test_step_from_origin_starts_at_age_one():
 
 # --------------------------------------------------------------------- paths
 
-def test_run_path_transition_rules():
-    states = run_path(DEFAULT, 500, RngStream(401))
-    assert len(states) == 500
-    for prev, cur in zip(states, states[1:]):
-        if not prev.is_origin:
-            if prev.residual > 1:
-                assert (cur.age, cur.residual) == (prev.age + 1, prev.residual - 1)
-            else:
-                assert cur.is_origin
-        else:
-            assert cur.is_origin or cur.age == 1
-
-
-def test_run_path_renewal_interval_consistency():
-    states = run_path(DEFAULT, 2000, RngStream(402))
-    renewals = [i for i, s in enumerate(states) if s.is_origin]
-    for a, b in zip(renewals, renewals[1:]):
-        gap = b - a
-        for i in range(a + 1, b):
-            assert states[i].level == gap
-
-
-def test_run_path_determinism():
-    a = run_path(DEFAULT, 300, RngStream(403, 9))
-    b = run_path(DEFAULT, 300, RngStream(403, 9))
-    assert a == b
-
-
-def test_run_path_terminal_marginal_matches_invariant_measure():
+def test_path_terminal_marginal_matches_invariant_measure():
     # chi-square over binned levels of the state at time 5
     reps, horizon = 20000, 5
     levels = []
     for i in range(reps):
-        levels.append(run_path(DEFAULT, horizon, RngStream(404, i))[-1].level)
+        path = generate_path(DEFAULT, horizon, RngStream(404, i))
+        levels.append(int(path.ages[-1] + path.residuals[-1]))
     levels = np.array(levels)
-    table = build_measure_table(DEFAULT, 40)
     bins = [0, 2, 3, 4, 5, 6]
     obs = [int((levels == b).sum()) for b in bins]
     exp = [MU0 * reps]
-    exp += [(b - 1) * math.exp(table.log_mu(b)) * reps for b in bins[1:]]
+    exp += [(b - 1) * math.exp(log_mu(DEFAULT, b)) * reps for b in bins[1:]]
     obs.append(reps - sum(obs))
     exp.append(reps - sum(exp))
     stat = chisquare(np.array(obs), np.array(exp))
     assert stat.pvalue > 0.001
 
 
-def test_run_path_origin_frequency_ergodic():
-    states = run_path(DEFAULT, 30000, RngStream(405))
-    frac = sum(s.is_origin for s in states) / len(states)
+def test_path_origin_frequency_ergodic():
+    path = generate_path(DEFAULT, 30000, RngStream(405))
+    frac = float((path.ages == 0).mean())
     # renewal-count fluctuations: sd ~ 1.81 / sqrt(n) for these exponents
     assert abs(frac - MU0) < 3.0 * 1.81 / math.sqrt(30000)
 
@@ -422,12 +382,10 @@ def test_one_step_l1_small_truncation_against_dense_kernel():
     # brute-force push of the truncated measure through the full kernel on
     # an explicit state list, levels <= 40
     n_max = 40
-    table = build_measure_table(DEFAULT, n_max)
     mu = {0: MU0}
-    pvec = {1: p1(DEFAULT)}
+    pvec = {m: math.exp(log_p(DEFAULT, m)) for m in range(1, n_max + 1)}
     for m in range(2, n_max + 1):
-        mu[m] = math.exp(table.log_mu(m))
-        pvec[m] = math.exp(table.log_mu(m) - table.log_mu0)
+        mu[m] = math.exp(log_mu(DEFAULT, m))
     states = [(0, 0)] + [
         (k, m - k) for m in range(2, n_max + 1) for k in range(1, m)
     ]

@@ -23,7 +23,7 @@ from mdwindow import (
     window_from_params,
 )
 from mdwindow import measure, oracles
-from mdwindow.measure import _s_tilde_variance, level_series, small_mass_tail
+from mdwindow.measure import _level_log_mu, _s_tilde_variance, level_series, small_mass_tail
 
 from conftest import ALPHA_GRID, DEFAULT, SMALL_ALPHA
 
@@ -89,7 +89,7 @@ def test_defining_tail_identity_partial_sums(alpha):
     n_max, pad = 1000, 10 ** 4
     table = build_measure_table(p, n_max + pad)
     ks = np.arange(2, n_max + pad + 1)
-    sized = (ks - 1) * np.exp(table.log_mu_levels)
+    sized = (ks - 1) * np.exp(table)
     suffix = np.concatenate((np.cumsum(sized[::-1])[::-1], [0.0]))
     for n in (1, 2, 17, 300, 1000):
         big_n = n + pad
@@ -108,7 +108,7 @@ def test_invariance_mu0_pn_equals_mun(alpha):
 
 def test_mu_values_positive_and_finite():
     table = build_measure_table(DEFAULT, 5000)
-    assert np.all(np.isfinite(table.log_mu_levels))
+    assert np.all(np.isfinite(table))
 
 
 # ---------------------------------------------------------------- transition
@@ -205,7 +205,7 @@ def test_p_law_normalizes(alpha):
     p = Params(alpha, 0.0)
     n_max = 200000
     table = build_measure_table(p, n_max)
-    mass = math.exp(log_p(p, 1)) + float(np.exp(table.log_mu_levels - table.log_mu0).sum())
+    mass = math.exp(log_p(p, 1)) + float(np.exp(table - log_mu(p, 0)).sum())
     # remainder of the p-series is below exp(-N^alpha) / (N mu_0)
     rem = math.exp(-float(n_max) ** alpha) / (n_max * MU0)
     assert mass == pytest.approx(1.0, abs=rem + 1e-12)
@@ -438,8 +438,13 @@ def test_window_maps_are_mutual_inverses():
 
 def test_measure_table_accessors():
     table = build_measure_table(DEFAULT, 50)
-    assert table.log_mu(0) == log_mu(DEFAULT, 0)
-    assert table.log_mu(17) == pytest.approx(log_mu(DEFAULT, 17), abs=1e-15)
-    assert table.log_tail == -(50.0 ** 0.3)
-    with pytest.raises(StateIndexError):
-        table.log_mu(1)
+    assert table.shape == (49,)
+    assert np.array_equal(table, _level_log_mu(DEFAULT, 2, 50))
+    assert table[17 - 2] == pytest.approx(log_mu(DEFAULT, 17), abs=1e-15)
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0] = 0.0
+    assert build_measure_table(DEFAULT, 50) is table
+    for n_max in (1, 0, -3):
+        with pytest.raises(ParameterError):
+            build_measure_table(DEFAULT, n_max)

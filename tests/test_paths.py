@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mdwindow import (
     ParameterError,
@@ -17,7 +19,7 @@ from mdwindow import (
 )
 
 from mdwindow.measure import MU0, _s_tilde_variance
-from mdwindow.paths import conditioned_path
+from mdwindow.paths import _s_double_prime_count_arr, _s_prime_count_arr, conditioned_path
 
 from conftest import DEFAULT, SMALL_ALPHA, three_se
 
@@ -111,6 +113,35 @@ def test_boundary_counts_brute_force(n):
         for b in range(1, 30):
             assert s_prime_count(a, b, n) == _brute_s_prime_count(a, b, n)
             assert s_double_prime_count(a, b, n) == _brute_s_double_prime_count(a, b, n)
+
+
+@st.composite
+def _states(draw):
+    # (a, b) with a + b <= 2^62 + 1, the level often a perfect square or
+    # next to one, where the floor square root turns
+    if draw(st.booleans()):
+        s = draw(st.integers(1, 1 << 31))
+        tau = max(s * s + draw(st.integers(-1, 1)), 2)
+        a = draw(st.integers(1, tau - 1))
+        return a, tau - a
+    level = st.one_of(st.integers(1, 64), st.integers(1, 1 << 61))
+    return draw(level), draw(level)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_states(), st.integers(1, 1 << 40), st.integers(0, 1 << 40)),
+                min_size=1, max_size=32))
+def test_array_counts_match_scalar(rows):
+    # S''_n counts at any horizon; S'_n counts where the excursion ends in
+    # the window, 1 + b <= n, the only rows `_start_chunk` passes them
+    a = np.array([ab[0] for ab, _, _ in rows], dtype=np.int64)
+    b = np.array([ab[1] for ab, _, _ in rows], dtype=np.int64)
+    n = np.array([n for _, n, _ in rows], dtype=np.int64)
+    n_prime = b + 1 + np.array([d for _, _, d in rows], dtype=np.int64)
+    assert _s_double_prime_count_arr(a, b, n).tolist() == [
+        s_double_prime_count(ai, bi, ni) for ai, bi, ni in zip(a.tolist(), b.tolist(), n.tolist())]
+    assert _s_prime_count_arr(a, b, n_prime).tolist() == [
+        s_prime_count(ai, bi, ni) for ai, bi, ni in zip(a.tolist(), b.tolist(), n_prime.tolist())]
 
 
 def test_boundary_count_magnitude_bounds():
