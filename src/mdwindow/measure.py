@@ -24,9 +24,13 @@ identity above bounds the levels beyond a cut N by
 
 The kernel doubles N until that remainder is below the tolerance (or past
 2^26 levels refuses with PrecisionError), then walks the levels in blocks
-of _LEVEL_BLOCK.  Where direct summation cannot reach float resolution
-(p_1 at small alpha) the mass beyond the cut has a closed form,
-`small_mass_tail`, built from incomplete gamma functions.
+of _LEVEL_BLOCK.  It reads mu from a 1 MiB cache of read-only granules of
+8192 levels per parameter pair, so the series at one pair (p_1, sigma, a
+sweep of r(k) over the lags) compute each mu_n once while its granule stays
+cached, and get the same bits as from computing it afresh.  Where direct
+summation cannot reach float resolution (p_1 at small alpha) the mass
+beyond the cut has a closed form, `small_mass_tail`, built from incomplete
+gamma functions.
 """
 
 from __future__ import annotations
@@ -56,6 +60,11 @@ _FIRST_CUT = 1 << 10           # first truncation level a series tries
 _LEVEL_CAP = 1 << 26           # deepest truncation level; beyond it, refuse
 _P1_CUT = 1 << 14              # p_1 sums this far and adds the closed-form tail
 _GAMMA_TERMS = 8               # powers x^-2 .. x^-8 of 1/(x(x-1)) in the tail
+# Levels per cached run of mu (a granule), fixed whatever _LEVEL_BLOCK is,
+# and the bytes all cached granules may hold: 16 granules cover the levels
+# 2..2^17, all that a series at tol 1e-12 walks for alpha above about 0.28.
+_MU_GRANULE = 1 << 13
+_MU_CACHE_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -128,6 +137,30 @@ def _level_log_mu(params: Params, lo: int, hi: int) -> np.ndarray:
     return -(nm1 ** params.alpha) + log1mexp(power_gap(ns, params.alpha)) - np.log(nm1)
 
 
+@lru_cache(maxsize=_MU_CACHE_BYTES // (8 * _MU_GRANULE))
+def _mu_granule(params: Params, g: int) -> np.ndarray:
+    """Read-only mu_n for the levels n = 2 + g G .. 1 + (g + 1) G, G = _MU_GRANULE.
+
+    exp and log act on each level alone, so a level gets the same bits here
+    as from a direct evaluation over any other range."""
+    lo = 2 + g * _MU_GRANULE
+    mu = np.exp(_level_log_mu(params, lo, lo + _MU_GRANULE - 1))
+    mu.setflags(write=False)
+    return mu
+
+
+def _mu_levels(params: Params, lo: int, hi: int) -> np.ndarray:
+    """mu_n for n = lo..hi, 2 <= lo <= hi: a slice of one cached granule, or
+    a copy of the slices of several."""
+    g0, first = divmod(lo - 2, _MU_GRANULE)
+    g1, last = divmod(hi - 2, _MU_GRANULE)
+    if g0 == g1:
+        return _mu_granule(params, g0)[first:last + 1]
+    parts = [_mu_granule(params, g) for g in range(g0, g1 + 1)]
+    parts[0], parts[-1] = parts[0][first:], parts[-1][:last + 1]
+    return np.concatenate(parts)
+
+
 def log_interval_tail(params: Params, k: int) -> float:
     """Exact log of the stationary tail P[A + B > k], k >= 1: just -k^alpha."""
     k = int(k)
@@ -149,14 +182,19 @@ def level_series(
 
     growth = (C, e) bounds the weight, 0 <= w(m) <= C m^e with e <= 1, and
     block_sum(lo, hi, mu) returns sum_{m=lo..hi} mu_m w(m) given the array
-    mu = (mu_lo, ..., mu_hi).  The cut N runs over max(start, first 2^j),
-    j = 0, 1, ..., up to the first whose remainder C (N+1)^e / N exp(-N^alpha)
-    is below tol; the levels start..N are then walked in blocks of
-    _LEVEL_BLOCK.  With relative=True the test is remainder < tol * value,
-    and each doubling adds only its new levels to the value.  tol = inf sums
-    exactly the levels start..max(start, first).  PrecisionError is raised
-    once no cut up to _LEVEL_CAP can pass: the cap's remainder reaches tol,
-    or in relative mode tol (value + remainder), a bound on tol * full sum.
+    mu = (mu_lo, ..., mu_hi), which it must not write to.  The cut N runs
+    over max(start, first 2^j), j = 0, 1, ..., up to the first whose
+    remainder C (N+1)^e / N exp(-N^alpha) is below tol; the levels start..N
+    are then walked in blocks of _LEVEL_BLOCK.  With relative=True the test
+    is remainder < tol * value, and each doubling adds only its new levels
+    to the value.  tol = inf sums exactly the levels start..max(start,
+    first).  PrecisionError is raised once no cut up to _LEVEL_CAP can pass:
+    the cap's remainder reaches tol, or in relative mode tol (value +
+    remainder), a bound on tol * full sum.
+
+    mu comes from the cache of granules (_MU_GRANULE levels each, at most
+    _MU_CACHE_BYTES in all, least recently used dropped first), so repeated
+    series at one pair compute each mu_n once while its granule is cached.
     """
     c, e = growth
 
@@ -164,7 +202,7 @@ def level_series(
         total = 0.0
         for b in range(lo, hi + 1, _LEVEL_BLOCK):
             top = min(b + _LEVEL_BLOCK - 1, hi)
-            total += block_sum(b, top, np.exp(_level_log_mu(params, b, top)))
+            total += block_sum(b, top, _mu_levels(params, b, top))
         return total
 
     def remainder(cut: int) -> float:
@@ -368,7 +406,9 @@ def params_from_window(u: float, v: float) -> Params:
     """Exponent pair realizing a prescribed window (u, v).
 
     beta = (1 - 2v)/4 and alpha = u (1 + 2v)/(1 + 2u); this inverts
-    window_from_params exactly on 0 < u < v <= 0.5.
+    window_from_params on 0 < u < v <= 0.5 up to rounding, some 1e-16.  A
+    window with v - u below that has no float pair (alpha + 2 beta rounds
+    to 1/2) and is refused with ParameterError.
     """
     window = ScaleWindow(float(u), float(v))  # validates the ordering
     beta = 0.25 * (1.0 - 2.0 * window.v)

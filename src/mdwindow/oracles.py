@@ -179,19 +179,22 @@ def mc_tail_curve(
         return local
 
     # shards are independent streams and the merge is order-fixed, so the
-    # totals do not depend on scheduling; numpy releases the GIL on the
-    # heavy ops, making threads worthwhile.
-    hits = {t: np.zeros(v.size, dtype=np.int64) for t, v in xs.items()}
-    if shards > 1:
+    # totals do not depend on scheduling.  Threads overlap only where numpy
+    # releases the GIL, and only on CPUs this process may run on; on one
+    # CPU they would just take turns, so the shards run inline in order.
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    workers = min(shards, cpus)
+    if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=min(shards, os.cpu_count() or 1)) as pool:
-            for local in pool.map(run_shard, range(shards)):
-                for target in xs:
-                    hits[target] += local[target]
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            shard_hits = list(pool.map(run_shard, range(shards)))
     else:
-        for target, local in run_shard(0).items():
-            hits[target] += local
+        shard_hits = [run_shard(s) for s in range(shards)]
+    hits = {t: sum(local[t] for local in shard_hits) for t in xs}
     return {
         target: [TailEstimate.from_hits(int(h), reps, confidence) for h in counts]
         for target, counts in hits.items()

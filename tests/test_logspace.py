@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -46,6 +47,19 @@ def test_power_gap_huge_m_no_cancellation():
     approx = alpha * float(m) ** (alpha - 1.0)
     assert gap > 0.0
     assert gap == pytest.approx(approx, rel=1e-3)
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.3, 0.45])
+@pytest.mark.parametrize("m", [2 ** 53 + 1, 2 ** 62 + 3, 10 ** 19, 10 ** 25])
+def test_power_gap_beyond_two_to_the_53_against_mpmath(alpha, m):
+    # m is rounded to float64 on entry, a relative shift of at most 2^-53
+    # in m and (1 - alpha) 2^-53 in the gap
+    with mpmath.workdps(60):
+        ref = float(mpmath.mpf(m) ** alpha - mpmath.mpf(m - 1) ** alpha)
+    assert power_gap(m, alpha) == pytest.approx(ref, rel=1e-14)
+    if m < 2 ** 63:
+        arr = power_gap(np.array([m], dtype=np.int64), alpha)
+        assert arr[0] == pytest.approx(ref, rel=1e-14)
 
 
 def test_power_gap_vectorized():

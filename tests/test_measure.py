@@ -1,9 +1,12 @@
 import inspect
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mdwindow import (
     MEAN_TAU,
@@ -69,6 +72,18 @@ def test_log_mu_level_two_high_precision_reference():
         ref = float(mpmath.log(ref))
     assert log_mu(DEFAULT, 2) == pytest.approx(ref, abs=1e-13)
     assert math.exp(log_mu(DEFAULT, 2)) == pytest.approx(0.07592, abs=5e-6)
+
+
+@pytest.mark.parametrize("alpha", ALPHA_GRID)
+@pytest.mark.parametrize("n", [2 ** 53 + 1, 10 ** 18 + 7, 3 ** 40, 10 ** 25])
+def test_log_mu_beyond_two_to_the_53_against_mpmath(alpha, n):
+    # levels that float64 cannot hold exactly, up to certificate sizes
+    # (c_n ~ 1.29e19 at the 1e10 golden) and past int64
+    with mpmath.workdps(60):
+        a, m = mpmath.mpf(alpha), mpmath.mpf(n)
+        mu = (mpmath.exp(-(m - 1) ** a) - mpmath.exp(-m ** a)) / (m - 1)
+        ref = float(mpmath.log(mu))
+    assert log_mu(Params(alpha, 0.0), n) == pytest.approx(ref, rel=1e-14)
 
 
 @pytest.mark.parametrize("alpha", ALPHA_GRID)
@@ -420,6 +435,43 @@ def test_params_from_window_rejects_bad_ordering():
         params_from_window(0.2, 0.51)
 
 
+# Params cannot hold a pair whose alpha + 2 beta lies within rounding of
+# 1/2, that is a window with v - u below about 1e-16: the maps refuse those
+# with ParameterError.  Elsewhere they round-trip to the rounding of
+# 1/2 - 2 beta, some 1e-16 absolute.  Subnormal exponents are left out: u
+# = alpha / (2 (1 - alpha - 2 beta)) underflows to 0 at alpha = 5e-324.
+_FLOAT_MARGIN = 1e-15
+_EXPONENT = st.floats(0.0, 0.5, exclude_min=True, allow_subnormal=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_EXPONENT, _EXPONENT)
+def test_window_maps_round_trip(u, v):
+    assume(u < v)
+    try:
+        p = params_from_window(u, v)
+        w = window_from_params(p)
+    except ParameterError:
+        assert v - u < _FLOAT_MARGIN
+        return
+    assert w.u == pytest.approx(u, rel=1e-12, abs=_FLOAT_MARGIN)
+    assert w.v == pytest.approx(v, rel=1e-12, abs=_FLOAT_MARGIN)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_EXPONENT, st.floats(0.0, 0.25))
+def test_params_round_trip_through_the_window(alpha, beta):
+    assume(alpha + 2.0 * beta < 0.5)
+    try:
+        w = window_from_params(Params(alpha, beta))
+        q = params_from_window(w.u, w.v)
+    except ParameterError:
+        assert 0.5 - alpha - 2.0 * beta < _FLOAT_MARGIN
+        return
+    assert q.alpha == pytest.approx(alpha, rel=1e-12, abs=_FLOAT_MARGIN)
+    assert q.beta == pytest.approx(beta, rel=1e-12, abs=_FLOAT_MARGIN)
+
+
 def test_window_maps_are_mutual_inverses():
     us = np.linspace(0.02, 0.48, 12)
     for u in us:
@@ -448,3 +500,68 @@ def test_measure_table_accessors():
     for n_max in (1, 0, -3):
         with pytest.raises(ParameterError):
             build_measure_table(DEFAULT, n_max)
+
+
+# ------------------------------------------------------------------ mu cache
+
+def test_lag_sweep_computes_each_mu_once(monkeypatch):
+    computed = []
+    direct = measure._level_log_mu
+
+    def spy(params, lo, hi):
+        computed.append((lo, hi))
+        return direct(params, lo, hi)
+
+    measure._mu_granule.cache_clear()
+    monkeypatch.setattr(measure, "_level_log_mu", spy)
+    for k in range(201):
+        oracles.autocovariance_exact(DEFAULT, k)
+    times = np.zeros(max(hi for _, hi in computed) + 1, dtype=np.int64)
+    for lo, hi in computed:
+        times[lo:hi + 1] += 1
+    assert times[:2].sum() == 0 and (times[2:] == 1).all()
+
+
+def _series_bits(pairs):
+    out = []
+    for p in pairs:
+        out.append(measure._p1_cached.__wrapped__(p)[0])
+        out += [second_moment_jump(p, tol) for tol in (1e-6, 1e-9, 1e-12)]
+        out += [oracles.autocovariance_exact(p, k) for k in (0, 1, 7, 60, 200)]
+        out += [oracles.boundary_tail_exact(p, n, 5.0) for n in (1000, 10 ** 5)]
+    return [v.hex() for v in out]
+
+
+def test_cached_mu_gives_the_bits_of_direct_evaluation(monkeypatch):
+    # (0.25, 0.1) walks 2^19 levels, past what the cache holds
+    pairs = (DEFAULT, Params(0.45, 0.01), Params(0.25, 0.1))
+    measure._mu_granule.cache_clear()
+    cold = _series_bits(pairs)
+    warm = _series_bits(pairs)
+    assert measure._mu_granule.cache_info().hits > 0
+    monkeypatch.setattr(
+        measure, "_mu_levels", lambda p, lo, hi: np.exp(_level_log_mu(p, lo, hi))
+    )
+    assert cold == warm == _series_bits(pairs)
+
+
+def test_mu_cache_stays_within_its_byte_bound():
+    # at tol 1e-4 the small-alpha second moment cuts at 2^21 levels
+    measure._mu_granule.cache_clear()
+    sigma(SMALL_ALPHA, 1e-4)
+    info = measure._mu_granule.cache_info()
+    assert info.misses >= (1 << 21) // measure._MU_GRANULE
+    granule = measure._mu_granule(SMALL_ALPHA, 0)
+    assert not granule.flags.writeable
+    assert info.currsize * granule.nbytes <= measure._MU_CACHE_BYTES
+
+
+def test_threads_on_a_cold_mu_cache_agree():
+    def series(_):
+        lags = [oracles.autocovariance_exact(DEFAULT, k) for k in range(0, 60, 7)]
+        return [sigma(DEFAULT).sigma] + lags
+
+    measure._mu_granule.cache_clear()
+    with ThreadPoolExecutor(max_workers=8) as pool:
+        got = list(pool.map(series, range(8)))
+    assert got == [series(0)] * 8

@@ -1,5 +1,7 @@
+import concurrent.futures
 import json
 import math
+import os
 from pathlib import Path
 
 import mpmath
@@ -131,6 +133,25 @@ def test_mc_tail_deterministic_across_reruns():
     a = mc_tail_curve(DEFAULT, 200, thr, 30000, 0.99, RngStream(803), shards=3)
     b = mc_tail_curve(DEFAULT, 200, thr, 30000, 0.99, RngStream(803), shards=3)
     assert a == b
+
+
+@pytest.mark.parametrize("affinity", ["one_cpu", "no_affinity_call"])
+def test_mc_tail_on_one_cpu_runs_the_shards_inline(monkeypatch, affinity):
+    thr = {"boundary": [2.0, 8.0], "total": [RateQuery(200, 0.3, 0.5).threshold]}
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    threaded = mc_tail_curve(DEFAULT, 200, thr, 3000, 0.99, RngStream(806), shards=3)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a thread pool was started for one CPU")
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+    if affinity == "one_cpu":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)  # affinity wins
+    else:
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    assert mc_tail_curve(DEFAULT, 200, thr, 3000, 0.99, RngStream(806), shards=3) == threaded
 
 
 def test_mc_tail_rejects_unknown_target():
