@@ -25,7 +25,7 @@ from typing import Union
 import numpy as np
 
 from .errors import ParameterError, PrecisionError
-from .measure import MU0, Params, _level_log_mu, _p_law
+from .measure import MU0, Params, _level_log_mu, _p_law, excursion_reward_magnitude
 
 # Interval lengths are clamped here, so they fit int64.  The stationary mass
 # beyond the cap, exp(-2^(62 alpha)), is 9.4% at alpha = 0.02 and 1.8e-4 at
@@ -202,10 +202,12 @@ class IntervalAlias:
     1991) over the non-trivial law p_k / (1 - p_1), k >= 2.
 
     A run of G self-loops, P[G >= g] = p_1^g (`runs`, one uniform double),
-    then one table draw (`decode`, one 64-bit word) make a block of {p_n}.
-    Slot tau - 1 holds tau: slot 0 has mass exactly 0, and the last slot is
-    a bucket for the mass beyond K-1, resolved by the exact size-biased
-    rejection step.  p1 is the self-loop weight of the same normalized law.
+    then one table draw (`excursions`, one 64-bit word) make a block of
+    {p_n}.  Slot tau - 1 holds tau: slot 0 has mass exactly 0, and the last
+    slot is a bucket for the mass beyond K-1, resolved by the exact
+    size-biased rejection step (`_tail_draw`).  p1 is the self-loop weight
+    of the same normalized law, and signed[2 slot + sign] the signed reward
+    of a table draw below the bucket.
     """
 
     K = 8192  # 2^13 columns, so 13 bits of a word pick one uniformly
@@ -226,6 +228,9 @@ class IntervalAlias:
         self.thr = np.ceil(np.ldexp(accept, _FRAC_BITS)).astype(np.int64)
         # pair[2 col + take]: the alias when the accept test fails, else col
         self.pair = np.column_stack((alias, np.arange(k))).ravel()
+        # the bucket's two entries are 0: its draws take their own reward
+        mag = np.append(excursion_reward_magnitude(params, np.arange(1, k)), 0.0)
+        self.signed = np.column_stack((mag, -mag)).ravel()
 
     def decode(self, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Slot (tau - 1) and sign bit of each int64 word: the top 13 bits
@@ -236,6 +241,21 @@ class IntervalAlias:
         col <<= 1
         col |= take
         return self.pair.take(col), (words >> _FRAC_BITS) & 1
+
+    def excursions(self, gen: np.random.Generator, words: np.ndarray):
+        """(tau, sign bit, signed reward) of one table draw per int64 word,
+        the reward (-1)^sign times the excursion's reward magnitude.  Only
+        draws landing in the tail bucket read `gen`: `_tail_draw` gives
+        them their tau."""
+        slot, sign = self.decode(words)
+        reward = self.signed.take((slot << 1) | sign)
+        tau = slot
+        tau += 1
+        if tau.max() == self.K:  # tail bucket
+            bucket = tau == self.K
+            tau[bucket] = big = self._tail_draw(gen, int(bucket.sum()))
+            reward[bucket] = (1 - 2 * sign[bucket]) * excursion_reward_magnitude(self.params, big)
+        return tau, sign, reward
 
     def runs(self, u: np.ndarray) -> np.ndarray:
         """Self-loop run lengths floor(log u / log p_1) of uniforms u, so
@@ -260,12 +280,7 @@ class IntervalAlias:
             pos = np.cumsum(self.runs(gen.random(m)) + 1) + (at - 1)  # table draws
             kept = int(np.searchsorted(pos, size))
             if kept:
-                slot, _ = self.decode(raw_words(gen, kept))
-                slot += 1
-                if slot.max() == self.K:  # tail bucket
-                    bucket = slot == self.K
-                    slot[bucket] = self._tail_draw(gen, int(bucket.sum()))
-                tau[pos[:kept]] = slot
+                tau[pos[:kept]] = self.excursions(gen, raw_words(gen, kept))[0]
             at = int(pos[-1]) + 1
         return tau
 

@@ -61,10 +61,14 @@ _LEVEL_CAP = 1 << 26           # deepest truncation level; beyond it, refuse
 _P1_CUT = 1 << 14              # p_1 sums this far and adds the closed-form tail
 _GAMMA_TERMS = 8               # powers x^-2 .. x^-8 of 1/(x(x-1)) in the tail
 # Levels per cached run of mu (a granule), fixed whatever _LEVEL_BLOCK is,
-# and the bytes all cached granules may hold: 16 granules cover the levels
-# 2..2^17, all that a series at tol 1e-12 walks for alpha above about 0.28.
+# and the bytes all cached granules may hold: the 16 granules cover the
+# levels 2..2^17, all that a series at tol 1e-12 walks for alpha above about
+# 0.28.  Only these head granules are cached; deeper levels are computed
+# afresh, so a longer walk cannot evict its own head.
 _MU_GRANULE = 1 << 13
 _MU_CACHE_BYTES = 1 << 20
+_MU_GRANULES = _MU_CACHE_BYTES // (8 * _MU_GRANULE)
+_MU_DEPTH = 1 + _MU_GRANULES * _MU_GRANULE  # deepest cached level
 
 
 @dataclass(frozen=True)
@@ -137,7 +141,7 @@ def _level_log_mu(params: Params, lo: int, hi: int) -> np.ndarray:
     return -(nm1 ** params.alpha) + log1mexp(power_gap(ns, params.alpha)) - np.log(nm1)
 
 
-@lru_cache(maxsize=_MU_CACHE_BYTES // (8 * _MU_GRANULE))
+@lru_cache(maxsize=_MU_GRANULES)
 def _mu_granule(params: Params, g: int) -> np.ndarray:
     """Read-only mu_n for the levels n = 2 + g G .. 1 + (g + 1) G, G = _MU_GRANULE.
 
@@ -151,7 +155,13 @@ def _mu_granule(params: Params, g: int) -> np.ndarray:
 
 def _mu_levels(params: Params, lo: int, hi: int) -> np.ndarray:
     """mu_n for n = lo..hi, 2 <= lo <= hi: a slice of one cached granule, or
-    a copy of the slices of several."""
+    a copy of the slices of several; levels past _MU_DEPTH are computed
+    afresh."""
+    if lo > _MU_DEPTH:
+        return np.exp(_level_log_mu(params, lo, hi))
+    if hi > _MU_DEPTH:
+        head = _mu_levels(params, lo, _MU_DEPTH)
+        return np.concatenate((head, _mu_levels(params, _MU_DEPTH + 1, hi)))
     g0, first = divmod(lo - 2, _MU_GRANULE)
     g1, last = divmod(hi - 2, _MU_GRANULE)
     if g0 == g1:
@@ -169,6 +179,15 @@ def log_interval_tail(params: Params, k: int) -> float:
     return -(float(k) ** params.alpha)
 
 
+def _level_walk(params: Params, block_sum, lo: int, hi: int) -> float:
+    """sum_{m=lo..hi} mu_m w(m), block_sum taken over blocks of _LEVEL_BLOCK."""
+    total = 0.0
+    for b in range(lo, hi + 1, _LEVEL_BLOCK):
+        top = min(b + _LEVEL_BLOCK - 1, hi)
+        total += block_sum(b, top, _mu_levels(params, b, top))
+    return total
+
+
 def level_series(
     params: Params,
     block_sum,
@@ -176,45 +195,38 @@ def level_series(
     tol: float = 1e-12,
     growth: tuple = (1.0, 0.0),
     relative: bool = False,
-    first: int = _FIRST_CUT,
 ) -> tuple[float, float, int]:
     """Certified sum_{m >= start} mu_m w(m) as (value, remainder_bound, n_terms).
 
     growth = (C, e) bounds the weight, 0 <= w(m) <= C m^e with e <= 1, and
     block_sum(lo, hi, mu) returns sum_{m=lo..hi} mu_m w(m) given the array
     mu = (mu_lo, ..., mu_hi), which it must not write to.  The cut N runs
-    over max(start, first 2^j), j = 0, 1, ..., up to the first whose
+    over max(start, _FIRST_CUT 2^j), j = 0, 1, ..., up to the first whose
     remainder C (N+1)^e / N exp(-N^alpha) is below tol; the levels start..N
     are then walked in blocks of _LEVEL_BLOCK.  With relative=True the test
     is remainder < tol * value, and each doubling adds only its new levels
-    to the value.  tol = inf sums exactly the levels start..max(start,
-    first).  PrecisionError is raised once no cut up to _LEVEL_CAP can pass:
-    the cap's remainder reaches tol, or in relative mode tol (value +
-    remainder), a bound on tol * full sum.
+    to the value.  PrecisionError is raised once no cut up to _LEVEL_CAP
+    can pass: the cap's remainder reaches tol, or in relative mode tol
+    (value + remainder), a bound on tol * full sum.
 
     mu comes from the cache of granules (_MU_GRANULE levels each, at most
     _MU_CACHE_BYTES in all, least recently used dropped first), so repeated
-    series at one pair compute each mu_n once while its granule is cached.
+    series at one pair compute each mu_n up to _MU_DEPTH once while its
+    granule is cached.
     """
     c, e = growth
-
-    def walk(lo: int, hi: int) -> float:
-        total = 0.0
-        for b in range(lo, hi + 1, _LEVEL_BLOCK):
-            top = min(b + _LEVEL_BLOCK - 1, hi)
-            total += block_sum(b, top, _mu_levels(params, b, top))
-        return total
 
     def remainder(cut: int) -> float:
         return c * (cut + 1.0) ** e / cut * math.exp(-(float(cut) ** params.alpha))
 
     # the remainder at the last cut, the doubling's first at or past the cap
+    first = _FIRST_CUT
     best = remainder(max(start, first << ((_LEVEL_CAP - 1) // first).bit_length()))
     value, done = 0.0, start - 1
     while True:
         cut = max(start, first)
         if relative:
-            value += walk(done + 1, cut)
+            value += _level_walk(params, block_sum, done + 1, cut)
             done = cut
         rem = remainder(cut)
         if rem < (tol * value if relative else tol):
@@ -227,7 +239,7 @@ def level_series(
             )
         first <<= 1
     if not relative:
-        value = walk(start, cut)
+        value = _level_walk(params, block_sum, start, cut)
     return value, rem, cut - start + 1
 
 
@@ -287,9 +299,7 @@ def small_mass_tail(params: Params, n_trunc: int) -> tuple[float, float]:
 def _p1_cached(params: Params) -> tuple[float, float]:
     """(p1, error bound): the self-loop weight 1 - sum_{k>=2} mu_k / mu_0,
     summed directly to _P1_CUT and in closed form beyond."""
-    head, _, _ = level_series(
-        params, lambda lo, hi, mu: float(mu.sum()), tol=math.inf, first=_P1_CUT
-    )
+    head = _level_walk(params, lambda lo, hi, mu: float(mu.sum()), 2, _P1_CUT)
     tail, tail_err = small_mass_tail(params, _P1_CUT)
     return 1.0 - (head + tail) / MU0, (tail_err + 1e-15) / MU0
 
@@ -336,17 +346,25 @@ def _floor_sqrt(arr: np.ndarray) -> np.ndarray:
     return s
 
 
-def excursion_reward_magnitude(params: Params, tau):
-    """Total |reward| of full excursions of lengths tau >= 1 (int or array).
+def _reward_ages(tau, first, last):
+    """#{j : first <= j <= last, j^2 <= tau}: the reward-carrying ages
+    first..last of an excursion of length tau, that is
+    (min(last, isqrt(tau)) - first + 1)^+.  Exact for Python ints of any
+    size (certificate levels pass 2^63) and for int64 arrays."""
+    if isinstance(tau, np.ndarray):
+        return np.maximum(np.minimum(last, _floor_sqrt(tau)) - first + 1, 0)
+    return max(0, min(last, math.isqrt(tau)) - first + 1)
 
-    Exactly count(tau) * tau^(-beta) with
-    count(tau) = #{k : 1 <= k <= tau-1, k^2 <= tau} = min(isqrt(tau), tau-1);
-    a length-1 excursion never leaves the origin and earns nothing.
+
+def excursion_reward_magnitude(params: Params, tau):
+    """Total |reward| of full excursions of lengths tau >= 1 (int or array):
+    the reward-carrying ages 1..tau-1 times tau^(-beta).  A length-1
+    excursion never leaves the origin and earns nothing.
     """
     tau = np.asarray(tau, dtype=np.int64)
     if np.any(tau < 1):
         raise ParameterError("interval lengths must be >= 1")
-    return np.minimum(_floor_sqrt(tau), tau - 1) * tau.astype(np.float64) ** (-params.beta)
+    return _reward_ages(tau, 1, tau - 1) * tau.astype(np.float64) ** (-params.beta)
 
 
 def _s_tilde_variance(params: Params, n: int) -> float:
@@ -394,10 +412,15 @@ def window_from_params(params: Params) -> ScaleWindow:
     u = alpha / (2 (1 - alpha - 2 beta)), v = 1/2 - 2 beta.
 
     The parameter constraints force 0 < u < alpha < v <= 1/2; the window
-    constructor revalidates the ordering.
+    constructor revalidates the ordering.  u underflows to 0 for alpha
+    below about 1e-323, and such a pair is refused.
     """
     a, b = params.alpha, params.beta
     u = a / (2.0 * (1.0 - a - 2.0 * b))
+    if u == 0.0:
+        raise ParameterError(
+            f"window start u = alpha / (2 (1 - alpha - 2 beta)) underflows to 0 at alpha = {a}"
+        )
     v = 0.5 - 2.0 * b
     return ScaleWindow(u, v)
 
@@ -413,6 +436,11 @@ def params_from_window(u: float, v: float) -> Params:
     window = ScaleWindow(float(u), float(v))  # validates the ordering
     beta = 0.25 * (1.0 - 2.0 * window.v)
     alpha = (1.0 + 2.0 * window.v) / (1.0 + 2.0 * window.u) * window.u
+    if not alpha + 2.0 * beta < 0.5:
+        raise ParameterError(
+            f"window ({window.u}, {window.v}) is narrower than float resolution: "
+            "no float pair realizes it"
+        )
     return Params(alpha, beta)
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from operator import itemgetter
 from statistics import NormalDist
 from typing import Optional
 
@@ -42,7 +43,13 @@ from .measure import (
 )
 from .paths import conditioned_path, decompose, iter_sums, s_double_prime_count
 
-_TARGETS = ("total", "tilde", "boundary", "dprime")
+# column getters of an `iter_sums` chunk, by mc_tail_curve target
+_TARGETS = {
+    "total": itemgetter("s_total"),
+    "tilde": itemgetter("s_tilde"),
+    "boundary": lambda chunk: chunk["s_prime"] + chunk["s_dprime"],
+    "dprime": itemgetter("s_dprime"),
+}
 
 
 @dataclass(frozen=True)
@@ -128,18 +135,6 @@ def wilson_interval(hits: int, reps: int, confidence: float) -> tuple[float, flo
     return max(0.0, center - spread), min(1.0, center + spread)
 
 
-def _component(chunk: dict, target: str) -> np.ndarray:
-    if target == "total":
-        return chunk["s_total"]
-    if target == "tilde":
-        return chunk["s_tilde"]
-    if target == "boundary":
-        return chunk["s_prime"] + chunk["s_dprime"]
-    if target == "dprime":
-        return chunk["s_dprime"]
-    raise ParameterError(f"unknown target {target!r}; choose from {_TARGETS}")
-
-
 def mc_tail_curve(
     params: Params,
     n: int,
@@ -174,7 +169,7 @@ def mc_tail_curve(
         gen = rng.shard(s)
         for chunk in iter_sums(params, n, r, gen, with_rewards=with_rewards):
             for target, v in xs.items():
-                comp = _component(chunk, target)
+                comp = _TARGETS[target](chunk)
                 local[target] += (comp[None, :] > v[:, None]).sum(axis=1)
         return local
 

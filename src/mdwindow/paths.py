@@ -12,14 +12,13 @@ the window.  Because phi vanishes at renewals the three segments overlap
 only in zeros and the identity is exact.
 
 Everything about an excursion's contribution reduces to integer counts of
-reward-carrying ages; the counts are implemented exactly (integer floor
-square roots), and the roughly-sqrt(tau) size of a full excursion's reward
-falls out of them rather than being assumed.
+reward-carrying ages; one exact count (`measure._reward_ages`, integer
+floor square roots) serves every term, and the roughly-sqrt(tau) size of a
+full excursion's reward falls out of it rather than being assumed.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import partial
 from typing import Iterator
@@ -27,7 +26,6 @@ from typing import Iterator
 import numpy as np
 
 from .chain import (
-    IntervalAlias,
     RngLike,
     as_generator,
     interval_alias,
@@ -36,7 +34,7 @@ from .chain import (
     sample_stationary_levels,
 )
 from .errors import ParameterError, PrecisionError
-from .measure import Params, _floor_sqrt, _p_law, excursion_reward_magnitude
+from .measure import Params, _p_law, _reward_ages
 
 
 def phi(params: Params, k: int, l: int) -> float:
@@ -55,54 +53,28 @@ def phi(params: Params, k: int, l: int) -> float:
 def s_prime_count(a: int, b: int, n: int) -> int:
     """Nonzero terms of the leading boundary sum given (A_1, B_1) = (a, b).
 
-    Counts ages j in [a, a+b-1] with j^2 <= a+b, i.e.
-    (min(isqrt(a+b), a+b-1) - a + 1)^+, provided the excursion ends inside
-    the window (1 + b <= n); otherwise the whole window sits inside one
-    excursion and the sum is reassigned to the trailing term.
+    Counts the reward-carrying ages a..a+b-1, provided the excursion ends
+    inside the window (1 + b <= n); otherwise the whole window sits inside
+    one excursion and the sum is reassigned to the trailing term.
     """
     a, b, n = int(a), int(b), int(n)
     if a < 1 or b < 1:
         raise ParameterError("ages and residuals must be >= 1")
     if 1 + b > n:
         return 0
-    tau = a + b
-    return max(0, min(math.isqrt(tau), tau - 1) - a + 1)
+    return _reward_ages(a + b, a, a + b - 1)
 
 
 def s_double_prime_count(a: int, b: int, n: int) -> int:
     """Nonzero terms of the trailing boundary sum given (A_n, B_n) = (a, b).
 
-    Counts ages j in [max(1, a-n+1), min(a, isqrt(a+b))]; the lower end
-    handles windows lying entirely inside one excursion (a >= n).
+    Counts the reward-carrying ages max(1, a-n+1)..a; the lower end handles
+    windows lying entirely inside one excursion (a >= n).
     """
     a, b, n = int(a), int(b), int(n)
     if a < 1 or b < 1:
         raise ParameterError("ages and residuals must be >= 1")
-    return max(0, min(a, math.isqrt(a + b)) - max(a - n, 0))
-
-
-def _s_prime_count_arr(a, b, n):
-    tau = a + b
-    return np.maximum(np.minimum(_floor_sqrt(tau), tau - 1) - a + 1, 0)
-
-
-def _s_double_prime_count_arr(a, b, n):
-    tau = a + b
-    return np.maximum(
-        np.minimum(a, _floor_sqrt(tau)) - np.maximum(a - n, 0), 0
-    )
-
-
-@locked_cache(maxsize=32)
-def _signed_rewards(params: Params) -> np.ndarray:
-    """Signed reward of a full excursion by alias draw: entry 2 slot + sign
-    is (-1)^sign |reward| of length tau = slot + 1.  The tail bucket's two
-    entries are 0; the engine fills those draws in from their own tau."""
-    taus = np.arange(1, IntervalAlias.K)
-    mag = np.append(excursion_reward_magnitude(params, taus), 0.0)
-    tab = np.column_stack((mag, -mag)).ravel()
-    tab.setflags(write=False)
-    return tab
+    return _reward_ages(a + b, max(a - n, 0) + 1, a)
 
 
 @dataclass
@@ -266,9 +238,7 @@ def iter_sums(
         raise ParameterError("need n >= 1 and reps >= 0")
     gen = as_generator(rng)
     if with_rewards:
-        draw = partial(
-            _roll_chunk, params, n, gen, interval_alias(params), _signed_rewards(params)
-        )
+        draw = partial(_roll_chunk, params, n, gen, interval_alias(params))
     else:
         draw = partial(_boundary_chunk, params, n, gen, _renewal_table(params, n))
     done = 0
@@ -288,42 +258,31 @@ def _start_chunk(params, n, gen, c) -> dict:
     tau1, a1 = sample_stationary_levels(params, gen, c)
     b1 = tau1 - a1  # 0 at the origin
     sign0 = np.where(gen.random(c) < 0.5, 1.0, -1.0)
-    exc = tau1 > 0
-    pow1 = np.ones(c)
-    if np.any(exc):
-        pow1[exc] = tau1[exc].astype(np.float64) ** (-params.beta)
-
-    s_prime = np.zeros(c)
-    s_dprime = np.zeros(c)
-    an = np.zeros(c, dtype=np.int64)
-    bn = np.zeros(c, dtype=np.int64)
-
     no_renew = b1 >= n
-    if np.any(no_renew):
-        an[no_renew] = a1[no_renew] + (n - 1)
-        bn[no_renew] = b1[no_renew] - (n - 1)
-        cnt = _s_double_prime_count_arr(an[no_renew], bn[no_renew], n)
-        s_dprime[no_renew] = sign0[no_renew] * cnt * pow1[no_renew]
-
-    pmask = exc & ~no_renew
-    if np.any(pmask):
-        cnt = _s_prime_count_arr(a1[pmask], b1[pmask], n)
-        s_prime[pmask] = sign0[pmask] * cnt * pow1[pmask]
-
-    return {
-        "s_prime": s_prime,
-        "s_dprime": s_dprime,
+    out = {
+        "s_prime": np.zeros(c),
+        "s_dprime": np.zeros(c),
         "a1": a1,
         "b1": b1,
-        "an": an,
-        "bn": bn,
+        "an": np.zeros(c, dtype=np.int64),
+        "bn": np.zeros(c, dtype=np.int64),
         "interior": ~no_renew,
     }
+    if np.any(no_renew):
+        a, b = a1[no_renew] + (n - 1), b1[no_renew] - (n - 1)
+        _set_end_excursion(out, n, no_renew, a, b, sign0[no_renew], params.beta)
+
+    lead = (tau1 > 0) & ~no_renew
+    if np.any(lead):
+        tau, a = tau1[lead], a1[lead]
+        cnt = _reward_ages(tau, a, tau - 1)
+        out["s_prime"][lead] = sign0[lead] * cnt * tau.astype(np.float64) ** (-params.beta)
+    return out
 
 
 def _set_end_excursion(out, n, rows, a, b, sign, beta):
     """Record end state (a, b), a >= 1, and its S''_n on `rows`."""
-    cnt = _s_double_prime_count_arr(a, b, n)
+    cnt = _reward_ages(a + b, np.maximum(a - n, 0) + 1, a)
     out["s_dprime"][rows] = sign * cnt * (a + b).astype(np.float64) ** (-beta)
     out["an"][rows] = a
     out["bn"][rows] = b
@@ -423,18 +382,19 @@ _BLOCK = 48  # blocks (a self-loop run and one excursion) drawn per path per rou
 _TILE = 512  # rows rolled together
 
 
-def _roll_chunk(params, n, gen, alias, signed, c):
+def _roll_chunk(params, n, gen, alias, c):
     """All decomposition terms of `c` paths, every excursion rolled.
 
     A path advances in blocks: a run of G self-loops (`alias.runs`, one
     uniform double), then one excursion of length tau >= 2 with a fair sign
-    from one 64-bit word (`alias.decode`), so a block spans G + tau steps
-    and `signed[2 slot + sign]` is its signed reward.  A round draws _BLOCK
-    blocks for each live row of a tile; row sums of the rewards go to S~_n,
-    and only rows whose renewals cross n take a cumulative sum, to find the
-    block straddling n.  If n falls in its self-loop run the path ends at
-    the origin, otherwise inside its excursion.  Tiles of _TILE rows keep a
-    round's temporaries (192 KiB each) near the size of an L2 cache.
+    and its signed reward (`alias.excursions`, one 64-bit word), so a block
+    spans G + tau steps.  A round draws the words of _BLOCK blocks for each
+    live row of a tile, then their run uniforms, then any tail-bucket
+    draws.  Row sums of the rewards go to S~_n, and only rows whose
+    renewals cross n take a cumulative sum, to find the block straddling n.
+    If n falls in its self-loop run the path ends at the origin, otherwise
+    inside its excursion.  Tiles of _TILE rows keep a round's temporaries
+    (192 KiB each) near the size of an L2 cache.
     """
     out = _start_chunk(params, n, gen, c)
     s_tilde = np.zeros(c)
@@ -445,16 +405,9 @@ def _roll_chunk(params, n, gen, alias, signed, c):
         t = first[idx]
         while idx.size:
             shape = (idx.size, _BLOCK)
-            slot, sign = alias.decode(raw_words(gen, shape))
+            words = raw_words(gen, shape)
             span = alias.runs(gen.random(shape))
-            reward = signed.take((slot << 1) | sign)
-            tau = slot
-            tau += 1
-            if tau.max() == alias.K:  # tail bucket
-                bucket = tau == alias.K
-                tau[bucket] = big = alias._tail_draw(gen, int(bucket.sum()))
-                mag = excursion_reward_magnitude(params, big)
-                reward[bucket] = (1 - 2 * sign[bucket]) * mag
+            tau, sign, reward = alias.excursions(gen, words)
             span += tau
             end = t + span.sum(axis=1)
             gain = reward.sum(axis=1)

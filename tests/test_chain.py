@@ -15,6 +15,7 @@ from mdwindow import (
     Params,
     PrecisionError,
     RngStream,
+    excursion_reward_magnitude,
     generate_path,
     log_mu,
     log_p,
@@ -26,6 +27,7 @@ from mdwindow.chain import (
     _interval_tail_reject,
     _vose_tables,
     interval_alias,
+    raw_words,
     sample_stationary_levels,
 )
 from mdwindow.measure import _p_law, p1, small_mass_tail
@@ -299,6 +301,18 @@ def test_decode_matches_vose_rule(words):
         col, frac = u >> 51, u & ((1 << 50) - 1)
         assert s == (col if frac * 2.0 ** -50 < _ACCEPT[col] else int(_ALIAS_OF[col]))
         assert b == (u >> 50) & 1
+
+
+@pytest.mark.parametrize(
+    "alias", [_TinyAlias(DEFAULT), interval_alias(SMALL_ALPHA)], ids=["tiny", "small_alpha"]
+)
+def test_excursion_rewards_match_their_lengths(alias):
+    # every table draw carries (-1)^sign times the reward magnitude of its
+    # own length, the draws the tail bucket resolves included
+    gen = RngStream(214).generator()
+    tau, sign, reward = alias.excursions(gen, raw_words(gen, 1 << 17))
+    assert int(tau.min()) >= 2 and bool((tau >= alias.K).any())
+    assert np.array_equal(reward, (1 - 2 * sign) * excursion_reward_magnitude(alias.params, tau))
 
 
 # ------------------------------------------------------------ clamp refusal

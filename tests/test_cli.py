@@ -375,3 +375,30 @@ def test_json_results_match_csv_values():
     cert_csv = [dict(zip(header, r)) for r in rows if r[2] == "case2_lower"][0]
     cert_json = [r for r in doc["results"] if r["kind"] == "case2_lower"][0]
     assert float(cert_csv["rate"]) == pytest.approx(cert_json["rate"], rel=1e-11)
+
+
+# stdout md5s of six runs, in process; a change to any draw layout, series
+# value or output format moves them
+_SIM = ("simulate", *_PAIR, "--n", "1000", "--reps", "3000", "--seed", "7", "--shards", "3")
+_PINNED_STDOUT = {
+    "simulate": (_SIM, "b78e6fe45492fd3a82c2fc7789a3be2d"),
+    "simulate-json": ((*_SIM, "--format", "json"), "2660736af604ea6ef250a8d200276db4"),
+    "rates": (("rates", *_PAIR, "--n-grid", "200,400", "--gamma-grid", "0.15,0.3,0.45",
+               "--c", "0.2", "--reps", "20000", "--seed", "3", "--shards", "2"),
+              "e04f41b592fe9fc445fd4ba48494cae6"),
+    "autocov": (("autocov", *_PAIR, "--k-max", "6", "--length", "50000", "--seed", "2"),
+                "0dbbc2e3f4a5da185e473fcdec4b3318"),
+    "params": (("params", *_PAIR), "8a890c2ec3c3a469bf541eca52bb6ddc"),
+    "params-windows": (("params", "--windows", "0.1:0.15,0.25:0.4", "--tol", "1e-5",
+                        "--format", "json"), "6983e684ab94a3b7cac7d651bc824090"),
+}
+
+
+@pytest.mark.parametrize("run", sorted(_PINNED_STDOUT))
+def test_cli_stdout_is_pinned(run, capsys, monkeypatch):
+    from mdwindow import cli
+
+    args, md5 = _PINNED_STDOUT[run]
+    monkeypatch.delenv(cli.SEED_ENV, raising=False)
+    assert cli.main(list(args)) == 0
+    assert hashlib.md5(capsys.readouterr().out.encode()).hexdigest() == md5

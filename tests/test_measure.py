@@ -26,7 +26,13 @@ from mdwindow import (
     window_from_params,
 )
 from mdwindow import measure, oracles
-from mdwindow.measure import _level_log_mu, _s_tilde_variance, level_series, small_mass_tail
+from mdwindow.measure import (
+    _level_log_mu,
+    _level_walk,
+    _s_tilde_variance,
+    level_series,
+    small_mass_tail,
+)
 
 from conftest import ALPHA_GRID, DEFAULT, SMALL_ALPHA
 
@@ -276,15 +282,11 @@ def test_interval_tail_strictly_decreasing():
 
 @pytest.mark.parametrize("alpha", ALPHA_GRID)
 def test_mean_tau_universal(alpha):
-    # E tau = p_1 + sum_{m>=2} m mu_m / mu_0: levels 2..N by the level
-    # series, beyond N the exact size-biased tail plus the small-mass tail
+    # E tau = p_1 + sum_{m>=2} m mu_m / mu_0: levels 2..N walked directly,
+    # beyond N the exact size-biased tail plus the small-mass tail
     p = Params(alpha, 0.0)
     n = 1 << 12
-    head, _, n_terms = level_series(
-        p, lambda lo, hi, mu: float((np.arange(lo, hi + 1) * mu).sum()),
-        tol=math.inf, first=n,
-    )
-    assert n_terms == n - 1
+    head = _level_walk(p, lambda lo, hi, mu: float((np.arange(lo, hi + 1) * mu).sum()), 2, n)
     beyond = math.exp(-(float(n) ** alpha)) + small_mass_tail(p, n)[0]
     assert p1(p) + (head + beyond) / MU0 == pytest.approx(MEAN_TAU, abs=1e-12)
     assert MEAN_TAU == pytest.approx(math.e / (math.e - 1.0), abs=1e-14)
@@ -298,11 +300,11 @@ SERIES = {
 }
 
 
-@pytest.mark.parametrize("series", sorted(SERIES))
+# p_1 sums a fixed range and its closed-form tail, not a level series
+@pytest.mark.parametrize("series", sorted(set(SERIES) - {"p1"}))
 def test_level_series_remainder_covers_a_tighter_tolerance(monkeypatch, series):
     # the value at tol and at tol/1e4 differ by at most the remainder bound
-    # returned at tol (p_1 sums a fixed range, tol = inf: there 1e-4 of the
-    # bound plays the tighter tolerance)
+    # returned at tol
     calls = []
 
     def spy(*args, **kwargs):
@@ -315,8 +317,7 @@ def test_level_series_remainder_covers_a_tighter_tolerance(monkeypatch, series):
     (args, kwargs, (value, bound, n_terms)), = calls
     bound_args = inspect.signature(level_series).bind(*args, **kwargs)
     bound_args.apply_defaults()
-    tol = bound_args.arguments["tol"]
-    bound_args.arguments["tol"] = tol / 1e4 if math.isfinite(tol) else bound / 1e4
+    bound_args.arguments["tol"] /= 1e4
     tight, _, tight_terms = level_series(*bound_args.args, **bound_args.kwargs)
     assert tight_terms > n_terms
     assert 0.0 < bound < 1e-6
@@ -451,8 +452,9 @@ def test_window_maps_round_trip(u, v):
     try:
         p = params_from_window(u, v)
         w = window_from_params(p)
-    except ParameterError:
+    except ParameterError as err:
         assert v - u < _FLOAT_MARGIN
+        assert "narrower than float resolution" in str(err)
         return
     assert w.u == pytest.approx(u, rel=1e-12, abs=_FLOAT_MARGIN)
     assert w.v == pytest.approx(v, rel=1e-12, abs=_FLOAT_MARGIN)
@@ -470,6 +472,17 @@ def test_params_round_trip_through_the_window(alpha, beta):
         return
     assert q.alpha == pytest.approx(alpha, rel=1e-12, abs=_FLOAT_MARGIN)
     assert q.beta == pytest.approx(beta, rel=1e-12, abs=_FLOAT_MARGIN)
+
+
+def test_window_below_float_resolution_is_named():
+    # 2 beta = 1/2 - v rounds so that alpha + 2 beta reaches 1/2
+    with pytest.raises(ParameterError, match="narrower than float resolution"):
+        params_from_window(1.1754943508222875e-38, 1.175494351e-38)
+
+
+def test_window_start_underflow_is_named():
+    with pytest.raises(ParameterError, match="underflows"):
+        window_from_params(Params(5e-324, 0.0))
 
 
 def test_window_maps_are_mutual_inverses():
@@ -545,15 +558,36 @@ def test_cached_mu_gives_the_bits_of_direct_evaluation(monkeypatch):
     assert cold == warm == _series_bits(pairs)
 
 
-def test_mu_cache_stays_within_its_byte_bound():
+def test_mu_cache_stays_within_its_byte_bound(monkeypatch):
     # at tol 1e-4 the small-alpha second moment cuts at 2^21 levels
+    computed = []
+    direct = measure._level_log_mu
+
+    def spy(params, lo, hi):
+        computed.append(hi)
+        return direct(params, lo, hi)
+
     measure._mu_granule.cache_clear()
+    monkeypatch.setattr(measure, "_level_log_mu", spy)
     sigma(SMALL_ALPHA, 1e-4)
+    assert max(computed) >= 1 << 21
     info = measure._mu_granule.cache_info()
-    assert info.misses >= (1 << 21) // measure._MU_GRANULE
     granule = measure._mu_granule(SMALL_ALPHA, 0)
     assert not granule.flags.writeable
     assert info.currsize * granule.nbytes <= measure._MU_CACHE_BYTES
+
+
+def test_a_deep_walk_keeps_its_cached_head():
+    # (0.25, 0.1) walks 64 granules at tol 1e-12; only the head is cached,
+    # so the deeper granules cannot evict it and a second call hits it
+    p = Params(0.25, 0.1)
+    measure._mu_granule.cache_clear()
+    first = second_moment_jump(p, 1e-12)
+    hits = measure._mu_granule.cache_info().hits
+    second = second_moment_jump(p, 1e-12)
+    assert measure._MU_GRANULES == 16
+    assert measure._mu_granule.cache_info().hits - hits >= 16
+    assert second.hex() == first.hex()
 
 
 def test_threads_on_a_cold_mu_cache_agree():

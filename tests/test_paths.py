@@ -18,8 +18,8 @@ from mdwindow import (
     s_prime_count,
 )
 
-from mdwindow.measure import MU0, _s_tilde_variance
-from mdwindow.paths import _s_double_prime_count_arr, _s_prime_count_arr, conditioned_path
+from mdwindow.measure import MU0, _reward_ages, _s_tilde_variance
+from mdwindow.paths import conditioned_path
 
 from conftest import DEFAULT, SMALL_ALPHA, three_se
 
@@ -128,20 +128,56 @@ def _states(draw):
     return draw(level), draw(level)
 
 
+def _check_reward_ages(tau, first, last, count):
+    # j^2 <= tau holds on an initial run of the ages, so the count is right
+    # when the ages first..first+count-1 carry reward and the next one does
+    # not or lies past last; short ranges are enumerated as well
+    top = first + count  # first age not counted
+    assert count >= 0
+    assert count == 0 or ((top - 1) ** 2 <= tau and top - 1 <= last)
+    assert top > last or top * top > tau
+    if last - first < 4096:
+        assert count == sum(1 for j in range(first, last + 1) if j * j <= tau)
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.tuples(_states(), st.integers(1, 1 << 40), st.integers(0, 1 << 40)),
-                min_size=1, max_size=32))
+@given(st.lists(st.tuples(_states(), st.integers(1, 1 << 40)), min_size=1, max_size=32))
 def test_array_counts_match_scalar(rows):
-    # S''_n counts at any horizon; S'_n counts where the excursion ends in
-    # the window, 1 + b <= n, the only rows `_start_chunk` passes them
-    a = np.array([ab[0] for ab, _, _ in rows], dtype=np.int64)
-    b = np.array([ab[1] for ab, _, _ in rows], dtype=np.int64)
-    n = np.array([n for _, n, _ in rows], dtype=np.int64)
-    n_prime = b + 1 + np.array([d for _, _, d in rows], dtype=np.int64)
-    assert _s_double_prime_count_arr(a, b, n).tolist() == [
-        s_double_prime_count(ai, bi, ni) for ai, bi, ni in zip(a.tolist(), b.tolist(), n.tolist())]
-    assert _s_prime_count_arr(a, b, n_prime).tolist() == [
-        s_prime_count(ai, bi, ni) for ai, bi, ni in zip(a.tolist(), b.tolist(), n_prime.tolist())]
+    # _reward_ages on int64 arrays against Python ints and the definition,
+    # over the ages of S'_n (a..tau-1, used where 1 + b <= n), of S''_n
+    # (max(a-n, 0)+1..a) and of a full excursion (1..tau-1)
+    a = np.array([ab[0] for ab, _ in rows], dtype=np.int64)
+    b = np.array([ab[1] for ab, _ in rows], dtype=np.int64)
+    n = np.array([n for _, n in rows], dtype=np.int64)
+    tau = a + b
+    for first, last in ((a, tau - 1), (np.maximum(a - n, 0) + 1, a), (1, tau - 1)):
+        got = _reward_ages(tau, first, last)
+        assert got.dtype == np.int64
+        firsts = np.broadcast_to(first, tau.shape).tolist()
+        for t, f, l, count in zip(tau.tolist(), firsts, last.tolist(), got.tolist()):
+            assert _reward_ages(t, f, l) == count
+            _check_reward_ages(t, f, l, count)
+
+
+@st.composite
+def _big_ages(draw):
+    # a level beyond int64, often next to a perfect square, and an age
+    # range starting below or above the last reward-carrying age
+    if draw(st.booleans()):
+        s = draw(st.integers(1 << 32, 1 << 80))
+        tau = s * s + draw(st.integers(-1, 1))
+    else:
+        tau = draw(st.integers(1 << 63, 1 << 200))
+    first = draw(st.integers(1, 2 * math.isqrt(tau) + 2))
+    return tau, first, draw(st.integers(first - 1, tau - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_big_ages())
+def test_reward_ages_beyond_int64(args):
+    count = _reward_ages(*args)
+    assert type(count) is int
+    _check_reward_ages(*args, count)
 
 
 def test_boundary_count_magnitude_bounds():
@@ -567,12 +603,11 @@ def test_renewal_table_built_once_under_threads():
 
 
 def test_engine_tables_built_once_under_threads():
+    # the alias table holds the engine's signed rewards too
     from mdwindow.chain import interval_alias
-    from mdwindow.paths import _signed_rewards
 
     params = Params(0.3125, 0.0625)  # a pair no other test uses
     assert _build_under_threads(interval_alias, (params,)) == (1, True)
-    assert _build_under_threads(_signed_rewards, (params,)) == (1, True)
 
 
 def test_mc_tail_curve_shards_share_one_alias_table():
