@@ -24,7 +24,7 @@ import sys
 import numpy as np
 
 from .chain import RngStream
-from .composite import WindowSet
+from .composite import WindowSet, build_composite
 from .errors import (
     BracketEmptyError,
     ParameterError,
@@ -57,17 +57,13 @@ SEED_ENV = "MDWINDOW_SEED"
 
 
 def _fmt(x) -> str:
-    if x is None or (isinstance(x, str) and x == ""):
-        return ""
+    """Every row value is a Python str, bool, int or float."""
     if isinstance(x, str):
         return x
-    if isinstance(x, (bool, np.bool_)):
+    if isinstance(x, bool):
         return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if isinstance(x, float) and math.isinf(x):
-        return "-inf" if x < 0 else "inf"
-    x = float(x)
+    if isinstance(x, int):
+        return str(x)
     if x == 0.0:
         return "0"  # canonicalize signed zeros
     return format(x, ".12g")
@@ -96,22 +92,29 @@ def _windows(value) -> list:
     return [(float(u), float(v)) for u, v in value]
 
 
-# how each configuration field is read, from a flag or a config file
-_READERS = {
-    "seed": _integer,
-    "shards": _integer,
-    "alpha": float,
-    "beta": float,
-    "tol": float,
-    "c": float,
-    "confidence": float,
-    "n": _count,
-    "reps": _count,
-    "k_max": _count,
-    "length": _count,
-    "n_grid": _grid(_count),
-    "gamma_grid": _grid(float),
-    "windows": _windows,
+_ALL = ("params", "simulate", "rates", "autocov")
+_MC = ("simulate", "rates")
+
+# every configuration field: (flag type, reader, default, the subcommands
+# whose flags offer it, help).  A config file may set any field; the reader
+# turns a flag's or a file's value into the field's type, in this order.
+_FIELDS = {
+    "seed": (int, _integer, 0, ("simulate", "rates", "autocov"),
+             f"random seed (default ${SEED_ENV}, else 0)"),
+    "shards": (int, _integer, 1, _MC, "independent child streams"),
+    "alpha": (float, float, None, _ALL, "tail exponent"),
+    "beta": (float, float, None, _ALL, "reward exponent"),
+    "tol": (float, float, 1e-10, ("params", "autocov"), "series tolerance"),
+    "c": (float, float, 1.0, ("rates",), "deviation level"),
+    "confidence": (float, float, 0.999, ("rates",), "Monte Carlo interval level"),
+    "n": (float, _count, None, ("simulate",), "horizon (time steps)"),
+    "reps": (float, _count, 0, _MC, "number of paths (rates: per horizon, 0 = no MC)"),
+    "k_max": (float, _count, 20, ("autocov",), "largest lag"),
+    "length": (float, _count, 200000, ("autocov",), "empirical path length"),
+    "n_grid": (str, _grid(_count), None, ("rates",), "comma-separated horizons"),
+    "gamma_grid": (str, _grid(float), None, ("rates",), "comma-separated scale exponents"),
+    "windows": (str, _windows, None, _ALL,
+                "comma-separated u:v pairs, e.g. 0.1:0.15,0.25:0.4"),
 }
 
 
@@ -122,73 +125,28 @@ def _build_parser() -> argparse.ArgumentParser:
         "moderate-deviation windows.",
     )
     sub = top.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--alpha", type=float, default=None)
-        p.add_argument("--beta", type=float, default=None)
-        p.add_argument(
-            "--windows",
-            type=str,
-            default=None,
-            help="comma-separated u:v pairs, e.g. 0.1:0.15,0.25:0.4",
-        )
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--shards", type=int, default=None)
-        p.add_argument("--config", type=str, default=None, help="JSON config file")
-        p.add_argument("--format", dest="output_format", choices=("csv", "json"), default=None)
-        p.add_argument("--out", type=str, default=None, help="output file (default stdout)")
-        p.add_argument("--tol", type=float, default=None)
-
-    p = sub.add_parser("params", help="derived constants")
-    common(p)
-
-    p = sub.add_parser("simulate", help="per-path sum decompositions")
-    common(p)
-    p.add_argument("--n", type=float, default=None, help="horizon (time steps)")
-    p.add_argument("--reps", type=float, default=None, help="number of paths")
-
-    p = sub.add_parser("rates", help="rate curves: certificates, MC, reference")
-    common(p)
-    p.add_argument("--n-grid", type=str, default=None, help="comma-separated horizons")
-    p.add_argument("--gamma-grid", type=str, default=None, help="comma-separated scale exponents")
-    p.add_argument("--c", type=float, default=None)
-    p.add_argument("--reps", type=float, default=None, help="MC paths per point (0 = no MC)")
-    p.add_argument("--confidence", type=float, default=None)
-
-    p = sub.add_parser("autocov", help="exact and empirical autocovariances")
-    common(p)
-    p.add_argument("--k-max", type=float, default=None)
-    p.add_argument("--length", type=float, default=None, help="empirical path length")
+    for command, (_, summary) in _COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        for field, (kind, _, _, commands, text) in _FIELDS.items():
+            if command in commands:
+                p.add_argument("--" + field.replace("_", "-"), type=kind, help=text)
+        p.add_argument("--config", help="JSON config file")
+        p.add_argument("--format", dest="output_format", choices=("csv", "json"))
+        p.add_argument("--out", help="output file (default stdout)")
     return top
-
-
-_DEFAULTS = {
-    "seed": 0,
-    "shards": 1,
-    "output_format": "csv",
-    "tol": 1e-10,
-    "n": None,
-    "reps": 0,
-    "n_grid": None,
-    "gamma_grid": None,
-    "c": 1.0,
-    "confidence": 0.999,
-    "k_max": 20,
-    "length": 200000,
-}
 
 
 def _resolve_config(args: argparse.Namespace) -> dict:
     """defaults <- config file <- explicit flags."""
-    cfg = dict(_DEFAULTS)
+    cfg = {field: spec[2] for field, spec in _FIELDS.items()}
+    cfg["output_format"] = "csv"
     env_seed = os.environ.get(SEED_ENV)
     if env_seed is not None:
         try:
             cfg["seed"] = int(env_seed)
         except ValueError:
             raise ParameterError(f"seed: environment override {env_seed!r} is not an integer")
-    cfg.update({"alpha": None, "beta": None, "windows": None})
-    if getattr(args, "config", None):
+    if args.config:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 file_cfg = json.load(fh)
@@ -204,7 +162,7 @@ def _resolve_config(args: argparse.Namespace) -> dict:
         flag = getattr(args, key, None)
         if flag is not None:
             cfg[key] = flag
-    for key, read in _READERS.items():
+    for key, (_, read, *_) in _FIELDS.items():
         if cfg[key] is not None:
             try:
                 cfg[key] = read(cfg[key])
@@ -233,7 +191,7 @@ def _emit(cfg: dict, header: list, rows: list, out_path):
         text = "\n".join(lines) + "\n"
     else:
         results = [
-            {k: (None if v == "" else _py(v)) for k, v in zip(header, row)}
+            {k: (None if v == "" else v) for k, v in zip(header, row)}
             for row in rows
         ]
         doc = {"config": cfg, "results": results}
@@ -245,50 +203,46 @@ def _emit(cfg: dict, header: list, rows: list, out_path):
         sys.stdout.write(text)
 
 
-def _py(v):
-    if isinstance(v, (np.floating, np.integer, np.bool_)):
-        return v.item()
-    return v
-
-
-def _components(cfg: dict):
-    """(params, window) pairs for either input style."""
-    if cfg["windows"] is not None:
-        ws = WindowSet(cfg["windows"])
-        return [params_from_window(u, v) for u, v in ws.windows], ws
-    params = Params(float(cfg["alpha"]), float(cfg["beta"]))
-    w = window_from_params(params)
-    return [params], WindowSet([(w.u, w.v)])
+def _component(cfg: dict, command: str):
+    """(params, windows) of a single-component command, from either input style."""
+    if cfg["windows"] is None:
+        params = Params(cfg["alpha"], cfg["beta"])
+        w = window_from_params(params)
+        return params, WindowSet([(w.u, w.v)])
+    windows = WindowSet(cfg["windows"])
+    if len(windows.windows) != 1:
+        raise ParameterError(f"windows: {command} works on a single component")
+    return params_from_window(*windows.windows[0]), windows
 
 
 def cmd_params(cfg: dict) -> tuple[list, list]:
-    comps, _ = _components(cfg)
+    tol = cfg["tol"]
+    if cfg["windows"] is None:
+        params = Params(cfg["alpha"], cfg["beta"])
+        comps, combined = [(params, sigma(params, tol))], None
+    else:
+        composite = build_composite(WindowSet(cfg["windows"]), tol)
+        comps, combined = composite.components, composite.combined_sigma
     header = [
         "component", "alpha", "beta", "u", "v",
         "mu_origin", "mean_interval", "p1", "sigma",
     ]
     rows = []
-    var = 0.0
-    for i, params in enumerate(comps, start=1):
+    for i, (params, stats) in enumerate(comps, start=1):
         w = window_from_params(params)
-        stats = sigma(params, cfg["tol"])
-        var += stats.sigma ** 2
         rows.append(
             [i, params.alpha, params.beta, w.u, w.v, MU0, MEAN_TAU,
-             p1(params, max(cfg["tol"], 1e-12)), stats.sigma]
+             p1(params, max(tol, 1e-12)), stats.sigma]
         )
     if len(comps) > 1:
-        rows.append(["combined", "", "", "", "", "", "", "", math.sqrt(var)])
+        rows.append(["combined", "", "", "", "", "", "", "", combined])
     return header, rows
 
 
 def cmd_simulate(cfg: dict) -> tuple[list, list]:
     if cfg["n"] is None or not cfg["reps"]:
         raise ParameterError("n/reps: both are required for simulate")
-    comps, _ = _components(cfg)
-    if len(comps) != 1:
-        raise ParameterError("windows: simulate works on a single component")
-    params = comps[0]
+    params, _ = _component(cfg, "simulate")
     n, reps, shards = cfg["n"], cfg["reps"], cfg["shards"]
     if reps < shards:
         raise ParameterError(f"reps: must be >= shards, got {reps} < {shards}")
@@ -296,12 +250,7 @@ def cmd_simulate(cfg: dict) -> tuple[list, list]:
     header = ["shard", "s_prime", "s_tilde", "s_dprime", "s_total",
               "a1", "b1", "an", "bn", "interior"]
     rows = []
-    base, extra = divmod(reps, shards)
-    for s in range(shards):
-        r = base + (1 if s < extra else 0)
-        if r == 0:
-            continue
-        gen = stream.shard(s)
+    for s, (r, gen) in enumerate(stream.split(reps, shards)):
         for chunk in iter_sums(params, n, r, gen):
             columns = [chunk[k].tolist() for k in header[1:]]
             rows.extend([s, *row] for row in zip(*columns))
@@ -311,10 +260,7 @@ def cmd_simulate(cfg: dict) -> tuple[list, list]:
 def cmd_rates(cfg: dict) -> tuple[list, list]:
     if not cfg["n_grid"] or not cfg["gamma_grid"]:
         raise ParameterError("n_grid/gamma_grid: both are required for rates")
-    comps, windows = _components(cfg)
-    if len(comps) != 1:
-        raise ParameterError("windows: rates works on a single component")
-    params = comps[0]
+    params, windows = _component(cfg, "rates")
     w = window_from_params(params)
     c = cfg["c"]
     stream = RngStream(seed=cfg["seed"])
@@ -367,10 +313,7 @@ def cmd_rates(cfg: dict) -> tuple[list, list]:
 
 
 def cmd_autocov(cfg: dict) -> tuple[list, list]:
-    comps, _ = _components(cfg)
-    if len(comps) != 1:
-        raise ParameterError("windows: autocov works on a single component")
-    params = comps[0]
+    params, _ = _component(cfg, "autocov")
     k_max, length = cfg["k_max"], cfg["length"]
     if length < 10 * (k_max + 1):
         raise ParameterError("length: must be at least 10 * (k_max + 1)")
@@ -392,10 +335,10 @@ def cmd_autocov(cfg: dict) -> tuple[list, list]:
 
 
 _COMMANDS = {
-    "params": cmd_params,
-    "simulate": cmd_simulate,
-    "rates": cmd_rates,
-    "autocov": cmd_autocov,
+    "params": (cmd_params, "derived constants"),
+    "simulate": (cmd_simulate, "per-path sum decompositions"),
+    "rates": (cmd_rates, "rate curves: certificates, MC, reference"),
+    "autocov": (cmd_autocov, "exact and empirical autocovariances"),
 }
 
 
@@ -404,7 +347,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _resolve_config(args)
-        header, rows = _COMMANDS[args.command](cfg)
+        header, rows = _COMMANDS[args.command][0](cfg)
     except (ParameterError, WindowBoundaryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -412,7 +355,7 @@ def main(argv=None) -> int:
         print(f"error: unreachable precision: {exc}", file=sys.stderr)
         return 3
     cfg["command"] = args.command
-    _emit(cfg, header, rows, getattr(args, "out", None))
+    _emit(cfg, header, rows, args.out)
     return 0
 
 

@@ -214,6 +214,8 @@ def level_series(
     series at one pair compute each mu_n up to _MU_DEPTH once while its
     granule is cached.
     """
+    if not 0.0 < tol < math.inf:  # inf would stop at an uncertified cut, nan at none
+        raise ParameterError(f"tol must be positive and finite, got {tol}")
     c, e = growth
 
     def remainder(cut: int) -> float:
@@ -386,8 +388,6 @@ def second_moment_jump(params: Params, tol: float = 1e-12) -> float:
     count(m)^2 m^(-2 beta) / mu_0 is at most m^(1 - 2 beta) / mu_0, so the
     levels beyond a cut N add at most exp(-N^alpha) (N+1)^(1-2 beta) / (N mu_0).
     """
-    if not 0.0 < tol < math.inf:  # inf would stop at an uncertified cut, nan at none
-        raise ParameterError(f"tol must be positive and finite, got {tol}")
 
     def block_sum(lo, hi, mu):
         mag = excursion_reward_magnitude(params, np.arange(lo, hi + 1))

@@ -158,15 +158,10 @@ def mc_tail_curve(
         raise ParameterError("need 1 <= shards <= reps")
     with_rewards = any(t in ("total", "tilde") for t in thresholds)
     xs = {t: np.atleast_1d(np.asarray(v, dtype=np.float64)) for t, v in thresholds.items()}
-    base = reps // shards
-    extra = reps % shards
 
-    def run_shard(s: int) -> dict:
-        r = base + (1 if s < extra else 0)
+    def run_shard(share: tuple) -> dict:
+        r, gen = share
         local = {t: np.zeros(v.size, dtype=np.int64) for t, v in xs.items()}
-        if r == 0:
-            return local
-        gen = rng.shard(s)
         for chunk in iter_sums(params, n, r, gen, with_rewards=with_rewards):
             for target, v in xs.items():
                 comp = _TARGETS[target](chunk)
@@ -182,13 +177,14 @@ def mc_tail_curve(
     except AttributeError:  # no affinity call on this platform
         cpus = os.cpu_count() or 1
     workers = min(shards, cpus)
+    shares = rng.split(reps, shards)
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            shard_hits = list(pool.map(run_shard, range(shards)))
+            shard_hits = list(pool.map(run_shard, shares))
     else:
-        shard_hits = [run_shard(s) for s in range(shards)]
+        shard_hits = list(map(run_shard, shares))
     hits = {t: sum(local[t] for local in shard_hits) for t in xs}
     return {
         target: [TailEstimate.from_hits(int(h), reps, confidence) for h in counts]
@@ -230,7 +226,7 @@ def boundary_tail_exact(
     remainder bound is below rel_tail times the accumulated sum; if no cut
     certifies that, the requested point is unreachable.
     """
-    if x <= 0.0:
+    if not x > 0.0:
         raise ParameterError(f"threshold must be > 0, got {x}")
     if n < 1:
         raise ParameterError(f"horizon must be >= 1, got {n}")
@@ -423,8 +419,6 @@ def autocovariance_exact(params: Params, k: int, tol: float = 1e-12) -> float:
     """
     if k < 0:
         raise ParameterError(f"lag must be >= 0, got {k}")
-    if not 0.0 < tol < math.inf:  # inf would stop at an uncertified cut, nan at none
-        raise ParameterError(f"tol must be positive and finite, got {tol}")
     b = params.beta
 
     def block_sum(lo, hi, mu):

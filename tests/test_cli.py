@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -402,3 +403,50 @@ def test_cli_stdout_is_pinned(run, capsys, monkeypatch):
     monkeypatch.delenv(cli.SEED_ENV, raising=False)
     assert cli.main(list(args)) == 0
     assert hashlib.md5(capsys.readouterr().out.encode()).hexdigest() == md5
+
+
+# -------------------------------------------------------------------- parser
+
+_EVERY = {"--help", "--config", "--format", "--out", "--alpha", "--beta", "--windows"}
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("params", _EVERY | {"--tol"}),
+    ("simulate", _EVERY | {"--seed", "--shards", "--n", "--reps"}),
+    ("rates", _EVERY | {"--seed", "--shards", "--n-grid", "--gamma-grid",
+                        "--c", "--reps", "--confidence"}),
+    ("autocov", _EVERY | {"--seed", "--tol", "--k-max", "--length"}),
+])
+def test_help_lists_exactly_the_flags_a_subcommand_reads(command, flags, capsys):
+    from mdwindow import cli
+
+    with pytest.raises(SystemExit) as exit_:
+        cli.main([command, "--help"])
+    assert exit_.value.code == 0
+    assert set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out)) == flags
+
+
+@pytest.mark.parametrize("args", [
+    ("params", *_PAIR, "--seed", "1"),
+    ("rates", *_PAIR, "--n-grid", "1e6", "--gamma-grid", "0.3", "--tol", "1e-3"),
+    ("autocov", *_PAIR, "--shards", "2"),
+])
+def test_flags_a_subcommand_ignores_exit_2(args, capsys):
+    from mdwindow import cli
+
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(list(args))
+    assert exit_.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    ("autocov", *_PAIR, "--k-max", "3", "--length", "5000", "--format", "json"),
+    ("rates", *_PAIR, "--n-grid", "200,400", "--gamma-grid", "0.15,0.3,0.45",
+     "--c", "0.2", "--reps", "2000", "--format", "json"),
+])
+def test_json_documents_parse(args):
+    res = run_cli(*args)
+    assert res.returncode == 0, res.stderr
+    doc = json.loads(res.stdout)
+    assert doc["config"]["command"] == args[0] and doc["results"]

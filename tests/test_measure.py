@@ -354,6 +354,35 @@ def test_level_series_refuses_an_unreachable_relative_tolerance_at_once():
     assert max(walked) == measure._FIRST_CUT
 
 
+_BAD_TOL_CALLS = {
+    "second_moment": lambda tol: second_moment_jump(DEFAULT, tol),
+    "autocovariance": lambda tol: oracles.autocovariance_exact(DEFAULT, 3, tol),
+    "boundary_tail": lambda tol: oracles.boundary_tail_exact(DEFAULT, 1000, 3.0, tol),
+    "boundary_tail_threshold": lambda x: oracles.boundary_tail_exact(DEFAULT, 1000, x),
+}
+
+
+@pytest.mark.parametrize(
+    "call, tol",
+    [(c, t) for c in sorted(set(_BAD_TOL_CALLS) - {"boundary_tail_threshold"})
+     for t in (math.inf, math.nan, 0.0, -1.0)] + [("boundary_tail_threshold", math.nan)],
+)
+def test_bad_tolerance_is_refused_before_any_level_is_walked(monkeypatch, call, tol):
+    # inf would stop at an uncertified cut, nan or tol <= 0 at none (a nan
+    # threshold likewise), so each is refused before a level is walked
+    walked = []
+
+    def spy(*args):
+        walked.append(args)
+        return _level_log_mu(*args)
+
+    measure._mu_granule.cache_clear()
+    monkeypatch.setattr(measure, "_level_log_mu", spy)
+    with pytest.raises(ParameterError):
+        _BAD_TOL_CALLS[call](tol)
+    assert walked == []
+
+
 @pytest.mark.parametrize("params", [DEFAULT, SMALL_ALPHA, Params(0.2, 0.0)])
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 50])
 def test_s_tilde_variance_against_fifty_digit_sum(params, n):
