@@ -168,8 +168,9 @@ def _resolve_config(args: argparse.Namespace) -> dict:
                 cfg[key] = read(cfg[key])
             except (TypeError, ValueError, OverflowError) as exc:
                 raise ParameterError(f"{key}: cannot read {cfg[key]!r}: {exc}") from None
+    used = {key for key, spec in _FIELDS.items() if args.command in spec[3]}
     for key in ("seed", "n", "reps", "k_max", "length"):
-        if cfg[key] is not None and cfg[key] < 0:
+        if key in used and cfg[key] is not None and cfg[key] < 0:
             raise ParameterError(f"{key}: must be >= 0, got {cfg[key]}")
 
     has_pair = cfg["alpha"] is not None or cfg["beta"] is not None
@@ -179,7 +180,7 @@ def _resolve_config(args: argparse.Namespace) -> dict:
         raise ParameterError("alpha/beta: both must be given together")
     if not has_pair and cfg["windows"] is None:
         raise ParameterError("alpha/beta or windows: one of the two is required")
-    if cfg["shards"] < 1:
+    if "shards" in used and cfg["shards"] < 1:
         raise ParameterError(f"shards: must be >= 1, got {cfg['shards']}")
     return cfg
 

@@ -188,6 +188,11 @@ def _level_walk(params: Params, block_sum, lo: int, hi: int) -> float:
     return total
 
 
+def _check_tol(tol: float) -> None:
+    if not 0.0 < tol < math.inf:  # inf passes any error bound, nan turns the checks arbitrary
+        raise ParameterError(f"tol must be positive and finite, got {tol}")
+
+
 def level_series(
     params: Params,
     block_sum,
@@ -214,8 +219,7 @@ def level_series(
     series at one pair compute each mu_n up to _MU_DEPTH once while its
     granule is cached.
     """
-    if not 0.0 < tol < math.inf:  # inf would stop at an uncertified cut, nan at none
-        raise ParameterError(f"tol must be positive and finite, got {tol}")
+    _check_tol(tol)
     c, e = growth
 
     def remainder(cut: int) -> float:
@@ -308,6 +312,7 @@ def _p1_cached(params: Params) -> tuple[float, float]:
 
 def p1(params: Params, tol: float = 1e-12) -> float:
     """Self-loop transition weight p_1, certified to absolute error < tol."""
+    _check_tol(tol)
     value, err = _p1_cached(params)
     if err >= tol:
         raise PrecisionError(

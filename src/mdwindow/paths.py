@@ -79,11 +79,12 @@ def s_double_prime_count(a: int, b: int, n: int) -> int:
 
 @dataclass
 class SignedPath:
-    """Materialized path on times 1..n.
+    """Materialized path on times 1..n, with the excursion table behind it.
 
     ages/residuals are the state components per time (both zero at
-    renewals); signs maps each excursion's start time (the renewal opening
-    it, possibly <= 0 for the excursion straddling time 1) to its sign.
+    renewals).  starts holds the renewal opening each excursion, in time
+    order (the first possibly <= 0, for the excursion straddling time 1),
+    and sign its +-1; `signs` builds the start -> sign dict when read.
     """
 
     params: Params
@@ -91,7 +92,12 @@ class SignedPath:
     ages: np.ndarray
     residuals: np.ndarray
     x: np.ndarray
-    signs: dict
+    starts: np.ndarray
+    sign: np.ndarray
+
+    @property
+    def signs(self) -> dict:
+        return dict(zip(self.starts.tolist(), self.sign.tolist()))
 
 
 @dataclass(frozen=True)
@@ -151,45 +157,28 @@ def conditioned_path(params: Params, n: int, a: int, b: int, rng: RngLike) -> Si
     r = n - a
     taus = _draw_taus_until(params, gen, r - 1)
     starts = r - np.cumsum(taus)  # opening renewals, backward from r
-    return _materialize(
-        params, n, gen, np.append(starts[::-1], r), np.append(taus[::-1], a + b)
-    )
+    starts, taus = np.append(starts[::-1], r), np.append(taus[::-1], a + b)
+    return _materialize(params, n, gen, starts, taus)
 
 
-def _materialize(params: Params, n: int, gen, exc_start, exc_tau) -> SignedPath:
+def _materialize(params: Params, n: int, gen, starts, taus) -> SignedPath:
     """SignedPath on times 1..n from an excursion table: the renewal opening
     each excursion (possibly <= 0) and its length, in time order, covering
-    1..n.  Draws one fair sign per excursion; inside an excursion opened at
-    s with length tau, time t has age t - s and X_t = sign * tau^(-beta)
-    where age^2 <= tau, and times at renewals have age 0."""
-    signs = np.where(gen.random(exc_start.size) < 0.5, 1.0, -1.0)
-
-    ages = np.zeros(n, dtype=np.int64)
-    levels = np.zeros(n, dtype=np.int64)
-    sgn = np.zeros(n)
-    seg_lo = np.maximum(1, exc_start + 1)
-    seg_hi = np.minimum(n, exc_start + exc_tau - 1)
-    seg_len = np.maximum(seg_hi - seg_lo + 1, 0)
-    keep = seg_len > 0
-    lo, ln = seg_lo[keep], seg_len[keep]
-    if ln.size:
-        total = int(ln.sum())
-        offsets = np.concatenate(([0], np.cumsum(ln[:-1])))
-        within = np.arange(total) - np.repeat(offsets, ln)
-        times = np.repeat(lo, ln) + within
-        ages[times - 1] = np.repeat(lo - exc_start[keep], ln) + within
-        levels[times - 1] = np.repeat(exc_tau[keep], ln)
-        sgn[times - 1] = np.repeat(signs[keep], ln)
-
-    inside = ages > 0
-    hit = inside & (ages * ages <= levels)
-    x = np.zeros(n)
-    x[hit] = sgn[hit] * levels[hit].astype(np.float64) ** (-params.beta)
+    1..n.  Draws one fair sign per excursion.  Time t lies in the last
+    excursion opened before it, at age t - start; it is a renewal (age 0)
+    when no excursion opens before it or the age reaches the length tau,
+    and otherwise X_t = sign * tau^(-beta) where age^2 <= tau."""
+    sign = np.where(gen.random(starts.size) < 0.5, 1, -1)
+    t = np.arange(1, n + 1)
+    e = np.searchsorted(starts, t) - 1
+    levels = taus[e]
+    ages = t - starts[e]
+    inside = (e >= 0) & (ages < levels)
+    ages = np.where(inside, ages, 0)
     residuals = np.where(inside, levels - ages, 0)
-    sign_map = dict(
-        zip(exc_start.tolist(), np.where(signs > 0.0, 1, -1).tolist())
-    )
-    return SignedPath(params, n, ages, residuals, x, sign_map)
+    weight = sign * taus.astype(np.float64) ** (-params.beta)
+    x = np.where(inside & (ages * ages <= levels), weight[e], 0.0)
+    return SignedPath(params, n, ages, residuals, x, starts, sign)
 
 
 def decompose(path: SignedPath) -> SumDecomposition:

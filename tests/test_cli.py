@@ -356,6 +356,26 @@ def test_malformed_input_exit_2(tmp_path, args, config, field):
     assert res.stdout == ""
 
 
+@pytest.mark.parametrize("extra", [{"shards": 0}, {"reps": -5}])
+def test_range_checks_skip_fields_the_subcommand_ignores(tmp_path, extra):
+    # params reads neither shards nor reps; the readers still type them
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"alpha": 0.3, "beta": 0.05, **extra}))
+    res = run_cli("params", "--config", str(path), "--format", "json")
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout)["config"].items() >= extra.items()
+
+
+@pytest.mark.parametrize("args, field", [
+    (("simulate", *_PAIR, "--n", "10", "--reps", "5", "--shards", "0"), "shards"),
+    (("rates", *_PAIR, "--n-grid", "100", "--gamma-grid", "0.3", "--reps", "-1"), "reps"),
+])
+def test_range_checks_hold_for_fields_the_subcommand_reads(args, field):
+    res = run_cli(*args)
+    assert res.returncode == 2
+    assert res.stderr.startswith(f"error: {field}: must be >= "), res.stderr
+
+
 def test_output_file(tmp_path):
     out = tmp_path / "table.csv"
     res = run_cli(

@@ -383,6 +383,17 @@ def test_bad_tolerance_is_refused_before_any_level_is_walked(monkeypatch, call, 
     assert walked == []
 
 
+@pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1.0])
+def test_p1_refuses_a_bad_tolerance_before_summing(monkeypatch, tol):
+    # p1 keeps level_series' rule: inf and nan would return the value
+    # unchecked, tol <= 0 would fail as a PrecisionError
+    summed = []
+    monkeypatch.setattr(measure, "_p1_cached", lambda p: summed.append(p) or (0.8, 0.0))
+    with pytest.raises(ParameterError, match="tol must be positive and finite"):
+        p1(Params(0.3, 0.05), tol)
+    assert summed == []
+
+
 @pytest.mark.parametrize("params", [DEFAULT, SMALL_ALPHA, Params(0.2, 0.0)])
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 50])
 def test_s_tilde_variance_against_fifty_digit_sum(params, n):

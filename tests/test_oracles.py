@@ -232,16 +232,18 @@ def test_boundary_tail_unreachable_precision_raises():
 
 
 def test_boundary_tail_brute_force_small_horizon():
-    # enumerate every end state (a, b) with a + b <= N directly
+    # enumerate every end state (a, b) with a + b <= N directly: at level
+    # tau, S''_n at age a counts the ages j in (max(a - n, 0), a] with
+    # j^2 <= tau, a sum of n shifted masks over a = 1..tau-1
     n, x = 7, 1.3
     beta = DEFAULT.beta
     total = 0.0
     for tau in range(2, 4000):
-        mu = math.exp(log_mu(DEFAULT, tau))
-        for a in range(1, tau):
-            mag = s_double_prime_count(a, tau - a, n) * tau ** -beta
-            if mag > x:
-                total += mu
+        j = np.arange(1, tau)
+        carries = np.concatenate((np.zeros(n - 1, dtype=np.int64), j * j <= tau))
+        count = sum(carries[n - 1 - k : n - 1 - k + tau - 1] for k in range(n))
+        hits = np.count_nonzero(count * tau ** -beta > x)
+        total += hits * math.exp(log_mu(DEFAULT, tau))
     assert boundary_tail_exact(DEFAULT, n, x, rel_tail=1e-9) == pytest.approx(
         math.log(0.5 * total), abs=1e-6
     )

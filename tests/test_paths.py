@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mdwindow import (
@@ -19,7 +19,7 @@ from mdwindow import (
 )
 
 from mdwindow.measure import MU0, _reward_ages, _s_tilde_variance
-from mdwindow.paths import conditioned_path
+from mdwindow.paths import _materialize, conditioned_path
 
 from conftest import DEFAULT, SMALL_ALPHA, three_se
 
@@ -353,6 +353,52 @@ def test_decompose_identity_on_random_paths():
         d = decompose(generate_path(DEFAULT, 300, gen))
         lhs = d.s_prime + d.s_tilde + d.s_double_prime
         assert lhs == pytest.approx(d.s_total, rel=1e-9, abs=1e-9)
+
+
+@st.composite
+def _excursion_tables(draw):
+    # an excursion table covering 1..n: the first excursion holds time 1 at
+    # age a (a = 0: it opens there) with b more steps, the lengths after it
+    # are often 1, and the table stops at the first excursion ending past n
+    n = draw(st.integers(1, 60))
+    a, b = draw(st.integers(0, 30)), draw(st.integers(1, 30))
+    starts, taus = [1 - a], [a + b]
+    while starts[-1] + taus[-1] <= n:
+        starts.append(starts[-1] + taus[-1])
+        taus.append(draw(st.one_of(st.just(1), st.integers(1, 40))))
+    return n, starts, taus
+
+
+@settings(max_examples=300, deadline=None)
+@given(_excursion_tables(), st.integers(0, 2 ** 32))
+@example((1, [1], [1]), 0)        # n = 1 at a renewal
+@example((1, [-4], [9]), 0)       # n = 1 inside a straddler
+@example((6, [1, 2, 3, 4, 5, 6], [1, 1, 1, 1, 1, 3]), 1)
+def test_materialize_matches_a_per_time_walk_of_the_table(table, seed):
+    # time t lies in the excursion (s, tau) with s < t < s + tau, at age
+    # t - s, residual s + tau - t and value sign * phi; other times are
+    # renewals.  The signs are one draw per excursion, in table order.
+    n, starts, taus = table
+    path = _materialize(
+        DEFAULT, n, np.random.default_rng(seed), np.array(starts), np.array(taus)
+    )
+    u = np.random.default_rng(seed).random(len(starts)).tolist()
+    signs = {s: 1 if v < 0.5 else -1 for s, v in zip(starts, u)}
+    ages, residuals, x = [0] * n, [0] * n, [0.0] * n
+    for t in range(1, n + 1):
+        for s, tau in zip(starts, taus):
+            if s < t < s + tau:
+                ages[t - 1], residuals[t - 1] = t - s, s + tau - t
+                x[t - 1] = signs[s] * phi(DEFAULT, t - s, s + tau - t)
+    assert path.ages.tolist() == ages and path.residuals.tolist() == residuals
+    assert path.x.tolist() == pytest.approx(x, rel=1e-15, abs=0.0)
+    assert list(path.signs.items()) == list(signs.items())
+    assert all(type(v) is int for v in path.signs.values())
+    d = decompose(path)
+    scale = float(np.abs(path.x).sum()) + 1.0
+    assert d.s_prime + d.s_tilde + d.s_double_prime == pytest.approx(
+        d.s_total, rel=0.0, abs=1e-14 * scale
+    )
 
 
 def test_decompose_no_renewal_case():
