@@ -25,12 +25,7 @@ import numpy as np
 
 from .chain import RngStream
 from .composite import WindowSet, build_composite
-from .errors import (
-    BracketEmptyError,
-    ParameterError,
-    PrecisionError,
-    WindowBoundaryError,
-)
+from .errors import BracketEmptyError, ParameterError, PrecisionError
 from .measure import (
     MEAN_TAU,
     MU0,
@@ -48,7 +43,6 @@ from .oracles import (
     case2_certificate,
     gaussian_reference,
     mc_tail_curve,
-    predicted_rate,
     rate_transform,
 )
 from .paths import generate_path, iter_sums
@@ -204,16 +198,14 @@ def _emit(cfg: dict, header: list, rows: list, out_path):
         sys.stdout.write(text)
 
 
-def _component(cfg: dict, command: str):
-    """(params, windows) of a single-component command, from either input style."""
+def _component(cfg: dict, command: str) -> Params:
+    """The exponent pair of a single-component command, from either input style."""
     if cfg["windows"] is None:
-        params = Params(cfg["alpha"], cfg["beta"])
-        w = window_from_params(params)
-        return params, WindowSet([(w.u, w.v)])
+        return Params(cfg["alpha"], cfg["beta"])
     windows = WindowSet(cfg["windows"])
     if len(windows.windows) != 1:
         raise ParameterError(f"windows: {command} works on a single component")
-    return params_from_window(*windows.windows[0]), windows
+    return params_from_window(*windows.windows[0])
 
 
 def cmd_params(cfg: dict) -> tuple[list, list]:
@@ -243,7 +235,7 @@ def cmd_params(cfg: dict) -> tuple[list, list]:
 def cmd_simulate(cfg: dict) -> tuple[list, list]:
     if cfg["n"] is None or not cfg["reps"]:
         raise ParameterError("n/reps: both are required for simulate")
-    params, _ = _component(cfg, "simulate")
+    params = _component(cfg, "simulate")
     n, reps, shards = cfg["n"], cfg["reps"], cfg["shards"]
     if reps < shards:
         raise ParameterError(f"reps: must be >= shards, got {reps} < {shards}")
@@ -258,12 +250,21 @@ def cmd_simulate(cfg: dict) -> tuple[list, list]:
     return header, rows
 
 
+# the certificate of each regime `WindowSet.locate` names, by row kind
+_CERTIFICATES = {"inside": ("case2_lower", case2_certificate),
+                 "below": ("case1_upper", case1_upper)}
+
+
 def cmd_rates(cfg: dict) -> tuple[list, list]:
+    """Per (n, gamma): the reference row, the certificate row of gamma's regime
+    in the pair's own window, and an mc row when reps > 0."""
     if not cfg["n_grid"] or not cfg["gamma_grid"]:
         raise ParameterError("n_grid/gamma_grid: both are required for rates")
-    params, windows = _component(cfg, "rates")
+    params = _component(cfg, "rates")
     w = window_from_params(params)
+    windows = WindowSet([(w.u, w.v)])
     c = cfg["c"]
+    reference = gaussian_reference(c)
     stream = RngStream(seed=cfg["seed"])
     header = ["n", "gamma", "kind", "log_prob", "p_hat", "ci_low", "ci_high",
               "rate", "predicted_rate", "note"]
@@ -275,46 +276,38 @@ def cmd_rates(cfg: dict) -> tuple[list, list]:
                 params, n, {"total": [q.threshold for q in queries]}, cfg["reps"],
                 cfg["confidence"], stream, cfg["shards"],
             )["total"]
-        for i, (gamma, query) in enumerate(zip(cfg["gamma_grid"], queries)):
-            try:
-                predicted = predicted_rate(windows, gamma, c)
-                pnote = ""
-            except WindowBoundaryError:
-                predicted = ""
-                pnote = "window_boundary"
-            rows.append([n, gamma, "gaussian_reference", "", "", "", "",
-                         gaussian_reference(c), predicted, pnote])
-            if gamma < w.u:
-                cert = case1_upper(params, query)
-                rows.append([n, gamma, cert.kind, cert.log_prob, "", "", "",
-                             cert.rate, predicted, pnote])
-            elif w.u < gamma < w.v:
+        for i, query in enumerate(queries):
+            where = windows.locate(query.gamma)
+            predicted = {"inside": 0.0, "boundary": ""}.get(where, reference)
+            flag = "window_boundary" if where == "boundary" else ""
+
+            def row(kind, log_prob="", est=("", "", ""), rate="", note=flag):
+                return [n, query.gamma, kind, log_prob, *est, rate, predicted, note]
+
+            rows.append(row("gaussian_reference", rate=reference))
+            if where in _CERTIFICATES:
+                kind, certify = _CERTIFICATES[where]
                 try:
-                    cert = case2_certificate(params, query)
-                    rows.append([
-                        n, gamma, cert.kind, cert.log_prob, "", "", "",
-                        cert.rate, predicted,
-                        f"c_n={cert.c_n};a_n={cert.a_n};b_n={cert.b_n}",
-                    ])
+                    cert = certify(params, query)
                 except BracketEmptyError as exc:
-                    rows.append([n, gamma, "case2_lower", "", "", "", "", "",
-                                 predicted, f"bracket_empty;min_n={exc.min_n}"])
+                    note = f"bracket_empty;min_n={exc.min_n}" if exc.min_n else "bracket_empty"
+                    rows.append(row(kind, note=note))
+                else:
+                    note = f"c_n={cert.c_n};a_n={cert.a_n};b_n={cert.b_n}" if cert.c_n else ""
+                    rows.append(row(kind, cert.log_prob, rate=cert.rate, note=note))
             if cfg["reps"]:
                 est = mc[i]
+                interval = (est.p_hat, est.ci_low, est.ci_high)
                 if est.hits:
                     lp = math.log(est.p_hat)
-                    rows.append([n, gamma, "mc", lp, est.p_hat, est.ci_low,
-                                 est.ci_high, rate_transform(lp, n, gamma),
-                                 predicted, pnote])
+                    rows.append(row("mc", lp, interval, rate_transform(lp, n, query.gamma)))
                 else:
-                    rows.append([n, gamma, "mc", "", 0.0, est.ci_low,
-                                 est.ci_high, "", predicted,
-                                 ("zero_hits" if not pnote else pnote)])
+                    rows.append(row("mc", est=interval, note=flag or "zero_hits"))
     return header, rows
 
 
 def cmd_autocov(cfg: dict) -> tuple[list, list]:
-    params, _ = _component(cfg, "autocov")
+    params = _component(cfg, "autocov")
     k_max, length = cfg["k_max"], cfg["length"]
     if length < 10 * (k_max + 1):
         raise ParameterError("length: must be at least 10 * (k_max + 1)")
@@ -349,7 +342,7 @@ def main(argv=None) -> int:
     try:
         cfg = _resolve_config(args)
         header, rows = _COMMANDS[args.command][0](cfg)
-    except (ParameterError, WindowBoundaryError) as exc:
+    except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except PrecisionError as exc:

@@ -42,13 +42,14 @@ class WindowSet:
         object.__setattr__(self, "windows", pairs)
 
     def locate(self, gamma: float) -> str:
-        """'inside' a window, 'outside' (in a gap), or 'boundary'."""
+        """'inside' a window, 'boundary' on an endpoint, 'below' every
+        window, or 'outside' (in a later gap or above the last window)."""
         for u, v in self.windows:
             if gamma == u or gamma == v:
                 return "boundary"
             if u < gamma < v:
                 return "inside"
-        return "outside"
+        return "below" if gamma < self.windows[0][0] else "outside"
 
 
 @dataclass(frozen=True)

@@ -16,10 +16,10 @@ class PrecisionError(ArithmeticError):
 
 
 class BracketEmptyError(ValueError):
-    """The horizon is too small for the certificate's level bracket to
-    separate; carries the minimal usable horizon."""
+    """A certificate does not exist at the queried horizon; carries the
+    smallest usable horizon, or None when none up to 2^40 works."""
 
-    def __init__(self, message: str, min_n: int):
+    def __init__(self, message: str, min_n: int | None):
         super().__init__(message)
         self.min_n = min_n
 

@@ -99,9 +99,9 @@ class RateCertificate:
 
     kind "case2_lower": the event {A_n = a_n, B_n = b_n} with
     a_n + b_n = c_n forces |S''_n| above the threshold, so
-    log P >= log(1/4) + log mu_(c_n).
+    log P[S_n > x] >= log(1/4) + log mu_(c_n) at x = c n^(gamma+1/2).
     kind "case1_upper": both boundary terms are dominated by the exact
-    interval tail, log P <= log 2 - k^alpha.
+    interval tail, log P[S'_n + S''_n > x] <= log 2 - k^alpha (not P[S_n > x]).
     """
 
     kind: str
@@ -273,26 +273,29 @@ def gaussian_reference(c: float) -> float:
 
 
 def case1_upper(params: Params, query: RateQuery) -> RateCertificate:
-    """Closed-form upper certificate for gamma below the window.
+    """Closed-form upper certificate for gamma below the window on the
+    boundary terms: it bounds P[S'_n + S''_n > c n^(gamma+1/2)], not the
+    tail of S_n, whose normal half S~_n is ROADMAP item 2.
 
     Both boundary terms are bounded by (A+B)^(1/2-beta) of their own
     excursion, so the union bound plus the exact interval tail gives
     log P <= log 2 - floor(x^(1/(1/2-beta)))^alpha at x = c n^(gamma+1/2)/2.
     The rate sinks to -infinity along growing n: the exponent
     (gamma+1/2) alpha/(1/2-beta) beats 2 gamma exactly when gamma < u.
+    No certificate exists while that cutoff is below 1 (BracketEmptyError).
     """
     window = window_from_params(params)
     if not query.gamma < window.u:
         raise ParameterError(
             f"gamma={query.gamma} is not below the window start u={window.u}"
         )
-    half_exponent = 1.0 / (0.5 - params.beta)
     x = 0.5 * query.threshold
-    k = math.floor(x ** half_exponent)
-    if k < 1:
-        raise ParameterError(
-            f"horizon n={query.n} too small: the tail cutoff is below 1"
-        )
+    if x < 1.0:  # the cutoff is at least 1 exactly when x is
+        raise _bracket_empty("case1_upper", query, lambda q: q.threshold >= 2.0)
+    try:
+        k = math.floor(x ** (1.0 / (0.5 - params.beta)))
+    except OverflowError:
+        raise PrecisionError(f"tail cutoff at n={query.n:.6g} is beyond float range") from None
     log_prob = math.log(2.0) - float(k) ** params.alpha
     return RateCertificate(
         kind="case1_upper",
@@ -304,19 +307,39 @@ def case1_upper(params: Params, query: RateQuery) -> RateCertificate:
     )
 
 
+def _bracket_empty(kind: str, query: RateQuery, exists) -> BracketEmptyError:
+    """No `kind` certificate at query.n.  The error carries the smallest
+    horizon m with exists(RateQuery(m, gamma, c)), found by doubling from 2
+    and bisection (neither certificate exists at n = 1), so the certificate
+    exists at m and not at m - 1; or None when no m up to 2^40 works."""
+    lo, hi = 1, 2
+    while not exists(RateQuery(hi, query.gamma, query.c)):
+        lo, hi = hi, 2 * hi
+        if hi > 1 << 40:
+            return BracketEmptyError(f"{kind}: no usable horizon up to 2^40", None)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if exists(RateQuery(mid, query.gamma, query.c)) else (mid, hi)
+    return BracketEmptyError(f"{kind}: n={query.n} is below the minimal usable n={hi}", hi)
+
+
 def _case2_construction(params: Params, query: RateQuery):
     """Level and split for the lower certificate, or None if n is too small.
 
     The level bracket is n^((gamma+1/2)/(1/2-beta)) << c_n << n^(2 gamma /
     alpha) for gamma below alpha and << n^2 above; c_n sits at the
     log-space midpoint.  The split a_n = ceil(sqrt(c_n)) + 1 is the
-    smallest age making sqrt(a_n + b_n) < a_n true.
+    smallest age making sqrt(a_n + b_n) < a_n true.  A level past float
+    range (near n = 1e163 at (0.3, 0.05), gamma = 0.3) raises PrecisionError.
     """
     a, b = params.alpha, params.beta
     lo_exp = (query.gamma + 0.5) / (0.5 - b)
     hi_exp = min(2.0 * query.gamma / a, 2.0)
     log_n = math.log(float(query.n))
-    c_n = round(math.exp(0.5 * (lo_exp + hi_exp) * log_n))
+    try:
+        c_n = round(math.exp(0.5 * (lo_exp + hi_exp) * log_n))
+    except OverflowError:
+        raise PrecisionError(f"level c_n at n={query.n:.6g} is beyond float range") from None
     if c_n < 4:
         return None
     # smallest age with sqrt(a_n + b_n) < a_n: isqrt(c_n) + 1 squares past c_n
@@ -341,7 +364,8 @@ def case2_certificate(params: Params, query: RateQuery) -> RateCertificate:
     Pins the end state (A_n, B_n) = (a_n, b_n): conditionally the trailing
     boundary magnitude is deterministic and above the threshold, the sign
     is a fair coin, and the leading term is conditionally independent and
-    symmetric, so P >= mu_(c_n) / 4.  The rate climbs to 0 along n.
+    symmetric, so P >= mu_(c_n) / 4.  The rate climbs to 0 along n.  No
+    certificate exists while the level bracket is empty (BracketEmptyError).
     """
     window = window_from_params(params)
     if not window.u < query.gamma < window.v:
@@ -351,11 +375,8 @@ def case2_certificate(params: Params, query: RateQuery) -> RateCertificate:
         )
     built = _case2_construction(params, query)
     if built is None:
-        min_n = _case2_min_n(params, query.gamma, query.c)
-        raise BracketEmptyError(
-            f"horizon n={query.n} too small for the level bracket to "
-            f"separate; minimal usable n is {min_n}",
-            min_n=min_n,
+        raise _bracket_empty(
+            "case2_lower", query, lambda q: _case2_construction(params, q) is not None
         )
     c_n, a_n, b_n = built
     log_prob = math.log(0.25) + log_mu(params, c_n)
@@ -370,22 +391,6 @@ def case2_certificate(params: Params, query: RateQuery) -> RateCertificate:
         a_n=a_n,
         b_n=b_n,
     )
-
-
-def _case2_min_n(params: Params, gamma: float, c: float) -> int:
-    """Smallest horizon at which the lower certificate exists."""
-    lo, hi = 1, 2
-    while _case2_construction(params, RateQuery(hi, gamma, c)) is None:
-        lo, hi = hi, hi * 2
-        if hi > 1 << 40:
-            raise PrecisionError("no usable horizon below 2^40")
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if _case2_construction(params, RateQuery(mid, gamma, c)) is None:
-            lo = mid
-        else:
-            hi = mid
-    return hi
 
 
 def predicted_rate(windows: WindowSet, gamma: float, c: float) -> float:

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import hashlib
 import io
@@ -8,6 +9,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 BASE = [sys.executable, "-m", "mdwindow.cli"]
 
@@ -210,6 +213,110 @@ def test_rates_boundary_gamma_noted():
     table = [dict(zip(header, r)) for r in rows]
     assert all(r["predicted_rate"] == "" for r in table)
     assert any(r["note"] == "window_boundary" for r in table)
+
+
+def _rates_json(*args):
+    """Exit code and JSON result rows of an in-process `rates` run."""
+    from mdwindow import cli
+
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["rates", *args, "--format", "json"])
+    return code, (json.loads(out.getvalue())["results"] if code == 0 else None)
+
+
+def test_rates_case2_without_usable_horizon_is_a_note():
+    code, rows = _rates_json(*_PAIR, "--n-grid", "1000",
+                             "--gamma-grid", "0.3,0.39999999999999", "--c", "1")
+    assert code == 0
+    certs = [(r["gamma"], r["kind"], r["note"]) for r in rows if r["kind"] != "gaussian_reference"]
+    assert certs == [(0.3, "case2_lower", "c_n=464159;a_n=682;b_n=463477"),
+                     (0.39999999999999, "case2_lower", "bracket_empty")]
+
+
+def test_rates_case1_below_cutoff_is_a_note():
+    code, rows = _rates_json(*_PAIR, "--n-grid", "1000", "--gamma-grid", "0.1,0.3",
+                             "--c", "0.01")
+    assert code == 0
+    certs = [(r["gamma"], r["kind"], r["note"]) for r in rows if r["kind"] != "gaussian_reference"]
+    assert certs == [(0.1, "case1_upper", "bracket_empty;min_n=6840"),
+                     (0.3, "case2_lower", "c_n=464159;a_n=682;b_n=463477")]
+
+
+def test_rates_windows_rows_follow_the_realized_window():
+    # 0.1:0.15 realizes u = 0.10000000000000002 and v = 0.15000000000000002,
+    # so 0.1 lies below the window and 0.15 inside it
+    code, rows = _rates_json("--windows", "0.1:0.15", "--n-grid", "1e6",
+                             "--gamma-grid", "0.1,0.15", "--c", "1")
+    assert code == 0
+    assert [(r["gamma"], r["kind"], r["predicted_rate"], r["note"]) for r in rows] == [
+        (0.1, "gaussian_reference", -0.5, None),
+        (0.1, "case1_upper", -0.5, None),
+        (0.15, "gaussian_reference", 0.0, None),
+        (0.15, "case2_lower", 0.0, "bracket_empty"),
+    ]
+
+
+@pytest.mark.parametrize("gamma", ["0.24", "0.3"])
+def test_rates_horizon_beyond_float_range_exit_3(gamma, capsys):
+    from mdwindow import cli
+
+    assert cli.main(["rates", *_PAIR, "--n-grid", "1e200", "--gamma-grid", gamma]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: unreachable precision:") and "n=1e+200" in err
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(["pair", "windows"]), st.floats(1e-3, 0.49), st.floats(0.0, 0.5),
+    st.lists(st.integers(1, 10 ** 12), min_size=1, max_size=3, unique=True),
+    st.floats(1e-3, 10.0), st.lists(st.floats(1e-3, 0.499), max_size=2),
+)
+@example("pair", 0.3, 0.05, [1000], 1.0, [0.3, 0.39999999999999])
+@example("pair", 0.3, 0.05, [1000], 0.01, [0.1, 0.3])
+@example("windows", 0.1, 0.15, [10 ** 6], 1.0, [])
+def test_rates_rows_follow_the_pairs_window(style, x, y, ns, c, extra):
+    # every point's rows follow WindowSet.locate on the pair's own window:
+    # one reference, one certificate row inside or below (a certificate or
+    # a bracket_empty note), a blank prediction exactly on the endpoints
+    from mdwindow import (BracketEmptyError, Params, RateQuery, WindowSet, case1_upper,
+                          case2_certificate, params_from_window, window_from_params)
+
+    if style == "pair":
+        assume(x + 2.0 * y < 0.5)
+        params, given = Params(x, y), ()
+        flags = ["--alpha", repr(x), "--beta", repr(y)]
+    else:
+        assume(x + 1e-3 < y)
+        params, given = params_from_window(x, y), (x, y)
+        flags = ["--windows", f"{x!r}:{y!r}"]
+    w = window_from_params(params)
+    gammas = [w.u - 1e-14, w.u, w.u + 1e-14, w.v - 1e-14, w.v, *given, *extra]
+    gammas = list(dict.fromkeys(g for g in gammas if 0.0 < g < 0.5))
+    code, rows = _rates_json(*flags, "--n-grid", ",".join(map(str, ns)),
+                             "--gamma-grid", ",".join(map(repr, gammas)),
+                             "--c", repr(c), "--reps", "0")
+    assert code == 0
+    points = {}
+    for r in rows:
+        points.setdefault((r["n"], r["gamma"]), []).append(r)
+    assert list(points) == [(n, g) for n in ns for g in gammas]
+    windows = WindowSet([(w.u, w.v)])
+    for (n, gamma), point in points.items():
+        where = windows.locate(gamma)
+        assert [r["kind"] for r in point][:1] == ["gaussian_reference"]
+        kinds = [r["kind"] for r in point[1:]]
+        assert kinds == {"inside": ["case2_lower"], "below": ["case1_upper"]}.get(where, [])
+        for r in point:
+            assert (r["predicted_rate"] is None) == (r["note"] == "window_boundary") \
+                == (where == "boundary")
+        for r in point[1:]:
+            if r["log_prob"] is None and r["note"] != "bracket_empty":
+                m = int(r["note"].removeprefix("bracket_empty;min_n="))
+                certify = {"case1_upper": case1_upper, "case2_lower": case2_certificate}[r["kind"]]
+                assert certify(params, RateQuery(m, gamma, c)).log_prob < 0.0
+                with pytest.raises(BracketEmptyError):
+                    certify(params, RateQuery(m - 1, gamma, c))
 
 
 def test_rates_with_mc_rows():

@@ -49,6 +49,7 @@ def test_window_set_locate():
     assert WINDOWS.locate(0.45) == "outside"
     assert WINDOWS.locate(0.15) == "boundary"
     assert WINDOWS.locate(0.25) == "boundary"
+    assert WINDOWS.locate(0.05) == "below"  # only below the first window
 
 
 # ----------------------------------------------------------------- building

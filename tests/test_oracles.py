@@ -34,7 +34,7 @@ from mdwindow import (
     wilson_interval,
 )
 from mdwindow import measure
-from mdwindow.oracles import _case2_min_n, conditioned_dprime_exceedance
+from mdwindow.oracles import conditioned_dprime_exceedance
 
 from conftest import DEFAULT, three_se
 
@@ -343,8 +343,15 @@ def test_case2_gamma_guards():
         case2_certificate(DEFAULT, RateQuery(10 ** 6, 0.45, 1.0))
 
 
+def _case2_min_n(gamma, c):
+    """The smallest usable horizon, as the error at n = 2 reports it."""
+    with pytest.raises(BracketEmptyError) as err:
+        case2_certificate(DEFAULT, RateQuery(2, gamma, c))
+    return err.value.min_n
+
+
 def test_case2_bracket_empty_reports_minimal_horizon():
-    min_n = _case2_min_n(DEFAULT, 0.32, 1.0)
+    min_n = _case2_min_n(0.32, 1.0)
     with pytest.raises(BracketEmptyError) as err:
         case2_certificate(DEFAULT, RateQuery(max(min_n // 2, 1), 0.32, 1.0))
     assert err.value.min_n == min_n
@@ -353,6 +360,33 @@ def test_case2_bracket_empty_reports_minimal_horizon():
     assert cert.kind == "case2_lower"
     with pytest.raises(BracketEmptyError):
         case2_certificate(DEFAULT, RateQuery(min_n - 1, 0.32, 1.0))
+
+
+def test_case2_without_usable_horizon_reports_none():
+    # 1e-14 below v the level bracket needs a horizon beyond 2^40
+    with pytest.raises(BracketEmptyError) as err:
+        case2_certificate(DEFAULT, RateQuery(1000, 0.39999999999999, 1.0))
+    assert err.value.min_n is None
+
+
+def test_case1_below_cutoff_reports_minimal_horizon():
+    # the cutoff floor((c n^(gamma+1/2) / 2)^(1/(1/2-beta))) is 0 at n = 1000
+    with pytest.raises(BracketEmptyError) as err:
+        case1_upper(DEFAULT, RateQuery(1000, 0.1, 0.01))
+    min_n = err.value.min_n
+    assert min_n == math.ceil((2.0 / 0.01) ** (1.0 / 0.6))
+    assert case1_upper(DEFAULT, RateQuery(min_n, 0.1, 0.01)).log_prob < math.log(2.0)
+    with pytest.raises(BracketEmptyError) as err:
+        case1_upper(DEFAULT, RateQuery(min_n - 1, 0.1, 0.01))
+    assert err.value.min_n == min_n
+
+
+@pytest.mark.parametrize("certify, gamma", [(case2_certificate, 0.3), (case1_upper, 0.24)])
+def test_certificates_beyond_float_range_raise_precision_error(certify, gamma):
+    # c_n ~ n^1.89 (case 2) and the cutoff ~ n^1.64 (case 1) pass 1.8e308
+    with pytest.raises(PrecisionError, match="n=1e\\+200"):
+        certify(DEFAULT, RateQuery(10 ** 200, gamma, 1.0))
+    certify(DEFAULT, RateQuery(10 ** 160, gamma, 1.0))
 
 
 def test_case2_case3_bracket_switch_continuous_at_alpha():
@@ -396,7 +430,7 @@ def test_certificates_match_golden_file():
 def test_conditioned_soundness_of_case2_event():
     # at the smallest usable horizon, impose the certificate's end state on
     # honest sampled paths: the only remaining randomness is the sign
-    min_n = _case2_min_n(DEFAULT, 0.32, 1.0)
+    min_n = _case2_min_n(0.32, 1.0)
     cert = case2_certificate(DEFAULT, RateQuery(min_n, 0.32, 1.0))
     thr = RateQuery(min_n, 0.32, 1.0).threshold
     est = conditioned_dprime_exceedance(
