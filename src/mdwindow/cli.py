@@ -24,12 +24,13 @@ import sys
 import numpy as np
 
 from .chain import RngStream
-from .composite import WindowSet, build_composite
+from .composite import build_composite
 from .errors import BracketEmptyError, ParameterError, PrecisionError
 from .measure import (
     MEAN_TAU,
     MU0,
     Params,
+    WindowSet,
     p1,
     params_from_window,
     sigma,
@@ -43,15 +44,16 @@ from .oracles import (
     case2_certificate,
     gaussian_reference,
     mc_tail_curve,
-    rate_transform,
+    predicted_rate,
 )
-from .paths import generate_path, iter_sums
+from .paths import _RENEWAL_CAP, generate_path, iter_sums
 
 SEED_ENV = "MDWINDOW_SEED"
 
 
 def _fmt(x) -> str:
-    """Every row value is a Python str, bool, int or float."""
+    """Every row value is a Python str, bool, int or float; a computed float
+    prints to 12 significant digits."""
     if isinstance(x, str):
         return x
     if isinstance(x, bool):
@@ -181,8 +183,11 @@ def _resolve_config(args: argparse.Namespace) -> dict:
 
 def _emit(cfg: dict, header: list, rows: list, out_path):
     if cfg["output_format"] == "csv":
+        # gamma echoes the input as the shortest text that reads back as the
+        # same float, so a gamma a hair off a window endpoint is not printed on it
+        fmts = [repr if h == "gamma" else _fmt for h in header]
         lines = [",".join(header)]
-        lines += [",".join(_fmt(v) for v in row) for row in rows]
+        lines += [",".join(f(v) for f, v in zip(fmts, row)) for row in rows]
         text = "\n".join(lines) + "\n"
     else:
         results = [
@@ -260,9 +265,14 @@ def cmd_rates(cfg: dict) -> tuple[list, list]:
     in the pair's own window, and an mc row when reps > 0."""
     if not cfg["n_grid"] or not cfg["gamma_grid"]:
         raise ParameterError("n_grid/gamma_grid: both are required for rates")
+    longest = max(cfg["n_grid"])
+    if cfg["reps"] and longest > _RENEWAL_CAP:
+        raise ParameterError(
+            f"n_grid: horizon {longest} is beyond the Monte Carlo cap "
+            f"2^24 = {_RENEWAL_CAP}; use --reps 0 for certificates alone"
+        )
     params = _component(cfg, "rates")
-    w = window_from_params(params)
-    windows = WindowSet([(w.u, w.v)])
+    window = window_from_params(params)
     c = cfg["c"]
     reference = gaussian_reference(c)
     stream = RngStream(seed=cfg["seed"])
@@ -277,12 +287,13 @@ def cmd_rates(cfg: dict) -> tuple[list, list]:
                 cfg["confidence"], stream, cfg["shards"],
             )["total"]
         for i, query in enumerate(queries):
-            where = windows.locate(query.gamma)
-            predicted = {"inside": 0.0, "boundary": ""}.get(where, reference)
-            flag = "window_boundary" if where == "boundary" else ""
+            where = window.locate(query.gamma)
+            predicted = predicted_rate(window, query.gamma, c)
+            flag = "window_boundary" if predicted is None else ""
 
             def row(kind, log_prob="", est=("", "", ""), rate="", note=flag):
-                return [n, query.gamma, kind, log_prob, *est, rate, predicted, note]
+                return [n, query.gamma, kind, log_prob, *est, rate,
+                        "" if predicted is None else predicted, note]
 
             rows.append(row("gaussian_reference", rate=reference))
             if where in _CERTIFICATES:
@@ -300,7 +311,7 @@ def cmd_rates(cfg: dict) -> tuple[list, list]:
                 interval = (est.p_hat, est.ci_low, est.ci_high)
                 if est.hits:
                     lp = math.log(est.p_hat)
-                    rows.append(row("mc", lp, interval, rate_transform(lp, n, query.gamma)))
+                    rows.append(row("mc", lp, interval, query.rate(lp)))
                 else:
                     rows.append(row("mc", est=interval, note=flag or "zero_hits"))
     return header, rows

@@ -2,8 +2,8 @@
 
 One component realizes one anomalous window; summing independent
 components (and dividing by the combined normalizer) realizes any finite
-union of disjoint windows.  Component variances add, so the combined
-normalizer is the quadrature of the component sigmas.
+union of disjoint windows (a `measure.WindowSet`).  Component variances
+add, so the combined normalizer is the quadrature of the component sigmas.
 """
 
 from __future__ import annotations
@@ -15,41 +15,8 @@ import numpy as np
 
 from .chain import RngStream
 from .errors import ParameterError
-from .measure import params_from_window, sigma
+from .measure import WindowSet, params_from_window, sigma
 from .paths import generate_path
-
-
-@dataclass(frozen=True)
-class WindowSet:
-    """Finite union of disjoint open scale windows, strictly interleaved:
-    0 < u_1 < v_1 < u_2 < ... <= 0.5."""
-
-    windows: tuple
-
-    def __init__(self, windows):
-        pairs = tuple((float(u), float(v)) for u, v in windows)
-        if not pairs:
-            raise ParameterError("at least one window is required")
-        flat = [x for pair in pairs for x in pair]
-        if not all(a < b for a, b in zip(flat, flat[1:])):
-            raise ParameterError(
-                f"window endpoints must strictly interleave, got {pairs}"
-            )
-        if not (flat[0] > 0.0 and flat[-1] <= 0.5):
-            raise ParameterError(
-                f"window endpoints must lie in (0, 0.5], got {pairs}"
-            )
-        object.__setattr__(self, "windows", pairs)
-
-    def locate(self, gamma: float) -> str:
-        """'inside' a window, 'boundary' on an endpoint, 'below' every
-        window, or 'outside' (in a later gap or above the last window)."""
-        for u, v in self.windows:
-            if gamma == u or gamma == v:
-                return "boundary"
-            if u < gamma < v:
-                return "inside"
-        return "below" if gamma < self.windows[0][0] else "outside"
 
 
 @dataclass(frozen=True)

@@ -22,8 +22,3 @@ class BracketEmptyError(ValueError):
     def __init__(self, message: str, min_n: int | None):
         super().__init__(message)
         self.min_n = min_n
-
-
-class WindowBoundaryError(ValueError):
-    """The queried scale exponent sits exactly on a window endpoint, where
-    the predicted rate is undefined (the windows are open sets)."""

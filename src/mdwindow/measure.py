@@ -95,17 +95,40 @@ class Params:
 
 
 @dataclass(frozen=True)
-class ScaleWindow:
-    """Open interval (u, v) of scale exponents with anomalous deviations."""
+class WindowSet:
+    """Finite union of disjoint open scale windows, strictly interleaved:
+    0 < u_1 < v_1 < u_2 < ... <= 0.5.  u and v are the first start and the
+    last end, the window itself when there is one."""
 
-    u: float
-    v: float
+    windows: tuple
 
-    def __post_init__(self):
-        if not (0.0 < self.u < self.v <= 0.5):
+    def __init__(self, windows):
+        pairs = tuple([(float(u), float(v)) for u, v in windows])
+        flat = [0.0, *[x for pair in pairs for x in pair]]
+        if not (pairs and flat[-1] <= 0.5 and all(map(float.__lt__, flat, flat[1:]))):
             raise ParameterError(
-                f"scale window needs 0 < u < v <= 0.5, got ({self.u}, {self.v})"
+                f"windows need 0 < u_1 < v_1 < u_2 < ... <= 0.5, got {pairs}"
             )
+        object.__setattr__(self, "windows", pairs)
+
+    @property
+    def u(self) -> float:
+        return self.windows[0][0]
+
+    @property
+    def v(self) -> float:
+        return self.windows[-1][1]
+
+    def locate(self, gamma: float) -> str:
+        """'inside' a window, 'boundary' on an endpoint, 'below' every
+        window, or 'outside' (in a later gap or above the last window).
+        The one comparison of a scale exponent with the windows."""
+        for u, v in self.windows:
+            if gamma == u or gamma == v:
+                return "boundary"
+            if u < gamma < v:
+                return "inside"
+        return "below" if gamma < self.u else "outside"
 
 
 @dataclass(frozen=True)
@@ -412,9 +435,9 @@ def sigma(params: Params, tol: float = 1e-12) -> ProcessStats:
     )
 
 
-def window_from_params(params: Params) -> ScaleWindow:
-    """Anomalous scale window (u, v) generated by the exponent pair:
-    u = alpha / (2 (1 - alpha - 2 beta)), v = 1/2 - 2 beta.
+def window_from_params(params: Params) -> WindowSet:
+    """Anomalous scale window (u, v) generated by the exponent pair, as a
+    one-window set: u = alpha / (2 (1 - alpha - 2 beta)), v = 1/2 - 2 beta.
 
     The parameter constraints force 0 < u < alpha < v <= 1/2; the window
     constructor revalidates the ordering.  u underflows to 0 for alpha
@@ -427,7 +450,7 @@ def window_from_params(params: Params) -> ScaleWindow:
             f"window start u = alpha / (2 (1 - alpha - 2 beta)) underflows to 0 at alpha = {a}"
         )
     v = 0.5 - 2.0 * b
-    return ScaleWindow(u, v)
+    return WindowSet([(u, v)])
 
 
 def params_from_window(u: float, v: float) -> Params:
@@ -438,7 +461,7 @@ def params_from_window(u: float, v: float) -> Params:
     window with v - u below that has no float pair (alpha + 2 beta rounds
     to 1/2) and is refused with ParameterError.
     """
-    window = ScaleWindow(float(u), float(v))  # validates the ordering
+    window = WindowSet([(u, v)])  # validates the ordering
     beta = 0.25 * (1.0 - 2.0 * window.v)
     alpha = (1.0 + 2.0 * window.v) / (1.0 + 2.0 * window.u) * window.u
     if not alpha + 2.0 * beta < 0.5:

@@ -26,16 +26,11 @@ from typing import Optional
 import numpy as np
 
 from .chain import RngLike, RngStream, as_generator
-from .composite import WindowSet
-from .errors import (
-    BracketEmptyError,
-    ParameterError,
-    PrecisionError,
-    WindowBoundaryError,
-)
+from .errors import BracketEmptyError, ParameterError, PrecisionError
 from .measure import (
     _LEVEL_CAP,
     Params,
+    WindowSet,
     _floor_sqrt,
     level_series,
     log_mu,
@@ -73,6 +68,10 @@ class RateQuery:
     @property
     def threshold(self) -> float:
         return self.c * float(self.n) ** (self.gamma + 0.5)
+
+    def rate(self, log_p: float) -> float:
+        """Normalized rate log P / n^(2 gamma)."""
+        return log_p / float(self.n) ** (2.0 * self.gamma)
 
 
 @dataclass(frozen=True)
@@ -258,13 +257,6 @@ def boundary_tail_exact(
     return math.log(0.5 * total)
 
 
-def rate_transform(log_p_value: float, n: int, gamma: float) -> float:
-    """Normalized rate log P / n^(2 gamma)."""
-    if n < 1:
-        raise ParameterError(f"horizon must be >= 1, got {n}")
-    return log_p_value / float(n) ** (2.0 * gamma)
-
-
 def gaussian_reference(c: float) -> float:
     """Normal-approximation rate -c^2/2 that holds outside the windows."""
     if not c > 0.0:
@@ -285,7 +277,7 @@ def case1_upper(params: Params, query: RateQuery) -> RateCertificate:
     No certificate exists while that cutoff is below 1 (BracketEmptyError).
     """
     window = window_from_params(params)
-    if not query.gamma < window.u:
+    if window.locate(query.gamma) != "below":
         raise ParameterError(
             f"gamma={query.gamma} is not below the window start u={window.u}"
         )
@@ -303,7 +295,7 @@ def case1_upper(params: Params, query: RateQuery) -> RateCertificate:
         gamma=query.gamma,
         c=query.c,
         log_prob=log_prob,
-        rate=rate_transform(log_prob, query.n, query.gamma),
+        rate=query.rate(log_prob),
     )
 
 
@@ -368,7 +360,7 @@ def case2_certificate(params: Params, query: RateQuery) -> RateCertificate:
     certificate exists while the level bracket is empty (BracketEmptyError).
     """
     window = window_from_params(params)
-    if not window.u < query.gamma < window.v:
+    if window.locate(query.gamma) != "inside":
         raise ParameterError(
             f"gamma={query.gamma} is not strictly inside the window "
             f"({window.u}, {window.v})"
@@ -386,28 +378,25 @@ def case2_certificate(params: Params, query: RateQuery) -> RateCertificate:
         gamma=query.gamma,
         c=query.c,
         log_prob=log_prob,
-        rate=rate_transform(log_prob, query.n, query.gamma),
+        rate=query.rate(log_prob),
         c_n=c_n,
         a_n=a_n,
         b_n=b_n,
     )
 
 
-def predicted_rate(windows: WindowSet, gamma: float, c: float) -> float:
+def predicted_rate(windows: WindowSet, gamma: float, c: float) -> Optional[float]:
     """Limit rate claimed for the process built from `windows`: 0 inside
-    any window, -c^2/2 in the interior of the complement, undefined (error)
-    exactly on window endpoints."""
-    if not c > 0.0:
-        raise ParameterError(f"threshold coefficient must be > 0, got {c}")
+    any window, -c^2/2 in the interior of the complement, and None exactly
+    on a window endpoint, where the dichotomy (stated on open sets) claims
+    nothing."""
+    reference = gaussian_reference(c)
     if not 0.0 < gamma < 0.5:
         raise ParameterError(f"gamma must lie in (0, 0.5), got {gamma}")
     where = windows.locate(gamma)
     if where == "boundary":
-        raise WindowBoundaryError(
-            f"gamma={gamma} sits on a window endpoint; the dichotomy is "
-            "stated on open sets only"
-        )
-    return 0.0 if where == "inside" else gaussian_reference(c)
+        return None
+    return 0.0 if where == "inside" else reference
 
 
 def autocovariance_exact(params: Params, k: int, tol: float = 1e-12) -> float:

@@ -28,4 +28,4 @@ def test_all_equals_the_public_names():
 
 def test_public_name_count():
     # the size of the public API; change it only with a deliberate API change
-    assert len(mdwindow.__all__) == 51
+    assert len(mdwindow.__all__) == 48

@@ -257,6 +257,40 @@ def test_rates_windows_rows_follow_the_realized_window():
     ]
 
 
+def test_rates_csv_gamma_reads_back_as_given(capsys):
+    # 0.39999999999999 printed to 12 digits would read as the endpoint v = 0.4
+    from mdwindow import cli
+
+    grid = [0.3, 0.39999999999999, 0.25000000000000006, 1 / 3, 0.15]
+    assert cli.main(["rates", *_PAIR, "--n-grid", "1000,1e6",
+                     "--gamma-grid", ",".join(map(repr, grid)), "--c", "1"]) == 0
+    header, rows = parse_csv(capsys.readouterr().out)
+    gammas = [float(r[header.index("gamma")]) for r in rows]
+    assert list(dict.fromkeys(gammas)) == grid
+    assert len(gammas) == len(rows) > 2 * len(grid)
+
+
+def test_rates_refuses_monte_carlo_beyond_the_renewal_cap(capsys, monkeypatch):
+    from mdwindow import cli
+    from mdwindow.paths import _RENEWAL_CAP
+
+    def no_mc(*args, **kwargs):
+        raise AssertionError("Monte Carlo ran before the horizon check")
+
+    def rates(n_grid, *extra):
+        return cli.main(["rates", *_PAIR, "--n-grid", n_grid, "--gamma-grid", "0.15,0.3",
+                         "--c", "0.2", *extra])
+
+    monkeypatch.setattr(cli, "mc_tail_curve", no_mc)
+    assert rates(f"200,{_RENEWAL_CAP + 1},400", "--reps", "2000", "--shards", "2") == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: n_grid: ")
+    assert str(_RENEWAL_CAP + 1) in err and str(_RENEWAL_CAP) in err
+    # certificates alone take any horizon
+    assert rates(f"200,{_RENEWAL_CAP + 1},400", "--reps", "0") == 0
+    assert rates("200,400,1e12", "--reps", "0") == 0
+
+
 @pytest.mark.parametrize("gamma", ["0.24", "0.3"])
 def test_rates_horizon_beyond_float_range_exit_3(gamma, capsys):
     from mdwindow import cli

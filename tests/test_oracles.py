@@ -7,6 +7,8 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from mdwindow import (
     BracketEmptyError,
@@ -15,7 +17,6 @@ from mdwindow import (
     PrecisionError,
     RateQuery,
     RngStream,
-    WindowBoundaryError,
     WindowSet,
     autocovariance_bound,
     autocovariance_exact,
@@ -28,10 +29,10 @@ from mdwindow import (
     log_mu,
     mc_tail_curve,
     predicted_rate,
-    rate_transform,
     s_double_prime_count,
     sigma,
     wilson_interval,
+    window_from_params,
 )
 from mdwindow import measure
 from mdwindow.oracles import conditioned_dprime_exceedance
@@ -263,9 +264,9 @@ def test_boundary_tail_agrees_with_mc():
 # ------------------------------------------------------------ rate transform
 
 def test_rate_transform_examples():
-    assert rate_transform(-50.0, 10 ** 4, 0.25) == pytest.approx(-0.5, abs=1e-14)
-    assert rate_transform(0.0, 123, 0.4) == 0.0
-    assert rate_transform(-12.5, 10 ** 4, 0.25) == pytest.approx(-0.125, abs=1e-14)
+    assert RateQuery(10 ** 4, 0.25, 1.0).rate(-50.0) == pytest.approx(-0.5, abs=1e-14)
+    assert RateQuery(123, 0.4, 1.0).rate(0.0) == 0.0
+    assert RateQuery(10 ** 4, 0.25, 1.0).rate(-12.5) == pytest.approx(-0.125, abs=1e-14)
 
 
 def test_gaussian_reference_examples():
@@ -553,8 +554,51 @@ def test_predicted_rate_piecewise():
 def test_predicted_rate_boundary_error():
     ws = WindowSet([(0.25, 0.4)])
     for gamma in (0.25, 0.4):
-        with pytest.raises(WindowBoundaryError):
-            predicted_rate(ws, gamma, 1.0)
+        assert predicted_rate(ws, gamma, 1.0) is None
+
+
+def _raises_parameter_error(certify, params, query) -> bool:
+    """Whether the certificate refuses the query's regime; a missing
+    certificate or a level past float range is an answer, not a refusal."""
+    try:
+        certify(params, query)
+    except ParameterError:
+        return True
+    except (BracketEmptyError, PrecisionError):
+        pass
+    return False
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.floats(1e-3, 0.49), st.floats(0.0, 0.245),
+    st.lists(st.floats(1e-3, 0.5), min_size=4, max_size=4, unique=True),
+    st.integers(1, 10 ** 12), st.floats(1e-3, 10.0),
+    st.lists(st.floats(0.0, 0.5, exclude_min=True, exclude_max=True), max_size=3),
+)
+@example(0.3, 0.05, [0.1, 0.15, 0.25, 0.4], 10 ** 6, 1.0, [0.2])
+def test_one_regime_rule(alpha, beta, ends, n, c, extra):
+    # the certificates' guards and the claimed rate all follow
+    # WindowSet.locate, on every endpoint, its float neighbours and between
+    assume(alpha + 2.0 * beta < 0.5)
+    params = Params(alpha, beta)
+    pair, union = window_from_params(params), WindowSet(np.reshape(sorted(ends), (2, 2)))
+    for windows in (pair, union):
+        edges = [x for w in windows.windows for x in w]
+        gammas = [*edges, *(math.nextafter(x, 0.0) for x in edges),
+                  *(math.nextafter(x, 1.0) for x in edges), *extra]
+        for gamma in (g for g in gammas if 0.0 < g < 0.5):
+            where = windows.locate(gamma)
+            assert (where == "boundary") == (gamma in edges)
+            predicted = predicted_rate(windows, gamma, c)
+            assert (predicted is None) == (where == "boundary")
+            assert (predicted == 0.0) == (where == "inside")
+            assert predicted in (None, 0.0, gaussian_reference(c))
+            if windows is pair:
+                q = RateQuery(n, gamma, c)
+                assert _raises_parameter_error(case2_certificate, params, q) \
+                    == (where != "inside")
+                assert _raises_parameter_error(case1_upper, params, q) == (where != "below")
 
 
 def test_predicted_rate_domain_guard():
