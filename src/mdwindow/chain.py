@@ -55,7 +55,7 @@ def locked_cache(maxsize: int):
             with lock:
                 return cached(*args)
 
-        get.cache_info = cached.cache_info
+        get.cache_info, get.cache_clear = cached.cache_info, cached.cache_clear
         return functools.update_wrapper(get, build)
 
     return wrap
@@ -251,18 +251,26 @@ class IntervalAlias:
 
     def excursions(self, gen: np.random.Generator, words: np.ndarray):
         """(tau, sign bit, signed reward) of one table draw per int64 word,
-        the reward (-1)^sign times the excursion's reward magnitude.  Only
-        draws landing in the tail bucket read `gen`: `_tail_draw` gives
-        them their tau."""
+        the reward (-1)^sign times the excursion's reward magnitude."""
         slot, sign = self.decode(words)
         reward = self.signed.take((slot << 1) | sign)
-        tau = slot
-        tau += 1
-        if tau.max() == self.K:  # tail bucket
-            bucket = tau == self.K
-            tau[bucket] = big = self._tail_draw(gen, int(bucket.sum()))
+        tau, bucket, big = self._lengths(gen, slot)
+        if bucket is not None:
             reward[bucket] = (1 - 2 * sign[bucket]) * excursion_reward_magnitude(self.params, big)
         return tau, sign, reward
+
+    def _lengths(self, gen: np.random.Generator, slot: np.ndarray):
+        """Lengths tau = slot + 1 of table draws, written over `slot`, with
+        the tail bucket's mask and its lengths (both None when no draw landed
+        there).  Only bucket draws read `gen`: `_tail_draw` gives them their
+        tau."""
+        tau = slot
+        tau += 1
+        if tau.max() < self.K:
+            return tau, None, None
+        bucket = tau == self.K
+        tau[bucket] = big = self._tail_draw(gen, int(bucket.sum()))
+        return tau, bucket, big
 
     def runs(self, u: np.ndarray) -> np.ndarray:
         """Self-loop run lengths floor(log u / log p_1) of uniforms u, so
@@ -287,7 +295,8 @@ class IntervalAlias:
             pos = np.cumsum(self.runs(gen.random(m)) + 1) + (at - 1)  # table draws
             kept = int(np.searchsorted(pos, size))
             if kept:
-                tau[pos[:kept]] = self.excursions(gen, raw_words(gen, kept))[0]
+                slot = self.decode(raw_words(gen, kept))[0]
+                tau[pos[:kept]] = self._lengths(gen, slot)[0]
             at = int(pos[-1]) + 1
         return tau
 

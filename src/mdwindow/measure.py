@@ -15,22 +15,24 @@ mean return interval of e/(e-1), independent of alpha.  Transition weights
 follow from mu_0 * p_n = mu_n.  Everything here is a pure function of the
 exponent pair.
 
-Every series over the levels (p_1, sigma^2, the autocovariances r(k), the
-tail of S''_n) goes through one kernel, `level_series`.  For a weight with
+Every series over the levels (sigma^2, the autocovariances r(k), the tail
+of S''_n) takes its cut from one rule, `_series_cut`.  For a weight with
 0 <= w(m) <= C m^e, e <= 1, the ratio m^e / (m - 1) falls in m, so the
 identity above bounds the levels beyond a cut N by
 
     sum_{m > N} mu_m w(m) <= C (N+1)^e / N * exp(-N^alpha).
 
-The kernel doubles N until that remainder is below the tolerance (or past
-2^26 levels refuses with PrecisionError), then walks the levels in blocks
-of _LEVEL_BLOCK.  It reads mu from a 1 MiB cache of read-only granules of
-8192 levels per parameter pair, so the series at one pair (p_1, sigma, a
-sweep of r(k) over the lags) compute each mu_n once while its granule stays
-cached, and get the same bits as from computing it afresh.  Where direct
-summation cannot reach float resolution (p_1 at small alpha) the mass
-beyond the cut has a closed form, `small_mass_tail`, built from incomplete
-gamma functions.
+The rule doubles N until that remainder is below the tolerance (or past
+2^26 levels refuses with PrecisionError).  The kernel `level_series` then
+walks the levels in blocks of _LEVEL_BLOCK; r(k) instead reads per-cut
+sums over the runs of levels that share one isqrt, which `oracles` builds
+with one such walk and caches, so a sweep over the lags walks the levels
+once.  Walks read mu from a 1 MiB cache of read-only granules of 8192
+levels per parameter pair, so the series at one pair (p_1, sigma, r(k))
+compute each mu_n once while its granule stays cached, and get the same
+bits as from computing it afresh.  Where direct summation cannot reach
+float resolution (p_1 at small alpha) the mass beyond the cut has a closed
+form, `small_mass_tail`, built from incomplete gamma functions.
 """
 
 from __future__ import annotations
@@ -216,6 +218,40 @@ def _check_tol(tol: float) -> None:
         raise ParameterError(f"tol must be positive and finite, got {tol}")
 
 
+def _series_cut(params: Params, start: int, tol: float, growth: tuple, walked=None):
+    """Cut N of a level series from `start` and its remainder bound, as
+    (N, remainder): the first of max(start, _FIRST_CUT 2^j), j = 0, 1, ...,
+    whose remainder C (N+1)^e / N exp(-N^alpha), growth = (C, e), is below
+    tol.  With walked, the relative test: walked(N) returns the sum over the
+    levels start..N and the remainder must be below tol times it.
+    PrecisionError is raised once no cut up to _LEVEL_CAP can pass: the
+    cap's remainder reaches tol, or in relative mode tol (sum + remainder),
+    a bound on tol * full sum."""
+    _check_tol(tol)
+    c, e = growth
+
+    def remainder(cut: int) -> float:
+        return c * (cut + 1.0) ** e / cut * math.exp(-(float(cut) ** params.alpha))
+
+    # the remainder at the last cut, the doubling's first at or past the cap
+    first = _FIRST_CUT
+    best = remainder(max(start, first << ((_LEVEL_CAP - 1) // first).bit_length()))
+    while True:
+        cut = max(start, first)
+        rem = remainder(cut)
+        value = 1.0 if walked is None else walked(cut)
+        if rem < tol * value:
+            return cut, rem
+        # the full sum is at most value + rem, so no later cut can certify
+        if cut >= _LEVEL_CAP or best >= tol * (1.0 if walked is None else value + rem):
+            raise PrecisionError(
+                f"no cut up to {_LEVEL_CAP} levels brings the remainder bound "
+                f"{best:.3e} below the tolerance; relax it"
+            )
+        while first <= cut:  # a doubling below start would test start again
+            first <<= 1
+
+
 def level_series(
     params: Params,
     block_sum,
@@ -228,47 +264,28 @@ def level_series(
 
     growth = (C, e) bounds the weight, 0 <= w(m) <= C m^e with e <= 1, and
     block_sum(lo, hi, mu) returns sum_{m=lo..hi} mu_m w(m) given the array
-    mu = (mu_lo, ..., mu_hi), which it must not write to.  The cut N runs
-    over max(start, _FIRST_CUT 2^j), j = 0, 1, ..., up to the first whose
-    remainder C (N+1)^e / N exp(-N^alpha) is below tol; the levels start..N
-    are then walked in blocks of _LEVEL_BLOCK.  With relative=True the test
-    is remainder < tol * value, and each doubling adds only its new levels
-    to the value.  PrecisionError is raised once no cut up to _LEVEL_CAP
-    can pass: the cap's remainder reaches tol, or in relative mode tol
-    (value + remainder), a bound on tol * full sum.
+    mu = (mu_lo, ..., mu_hi), which it must not write to.  `_series_cut`
+    picks the cut N or refuses with PrecisionError, and the levels start..N
+    are walked in blocks of _LEVEL_BLOCK.  With relative=True the test is remainder < tol * value,
+    and each doubling of the cut adds only its new levels to the value.
 
     mu comes from the cache of granules (_MU_GRANULE levels each, at most
     _MU_CACHE_BYTES in all, least recently used dropped first), so repeated
     series at one pair compute each mu_n up to _MU_DEPTH once while its
     granule is cached.
     """
-    _check_tol(tol)
-    c, e = growth
-
-    def remainder(cut: int) -> float:
-        return c * (cut + 1.0) ** e / cut * math.exp(-(float(cut) ** params.alpha))
-
-    # the remainder at the last cut, the doubling's first at or past the cap
-    first = _FIRST_CUT
-    best = remainder(max(start, first << ((_LEVEL_CAP - 1) // first).bit_length()))
-    value, done = 0.0, start - 1
-    while True:
-        cut = max(start, first)
-        if relative:
-            value += _level_walk(params, block_sum, done + 1, cut)
-            done = cut
-        rem = remainder(cut)
-        if rem < (tol * value if relative else tol):
-            break
-        # the full sum is at most value + rem, so no later cut can certify
-        if cut >= _LEVEL_CAP or best >= tol * (value + rem if relative else 1.0):
-            raise PrecisionError(
-                f"no cut up to {_LEVEL_CAP} levels brings the remainder bound "
-                f"{best:.3e} below the tolerance; relax it"
-            )
-        first <<= 1
     if not relative:
-        value = _level_walk(params, block_sum, start, cut)
+        cut, rem = _series_cut(params, start, tol, growth)
+        return _level_walk(params, block_sum, start, cut), rem, cut - start + 1
+    value, done = 0.0, start - 1
+
+    def walked(cut: int) -> float:
+        nonlocal value, done
+        value += _level_walk(params, block_sum, done + 1, cut)
+        done = cut
+        return value
+
+    cut, rem = _series_cut(params, start, tol, growth, walked)
     return value, rem, cut - start + 1
 
 
@@ -435,13 +452,16 @@ def sigma(params: Params, tol: float = 1e-12) -> ProcessStats:
     )
 
 
+@lru_cache(maxsize=64)
 def window_from_params(params: Params) -> WindowSet:
     """Anomalous scale window (u, v) generated by the exponent pair, as a
     one-window set: u = alpha / (2 (1 - alpha - 2 beta)), v = 1/2 - 2 beta.
 
     The parameter constraints force 0 < u < alpha < v <= 1/2; the window
     constructor revalidates the ordering.  u underflows to 0 for alpha
-    below about 1e-323, and such a pair is refused.
+    below about 1e-323, and such a pair is refused on every call.  The set
+    is cached per pair (both are immutable), so a certificate does not
+    rebuild it.
     """
     a, b = params.alpha, params.beta
     u = a / (2.0 * (1.0 - a - 2.0 * b))

@@ -25,13 +25,16 @@ from typing import Optional
 
 import numpy as np
 
-from .chain import RngLike, RngStream, as_generator
+from .chain import RngLike, RngStream, as_generator, locked_cache
 from .errors import BracketEmptyError, ParameterError, PrecisionError
 from .measure import (
     _LEVEL_CAP,
     Params,
     WindowSet,
     _floor_sqrt,
+    _level_walk,
+    _mu_levels,
+    _series_cut,
     level_series,
     log_mu,
     window_from_params,
@@ -399,6 +402,27 @@ def predicted_rate(windows: WindowSet, gamma: float, c: float) -> Optional[float
     return 0.0 if where == "inside" else reference
 
 
+@locked_cache(maxsize=32)
+def _run_sums(params: Params, cut: int) -> np.ndarray:
+    """Read-only W_s = sum mu_tau tau^(-2 beta) over the levels tau in
+    [s^2, (s+1)^2) n [2, cut], for s = 0..isqrt(cut) (W_0 = 0): one walk
+    over the levels 2..cut, at most 64 KiB at the cap."""
+    runs = np.zeros(math.isqrt(cut) + 1)
+    b = params.beta
+
+    def block_sum(lo, hi, mu):
+        w = mu * np.arange(lo, hi + 1, dtype=np.float64) ** (-2.0 * b)
+        s0, s1 = math.isqrt(lo), math.isqrt(hi)
+        s = np.arange(s0, s1 + 1, dtype=np.int64)
+        # a block edge may split a run: both parts add to its entry
+        runs[s0:s1 + 1] += np.add.reduceat(w, np.maximum(s * s - lo, 0))
+        return 0.0
+
+    _level_walk(params, block_sum, 2, cut)
+    runs.setflags(write=False)
+    return runs
+
+
 def autocovariance_exact(params: Params, k: int, tol: float = 1e-12) -> float:
     """Exact lag-k autocovariance of the per-time values.
 
@@ -406,27 +430,27 @@ def autocovariance_exact(params: Params, k: int, tol: float = 1e-12) -> float:
     at level tau both ages must carry reward, leaving
     (isqrt(tau) - k)^+ admissible ages, each of stationary weight mu_tau:
 
-        r(k) = sum_tau mu_tau tau^(-2 beta) (isqrt(tau) - k)^+ .
+        r(k) = sum_tau mu_tau tau^(-2 beta) (isqrt(tau) - k)^+
+             = sum_{s > k} (s - k) W_s,
 
-    Levels below (k+1)^2 contribute nothing, and the weight is at most
-    tau^(1/2 - 2 beta), so the level series keeps the remainder under tol.
+    W_s the weight of the run of levels s^2 .. (s+1)^2 - 1.  Levels below
+    (k+1)^2 contribute nothing, and the weight is at most
+    tau^(1/2 - 2 beta), so the level series rule cuts the levels where the
+    remainder is under tol.  The run sums up to a cut do not depend on the
+    lag and are cached per (pair, cut), so a sweep over the lags walks the
+    levels once per cut.
     """
     if k < 0:
         raise ParameterError(f"lag must be >= 0, got {k}")
-    b = params.beta
-
-    def block_sum(lo, hi, mu):
-        w = mu * np.arange(lo, hi + 1, dtype=np.float64) ** (-2.0 * b)
-        # the levels s^2 .. (s+1)^2 - 1 share the count s - k >= 1 (every
-        # level from (k+1)^2 on has isqrt > k), so sum w per such run
-        s = np.arange(math.isqrt(lo), math.isqrt(hi) + 1, dtype=np.int64)
-        runs = np.add.reduceat(w, np.maximum(s * s - lo, 0))
-        return float(((s - k) * runs).sum())
-
+    start = max((k + 1) * (k + 1), 2)
     # C = 2 although 1 would do: the cuts then stay those of the bound
     # 2 N^(-1/2 - 2 beta) exp(-N^alpha), so the values do not move
-    start = max((k + 1) * (k + 1), 2)
-    return level_series(params, block_sum, start, tol, (2.0, 0.5 - 2.0 * b))[0]
+    cut = _series_cut(params, start, tol, (2.0, 0.5 - 2.0 * params.beta))[0]
+    if cut == start:  # the one level (k+1)^2, with count 1
+        mu = float(_mu_levels(params, start, start)[0])
+        return mu * float(start) ** (-2.0 * params.beta)
+    runs = _run_sums(params, cut)[k + 1:]
+    return float(np.dot(np.arange(1.0, runs.size + 1.0), runs))
 
 
 def autocovariance_bound(params: Params, k: int) -> float:

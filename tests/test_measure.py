@@ -30,6 +30,7 @@ from mdwindow.measure import (
     _level_log_mu,
     _level_walk,
     _s_tilde_variance,
+    _series_cut,
     level_series,
     small_mass_tail,
 )
@@ -300,25 +301,47 @@ SERIES = {
 }
 
 
+def _autocovariance_route(monkeypatch, tol):
+    # r(3) at tol through its own route, the cut rule and the cached run
+    # sums, as (value, remainder bound, n_terms)
+    cuts = []
+
+    def spy(params, start, *rest):
+        cuts.append((start, *_series_cut(params, start, *rest)))
+        return cuts[-1][1:]
+
+    monkeypatch.setattr(oracles, "_series_cut", spy)
+    value = oracles.autocovariance_exact(DEFAULT, 3, tol)
+    (start, cut, bound), = cuts
+    return value, bound, cut - start + 1
+
+
 # p_1 sums a fixed range and its closed-form tail, not a level series
 @pytest.mark.parametrize("series", sorted(set(SERIES) - {"p1"}))
 def test_level_series_remainder_covers_a_tighter_tolerance(monkeypatch, series):
     # the value at tol and at tol/1e4 differ by at most the remainder bound
     # returned at tol
-    calls = []
+    if series == "autocovariance":
+        # r(k) takes only its cut from the rule and reads run sums, which
+        # the cleared cache makes it walk afresh
+        oracles._run_sums.cache_clear()
+        value, bound, n_terms = _autocovariance_route(monkeypatch, 1e-12)
+        tight, _, tight_terms = _autocovariance_route(monkeypatch, 1e-16)
+    else:
+        calls = []
 
-    def spy(*args, **kwargs):
-        calls.append((args, kwargs, level_series(*args, **kwargs)))
-        return calls[-1][2]
+        def spy(*args, **kwargs):
+            calls.append((args, kwargs, level_series(*args, **kwargs)))
+            return calls[-1][2]
 
-    monkeypatch.setattr(measure, "level_series", spy)
-    monkeypatch.setattr(oracles, "level_series", spy)
-    SERIES[series](DEFAULT)
-    (args, kwargs, (value, bound, n_terms)), = calls
-    bound_args = inspect.signature(level_series).bind(*args, **kwargs)
-    bound_args.apply_defaults()
-    bound_args.arguments["tol"] /= 1e4
-    tight, _, tight_terms = level_series(*bound_args.args, **bound_args.kwargs)
+        monkeypatch.setattr(measure, "level_series", spy)
+        monkeypatch.setattr(oracles, "level_series", spy)
+        SERIES[series](DEFAULT)
+        (args, kwargs, (value, bound, n_terms)), = calls
+        bound_args = inspect.signature(level_series).bind(*args, **kwargs)
+        bound_args.apply_defaults()
+        bound_args.arguments["tol"] /= 1e4
+        tight, _, tight_terms = level_series(*bound_args.args, **bound_args.kwargs)
     assert tight_terms > n_terms
     assert 0.0 < bound < 1e-6
     assert abs(tight - value) <= bound
@@ -444,6 +467,7 @@ def test_window_from_params_example():
     w = window_from_params(DEFAULT)
     assert w.u == pytest.approx(0.25, abs=1e-14)
     assert w.v == pytest.approx(0.40, abs=1e-14)
+    assert window_from_params(Params(0.3, 0.05)) is w  # built once per pair
 
 
 def test_window_brackets_alpha():
@@ -521,8 +545,10 @@ def test_window_below_float_resolution_is_named():
 
 
 def test_window_start_underflow_is_named():
-    with pytest.raises(ParameterError, match="underflows"):
-        window_from_params(Params(5e-324, 0.0))
+    # the window is cached per pair, a refusal is not: it raises every time
+    for _ in range(2):
+        with pytest.raises(ParameterError, match="underflows"):
+            window_from_params(Params(5e-324, 0.0))
 
 
 def test_window_maps_are_mutual_inverses():
@@ -566,6 +592,7 @@ def test_lag_sweep_computes_each_mu_once(monkeypatch):
         return direct(params, lo, hi)
 
     measure._mu_granule.cache_clear()
+    oracles._run_sums.cache_clear()
     monkeypatch.setattr(measure, "_level_log_mu", spy)
     for k in range(201):
         oracles.autocovariance_exact(DEFAULT, k)
@@ -589,12 +616,14 @@ def test_cached_mu_gives_the_bits_of_direct_evaluation(monkeypatch):
     # (0.25, 0.1) walks 2^19 levels, past what the cache holds
     pairs = (DEFAULT, Params(0.45, 0.01), Params(0.25, 0.1))
     measure._mu_granule.cache_clear()
+    oracles._run_sums.cache_clear()
     cold = _series_bits(pairs)
     warm = _series_bits(pairs)
     assert measure._mu_granule.cache_info().hits > 0
     monkeypatch.setattr(
         measure, "_mu_levels", lambda p, lo, hi: np.exp(_level_log_mu(p, lo, hi))
     )
+    oracles._run_sums.cache_clear()
     assert cold == warm == _series_bits(pairs)
 
 
@@ -636,6 +665,7 @@ def test_threads_on_a_cold_mu_cache_agree():
         return [sigma(DEFAULT).sigma] + lags
 
     measure._mu_granule.cache_clear()
+    oracles._run_sums.cache_clear()
     with ThreadPoolExecutor(max_workers=8) as pool:
         got = list(pool.map(series, range(8)))
     assert got == [series(0)] * 8

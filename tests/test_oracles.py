@@ -2,6 +2,7 @@ import concurrent.futures
 import json
 import math
 import os
+import sys
 from pathlib import Path
 
 import mpmath
@@ -34,7 +35,7 @@ from mdwindow import (
     wilson_interval,
     window_from_params,
 )
-from mdwindow import measure
+from mdwindow import measure, oracles
 from mdwindow.oracles import conditioned_dprime_exceedance
 
 from conftest import DEFAULT, three_se
@@ -508,8 +509,84 @@ def test_autocovariance_does_not_depend_on_level_blocks(monkeypatch):
     base = [autocovariance_exact(DEFAULT, k) for k in lags]
     for block in (777, 1 << 22):
         monkeypatch.setattr(measure, "_LEVEL_BLOCK", block)
+        oracles._run_sums.cache_clear()  # rebuild the run sums in these blocks
         for k, ref in zip(lags, base):
             assert autocovariance_exact(DEFAULT, k) == pytest.approx(ref, rel=1e-13)
+
+
+# the level series pairs: at (0.45, 0.01) the lags past 44 cut at their one
+# level (k+1)^2 for tol 1e-12, and (0.25, 0.1) walks 2^19 levels
+SWEEP_PAIRS = (DEFAULT, Params(0.45, 0.01), Params(0.25, 0.1))
+
+
+def _spy_cuts(monkeypatch):
+    # records (params, start, cut) of every cut the autocovariance takes
+    cuts, rule = [], oracles._series_cut
+
+    def spy(params, start, *rest):
+        cut, rem = rule(params, start, *rest)
+        cuts.append((params, start, cut))
+        return cut, rem
+
+    monkeypatch.setattr(oracles, "_series_cut", spy)
+    return cuts
+
+
+@pytest.mark.parametrize("params", SWEEP_PAIRS)
+@pytest.mark.parametrize("tol", [1e-6, 1e-12])
+def test_autocovariance_matches_fsum_over_its_levels(monkeypatch, params, tol):
+    # r(k) from cached run sums against a correctly rounded sum of
+    # mu_tau tau^(-2 beta) (isqrt(tau) - k) over the same levels start..cut
+    cuts = _spy_cuts(monkeypatch)
+    for k in (0, 1, 7, 60, 150, 200):
+        got = autocovariance_exact(params, k, tol)
+        (_, start, cut), = cuts
+        cuts.clear()
+        tau = np.arange(start, cut + 1, dtype=np.int64)
+        mu = np.exp(measure._level_log_mu(params, start, cut))
+        terms = mu * tau.astype(np.float64) ** (-2.0 * params.beta) * (measure._floor_sqrt(tau) - k)
+        assert got == pytest.approx(math.fsum(terms), rel=1e-13, abs=0.0)
+
+
+def test_cold_lag_sweep_walks_the_levels_once_per_cut(monkeypatch):
+    # a lag whose cut is its own start reads that one level; every other
+    # lag reads the run sums of its (pair, cut), walked once over 2..cut
+    walks, walk = [], oracles._level_walk
+
+    def spy(params, block_sum, lo, hi):
+        walks.append((params, lo, hi))
+        return walk(params, block_sum, lo, hi)
+
+    monkeypatch.setattr(oracles, "_level_walk", spy)
+    cuts = _spy_cuts(monkeypatch)
+    oracles._run_sums.cache_clear()
+    for params in SWEEP_PAIRS:
+        for tol in (1e-6, 1e-12):
+            for k in range(201):
+                autocovariance_exact(params, k, tol)
+    walked = {(params, 2, cut) for params, start, cut in cuts if cut > start}
+    assert len(walks) == len(walked) == 6
+    assert set(walks) == walked
+    assert any(cut == start for _, start, cut in cuts)
+
+
+def test_threads_on_a_cold_run_sum_cache_agree():
+    # eight threads sweep the lags on a cold cache: one build, and every
+    # thread gets the bits of a serial sweep
+    def sweep(_):
+        return [autocovariance_exact(DEFAULT, k).hex() for k in range(201)]
+
+    serial = sweep(0)
+    oracles._run_sums.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
+            got = list(pool.map(sweep, range(8)))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [serial] * 8
+    assert oracles._run_sums.cache_info().misses == 1
 
 
 def test_autocovariance_matches_empirical():
