@@ -237,9 +237,19 @@ def cmd_params(cfg: dict) -> tuple[list, list]:
     return header, rows
 
 
+def _within_mc_cap(field: str, n: int, hint: str = "") -> None:
+    """Refuse a Monte Carlo horizon beyond the renewal table's cap, before
+    any path is drawn."""
+    if n > _RENEWAL_CAP:
+        raise ParameterError(
+            f"{field}: horizon {n} is beyond the Monte Carlo cap 2^24 = {_RENEWAL_CAP}{hint}"
+        )
+
+
 def cmd_simulate(cfg: dict) -> tuple[list, list]:
     if cfg["n"] is None or not cfg["reps"]:
         raise ParameterError("n/reps: both are required for simulate")
+    _within_mc_cap("n", cfg["n"])
     params = _component(cfg, "simulate")
     n, reps, shards = cfg["n"], cfg["reps"], cfg["shards"]
     if reps < shards:
@@ -265,12 +275,8 @@ def cmd_rates(cfg: dict) -> tuple[list, list]:
     in the pair's own window, and an mc row when reps > 0."""
     if not cfg["n_grid"] or not cfg["gamma_grid"]:
         raise ParameterError("n_grid/gamma_grid: both are required for rates")
-    longest = max(cfg["n_grid"])
-    if cfg["reps"] and longest > _RENEWAL_CAP:
-        raise ParameterError(
-            f"n_grid: horizon {longest} is beyond the Monte Carlo cap "
-            f"2^24 = {_RENEWAL_CAP}; use --reps 0 for certificates alone"
-        )
+    if cfg["reps"]:
+        _within_mc_cap("n_grid", max(cfg["n_grid"]), "; use --reps 0 for certificates alone")
     params = _component(cfg, "rates")
     window = window_from_params(params)
     c = cfg["c"]

@@ -23,16 +23,20 @@ identity above bounds the levels beyond a cut N by
     sum_{m > N} mu_m w(m) <= C (N+1)^e / N * exp(-N^alpha).
 
 The rule doubles N until that remainder is below the tolerance (or past
-2^26 levels refuses with PrecisionError).  The kernel `level_series` then
-walks the levels in blocks of _LEVEL_BLOCK; r(k) instead reads per-cut
-sums over the runs of levels that share one isqrt, which `oracles` builds
+2^26 levels refuses with PrecisionError).  In absolute mode the doubling
+from the lowest start is memoized per (alpha, tol, growth), so a later
+start costs a lookup and at most one remainder of its own.  The kernel
+`level_series` then walks the levels in blocks of _LEVEL_BLOCK; r(k)
+instead reads entry k + 1 of a per-cut lag table, sum_{s > k} (s - k) W_s
+over the runs of levels that share one isqrt s, which `oracles` builds
 with one such walk and caches, so a sweep over the lags walks the levels
-once.  Walks read mu from a 1 MiB cache of read-only granules of 8192
-levels per parameter pair, so the series at one pair (p_1, sigma, r(k))
-compute each mu_n once while its granule stays cached, and get the same
-bits as from computing it afresh.  Where direct summation cannot reach
-float resolution (p_1 at small alpha) the mass beyond the cut has a closed
-form, `small_mass_tail`, built from incomplete gamma functions.
+once and a warm lag is one cut lookup and one array read.  Walks read mu
+from a 1 MiB cache of read-only granules of 8192 levels per parameter
+pair, so the series at one pair (p_1, sigma, r(k)) compute each mu_n once
+while its granule stays cached, and get the same bits as from computing it
+afresh.  Where direct summation cannot reach float resolution (p_1 at
+small alpha) the mass beyond the cut has a closed form, `small_mass_tail`,
+built from incomplete gamma functions.
 """
 
 from __future__ import annotations
@@ -218,6 +222,23 @@ def _check_tol(tol: float) -> None:
         raise ParameterError(f"tol must be positive and finite, got {tol}")
 
 
+def _cut_remainder(alpha: float, growth: tuple, cut: int) -> float:
+    """C (N+1)^e / N exp(-N^alpha), growth = (C, e): the bound on the levels
+    beyond the cut N."""
+    c, e = growth
+    return c * (cut + 1.0) ** e / cut * math.exp(-(float(cut) ** alpha))
+
+
+@lru_cache(maxsize=256)
+def _lowest_cut(alpha: float, tol: float, growth: tuple):
+    """(N*, remainder) of the absolute doubling from the lowest start, or
+    None where it refuses."""
+    try:
+        return _doubling_cut(alpha, _FIRST_CUT, tol, growth, None)
+    except PrecisionError:
+        return None
+
+
 def _series_cut(params: Params, start: int, tol: float, growth: tuple, walked=None):
     """Cut N of a level series from `start` and its remainder bound, as
     (N, remainder): the first of max(start, _FIRST_CUT 2^j), j = 0, 1, ...,
@@ -226,19 +247,36 @@ def _series_cut(params: Params, start: int, tol: float, growth: tuple, walked=No
     levels start..N and the remainder must be below tol times it.
     PrecisionError is raised once no cut up to _LEVEL_CAP can pass: the
     cap's remainder reaches tol, or in relative mode tol (sum + remainder),
-    a bound on tol * full sum."""
+    a bound on tol * full sum.
+
+    In absolute mode the doublings from start depend on start only through
+    max(start, 2^j), so the doubling from _FIRST_CUT is memoized per
+    (alpha, tol, growth) as its first passing cut N*.  A start above
+    _FIRST_CUT first tests its own remainder.  A start that does not pass
+    there and lies at or below N* takes N*: the doublings past it are
+    those of the memo.  Any other start, or a memo that refuses, runs the
+    doubling itself, so every refusal reads as it would without the memo."""
     _check_tol(tol)
-    c, e = growth
+    if walked is None:
+        lowest = _lowest_cut(params.alpha, tol, growth)
+        if start > _FIRST_CUT:
+            rem = _cut_remainder(params.alpha, growth, start)
+            if rem < tol:
+                return start, rem
+        if lowest is not None and start <= lowest[0]:
+            return lowest
+    return _doubling_cut(params.alpha, start, tol, growth, walked)
 
-    def remainder(cut: int) -> float:
-        return c * (cut + 1.0) ** e / cut * math.exp(-(float(cut) ** params.alpha))
 
+def _doubling_cut(alpha: float, start: int, tol: float, growth: tuple, walked):
+    """The doubling of `_series_cut`, tested cut by cut."""
     # the remainder at the last cut, the doubling's first at or past the cap
     first = _FIRST_CUT
-    best = remainder(max(start, first << ((_LEVEL_CAP - 1) // first).bit_length()))
+    last = max(start, first << ((_LEVEL_CAP - 1) // first).bit_length())
+    best = _cut_remainder(alpha, growth, last)
     while True:
         cut = max(start, first)
-        rem = remainder(cut)
+        rem = _cut_remainder(alpha, growth, cut)
         value = 1.0 if walked is None else walked(cut)
         if rem < tol * value:
             return cut, rem

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import index, itemgetter
 from statistics import NormalDist
 from typing import Optional
 
@@ -40,6 +40,8 @@ from .measure import (
     window_from_params,
 )
 from .paths import conditioned_path, decompose, iter_sums, s_double_prime_count
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 # column getters of an `iter_sums` chunk, by mc_tail_curve target
 _TARGETS = {
@@ -404,9 +406,11 @@ def predicted_rate(windows: WindowSet, gamma: float, c: float) -> Optional[float
 
 @locked_cache(maxsize=32)
 def _run_sums(params: Params, cut: int) -> np.ndarray:
-    """Read-only W_s = sum mu_tau tau^(-2 beta) over the levels tau in
-    [s^2, (s+1)^2) n [2, cut], for s = 0..isqrt(cut) (W_0 = 0): one walk
-    over the levels 2..cut, at most 64 KiB at the cap."""
+    """Read-only lag table R of one cut: entry j is
+    sum_{s >= j} (s - j + 1) W_s, W_s = sum mu_tau tau^(-2 beta) over the
+    levels tau in [s^2, (s+1)^2) n [2, cut], s = 0..isqrt(cut) (W_0 = 0).
+    One walk over the levels 2..cut gives W, and two reverse cumulative
+    sums turn it into R, at most 64 KiB at the cap."""
     runs = np.zeros(math.isqrt(cut) + 1)
     b = params.beta
 
@@ -419,8 +423,9 @@ def _run_sums(params: Params, cut: int) -> np.ndarray:
         return 0.0
 
     _level_walk(params, block_sum, 2, cut)
-    runs.setflags(write=False)
-    return runs
+    table = np.cumsum(np.cumsum(runs[::-1]))[::-1]
+    table.setflags(write=False)
+    return table
 
 
 def autocovariance_exact(params: Params, k: int, tol: float = 1e-12) -> float:
@@ -436,10 +441,17 @@ def autocovariance_exact(params: Params, k: int, tol: float = 1e-12) -> float:
     W_s the weight of the run of levels s^2 .. (s+1)^2 - 1.  Levels below
     (k+1)^2 contribute nothing, and the weight is at most
     tau^(1/2 - 2 beta), so the level series rule cuts the levels where the
-    remainder is under tol.  The run sums up to a cut do not depend on the
-    lag and are cached per (pair, cut), so a sweep over the lags walks the
-    levels once per cut.
+    remainder is under tol.  r(k) is entry k + 1 of the lag table of the
+    cut (`_run_sums`), cached per (pair, cut) and built with one walk over
+    the levels, so a warm lag is one cut lookup and one array read.  The
+    table's terms are nonnegative, so r(k) never rises with k along one cut.
+    A lag whose cut is its own start (k+1)^2 reads that one level, past
+    int64 from `log_mu` on Python ints.  k must be an integer >= 0.
     """
+    try:
+        k = index(k)
+    except TypeError:
+        raise ParameterError(f"lag must be an integer, got {k!r}") from None
     if k < 0:
         raise ParameterError(f"lag must be >= 0, got {k}")
     start = max((k + 1) * (k + 1), 2)
@@ -447,10 +459,12 @@ def autocovariance_exact(params: Params, k: int, tol: float = 1e-12) -> float:
     # 2 N^(-1/2 - 2 beta) exp(-N^alpha), so the values do not move
     cut = _series_cut(params, start, tol, (2.0, 0.5 - 2.0 * params.beta))[0]
     if cut == start:  # the one level (k+1)^2, with count 1
-        mu = float(_mu_levels(params, start, start)[0])
+        if start < _INT64_MAX:  # the vectorized levels start..start+1 fit int64
+            mu = float(_mu_levels(params, start, start)[0])
+        else:
+            mu = math.exp(log_mu(params, start))
         return mu * float(start) ** (-2.0 * params.beta)
-    runs = _run_sums(params, cut)[k + 1:]
-    return float(np.dot(np.arange(1.0, runs.size + 1.0), runs))
+    return float(_run_sums(params, cut)[k + 1])
 
 
 def autocovariance_bound(params: Params, k: int) -> float:

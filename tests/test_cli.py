@@ -291,6 +291,23 @@ def test_rates_refuses_monte_carlo_beyond_the_renewal_cap(capsys, monkeypatch):
     assert rates("200,400,1e12", "--reps", "0") == 0
 
 
+@pytest.mark.parametrize("n", ["16777217", "1e19"])  # 2^24 + 1, and past int64
+def test_simulate_refuses_a_horizon_beyond_the_monte_carlo_cap(n, capsys, monkeypatch):
+    from mdwindow import cli
+    from mdwindow.paths import _RENEWAL_CAP
+
+    def no_mc(*args, **kwargs):
+        raise AssertionError("simulation ran before the horizon check")
+
+    monkeypatch.setattr(cli, "iter_sums", no_mc)
+    assert cli.main(["simulate", *_PAIR, "--n", n, "--reps", "1"]) == 2
+    out, err = capsys.readouterr()
+    horizon = int(float(n))
+    assert out == "" and err == (
+        f"error: n: horizon {horizon} is beyond the Monte Carlo cap 2^24 = {_RENEWAL_CAP}\n"
+    )
+
+
 @pytest.mark.parametrize("gamma", ["0.24", "0.3"])
 def test_rates_horizon_beyond_float_range_exit_3(gamma, capsys):
     from mdwindow import cli

@@ -377,6 +377,77 @@ def test_level_series_refuses_an_unreachable_relative_tolerance_at_once():
     assert max(walked) == measure._FIRST_CUT
 
 
+def _reference_cut(alpha, start, tol, growth):
+    # the doubling of measure._series_cut without its memo: every cut
+    # max(start, _FIRST_CUT 2^j) tested in turn
+    c, e = growth
+
+    def remainder(cut):
+        return c * (cut + 1.0) ** e / cut * math.exp(-(float(cut) ** alpha))
+
+    best = remainder(max(start, measure._LEVEL_CAP))
+    first = measure._FIRST_CUT
+    while True:
+        cut = max(start, first)
+        rem = remainder(cut)
+        if rem < tol:
+            return cut, rem
+        if cut >= measure._LEVEL_CAP or best >= tol:
+            raise PrecisionError(
+                f"no cut up to {measure._LEVEL_CAP} levels brings the remainder bound "
+                f"{best:.3e} below the tolerance; relax it"
+            )
+        while first <= cut:
+            first <<= 1
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    alpha=st.floats(0.05, 0.49),
+    c=st.sampled_from([1.0, 2.0, 1.0 / MU0]),
+    e=st.floats(0.0, 1.0),
+    tol=st.floats(-16.0, -2.0).map(lambda x: 10.0 ** x),
+    data=st.data(),
+)
+def test_memoized_cut_matches_the_plain_doubling(alpha, c, e, tol, data):
+    # the memo per (alpha, tol, growth) gives the plain rule's cut and
+    # remainder, or its refusal word for word, from any start, past the cap
+    # too.  Starts spread over the bit lengths, or fall in the upper half
+    # of the lowest start's cut, where a start may pass below that cut
+    def outcome(rule, *args):
+        try:
+            return rule(*args)
+        except PrecisionError as err:
+            return str(err)
+
+    lowest = outcome(_reference_cut, alpha, 2, tol, (c, e))
+    near = (lowest[0] // 2, lowest[0]) if isinstance(lowest, tuple) else (2, 1 << 28)
+    start = data.draw(st.one_of(
+        st.integers(1, 28).flatmap(lambda bits: st.integers(2, 1 << bits)),
+        st.integers(*near),
+    ), label="start")
+    want = outcome(_reference_cut, alpha, start, tol, (c, e))
+    for _ in range(2):  # the memo cold, then warm
+        assert outcome(_series_cut, Params(alpha, 0.0), start, tol, (c, e)) == want
+
+
+def test_a_lag_sweep_runs_one_doubling_per_tolerance(monkeypatch):
+    # every lag takes the memo or passes at its own start, so the doubling
+    # runs once per (alpha, tol, growth), to build the memo
+    doublings, doubling = [], measure._doubling_cut
+
+    def spy(*args):
+        doublings.append(args)
+        return doubling(*args)
+
+    measure._lowest_cut.cache_clear()
+    monkeypatch.setattr(measure, "_doubling_cut", spy)
+    for tol in (1e-6, 1e-12):
+        for k in range(201):
+            oracles.autocovariance_exact(DEFAULT, k, tol)
+    assert [args[2] for args in doublings] == [1e-6, 1e-12]
+
+
 _BAD_TOL_CALLS = {
     "second_moment": lambda tol: second_moment_jump(DEFAULT, tol),
     "autocovariance": lambda tol: oracles.autocovariance_exact(DEFAULT, 3, tol),

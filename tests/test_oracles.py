@@ -548,6 +548,52 @@ def test_autocovariance_matches_fsum_over_its_levels(monkeypatch, params, tol):
         assert got == pytest.approx(math.fsum(terms), rel=1e-13, abs=0.0)
 
 
+def test_a_deep_lag_table_matches_fsum_and_never_rises(monkeypatch):
+    # at (0.2, 0.0), tol 1e-12, the lags 0..1958 cut at 2^22 and read one
+    # table over 2,048 runs; the later lags cut at their own level
+    params, tol = Params(0.2, 0.0), 1e-12
+    cuts = _spy_cuts(monkeypatch)
+    values = [autocovariance_exact(params, k, tol) for k in range(2048)]
+    deep = [k for k, (_, start, cut) in enumerate(cuts) if start < cut == 1 << 22]
+    assert deep == list(range(1959))
+    assert oracles._run_sums(params, 1 << 22).size == 2049
+    shared = [values[k] for k in deep]
+    assert all(a >= b for a, b in zip(shared, shared[1:]))
+    for k in (0, 1, 100, 1000, 2046):
+        _, start, cut = cuts[k]
+
+        def terms(lo, hi):
+            tau = np.arange(lo, hi + 1, dtype=np.int64)
+            mu = np.exp(measure._level_log_mu(params, lo, hi))
+            return (mu * (measure._floor_sqrt(tau) - k)).tolist()
+
+        blocks = range(start, cut + 1, 1 << 18)
+        want = math.fsum(t for lo in blocks for t in terms(lo, min(lo + (1 << 18) - 1, cut)))
+        assert values[k] == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+def test_a_lag_past_int64_reads_its_level_from_log_mu():
+    # (k+1)^2 passes 2^63 from k = 3,037,000,499; at alpha 0.01 and tol
+    # 1e-9 the cut of these lags is their one level, and both routes agree
+    params, edge = Params(0.01, 0.0), 3_037_000_499
+    for k in (edge - 1, edge, 10 ** 10):
+        level = (k + 1) ** 2
+        got = autocovariance_exact(params, k, 1e-9)
+        assert got > 0.0
+        assert got == pytest.approx(math.exp(log_mu(params, level)), rel=1e-13)
+    assert autocovariance_exact(DEFAULT, 10 ** 10) == 0.0  # mu underflows
+
+
+@pytest.mark.parametrize("lag", [2.0, 1.5, "3", None])
+def test_a_non_integral_lag_is_refused(lag):
+    with pytest.raises(ParameterError, match="lag must be an integer"):
+        autocovariance_exact(DEFAULT, lag)
+
+
+def test_a_numpy_integer_lag_is_a_lag():
+    assert autocovariance_exact(DEFAULT, np.int64(7)) == autocovariance_exact(DEFAULT, 7)
+
+
 def test_cold_lag_sweep_walks_the_levels_once_per_cut(monkeypatch):
     # a lag whose cut is its own start reads that one level; every other
     # lag reads the run sums of its (pair, cut), walked once over 2..cut
