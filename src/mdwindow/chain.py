@@ -16,16 +16,14 @@ mass beyond the table.
 
 from __future__ import annotations
 
-import functools
 import math
-import threading
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
 from .errors import ParameterError, PrecisionError
-from .measure import MU0, Params, _level_log_mu, _p_law, excursion_reward_magnitude
+from .measure import MU0, Params, _level_log_mu, _p_law, excursion_reward_magnitude, locked_cache
 
 # Interval lengths are clamped here, so they fit int64.  The stationary mass
 # beyond the cap, exp(-2^(62 alpha)), is 9.4% at alpha = 0.02 and 1.8e-4 at
@@ -42,23 +40,6 @@ def _check_tau_cap(alpha: float, n_min: int = 0) -> None:
         raise PrecisionError(
             f"alpha={alpha:g}: over 2^-53 of the interval draws would be clamped at 2^62"
         )
-
-
-def locked_cache(maxsize: int):
-    """lru_cache whose misses are built once: threads (the Monte Carlo
-    shards) that miss together wait for one build instead of repeating it."""
-
-    def wrap(build):
-        cached, lock = functools.lru_cache(maxsize)(build), threading.Lock()
-
-        def get(*args):
-            with lock:
-                return cached(*args)
-
-        get.cache_info, get.cache_clear = cached.cache_info, cached.cache_clear
-        return functools.update_wrapper(get, build)
-
-    return wrap
 
 
 @dataclass(frozen=True)

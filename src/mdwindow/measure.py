@@ -25,25 +25,27 @@ identity above bounds the levels beyond a cut N by
 The rule doubles N until that remainder is below the tolerance (or past
 2^26 levels refuses with PrecisionError).  In absolute mode the doubling
 from the lowest start is memoized per (alpha, tol, growth), so a later
-start costs a lookup and at most one remainder of its own.  The kernel
-`level_series` then walks the levels in blocks of _LEVEL_BLOCK; r(k)
-instead reads entry k + 1 of a per-cut lag table, sum_{s > k} (s - k) W_s
-over the runs of levels that share one isqrt s, which `oracles` builds
-with one such walk and caches, so a sweep over the lags walks the levels
-once and a warm lag is one cut lookup and one array read.  Walks read mu
-from a 1 MiB cache of read-only granules of 8192 levels per parameter
-pair, so the series at one pair (p_1, sigma, r(k)) compute each mu_n once
-while its granule stays cached, and get the same bits as from computing it
-afresh.  Where direct summation cannot reach float resolution (p_1 at
-small alpha) the mass beyond the cut has a closed form, `small_mass_tail`,
-built from incomplete gamma functions.
+start costs a lookup and at most one remainder of its own.  sigma and r(k)
+read one lag table per cut, `_run_sums`, built with one walk over the
+levels and cached: from the weights W_s of the runs of levels that share
+one isqrt s, r(k) = sum_{s > k} (s - k) W_s and sigma^2 = sum_s s^2 W_s,
+so a warm lag is one cut lookup and one array read.  The one relative
+series, the tail of S''_n, walks its levels through `level_series`.  Walks
+read mu from a 1 MiB cache of read-only granules of 8192 levels per pair,
+so the series at one pair compute each mu_n once while its granule stays
+cached, and get the same bits as from computing it afresh.  Where direct
+summation cannot reach float resolution (p_1 at small alpha) the mass
+beyond the cut has a closed form, `small_mass_tail`, built from
+incomplete gamma functions.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, update_wrapper
+from operator import index
 
 import numpy as np
 
@@ -75,6 +77,32 @@ _MU_GRANULE = 1 << 13
 _MU_CACHE_BYTES = 1 << 20
 _MU_GRANULES = _MU_CACHE_BYTES // (8 * _MU_GRANULE)
 _MU_DEPTH = 1 + _MU_GRANULES * _MU_GRANULE  # deepest cached level
+
+
+def locked_cache(maxsize: int):
+    """lru_cache whose misses are built once: threads (the Monte Carlo
+    shards) that miss together wait for one build instead of repeating it."""
+
+    def wrap(build):
+        cached, lock = lru_cache(maxsize)(build), threading.Lock()
+
+        def get(*args):
+            with lock:
+                return cached(*args)
+
+        get.cache_info, get.cache_clear = cached.cache_info, cached.cache_clear
+        return update_wrapper(get, build)
+
+    return wrap
+
+
+def _integer(value, what: str) -> int:
+    """value as an int, NumPy integers included; a float or any other
+    non-integral value is refused rather than truncated."""
+    try:
+        return index(value)
+    except TypeError:
+        raise ParameterError(f"{what} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -139,7 +167,9 @@ class WindowSet:
 
 @dataclass(frozen=True)
 class ProcessStats:
-    """Normalizing constants of the reward process."""
+    """Normalizing constants of the reward process, as `sigma` returns
+    them.  sigma^2 is the long-run variance r(0) + 2 sum_{k >= 1} r(k) of
+    the per-time values, so S_n / (sigma sqrt(n)) is the normalized sum."""
 
     mean_tau: float               # expected return interval
     second_moment_jump: float     # E X^2 of the per-excursion reward
@@ -152,7 +182,7 @@ def log_mu(params: Params, n: int) -> float:
     Level 1 does not exist (an excursion of length 1 never leaves the
     origin) and asking for it is an error rather than -inf.
     """
-    n = int(n)
+    n = _integer(n, "level")
     if n == 0:
         return LOG_MU0
     if n == 1:
@@ -202,7 +232,7 @@ def _mu_levels(params: Params, lo: int, hi: int) -> np.ndarray:
 
 def log_interval_tail(params: Params, k: int) -> float:
     """Exact log of the stationary tail P[A + B > k], k >= 1: just -k^alpha."""
-    k = int(k)
+    k = _integer(k, "tail index")
     if k < 1:
         raise ParameterError(f"tail index must be >= 1, got {k}")
     return -(float(k) ** params.alpha)
@@ -291,31 +321,20 @@ def _doubling_cut(alpha: float, start: int, tol: float, growth: tuple, walked):
 
 
 def level_series(
-    params: Params,
-    block_sum,
-    start: int = 2,
-    tol: float = 1e-12,
-    growth: tuple = (1.0, 0.0),
-    relative: bool = False,
+    params: Params, block_sum, tol: float = 1e-12, growth: tuple = (1.0, 0.0)
 ) -> tuple[float, float, int]:
-    """Certified sum_{m >= start} mu_m w(m) as (value, remainder_bound, n_terms).
+    """Certified sum_{m >= 2} mu_m w(m) to relative error tol, as
+    (value, remainder_bound, n_terms).
 
     growth = (C, e) bounds the weight, 0 <= w(m) <= C m^e with e <= 1, and
     block_sum(lo, hi, mu) returns sum_{m=lo..hi} mu_m w(m) given the array
     mu = (mu_lo, ..., mu_hi), which it must not write to.  `_series_cut`
-    picks the cut N or refuses with PrecisionError, and the levels start..N
-    are walked in blocks of _LEVEL_BLOCK.  With relative=True the test is remainder < tol * value,
-    and each doubling of the cut adds only its new levels to the value.
-
-    mu comes from the cache of granules (_MU_GRANULE levels each, at most
-    _MU_CACHE_BYTES in all, least recently used dropped first), so repeated
-    series at one pair compute each mu_n up to _MU_DEPTH once while its
-    granule is cached.
+    picks the first cut N whose remainder is below tol times the value, or
+    refuses with PrecisionError; each doubling of the cut walks only its new
+    levels, in blocks of _LEVEL_BLOCK.  (The series to an absolute tol,
+    sigma and r(k), take only a cut and read the lag table of `_run_sums`.)
     """
-    if not relative:
-        cut, rem = _series_cut(params, start, tol, growth)
-        return _level_walk(params, block_sum, start, cut), rem, cut - start + 1
-    value, done = 0.0, start - 1
+    value, done = 0.0, 1
 
     def walked(cut: int) -> float:
         nonlocal value, done
@@ -323,8 +342,8 @@ def level_series(
         done = cut
         return value
 
-    cut, rem = _series_cut(params, start, tol, growth, walked)
-    return value, rem, cut - start + 1
+    cut, rem = _series_cut(params, 2, tol, growth, walked)
+    return value, rem, cut - 1
 
 
 def _upper_gamma(s: float, t: float) -> float:
@@ -415,7 +434,7 @@ def log_p(params: Params, n: int) -> float:
 
     For n >= 2 this is log(mu_n / mu_0); p_1 absorbs the rest of the mass.
     """
-    n = int(n)
+    n = _integer(n, "interval length")
     if n < 1:
         raise ParameterError(f"interval length must be >= 1, got {n}")
     if n == 1:
@@ -427,7 +446,9 @@ def _floor_sqrt(arr: np.ndarray) -> np.ndarray:
     """Exact floor square root of an int64 array (float sqrt, corrected)."""
     s = np.sqrt(arr.astype(np.float64)).astype(np.int64)
     s -= s * s > arr
-    s += (s + 1) * (s + 1) <= arr
+    # (s + 1)^2 <= arr, tested without forming (s + 1)^2: past 3037000499^2
+    # that square wraps around in int64
+    s += 2 * s < arr - s * s
     return s
 
 
@@ -464,25 +485,42 @@ def _s_tilde_variance(params: Params, n: int) -> float:
     return MU0 * float(_p_law(params, n - 1) @ (r2 * (n - j)))
 
 
-def second_moment_jump(params: Params, tol: float = 1e-12) -> float:
-    """E X^2 of the per-excursion reward, absolute error < tol.
-
-    E X^2 = sum_{m >= 2} mu_m |reward(m)|^2 / mu_0, and the weight
-    count(m)^2 m^(-2 beta) / mu_0 is at most m^(1 - 2 beta) / mu_0, so the
-    levels beyond a cut N add at most exp(-N^alpha) (N+1)^(1-2 beta) / (N mu_0).
-    """
+@locked_cache(maxsize=32)
+def _run_sums(params: Params, cut: int) -> np.ndarray:
+    """Read-only lag table R of one cut: entry j is
+    sum_{s >= j} (s - j + 1) W_s, W_s = sum mu_tau tau^(-2 beta) over the
+    levels tau in [s^2, (s+1)^2) n [2, cut], s = 0..isqrt(cut) (W_0 = 0).
+    One walk over the levels 2..cut gives W, and two reverse cumulative
+    sums turn it into R, at most 64 KiB at the cap."""
+    runs = np.zeros(math.isqrt(cut) + 1)
+    b = params.beta
 
     def block_sum(lo, hi, mu):
-        mag = excursion_reward_magnitude(params, np.arange(lo, hi + 1))
-        return float((mu * mag * mag).sum()) / MU0
+        w = mu * np.arange(lo, hi + 1, dtype=np.float64) ** (-2.0 * b)
+        s0, s1 = math.isqrt(lo), math.isqrt(hi)
+        s = np.arange(s0, s1 + 1, dtype=np.int64)
+        # a block edge may split a run: both parts add to its entry
+        runs[s0:s1 + 1] += np.add.reduceat(w, np.maximum(s * s - lo, 0))
+        return 0.0
 
-    growth = (1.0 / MU0, 1.0 - 2.0 * params.beta)
-    return level_series(params, block_sum, tol=tol, growth=growth)[0]
+    _level_walk(params, block_sum, 2, cut)
+    table = np.cumsum(np.cumsum(runs[::-1]))[::-1]
+    table.setflags(write=False)
+    return table
 
 
 def sigma(params: Params, tol: float = 1e-12) -> ProcessStats:
-    """Normalizing constant sqrt(E X^2 / E tau) with its ingredients."""
-    m2 = second_moment_jump(params, tol)
+    """Normalizing constant sqrt(E X^2 / E tau) with its ingredients, E X^2
+    to absolute error < tol.
+
+    A level m carries isqrt(m) rewards of size m^(-beta), so on the lag
+    table R of `_run_sums` E X^2 = sum_s s^2 W_s / mu_0 = (R_1 + 2 sum_{j>=2}
+    R_j) / mu_0: sigma^2 is r(0) + 2 sum_{k>=1} r(k), read from one table.
+    The weight isqrt(m)^2 m^(-2 beta) / mu_0 is at most m^(1 - 2 beta) / mu_0,
+    the growth `_series_cut` is given."""
+    cut = _series_cut(params, 2, tol, (1.0 / MU0, 1.0 - 2.0 * params.beta))[0]
+    table = _run_sums(params, cut)
+    m2 = float(table[1] + 2.0 * table[2:].sum()) / MU0
     return ProcessStats(
         mean_tau=MEAN_TAU,
         second_moment_jump=m2,

@@ -19,21 +19,22 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from operator import index, itemgetter
+from operator import itemgetter
 from statistics import NormalDist
 from typing import Optional
 
 import numpy as np
 
-from .chain import RngLike, RngStream, as_generator, locked_cache
+from .chain import RngLike, RngStream, as_generator
 from .errors import BracketEmptyError, ParameterError, PrecisionError
 from .measure import (
     _LEVEL_CAP,
     Params,
     WindowSet,
     _floor_sqrt,
-    _level_walk,
+    _integer,
     _mu_levels,
+    _run_sums,
     _series_cut,
     level_series,
     log_mu,
@@ -251,9 +252,7 @@ def boundary_tail_exact(
     try:
         if x >= float(_LEVEL_CAP) ** (0.5 - beta):  # |S''| <= tau^(1/2 - beta) at level tau
             raise PrecisionError(f"no level up to {_LEVEL_CAP} reaches {x}")
-        total = level_series(
-            params, block_sum, tol=rel_tail, growth=(1.0, 1.0), relative=True
-        )[0]
+        total = level_series(params, block_sum, tol=rel_tail, growth=(1.0, 1.0))[0]
     except PrecisionError as err:
         raise PrecisionError(
             f"P[S'' > {x}] at n={n} is below the best rigorous remainder "
@@ -404,30 +403,6 @@ def predicted_rate(windows: WindowSet, gamma: float, c: float) -> Optional[float
     return 0.0 if where == "inside" else reference
 
 
-@locked_cache(maxsize=32)
-def _run_sums(params: Params, cut: int) -> np.ndarray:
-    """Read-only lag table R of one cut: entry j is
-    sum_{s >= j} (s - j + 1) W_s, W_s = sum mu_tau tau^(-2 beta) over the
-    levels tau in [s^2, (s+1)^2) n [2, cut], s = 0..isqrt(cut) (W_0 = 0).
-    One walk over the levels 2..cut gives W, and two reverse cumulative
-    sums turn it into R, at most 64 KiB at the cap."""
-    runs = np.zeros(math.isqrt(cut) + 1)
-    b = params.beta
-
-    def block_sum(lo, hi, mu):
-        w = mu * np.arange(lo, hi + 1, dtype=np.float64) ** (-2.0 * b)
-        s0, s1 = math.isqrt(lo), math.isqrt(hi)
-        s = np.arange(s0, s1 + 1, dtype=np.int64)
-        # a block edge may split a run: both parts add to its entry
-        runs[s0:s1 + 1] += np.add.reduceat(w, np.maximum(s * s - lo, 0))
-        return 0.0
-
-    _level_walk(params, block_sum, 2, cut)
-    table = np.cumsum(np.cumsum(runs[::-1]))[::-1]
-    table.setflags(write=False)
-    return table
-
-
 def autocovariance_exact(params: Params, k: int, tol: float = 1e-12) -> float:
     """Exact lag-k autocovariance of the per-time values.
 
@@ -448,10 +423,7 @@ def autocovariance_exact(params: Params, k: int, tol: float = 1e-12) -> float:
     A lag whose cut is its own start (k+1)^2 reads that one level, past
     int64 from `log_mu` on Python ints.  k must be an integer >= 0.
     """
-    try:
-        k = index(k)
-    except TypeError:
-        raise ParameterError(f"lag must be an integer, got {k!r}") from None
+    k = _integer(k, "lag")
     if k < 0:
         raise ParameterError(f"lag must be >= 0, got {k}")
     start = max((k + 1) * (k + 1), 2)
@@ -473,6 +445,7 @@ def autocovariance_bound(params: Params, k: int) -> float:
     Any contributing level needs tau >= (k+1)^2; bounding the count by
     tau - 1 leaves the exact interval tail exp(-((k+1)^2 - 1)^alpha).
     """
+    k = _integer(k, "lag")
     if k < 1:
         raise ParameterError(f"bound holds for lags >= 1, got {k}")
     return math.exp(-(float((k + 1) * (k + 1) - 1) ** params.alpha))

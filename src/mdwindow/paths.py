@@ -29,17 +29,16 @@ from .chain import (
     RngLike,
     as_generator,
     interval_alias,
-    locked_cache,
     raw_words,
     sample_stationary_levels,
 )
 from .errors import ParameterError, PrecisionError
-from .measure import Params, _p_law, _reward_ages
+from .measure import Params, _integer, _p_law, _reward_ages, locked_cache
 
 
 def phi(params: Params, k: int, l: int) -> float:
     """Reward shape (k+l)^(-beta) on the early ages k^2 <= k+l, else 0."""
-    k, l = int(k), int(l)
+    k, l = _integer(k, "age"), _integer(l, "residual")
     if k == 0 and l == 0:
         return 0.0
     if k < 1 or l < 1:
@@ -57,7 +56,7 @@ def s_prime_count(a: int, b: int, n: int) -> int:
     inside the window (1 + b <= n); otherwise the whole window sits inside
     one excursion and the sum is reassigned to the trailing term.
     """
-    a, b, n = int(a), int(b), int(n)
+    a, b, n = _integer(a, "age"), _integer(b, "residual"), _integer(n, "horizon")
     if a < 1 or b < 1:
         raise ParameterError("ages and residuals must be >= 1")
     if 1 + b > n:
@@ -71,7 +70,7 @@ def s_double_prime_count(a: int, b: int, n: int) -> int:
     Counts the reward-carrying ages max(1, a-n+1)..a; the lower end handles
     windows lying entirely inside one excursion (a >= n).
     """
-    a, b, n = int(a), int(b), int(n)
+    a, b, n = _integer(a, "age"), _integer(b, "residual"), _integer(n, "horizon")
     if a < 1 or b < 1:
         raise ParameterError("ages and residuals must be >= 1")
     return _reward_ages(a + b, max(a - n, 0) + 1, a)

@@ -1,8 +1,11 @@
 """The public API: `__all__` lists exactly the public names of the package."""
 
+import ast
 import types
+from pathlib import Path
 
 import mdwindow
+from mdwindow import measure
 
 
 def _public_names():
@@ -28,4 +31,25 @@ def test_all_equals_the_public_names():
 
 def test_public_name_count():
     # the size of the public API; change it only with a deliberate API change
-    assert len(mdwindow.__all__) == 48
+    assert len(mdwindow.__all__) == 47
+
+
+def _package_imports(path: Path) -> set:
+    """Modules of the package that the source file at `path` imports."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0 and module.split(".")[0] != "mdwindow":
+                continue
+            base = module.removeprefix("mdwindow").lstrip(".")
+            names |= {base} if base else {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            names |= {alias.name for alias in node.names if alias.name.split(".")[0] == "mdwindow"}
+    return names
+
+
+def test_measure_imports_only_errors_and_logspace():
+    # measure is the bottom of the import graph, so sigma can read the lag
+    # table there and every other module can import it without a cycle
+    assert _package_imports(Path(measure.__file__)) <= {"errors", "logspace"}

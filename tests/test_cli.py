@@ -569,7 +569,7 @@ _PINNED_STDOUT = {
                 "0dbbc2e3f4a5da185e473fcdec4b3318"),
     "params": (("params", *_PAIR), "8a890c2ec3c3a469bf541eca52bb6ddc"),
     "params-windows": (("params", "--windows", "0.1:0.15,0.25:0.4", "--tol", "1e-5",
-                        "--format", "json"), "6983e684ab94a3b7cac7d651bc824090"),
+                        "--format", "json"), "3cb9d7d0b107f7e31a3afed0860baa84"),
 }
 
 

@@ -15,13 +15,17 @@ from mdwindow import (
     Params,
     PrecisionError,
     StateIndexError,
+    autocovariance_bound,
     build_measure_table,
+    excursion_reward_magnitude,
     log_interval_tail,
     log_mu,
     log_p,
     p1,
     params_from_window,
-    second_moment_jump,
+    phi,
+    s_double_prime_count,
+    s_prime_count,
     sigma,
     window_from_params,
 )
@@ -102,6 +106,28 @@ def test_log_mu_rejects_level_one(alpha):
 def test_log_mu_rejects_negative_level():
     with pytest.raises(StateIndexError):
         log_mu(DEFAULT, -3)
+
+
+# each entry point with one integer argument replaced by the test's value
+_INTEGER_ENTRIES = {
+    "log_mu": lambda v: log_mu(DEFAULT, v),
+    "log_interval_tail": lambda v: log_interval_tail(DEFAULT, v),
+    "log_p": lambda v: log_p(DEFAULT, v),
+    "phi": lambda v: phi(DEFAULT, v, 3),
+    "s_prime_count": lambda v: s_prime_count(v, 3, 10),
+    "s_double_prime_count": lambda v: s_double_prime_count(2, 3, v),
+    "autocovariance_bound": lambda v: autocovariance_bound(DEFAULT, v),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_INTEGER_ENTRIES))
+def test_a_non_integral_level_or_age_is_refused(entry):
+    # int() would read 2.5 as 2 and 1.9 as 1; a NumPy integer is an integer
+    call = _INTEGER_ENTRIES[entry]
+    for value in (2.5, 1.9, 3.0, "3", None):
+        with pytest.raises(ParameterError, match="must be an integer"):
+            call(value)
+    assert call(np.int64(3)) == call(3)
 
 
 @pytest.mark.parametrize("alpha", ALPHA_GRID)
@@ -295,23 +321,32 @@ def test_mean_tau_universal(alpha):
 
 SERIES = {
     "p1": lambda p: measure._p1_cached.__wrapped__(p),
-    "second_moment": lambda p: second_moment_jump(p, 1e-12),
+    "second_moment": lambda p: sigma(p, 1e-12).second_moment_jump,
     "autocovariance": lambda p: oracles.autocovariance_exact(p, 3),
     "boundary_tail": lambda p: oracles.boundary_tail_exact(p, 1000, 5.0),
 }
 
 
-def _autocovariance_route(monkeypatch, tol):
-    # r(3) at tol through its own route, the cut rule and the cached run
-    # sums, as (value, remainder bound, n_terms)
+# the series to an absolute tol: each takes only its cut from the rule and
+# reads the cached lag table
+_CUT_ROUTES = {
+    "autocovariance": (oracles, lambda tol: oracles.autocovariance_exact(DEFAULT, 3, tol)),
+    "second_moment": (measure, lambda tol: sigma(DEFAULT, tol).second_moment_jump),
+}
+
+
+def _cut_route(monkeypatch, series, tol):
+    # the series at tol through its own route, as (value, remainder bound,
+    # n_terms)
+    module, call = _CUT_ROUTES[series]
     cuts = []
 
     def spy(params, start, *rest):
         cuts.append((start, *_series_cut(params, start, *rest)))
         return cuts[-1][1:]
 
-    monkeypatch.setattr(oracles, "_series_cut", spy)
-    value = oracles.autocovariance_exact(DEFAULT, 3, tol)
+    monkeypatch.setattr(module, "_series_cut", spy)
+    value = call(tol)
     (start, cut, bound), = cuts
     return value, bound, cut - start + 1
 
@@ -321,12 +356,11 @@ def _autocovariance_route(monkeypatch, tol):
 def test_level_series_remainder_covers_a_tighter_tolerance(monkeypatch, series):
     # the value at tol and at tol/1e4 differ by at most the remainder bound
     # returned at tol
-    if series == "autocovariance":
-        # r(k) takes only its cut from the rule and reads run sums, which
-        # the cleared cache makes it walk afresh
+    if series in _CUT_ROUTES:
+        # the cleared cache makes the lag table walk afresh
         oracles._run_sums.cache_clear()
-        value, bound, n_terms = _autocovariance_route(monkeypatch, 1e-12)
-        tight, _, tight_terms = _autocovariance_route(monkeypatch, 1e-16)
+        value, bound, n_terms = _cut_route(monkeypatch, series, 1e-12)
+        tight, _, tight_terms = _cut_route(monkeypatch, series, 1e-16)
     else:
         calls = []
 
@@ -334,7 +368,6 @@ def test_level_series_remainder_covers_a_tighter_tolerance(monkeypatch, series):
             calls.append((args, kwargs, level_series(*args, **kwargs)))
             return calls[-1][2]
 
-        monkeypatch.setattr(measure, "level_series", spy)
         monkeypatch.setattr(oracles, "level_series", spy)
         SERIES[series](DEFAULT)
         (args, kwargs, (value, bound, n_terms)), = calls
@@ -354,11 +387,15 @@ def test_level_series_do_not_depend_on_level_blocks(monkeypatch, series):
     ref = SERIES[series](DEFAULT)
     for block in (777, 1 << 22):
         monkeypatch.setattr(measure, "_LEVEL_BLOCK", block)
+        oracles._run_sums.cache_clear()  # sigma reads a lag table built in these blocks
         got = SERIES[series](DEFAULT)
         assert np.allclose(got, ref, rtol=1e-13, atol=0.0)
 
 
 def test_level_series_refuses_beyond_the_cap():
+    # the absolute cut rule and the relative series alike
+    with pytest.raises(PrecisionError):
+        _series_cut(Params(0.1, 0.0), 2, 1e-15, (1.0, 0.0))
     with pytest.raises(PrecisionError):
         level_series(Params(0.1, 0.0), lambda lo, hi, mu: float(mu.sum()), tol=1e-15)
 
@@ -373,7 +410,7 @@ def test_level_series_refuses_an_unreachable_relative_tolerance_at_once():
         return float(mu.sum())
 
     with pytest.raises(PrecisionError):
-        level_series(DEFAULT, block_sum, tol=1e-120, relative=True)
+        level_series(DEFAULT, block_sum, tol=1e-120)
     assert max(walked) == measure._FIRST_CUT
 
 
@@ -449,7 +486,7 @@ def test_a_lag_sweep_runs_one_doubling_per_tolerance(monkeypatch):
 
 
 _BAD_TOL_CALLS = {
-    "second_moment": lambda tol: second_moment_jump(DEFAULT, tol),
+    "second_moment": lambda tol: sigma(DEFAULT, tol).second_moment_jump,
     "autocovariance": lambda tol: oracles.autocovariance_exact(DEFAULT, 3, tol),
     "boundary_tail": lambda tol: oracles.boundary_tail_exact(DEFAULT, 1000, 3.0, tol),
     "boundary_tail_threshold": lambda x: oracles.boundary_tail_exact(DEFAULT, 1000, x),
@@ -510,17 +547,74 @@ def test_second_moment_brute_force_beta_zero():
     mu = (np.exp(-((ns - 1) ** alpha)) - np.exp(-(ns ** alpha))) / (ns - 1)
     counts = np.minimum(np.floor(np.sqrt(ns)), ns - 1)
     brute = float((mu / MU0 * counts ** 2).sum())
-    assert second_moment_jump(p, 1e-12) == pytest.approx(brute, abs=1e-10)
+    assert sigma(p, 1e-12).second_moment_jump == pytest.approx(brute, abs=1e-10)
 
 
 def test_second_moment_positive():
-    assert second_moment_jump(DEFAULT, 1e-10) > 0.0
+    assert sigma(DEFAULT, 1e-10).second_moment_jump > 0.0
 
 
 def test_second_moment_tolerance_consistency():
-    loose = second_moment_jump(DEFAULT, 1e-6)
-    tight = second_moment_jump(DEFAULT, 1e-13)
+    loose = sigma(DEFAULT, 1e-6).second_moment_jump
+    tight = sigma(DEFAULT, 1e-13).second_moment_jump
     assert loose == pytest.approx(tight, abs=2e-6)
+
+
+@pytest.mark.parametrize(
+    "params", [DEFAULT, SMALL_ALPHA, Params(0.45, 0.01), Params(0.25, 0.1)], ids=str
+)
+@pytest.mark.parametrize("tol", [1e-4, 1e-8, 1e-12])
+def test_sigma_is_the_long_run_variance_of_its_lag_table(params, tol):
+    # sigma^2 = r(0) + 2 sum_{k >= 1} r(k), the r(k) = R_(k+1) of the lag
+    # table at sigma's cut; sigma refuses exactly where that cut does
+    growth = (1.0 / MU0, 1.0 - 2.0 * params.beta)
+    try:
+        cut = _series_cut(params, 2, tol, growth)[0]
+    except PrecisionError as err:
+        with pytest.raises(PrecisionError, match=str(err)):
+            sigma(params, tol)
+        return
+    r = measure._run_sums(params, cut)[1:]
+    long_run = math.fsum([r[0], *(2.0 * r[1:])])
+    assert sigma(params, tol).sigma ** 2 == pytest.approx(long_run, rel=1e-13, abs=0.0)
+
+
+def test_second_moment_is_the_level_sum_over_its_cut():
+    # a short cut: E X^2 against the plain sum of mu_m isqrt(m)^2 m^(-2 beta)
+    # / mu_0 over the levels 2..cut
+    p, tol = Params(0.45, 0.01), 1e-4
+    cut = _series_cut(p, 2, tol, (1.0 / MU0, 1.0 - 2.0 * p.beta))[0]
+    assert cut <= 1 << 12
+    terms = [
+        math.exp(log_mu(p, m)) * math.isqrt(m) ** 2 * float(m) ** (-2.0 * p.beta) / MU0
+        for m in range(2, cut + 1)
+    ]
+    assert sigma(p, tol).second_moment_jump == pytest.approx(
+        math.fsum(terms), rel=1e-13, abs=0.0
+    )
+
+
+_INT64_MAX = 2 ** 63 - 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(
+    st.one_of(st.integers(0, _INT64_MAX), st.integers(_INT64_MAX - (1 << 33) + 1, _INT64_MAX)),
+    min_size=1, max_size=16,
+))
+def test_floor_sqrt_is_isqrt_over_int64(taus):
+    got = measure._floor_sqrt(np.array(taus, dtype=np.int64))
+    assert got.tolist() == [math.isqrt(t) for t in taus]
+
+
+def test_reward_magnitude_at_the_top_of_int64():
+    # isqrt(2^63 - 1) = 3037000499, and (3037000499 + 1)^2 is past int64;
+    # the scalar path would warn of the overflow
+    p, top = Params(0.3, 0.0), 2 ** 63 - 1
+    assert excursion_reward_magnitude(p, np.array([top, 3037000499 ** 2])).tolist() == [
+        3037000499.0, 3037000499.0
+    ]
+    assert excursion_reward_magnitude(p, top) == 3037000499.0
 
 
 def test_sigma_assembly():
@@ -677,7 +771,7 @@ def _series_bits(pairs):
     out = []
     for p in pairs:
         out.append(measure._p1_cached.__wrapped__(p)[0])
-        out += [second_moment_jump(p, tol) for tol in (1e-6, 1e-9, 1e-12)]
+        out += [sigma(p, tol).second_moment_jump for tol in (1e-6, 1e-9, 1e-12)]
         out += [oracles.autocovariance_exact(p, k) for k in (0, 1, 7, 60, 200)]
         out += [oracles.boundary_tail_exact(p, n, 5.0) for n in (1000, 10 ** 5)]
     return [v.hex() for v in out]
@@ -708,6 +802,7 @@ def test_mu_cache_stays_within_its_byte_bound(monkeypatch):
         return direct(params, lo, hi)
 
     measure._mu_granule.cache_clear()
+    oracles._run_sums.cache_clear()
     monkeypatch.setattr(measure, "_level_log_mu", spy)
     sigma(SMALL_ALPHA, 1e-4)
     assert max(computed) >= 1 << 21
@@ -722,9 +817,11 @@ def test_a_deep_walk_keeps_its_cached_head():
     # so the deeper granules cannot evict it and a second call hits it
     p = Params(0.25, 0.1)
     measure._mu_granule.cache_clear()
-    first = second_moment_jump(p, 1e-12)
+    oracles._run_sums.cache_clear()
+    first = sigma(p, 1e-12).second_moment_jump
     hits = measure._mu_granule.cache_info().hits
-    second = second_moment_jump(p, 1e-12)
+    oracles._run_sums.cache_clear()  # walk the levels again, not the table
+    second = sigma(p, 1e-12).second_moment_jump
     assert measure._MU_GRANULES == 16
     assert measure._mu_granule.cache_info().hits - hits >= 16
     assert second.hex() == first.hex()

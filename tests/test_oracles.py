@@ -597,13 +597,13 @@ def test_a_numpy_integer_lag_is_a_lag():
 def test_cold_lag_sweep_walks_the_levels_once_per_cut(monkeypatch):
     # a lag whose cut is its own start reads that one level; every other
     # lag reads the run sums of its (pair, cut), walked once over 2..cut
-    walks, walk = [], oracles._level_walk
+    walks, walk = [], measure._level_walk
 
     def spy(params, block_sum, lo, hi):
         walks.append((params, lo, hi))
         return walk(params, block_sum, lo, hi)
 
-    monkeypatch.setattr(oracles, "_level_walk", spy)
+    monkeypatch.setattr(measure, "_level_walk", spy)
     cuts = _spy_cuts(monkeypatch)
     oracles._run_sums.cache_clear()
     for params in SWEEP_PAIRS:

@@ -70,13 +70,13 @@ def test_reward_magnitude_brute_force(beta):
 
 def test_second_moment_matches_mc_over_excursions():
     # empirical mean of squared per-excursion rewards vs the exact series
-    from mdwindow import second_moment_jump
+    from mdwindow import sigma
     from mdwindow.chain import interval_alias
 
     draws = interval_alias(DEFAULT).draw(RngStream(620), 10 ** 6)
     sq = excursion_reward_magnitude(DEFAULT, draws) ** 2
     se = float(sq.std(ddof=1)) / math.sqrt(sq.size)
-    assert abs(float(sq.mean()) - second_moment_jump(DEFAULT, 1e-12)) < 3.0 * se
+    assert abs(float(sq.mean()) - sigma(DEFAULT, 1e-12).second_moment_jump) < 3.0 * se
 
 
 # ------------------------------------------------------------ boundary counts
