@@ -72,8 +72,16 @@ def _integer(value) -> int:
 
 
 def _count(value) -> int:
-    """Counts may be written as floats (1e6); nan and inf do not convert."""
-    return int(float(value))
+    """Counts may be written as floats (1e6) but must be integral: a
+    fraction, nan, inf and a bool are refused."""
+    if isinstance(value, bool):
+        raise TypeError("a bool is not a count")
+    if isinstance(value, int):
+        return value
+    x = float(value)
+    if not x.is_integer():
+        raise ValueError("not an integer")
+    return int(x)
 
 
 def _grid(read):

@@ -30,10 +30,9 @@ read one lag table per cut, `_run_sums`, built with one walk over the
 levels and cached: from the weights W_s of the runs of levels that share
 one isqrt s, r(k) = sum_{s > k} (s - k) W_s and sigma^2 = sum_s s^2 W_s,
 so a warm lag is one cut lookup and one array read.  The one relative
-series, the tail of S''_n, walks its levels through `level_series`.  Walks
-read mu from a 1 MiB cache of read-only granules of 8192 levels per pair,
-so the series at one pair compute each mu_n once while its granule stays
-cached, and get the same bits as from computing it afresh.  Where direct
+series, the tail of S''_n, walks its levels through `level_series`.  A
+walk computes mu per block of levels where it reads them; exp and log act
+on each level alone, so a level gets the same bits in any block.  Where direct
 summation cannot reach float resolution (p_1 at small alpha) the mass
 beyond the cut has a closed form, `small_mass_tail`, built from
 incomplete gamma functions.
@@ -68,15 +67,6 @@ _FIRST_CUT = 1 << 10           # first truncation level a series tries
 _LEVEL_CAP = 1 << 26           # deepest truncation level; beyond it, refuse
 _P1_CUT = 1 << 14              # p_1 sums this far and adds the closed-form tail
 _GAMMA_TERMS = 8               # powers x^-2 .. x^-8 of 1/(x(x-1)) in the tail
-# Levels per cached run of mu (a granule), fixed whatever _LEVEL_BLOCK is,
-# and the bytes all cached granules may hold: the 16 granules cover the
-# levels 2..2^17, all that a series at tol 1e-12 walks for alpha above about
-# 0.28.  Only these head granules are cached; deeper levels are computed
-# afresh, so a longer walk cannot evict its own head.
-_MU_GRANULE = 1 << 13
-_MU_CACHE_BYTES = 1 << 20
-_MU_GRANULES = _MU_CACHE_BYTES // (8 * _MU_GRANULE)
-_MU_DEPTH = 1 + _MU_GRANULES * _MU_GRANULE  # deepest cached level
 
 
 def locked_cache(maxsize: int):
@@ -200,36 +190,6 @@ def _level_log_mu(params: Params, lo: int, hi: int) -> np.ndarray:
     return -(nm1 ** params.alpha) + log1mexp(power_gap(ns, params.alpha)) - np.log(nm1)
 
 
-@lru_cache(maxsize=_MU_GRANULES)
-def _mu_granule(params: Params, g: int) -> np.ndarray:
-    """Read-only mu_n for the levels n = 2 + g G .. 1 + (g + 1) G, G = _MU_GRANULE.
-
-    exp and log act on each level alone, so a level gets the same bits here
-    as from a direct evaluation over any other range."""
-    lo = 2 + g * _MU_GRANULE
-    mu = np.exp(_level_log_mu(params, lo, lo + _MU_GRANULE - 1))
-    mu.setflags(write=False)
-    return mu
-
-
-def _mu_levels(params: Params, lo: int, hi: int) -> np.ndarray:
-    """mu_n for n = lo..hi, 2 <= lo <= hi: a slice of one cached granule, or
-    a copy of the slices of several; levels past _MU_DEPTH are computed
-    afresh."""
-    if lo > _MU_DEPTH:
-        return np.exp(_level_log_mu(params, lo, hi))
-    if hi > _MU_DEPTH:
-        head = _mu_levels(params, lo, _MU_DEPTH)
-        return np.concatenate((head, _mu_levels(params, _MU_DEPTH + 1, hi)))
-    g0, first = divmod(lo - 2, _MU_GRANULE)
-    g1, last = divmod(hi - 2, _MU_GRANULE)
-    if g0 == g1:
-        return _mu_granule(params, g0)[first:last + 1]
-    parts = [_mu_granule(params, g) for g in range(g0, g1 + 1)]
-    parts[0], parts[-1] = parts[0][first:], parts[-1][:last + 1]
-    return np.concatenate(parts)
-
-
 def log_interval_tail(params: Params, k: int) -> float:
     """Exact log of the stationary tail P[A + B > k], k >= 1: just -k^alpha."""
     k = _integer(k, "tail index")
@@ -239,11 +199,12 @@ def log_interval_tail(params: Params, k: int) -> float:
 
 
 def _level_walk(params: Params, block_sum, lo: int, hi: int) -> float:
-    """sum_{m=lo..hi} mu_m w(m), block_sum taken over blocks of _LEVEL_BLOCK."""
+    """sum_{m=lo..hi} mu_m w(m), block_sum taken over blocks of _LEVEL_BLOCK,
+    each handed a fresh array of its mu."""
     total = 0.0
     for b in range(lo, hi + 1, _LEVEL_BLOCK):
         top = min(b + _LEVEL_BLOCK - 1, hi)
-        total += block_sum(b, top, _mu_levels(params, b, top))
+        total += block_sum(b, top, np.exp(_level_log_mu(params, b, top)))
     return total
 
 
@@ -327,8 +288,8 @@ def level_series(
     (value, remainder_bound, n_terms).
 
     growth = (C, e) bounds the weight, 0 <= w(m) <= C m^e with e <= 1, and
-    block_sum(lo, hi, mu) returns sum_{m=lo..hi} mu_m w(m) given the array
-    mu = (mu_lo, ..., mu_hi), which it must not write to.  `_series_cut`
+    block_sum(lo, hi, mu) returns sum_{m=lo..hi} mu_m w(m) given a fresh
+    array mu = (mu_lo, ..., mu_hi), which it may write to.  `_series_cut`
     picks the first cut N whose remainder is below tol times the value, or
     refuses with PrecisionError; each doubling of the cut walks only its new
     levels, in blocks of _LEVEL_BLOCK.  (The series to an absolute tol,
@@ -465,8 +426,14 @@ def _reward_ages(tau, first, last):
 def excursion_reward_magnitude(params: Params, tau):
     """Total |reward| of full excursions of lengths tau >= 1 (int or array):
     the reward-carrying ages 1..tau-1 times tau^(-beta).  A length-1
-    excursion never leaves the origin and earns nothing.
+    excursion never leaves the origin and earns nothing.  A length must be
+    an integer: a float scalar or an array of a non-integer dtype is
+    refused rather than truncated.
     """
+    if np.ndim(tau) == 0:
+        tau = _integer(tau, "interval length")
+    elif (dtype := np.asarray(tau).dtype).kind not in "iu":
+        raise ParameterError(f"interval lengths must be integers, got dtype {dtype}")
     tau = np.asarray(tau, dtype=np.int64)
     if np.any(tau < 1):
         raise ParameterError("interval lengths must be >= 1")
@@ -568,12 +535,10 @@ def params_from_window(u: float, v: float) -> Params:
     return Params(alpha, beta)
 
 
-@lru_cache(maxsize=16)
 def build_measure_table(params: Params, n_max: int) -> np.ndarray:
-    """Read-only log mu_n for n = 2..n_max, entry i at level i + 2 (cached
-    per parameter pair)."""
+    """log mu_n for n = 2..n_max, entry i at level i + 2, computed afresh on
+    every call; n_max must be an integer >= 2."""
+    n_max = _integer(n_max, "n_max")
     if n_max < 2:
         raise ParameterError(f"n_max must be >= 2, got {n_max}")
-    levels = _level_log_mu(params, 2, n_max)
-    levels.setflags(write=False)
-    return levels
+    return _level_log_mu(params, 2, n_max)

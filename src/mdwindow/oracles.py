@@ -33,7 +33,6 @@ from .measure import (
     WindowSet,
     _floor_sqrt,
     _integer,
-    _mu_levels,
     _run_sums,
     _series_cut,
     level_series,
@@ -41,8 +40,6 @@ from .measure import (
     window_from_params,
 )
 from .paths import conditioned_path, decompose, iter_sums, s_double_prime_count
-
-_INT64_MAX = int(np.iinfo(np.int64).max)
 
 # column getters of an `iter_sums` chunk, by mc_tail_curve target
 _TARGETS = {
@@ -64,7 +61,7 @@ class RateQuery:
     c: float
 
     def __post_init__(self):
-        if self.n < 1:
+        if _integer(self.n, "horizon") < 1:
             raise ParameterError(f"horizon must be >= 1, got {self.n}")
         if not 0.0 < self.gamma < 0.5:
             raise ParameterError(f"gamma must lie in (0, 0.5), got {self.gamma}")
@@ -420,8 +417,8 @@ def autocovariance_exact(params: Params, k: int, tol: float = 1e-12) -> float:
     cut (`_run_sums`), cached per (pair, cut) and built with one walk over
     the levels, so a warm lag is one cut lookup and one array read.  The
     table's terms are nonnegative, so r(k) never rises with k along one cut.
-    A lag whose cut is its own start (k+1)^2 reads that one level, past
-    int64 from `log_mu` on Python ints.  k must be an integer >= 0.
+    A lag whose cut is its own start (k+1)^2 reads that one level from
+    `log_mu`, on Python ints at any size.  k must be an integer >= 0.
     """
     k = _integer(k, "lag")
     if k < 0:
@@ -431,11 +428,7 @@ def autocovariance_exact(params: Params, k: int, tol: float = 1e-12) -> float:
     # 2 N^(-1/2 - 2 beta) exp(-N^alpha), so the values do not move
     cut = _series_cut(params, start, tol, (2.0, 0.5 - 2.0 * params.beta))[0]
     if cut == start:  # the one level (k+1)^2, with count 1
-        if start < _INT64_MAX:  # the vectorized levels start..start+1 fit int64
-            mu = float(_mu_levels(params, start, start)[0])
-        else:
-            mu = math.exp(log_mu(params, start))
-        return mu * float(start) ** (-2.0 * params.beta)
+        return math.exp(log_mu(params, start)) * float(start) ** (-2.0 * params.beta)
     return float(_run_sums(params, cut)[k + 1])
 
 

@@ -1,6 +1,8 @@
 """The public API: `__all__` lists exactly the public names of the package."""
 
 import ast
+import importlib
+import pkgutil
 import types
 from pathlib import Path
 
@@ -53,3 +55,22 @@ def test_measure_imports_only_errors_and_logspace():
     # measure is the bottom of the import graph, so sigma can read the lag
     # table there and every other module can import it without a cycle
     assert _package_imports(Path(measure.__file__)) <= {"errors", "logspace"}
+
+
+def test_the_package_holds_exactly_six_caches():
+    # every cache of per-pair data, counted once per object (oracles imports
+    # measure._run_sums); a new cache changes this list on purpose
+    caches = {}
+    for info in pkgutil.iter_modules(mdwindow.__path__):
+        module = importlib.import_module(f"mdwindow.{info.name}")
+        for fn in vars(module).values():
+            if callable(fn) and hasattr(fn, "cache_clear"):
+                caches[id(fn)] = f"{fn.__module__}.{fn.__qualname__}"
+    assert sorted(caches.values()) == [
+        "mdwindow.chain.interval_alias",
+        "mdwindow.measure._lowest_cut",
+        "mdwindow.measure._p1_cached",
+        "mdwindow.measure._run_sums",
+        "mdwindow.measure.window_from_params",
+        "mdwindow.paths._renewal_table",
+    ]

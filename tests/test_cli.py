@@ -498,9 +498,14 @@ _PAIR = ("--alpha", "0.3", "--beta", "0.05")
         (("params",), {"alpha": "x", "beta": 0.05}, "alpha"),
         (("params", *_PAIR, "--tol", "inf"), None, "tol"),
         (("autocov", *_PAIR, "--tol", "nan"), None, "tol"),
+        (("simulate", *_PAIR, "--n", "100.7", "--reps", "2"), None, "n"),
+        (("rates", *_PAIR, "--n-grid", "1000000.5", "--gamma-grid", "0.3"), None, "n_grid"),
+        (("simulate", *_PAIR, "--n", "10"), {"reps": True}, "reps"),
+        (("autocov", *_PAIR), {"k_max": 2.5}, "k_max"),
     ],
     ids=["n-nan", "n-inf", "seed", "n-grid", "gamma-grid", "windows", "k-max",
-         "config-shards", "config-alpha", "tol-inf", "tol-nan"],
+         "config-shards", "config-alpha", "tol-inf", "tol-nan", "n-fraction",
+         "n-grid-fraction", "config-reps-bool", "config-k-max-fraction"],
 )
 def test_malformed_input_exit_2(tmp_path, args, config, field):
     if config is not None:
@@ -512,6 +517,16 @@ def test_malformed_input_exit_2(tmp_path, args, config, field):
     assert res.stderr.startswith(f"error: {field}"), res.stderr
     assert "Traceback" not in res.stderr
     assert res.stdout == ""
+
+
+def test_counts_read_integral_floats_exactly():
+    from mdwindow import cli
+
+    assert cli._count(1e6) == cli._count("1e6") == cli._count(1000000) == 1000000
+    assert cli._count(2 ** 53 + 1) == 2 ** 53 + 1  # an int is not rounded through float
+    for bad in (100.7, "1000000.5", True, math.nan, math.inf):
+        with pytest.raises((TypeError, ValueError)):
+            cli._count(bad)
 
 
 @pytest.mark.parametrize("extra", [{"shards": 0}, {"reps": -5}])

@@ -1,6 +1,5 @@
 import inspect
 import math
-from concurrent.futures import ThreadPoolExecutor
 
 import mpmath
 import numpy as np
@@ -507,7 +506,6 @@ def test_bad_tolerance_is_refused_before_any_level_is_walked(monkeypatch, call, 
         walked.append(args)
         return _level_log_mu(*args)
 
-    measure._mu_granule.cache_clear()
     monkeypatch.setattr(measure, "_level_log_mu", spy)
     with pytest.raises(ParameterError):
         _BAD_TOL_CALLS[call](tol)
@@ -615,6 +613,16 @@ def test_reward_magnitude_at_the_top_of_int64():
         3037000499.0, 3037000499.0
     ]
     assert excursion_reward_magnitude(p, top) == 3037000499.0
+
+
+def test_reward_magnitude_refuses_non_integral_lengths():
+    # 9.9 would otherwise read as length 9 and earn 3.0
+    p = Params(0.3, 0.0)
+    for tau in (9.9, 9.0, np.float64(9.0), np.array([9.0, 5.0]), [9.5]):
+        with pytest.raises(ParameterError, match="integer"):
+            excursion_reward_magnitude(p, tau)
+    assert excursion_reward_magnitude(p, np.int64(9)) == 3.0
+    assert excursion_reward_magnitude(p, np.array([9, 5], dtype=np.uint32)).tolist() == [3.0, 2.0]
 
 
 def test_sigma_assembly():
@@ -737,16 +745,12 @@ def test_measure_table_accessors():
     assert table.shape == (49,)
     assert np.array_equal(table, _level_log_mu(DEFAULT, 2, 50))
     assert table[17 - 2] == pytest.approx(log_mu(DEFAULT, 17), abs=1e-15)
-    assert not table.flags.writeable
-    with pytest.raises(ValueError):
-        table[0] = 0.0
-    assert build_measure_table(DEFAULT, 50) is table
-    for n_max in (1, 0, -3):
+    for n_max in (1, 0, -3, 5.5):  # 5.5 is not read as the levels 2..6
         with pytest.raises(ParameterError):
             build_measure_table(DEFAULT, n_max)
 
 
-# ------------------------------------------------------------------ mu cache
+# ---------------------------------------------------------------- level walk
 
 def test_lag_sweep_computes_each_mu_once(monkeypatch):
     computed = []
@@ -756,7 +760,6 @@ def test_lag_sweep_computes_each_mu_once(monkeypatch):
         computed.append((lo, hi))
         return direct(params, lo, hi)
 
-    measure._mu_granule.cache_clear()
     oracles._run_sums.cache_clear()
     monkeypatch.setattr(measure, "_level_log_mu", spy)
     for k in range(201):
@@ -765,75 +768,3 @@ def test_lag_sweep_computes_each_mu_once(monkeypatch):
     for lo, hi in computed:
         times[lo:hi + 1] += 1
     assert times[:2].sum() == 0 and (times[2:] == 1).all()
-
-
-def _series_bits(pairs):
-    out = []
-    for p in pairs:
-        out.append(measure._p1_cached.__wrapped__(p)[0])
-        out += [sigma(p, tol).second_moment_jump for tol in (1e-6, 1e-9, 1e-12)]
-        out += [oracles.autocovariance_exact(p, k) for k in (0, 1, 7, 60, 200)]
-        out += [oracles.boundary_tail_exact(p, n, 5.0) for n in (1000, 10 ** 5)]
-    return [v.hex() for v in out]
-
-
-def test_cached_mu_gives_the_bits_of_direct_evaluation(monkeypatch):
-    # (0.25, 0.1) walks 2^19 levels, past what the cache holds
-    pairs = (DEFAULT, Params(0.45, 0.01), Params(0.25, 0.1))
-    measure._mu_granule.cache_clear()
-    oracles._run_sums.cache_clear()
-    cold = _series_bits(pairs)
-    warm = _series_bits(pairs)
-    assert measure._mu_granule.cache_info().hits > 0
-    monkeypatch.setattr(
-        measure, "_mu_levels", lambda p, lo, hi: np.exp(_level_log_mu(p, lo, hi))
-    )
-    oracles._run_sums.cache_clear()
-    assert cold == warm == _series_bits(pairs)
-
-
-def test_mu_cache_stays_within_its_byte_bound(monkeypatch):
-    # at tol 1e-4 the small-alpha second moment cuts at 2^21 levels
-    computed = []
-    direct = measure._level_log_mu
-
-    def spy(params, lo, hi):
-        computed.append(hi)
-        return direct(params, lo, hi)
-
-    measure._mu_granule.cache_clear()
-    oracles._run_sums.cache_clear()
-    monkeypatch.setattr(measure, "_level_log_mu", spy)
-    sigma(SMALL_ALPHA, 1e-4)
-    assert max(computed) >= 1 << 21
-    info = measure._mu_granule.cache_info()
-    granule = measure._mu_granule(SMALL_ALPHA, 0)
-    assert not granule.flags.writeable
-    assert info.currsize * granule.nbytes <= measure._MU_CACHE_BYTES
-
-
-def test_a_deep_walk_keeps_its_cached_head():
-    # (0.25, 0.1) walks 64 granules at tol 1e-12; only the head is cached,
-    # so the deeper granules cannot evict it and a second call hits it
-    p = Params(0.25, 0.1)
-    measure._mu_granule.cache_clear()
-    oracles._run_sums.cache_clear()
-    first = sigma(p, 1e-12).second_moment_jump
-    hits = measure._mu_granule.cache_info().hits
-    oracles._run_sums.cache_clear()  # walk the levels again, not the table
-    second = sigma(p, 1e-12).second_moment_jump
-    assert measure._MU_GRANULES == 16
-    assert measure._mu_granule.cache_info().hits - hits >= 16
-    assert second.hex() == first.hex()
-
-
-def test_threads_on_a_cold_mu_cache_agree():
-    def series(_):
-        lags = [oracles.autocovariance_exact(DEFAULT, k) for k in range(0, 60, 7)]
-        return [sigma(DEFAULT).sigma] + lags
-
-    measure._mu_granule.cache_clear()
-    oracles._run_sums.cache_clear()
-    with ThreadPoolExecutor(max_workers=8) as pool:
-        got = list(pool.map(series, range(8)))
-    assert got == [series(0)] * 8

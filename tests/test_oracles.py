@@ -101,6 +101,8 @@ def test_rate_query_validation():
         RateQuery(10, 0.6, 1.0)
     with pytest.raises(ParameterError):
         RateQuery(10, 0.3, 0.0)
+    with pytest.raises(ParameterError, match="horizon must be an integer"):
+        RateQuery(1e6, 0.32, 1.0)  # refused here, not deep inside a certificate
     q = RateQuery(100, 0.25, 2.0)
     assert q.threshold == pytest.approx(2.0 * 100 ** 0.75, abs=1e-12)
 
@@ -536,16 +538,21 @@ def _spy_cuts(monkeypatch):
 @pytest.mark.parametrize("tol", [1e-6, 1e-12])
 def test_autocovariance_matches_fsum_over_its_levels(monkeypatch, params, tol):
     # r(k) from cached run sums against a correctly rounded sum of
-    # mu_tau tau^(-2 beta) (isqrt(tau) - k) over the same levels start..cut
-    cuts = _spy_cuts(monkeypatch)
-    for k in (0, 1, 7, 60, 150, 200):
+    # mu_tau tau^(-2 beta) (isqrt(tau) - k) over the same levels start..cut;
+    # at DEFAULT, tol 1e-12, the lags from 174 on read their one level
+    cuts, one_level = _spy_cuts(monkeypatch), []
+    for k in (0, 1, 7, 60, 150, 174, 180, 200):
         got = autocovariance_exact(params, k, tol)
         (_, start, cut), = cuts
         cuts.clear()
+        if start == cut:
+            one_level.append(k)
         tau = np.arange(start, cut + 1, dtype=np.int64)
         mu = np.exp(measure._level_log_mu(params, start, cut))
         terms = mu * tau.astype(np.float64) ** (-2.0 * params.beta) * (measure._floor_sqrt(tau) - k)
         assert got == pytest.approx(math.fsum(terms), rel=1e-13, abs=0.0)
+    if (params, tol) == (DEFAULT, 1e-12):
+        assert one_level == [174, 180, 200]
 
 
 def test_a_deep_lag_table_matches_fsum_and_never_rises(monkeypatch):
