@@ -92,17 +92,10 @@ class RngStream:
         )
 
     def shard(self, index: int) -> np.random.Generator:
-        """Independent child generator for worker `index`."""
+        """Independent child generator for Monte Carlo block `index`."""
         return np.random.default_rng(
             np.random.SeedSequence(entropy=self.seed, spawn_key=self._key + (index,))
         )
-
-    def split(self, reps: int, shards: int) -> list:
-        """reps paths over `shards` workers as [(paths, generator), ...]:
-        the shares differ by at most one, the larger first, and worker s
-        draws from shard(s)."""
-        base, extra = divmod(reps, shards)
-        return [(base + (s < extra), self.shard(s)) for s in range(shards)]
 
     def substream(self, index: int) -> "RngStream":
         """Child stream addressable by further sharding."""

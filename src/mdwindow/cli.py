@@ -7,10 +7,12 @@ Subcommands emit reproducible CSV tables or JSON documents:
   rates      certificate / Monte Carlo / reference rate curves
   autocov    exact vs empirical autocovariances with the dominance bound
 
-Every command is a pure function of its resolved configuration (seed and
-shard count included), so reruns are byte-identical.  Exit codes: 0 on
-success, 2 for invalid configuration, 3 when a requested precision is
-unreachable.
+Every command is a pure function of its resolved configuration, so reruns
+are byte-identical.  The Monte Carlo paths of `simulate` and `rates` come
+in fixed blocks, each with its own child stream of the seed; `--shards`
+sets only how many threads run them and never changes the output.  Exit
+codes: 0 on success, 2 for invalid configuration, 3 when a requested
+precision is unreachable.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from .measure import (
 )
 from .oracles import (
     RateQuery,
+    _run_blocks,
     autocovariance_bound,
     autocovariance_exact,
     case1_upper,
@@ -105,7 +108,7 @@ _MC = ("simulate", "rates")
 _FIELDS = {
     "seed": (int, _integer, 0, ("simulate", "rates", "autocov"),
              f"random seed (default ${SEED_ENV}, else 0)"),
-    "shards": (int, _integer, 1, _MC, "independent child streams"),
+    "shards": (int, _integer, 1, _MC, "worker threads (results do not depend on it)"),
     "alpha": (float, float, None, _ALL, "tail exponent"),
     "beta": (float, float, None, _ALL, "reward exponent"),
     "tol": (float, float, 1e-10, ("params", "autocov"), "series tolerance"),
@@ -259,18 +262,14 @@ def cmd_simulate(cfg: dict) -> tuple[list, list]:
         raise ParameterError("n/reps: both are required for simulate")
     _within_mc_cap("n", cfg["n"])
     params = _component(cfg, "simulate")
-    n, reps, shards = cfg["n"], cfg["reps"], cfg["shards"]
-    if reps < shards:
-        raise ParameterError(f"reps: must be >= shards, got {reps} < {shards}")
-    stream = RngStream(seed=cfg["seed"])
-    header = ["shard", "s_prime", "s_tilde", "s_dprime", "s_total",
-              "a1", "b1", "an", "bn", "interior"]
-    rows = []
-    for s, (r, gen) in enumerate(stream.split(reps, shards)):
-        for chunk in iter_sums(params, n, r, gen):
-            columns = [chunk[k].tolist() for k in header[1:]]
-            rows.extend([s, *row] for row in zip(*columns))
-    return header, rows
+    header = ["s_prime", "s_tilde", "s_dprime", "s_total", "a1", "b1", "an", "bn", "interior"]
+
+    def block_rows(r: int, gen) -> list:
+        chunks = iter_sums(params, cfg["n"], r, gen)
+        return [row for chunk in chunks for row in zip(*(chunk[k].tolist() for k in header))]
+
+    blocks = _run_blocks(cfg["reps"], RngStream(seed=cfg["seed"]), cfg["shards"], block_rows)
+    return header, [row for rows in blocks for row in rows]
 
 
 # the certificate of each regime `WindowSet.locate` names, by row kind

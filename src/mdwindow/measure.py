@@ -70,8 +70,9 @@ _GAMMA_TERMS = 8               # powers x^-2 .. x^-8 of 1/(x(x-1)) in the tail
 
 
 def locked_cache(maxsize: int):
-    """lru_cache whose misses are built once: threads (the Monte Carlo
-    shards) that miss together wait for one build instead of repeating it."""
+    """lru_cache whose misses are built once: threads (the workers of a
+    Monte Carlo run) that miss together wait for one build instead of
+    repeating it."""
 
     def wrap(build):
         cached, lock = lru_cache(maxsize)(build), threading.Lock()
@@ -86,13 +87,19 @@ def locked_cache(maxsize: int):
     return wrap
 
 
-def _integer(value, what: str) -> int:
-    """value as an int, NumPy integers included; a float or any other
-    non-integral value is refused rather than truncated."""
+def _integer(value, what: str, low: int | None = None) -> int:
+    """value as an int, NumPy integers included; a bool, a float or any
+    other non-integral value is refused rather than truncated, and so is a
+    value below `low` when that is given."""
     try:
-        return index(value)
+        if value is True or value is False:  # index(True) would read it as 1
+            raise TypeError
+        value = index(value)
     except TypeError:
         raise ParameterError(f"{what} must be an integer, got {value!r}") from None
+    if low is not None and value < low:
+        raise ParameterError(f"{what} must be >= {low}, got {value}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -192,9 +199,7 @@ def _level_log_mu(params: Params, lo: int, hi: int) -> np.ndarray:
 
 def log_interval_tail(params: Params, k: int) -> float:
     """Exact log of the stationary tail P[A + B > k], k >= 1: just -k^alpha."""
-    k = _integer(k, "tail index")
-    if k < 1:
-        raise ParameterError(f"tail index must be >= 1, got {k}")
+    k = _integer(k, "tail index", 1)
     return -(float(k) ** params.alpha)
 
 
@@ -395,9 +400,7 @@ def log_p(params: Params, n: int) -> float:
 
     For n >= 2 this is log(mu_n / mu_0); p_1 absorbs the rest of the mass.
     """
-    n = _integer(n, "interval length")
-    if n < 1:
-        raise ParameterError(f"interval length must be >= 1, got {n}")
+    n = _integer(n, "interval length", 1)
     if n == 1:
         return math.log(p1(params))
     return log_mu(params, n) - LOG_MU0
@@ -538,7 +541,5 @@ def params_from_window(u: float, v: float) -> Params:
 def build_measure_table(params: Params, n_max: int) -> np.ndarray:
     """log mu_n for n = 2..n_max, entry i at level i + 2, computed afresh on
     every call; n_max must be an integer >= 2."""
-    n_max = _integer(n_max, "n_max")
-    if n_max < 2:
-        raise ParameterError(f"n_max must be >= 2, got {n_max}")
+    n_max = _integer(n_max, "n_max", 2)
     return _level_log_mu(params, 2, n_max)

@@ -61,8 +61,7 @@ class RateQuery:
     c: float
 
     def __post_init__(self):
-        if _integer(self.n, "horizon") < 1:
-            raise ParameterError(f"horizon must be >= 1, got {self.n}")
+        _integer(self.n, "horizon", 1)
         if not 0.0 < self.gamma < 0.5:
             raise ParameterError(f"gamma must lie in (0, 0.5), got {self.gamma}")
         if not self.c > 0.0:
@@ -121,8 +120,9 @@ def wilson_interval(hits: int, reps: int, confidence: float) -> tuple[float, flo
     """Two-sided Wilson score interval; at zero hits the upper end is the
     exact one-sided bound 1 - (1-confidence)^(1/reps) (rule of three,
     generalized to the stated confidence)."""
-    if reps < 1:
-        raise ParameterError("reps must be >= 1")
+    hits, reps = _integer(hits, "hits", 0), _integer(reps, "reps", 1)
+    if hits > reps:
+        raise ParameterError(f"hits must be <= reps, got {hits} of {reps}")
     if not 0.0 < confidence < 1.0:
         raise ParameterError("confidence must lie in (0, 1)")
     if hits == 0:
@@ -137,6 +137,33 @@ def wilson_interval(hits: int, reps: int, confidence: float) -> tuple[float, flo
     return max(0.0, center - spread), min(1.0, center + spread)
 
 
+# paths per Monte Carlo block: iter_sums' default chunk, so a block is one chunk
+_BLOCK_PATHS = 1 << 16
+
+
+def _run_blocks(reps: int, rng: RngStream, shards: int, per_block) -> list:
+    """[per_block(paths, generator), ...] over the fixed blocks of `reps`
+    paths, in block order.  Block i holds _BLOCK_PATHS paths (the last one
+    the rest) and draws from rng.shard(i), so the results do not depend on
+    `shards`, which sets only the worker count.  Threads overlap only where
+    numpy releases the GIL, and only on CPUs this process may run on; on one
+    CPU they would just take turns, so the blocks then run inline in order.
+    """
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    sizes = [min(_BLOCK_PATHS, reps - start) for start in range(0, reps, _BLOCK_PATHS)]
+    gens = map(rng.shard, range(len(sizes)))
+    workers = min(shards, cpus, len(sizes))
+    if workers > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(per_block, sizes, gens))
+    return list(map(per_block, sizes, gens))
+
+
 def mc_tail_curve(
     params: Params,
     n: int,
@@ -149,20 +176,20 @@ def mc_tail_curve(
     """Exceedance estimates for several targets and thresholds from one
     shared set of simulated paths.
 
-    thresholds maps target name -> array of sum-unit thresholds.  Work is
-    split over `shards` child streams and hit counts merged, so the result
-    is a pure function of (seed, stream_id, shards).
+    thresholds maps target name -> array of sum-unit thresholds.  The paths
+    come in fixed blocks (`_run_blocks`) run on up to `shards` threads, and
+    the hit counts merge in block order, so the result is a pure function
+    of (seed, stream_id): the worker count never changes it.
     """
     for target in thresholds:
         if target not in _TARGETS:
             raise ParameterError(f"unknown target {target!r}")
-    if shards < 1 or reps < shards:
-        raise ParameterError("need 1 <= shards <= reps")
+    n, reps = _integer(n, "horizon", 1), _integer(reps, "reps", 1)
+    shards = _integer(shards, "shards", 1)
     with_rewards = any(t in ("total", "tilde") for t in thresholds)
     xs = {t: np.atleast_1d(np.asarray(v, dtype=np.float64)) for t, v in thresholds.items()}
 
-    def run_shard(share: tuple) -> dict:
-        r, gen = share
+    def block_hits(r: int, gen) -> dict:
         local = {t: np.zeros(v.size, dtype=np.int64) for t, v in xs.items()}
         for chunk in iter_sums(params, n, r, gen, with_rewards=with_rewards):
             for target, v in xs.items():
@@ -170,24 +197,8 @@ def mc_tail_curve(
                 local[target] += (comp[None, :] > v[:, None]).sum(axis=1)
         return local
 
-    # shards are independent streams and the merge is order-fixed, so the
-    # totals do not depend on scheduling.  Threads overlap only where numpy
-    # releases the GIL, and only on CPUs this process may run on; on one
-    # CPU they would just take turns, so the shards run inline in order.
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        cpus = os.cpu_count() or 1
-    workers = min(shards, cpus)
-    shares = rng.split(reps, shards)
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            shard_hits = list(pool.map(run_shard, shares))
-    else:
-        shard_hits = list(map(run_shard, shares))
-    hits = {t: sum(local[t] for local in shard_hits) for t in xs}
+    block_counts = _run_blocks(reps, rng, shards, block_hits)
+    hits = {t: sum(local[t] for local in block_counts) for t in xs}
     return {
         target: [TailEstimate.from_hits(int(h), reps, confidence) for h in counts]
         for target, counts in hits.items()
@@ -204,6 +215,7 @@ def boundary_sum_sup(params: Params, n: int) -> float:
     is maximized at the even split.  The overall sup is the larger of the
     two regimes.
     """
+    n = _integer(n, "horizon", 1)
     b = params.beta
     single = float(n) ** (1.0 - 2.0 * b)
     if n < 2:
@@ -230,8 +242,7 @@ def boundary_tail_exact(
     """
     if not x > 0.0:
         raise ParameterError(f"threshold must be > 0, got {x}")
-    if n < 1:
-        raise ParameterError(f"horizon must be >= 1, got {n}")
+    n = _integer(n, "horizon", 1)
     beta = params.beta
     # attained maximum of |S''| is n^(1-2 beta) (at tau = n^2, age n)
     if x >= float(n) ** (1.0 - 2.0 * beta):
@@ -420,9 +431,7 @@ def autocovariance_exact(params: Params, k: int, tol: float = 1e-12) -> float:
     A lag whose cut is its own start (k+1)^2 reads that one level from
     `log_mu`, on Python ints at any size.  k must be an integer >= 0.
     """
-    k = _integer(k, "lag")
-    if k < 0:
-        raise ParameterError(f"lag must be >= 0, got {k}")
+    k = _integer(k, "lag", 0)
     start = max((k + 1) * (k + 1), 2)
     # C = 2 although 1 would do: the cuts then stay those of the bound
     # 2 N^(-1/2 - 2 beta) exp(-N^alpha), so the values do not move
@@ -438,9 +447,7 @@ def autocovariance_bound(params: Params, k: int) -> float:
     Any contributing level needs tau >= (k+1)^2; bounding the count by
     tau - 1 leaves the exact interval tail exp(-((k+1)^2 - 1)^alpha).
     """
-    k = _integer(k, "lag")
-    if k < 1:
-        raise ParameterError(f"bound holds for lags >= 1, got {k}")
+    k = _integer(k, "lag", 1)  # the bound holds for lags >= 1
     return math.exp(-(float((k + 1) * (k + 1) - 1) ** params.alpha))
 
 
@@ -460,7 +467,7 @@ def conditioned_dprime_exceedance(
     through the standard decomposition, making this an end-to-end check of
     the certificate's event rather than a restatement of the count formula.
     """
-    gen = as_generator(rng)
+    reps, gen = _integer(reps, "reps", 1), as_generator(rng)
     hits = 0
     for _ in range(reps):
         path = conditioned_path(params, n, a, b, gen)

@@ -56,9 +56,7 @@ def s_prime_count(a: int, b: int, n: int) -> int:
     inside the window (1 + b <= n); otherwise the whole window sits inside
     one excursion and the sum is reassigned to the trailing term.
     """
-    a, b, n = _integer(a, "age"), _integer(b, "residual"), _integer(n, "horizon")
-    if a < 1 or b < 1:
-        raise ParameterError("ages and residuals must be >= 1")
+    a, b, n = _integer(a, "age", 1), _integer(b, "residual", 1), _integer(n, "horizon")
     if 1 + b > n:
         return 0
     return _reward_ages(a + b, a, a + b - 1)
@@ -70,9 +68,7 @@ def s_double_prime_count(a: int, b: int, n: int) -> int:
     Counts the reward-carrying ages max(1, a-n+1)..a; the lower end handles
     windows lying entirely inside one excursion (a >= n).
     """
-    a, b, n = _integer(a, "age"), _integer(b, "residual"), _integer(n, "horizon")
-    if a < 1 or b < 1:
-        raise ParameterError("ages and residuals must be >= 1")
+    a, b, n = _integer(a, "age", 1), _integer(b, "residual", 1), _integer(n, "horizon")
     return _reward_ages(a + b, max(a - n, 0) + 1, a)
 
 
@@ -120,8 +116,7 @@ def _draw_taus_until(params, gen, needed: int) -> np.ndarray:
 def generate_path(params: Params, n: int, rng: RngLike) -> SignedPath:
     """Sample a signed path: stationary chain states plus one fresh
     equiprobable sign per excursion (including the one covering time 1)."""
-    if n < 1:
-        raise ParameterError(f"path length must be >= 1, got {n}")
+    n = _integer(n, "path length", 1)
     gen = as_generator(rng)
 
     tau0, age0 = sample_stationary_levels(params, gen, 1)
@@ -148,10 +143,9 @@ def conditioned_path(params: Params, n: int, a: int, b: int, rng: RngLike) -> Si
     backward prefix is again a plain interval roll until the intervals
     cover time 1.
     """
+    n, a, b = _integer(n, "horizon"), _integer(a, "age"), _integer(b, "residual", 1)
     if not 1 <= a <= n - 1:
         raise ParameterError(f"need 1 <= a <= n - 1 for a renewal at n - a, got a={a}")
-    if b < 1:
-        raise ParameterError(f"(A_n, B_n) = ({a}, {b}) is not a state: need b >= 1")
     gen = as_generator(rng)
     r = n - a
     taus = _draw_taus_until(params, gen, r - 1)
@@ -222,8 +216,8 @@ def iter_sums(
     chunk); callers wanting bit-reproducibility must hold all of these
     fixed, as the public front ends do.
     """
-    if n < 1 or reps < 0:
-        raise ParameterError("need n >= 1 and reps >= 0")
+    n, reps = _integer(n, "horizon", 1), _integer(reps, "reps", 0)
+    chunk = _integer(chunk, "chunk", 1)  # a chunk of 0 rows would never finish
     gen = as_generator(rng)
     if with_rewards:
         draw = partial(_roll_chunk, params, n, gen, interval_alias(params))

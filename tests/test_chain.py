@@ -76,17 +76,6 @@ def test_rng_stream_draws_are_pinned():
         14717904226557406096, 979409276310299390]
 
 
-@pytest.mark.parametrize("reps, shards", [(1, 1), (7, 3), (9, 3), (10, 4), (5, 5)])
-def test_rng_split_shares_reps_over_shards(reps, shards):
-    stream = RngStream(11, 2)
-    split = stream.split(reps, shards)
-    shares = [r for r, _ in split]
-    assert len(split) == shards and sum(shares) == reps
-    assert shares == sorted(shares, reverse=True) and shares[0] - shares[-1] <= 1
-    for s, (_, gen) in enumerate(split):
-        assert np.array_equal(gen.random(4), stream.shard(s).random(4))
-
-
 def test_substreams_are_disjoint():
     master = RngStream(42)
     draws = [master.substream(i).generator().random(4) for i in range(3)]

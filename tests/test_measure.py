@@ -123,7 +123,7 @@ _INTEGER_ENTRIES = {
 def test_a_non_integral_level_or_age_is_refused(entry):
     # int() would read 2.5 as 2 and 1.9 as 1; a NumPy integer is an integer
     call = _INTEGER_ENTRIES[entry]
-    for value in (2.5, 1.9, 3.0, "3", None):
+    for value in (2.5, 1.9, 3.0, "3", None, True):
         with pytest.raises(ParameterError, match="must be an integer"):
             call(value)
     assert call(np.int64(3)) == call(3)

@@ -90,6 +90,15 @@ def test_wilson_ordering_invariants():
         lo, hi = wilson_interval(hits, reps, 0.999)
         p = hits / reps
         assert 0.0 <= lo <= p <= hi <= 1.0
+    assert wilson_interval(np.int64(3), np.int64(10), 0.999) == wilson_interval(3, 10, 0.999)
+
+
+@pytest.mark.parametrize("hits, reps", [(5, 3), (-1, 3), (1, 3.5), (1.0, 3), (1, 0), (True, 3)])
+def test_wilson_refuses_counts_that_are_not_hits_of_reps(hits, reps):
+    # hits outside [0, reps] once raised a bare math domain error, and a
+    # fractional reps passed
+    with pytest.raises(ParameterError):
+        wilson_interval(hits, reps, 0.9)
 
 
 # ---------------------------------------------------------------- rate query
@@ -105,6 +114,69 @@ def test_rate_query_validation():
         RateQuery(1e6, 0.32, 1.0)  # refused here, not deep inside a certificate
     q = RateQuery(100, 0.25, 2.0)
     assert q.threshold == pytest.approx(2.0 * 100 ** 0.75, abs=1e-12)
+
+
+@pytest.mark.parametrize("flag", [True, False])
+def test_a_bool_is_not_an_integer(flag):
+    # operator.index(True) is 1: each of these once read True as n = 1
+    calls = [
+        lambda: RateQuery(flag, 0.3, 1.0),
+        lambda: measure.log_p(DEFAULT, flag),
+        lambda: autocovariance_bound(DEFAULT, flag),
+        lambda: measure.excursion_reward_magnitude(DEFAULT, flag),
+        lambda: boundary_tail_exact(DEFAULT, flag, 0.5),
+    ]
+    for call in calls:
+        with pytest.raises(ParameterError, match="must be an integer"):
+            call()
+
+
+@pytest.mark.parametrize("n", [10.5, 1000.5, 10.0, True])
+def test_path_and_tail_entry_points_refuse_a_non_integral_horizon(n):
+    # README promises a ParameterError, not a truncated horizon: 10.5 once
+    # gave an 11-point path and 1000.5 a tail between those of 1000 and 1001
+    from mdwindow.paths import conditioned_path, iter_sums
+
+    calls = [
+        lambda: generate_path(DEFAULT, n, RngStream(1)),
+        lambda: next(iter_sums(DEFAULT, n, 4, RngStream(1))),
+        lambda: conditioned_path(DEFAULT, n, 2, 3, RngStream(1)),
+        lambda: mc_tail_curve(DEFAULT, n, {"dprime": [1.0]}, 10, 0.9, RngStream(1)),
+        lambda: boundary_tail_exact(DEFAULT, n, 5.0),
+        lambda: boundary_sum_sup(DEFAULT, n),
+    ]
+    for call in calls:
+        with pytest.raises(ParameterError, match="horizon|path length"):
+            call()
+
+
+def test_monte_carlo_entry_points_refuse_non_integral_counts():
+    from mdwindow.paths import iter_sums
+
+    with pytest.raises(ParameterError, match="reps must be an integer"):
+        next(iter_sums(DEFAULT, 10, 4.5, RngStream(1)))
+    for chunk in (0, 2.5):  # 0 rows per chunk once looped forever
+        with pytest.raises(ParameterError, match="chunk"):
+            next(iter_sums(DEFAULT, 10, 4, RngStream(1), chunk=chunk))
+    for reps in (0, 2.5):
+        with pytest.raises(ParameterError, match="reps"):
+            conditioned_dprime_exceedance(DEFAULT, 100, 5, 30, 1.0, reps, RngStream(1))
+    for bad in ({"reps": 2.5}, {"reps": 0}, {"shards": 1.5}, {"shards": 0}):
+        args = {"reps": 10, "shards": 1} | bad
+        with pytest.raises(ParameterError, match="reps|shards"):
+            mc_tail_curve(DEFAULT, 10, {"dprime": [1.0]}, args["reps"], 0.9, RngStream(1),
+                          args["shards"])
+    n = np.int64(1000)
+    assert boundary_tail_exact(DEFAULT, n, 5.0) == boundary_tail_exact(DEFAULT, 1000, 5.0)
+    assert len(generate_path(DEFAULT, np.int64(10), RngStream(1)).x) == 10
+
+
+@pytest.mark.parametrize("n", [-5, 0])
+def test_boundary_sum_sup_refuses_an_empty_horizon(n):
+    # n = -5 once returned the complex number -4.05+1.32j
+    with pytest.raises(ParameterError, match="horizon must be >= 1"):
+        boundary_sum_sup(DEFAULT, n)
+    assert boundary_sum_sup(DEFAULT, 1) == 1.0
 
 
 # ------------------------------------------------------------------- mc tail
@@ -141,9 +213,11 @@ def test_mc_tail_deterministic_across_reruns():
 
 @pytest.mark.parametrize("affinity", ["one_cpu", "no_affinity_call"])
 def test_mc_tail_on_one_cpu_runs_the_shards_inline(monkeypatch, affinity):
+    # three blocks, so three CPUs would start a pool
+    reps = 2 * oracles._BLOCK_PATHS + 1
     thr = {"boundary": [2.0, 8.0], "total": [RateQuery(200, 0.3, 0.5).threshold]}
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-    threaded = mc_tail_curve(DEFAULT, 200, thr, 3000, 0.99, RngStream(806), shards=3)
+    threaded = mc_tail_curve(DEFAULT, 200, thr, reps, 0.99, RngStream(806), shards=3)
 
     def no_pool(*args, **kwargs):
         raise AssertionError("a thread pool was started for one CPU")
@@ -155,7 +229,32 @@ def test_mc_tail_on_one_cpu_runs_the_shards_inline(monkeypatch, affinity):
     else:
         monkeypatch.delattr(os, "sched_getaffinity")
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
-    assert mc_tail_curve(DEFAULT, 200, thr, 3000, 0.99, RngStream(806), shards=3) == threaded
+    assert mc_tail_curve(DEFAULT, 200, thr, reps, 0.99, RngStream(806), shards=3) == threaded
+
+
+_BLOCK_REPS = (3000, 2 * oracles._BLOCK_PATHS + 1, 140_000)
+
+
+@pytest.mark.parametrize("reps", (1, oracles._BLOCK_PATHS) + _BLOCK_REPS)
+def test_block_i_draws_from_shard_i(reps):
+    stream = RngStream(11, 2)
+    blocks = oracles._run_blocks(reps, stream, 3, lambda r, gen: (r, gen.random(4)))
+    sizes = [r for r, _ in blocks]
+    assert sum(sizes) == reps and len(blocks) == -(-reps // oracles._BLOCK_PATHS)
+    assert set(sizes[:-1]) <= {oracles._BLOCK_PATHS}
+    for i, (_, draws) in enumerate(blocks):
+        assert np.array_equal(draws, stream.shard(i).random(4))
+
+
+@pytest.mark.parametrize("reps", _BLOCK_REPS)
+def test_mc_tail_does_not_depend_on_the_shard_count(monkeypatch, reps):
+    # eight CPUs, so shards 2, 3 and 8 start up to that many threads (one per block)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    thr = {"dprime": [0.5, 2.0], "total": [RateQuery(50, 0.3, 0.5).threshold]}
+    runs = [mc_tail_curve(DEFAULT, 50, thr, reps, 0.99, RngStream(807), shards=s)
+            for s in (1, 2, 3, 8)]
+    assert all(run == runs[0] for run in runs[1:])
+    assert runs[0]["total"][0].reps == reps
 
 
 def test_mc_tail_rejects_unknown_target():

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -656,14 +657,17 @@ def test_engine_tables_built_once_under_threads():
     assert _build_under_threads(interval_alias, (params,)) == (1, True)
 
 
-def test_mc_tail_curve_shards_share_one_alias_table():
+def test_mc_tail_curve_shards_share_one_alias_table(monkeypatch):
     # the two shard threads of a rewards curve once built the table twice
     from mdwindow.chain import interval_alias
-    from mdwindow.oracles import mc_tail_curve
+    from mdwindow.oracles import _BLOCK_PATHS, mc_tail_curve
 
     params = Params(0.31, 0.05)
     before = interval_alias.cache_info().misses
-    mc_tail_curve(params, 200, {"total": [1.0]}, 4000, 0.95, RngStream(3), shards=2)
+    # three blocks on two threads, as two CPUs run them
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    mc_tail_curve(params, 200, {"total": [1.0]}, 2 * _BLOCK_PATHS + 1, 0.95, RngStream(3),
+                  shards=2)
     assert interval_alias.cache_info().misses == before + 1
 
 
