@@ -23,7 +23,7 @@ from typing import Union
 import numpy as np
 
 from .errors import ParameterError, PrecisionError
-from .measure import MU0, Params, _level_log_mu, _p_law, excursion_reward_magnitude, locked_cache
+from .measure import MU0, _TABLES, Params, _level_log_mu, _p_law, excursion_reward_magnitude
 
 # Interval lengths are clamped here, so they fit int64.  The stationary mass
 # beyond the cap, exp(-2^(62 alpha)), is 9.4% at alpha = 0.02 and 1.8e-4 at
@@ -50,13 +50,9 @@ class ChainState:
     residual: int
 
     def __post_init__(self):
-        ok = (self.age == 0 and self.residual == 0) or (
-            self.age >= 1 and self.residual >= 1
-        )
+        ok = (self.age == 0 and self.residual == 0) or (self.age >= 1 and self.residual >= 1)
         if not ok:
-            raise ParameterError(
-                f"invalid state ({self.age}, {self.residual}): exactly one zero"
-            )
+            raise ParameterError(f"invalid state ({self.age}, {self.residual}): exactly one zero")
 
     @property
     def is_origin(self) -> bool:
@@ -297,9 +293,8 @@ def _vose_tables(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return accept, alias
 
 
-@locked_cache(maxsize=32)
 def interval_alias(params: Params) -> IntervalAlias:
-    return IntervalAlias(params)
+    return _TABLES.get(("alias", params.alpha, params.beta), IntervalAlias, params)
 
 
 def step(params: Params, state: ChainState, rng: RngLike) -> ChainState:
@@ -344,8 +339,4 @@ def stationary_push_l1(params: Params, n_max: int) -> dict:
     origin_new = MU0 * float(p[1]) + float(mu.sum())
     exact = abs(origin_new - MU0) + float(np.abs(MU0 * p[2:] - mu).sum())
     tail = math.exp(-(float(n_max) ** params.alpha))
-    return {
-        "exact_part": exact,
-        "tail_mass": tail,
-        "l1_upper": exact + tail,
-    }
+    return {"exact_part": exact, "tail_mass": tail, "l1_upper": exact + tail}

@@ -29,25 +29,11 @@ from .chain import RngStream
 from .composite import build_composite
 from .errors import BracketEmptyError, ParameterError, PrecisionError
 from .measure import (
-    MEAN_TAU,
-    MU0,
-    Params,
-    WindowSet,
-    p1,
-    params_from_window,
-    sigma,
-    window_from_params,
+    MEAN_TAU, MU0, Params, WindowSet, p1, params_from_window, sigma, window_from_params,
 )
 from .oracles import (
-    RateQuery,
-    _run_blocks,
-    autocovariance_bound,
-    autocovariance_exact,
-    case1_upper,
-    case2_certificate,
-    gaussian_reference,
-    mc_tail_curve,
-    predicted_rate,
+    RateQuery, _run_blocks, autocovariance_bound, autocovariance_exact, case1_upper,
+    case2_certificate, gaussian_reference, mc_tail_curve, predicted_rate,
 )
 from .paths import _RENEWAL_CAP, generate_path, iter_sums
 
@@ -66,6 +52,16 @@ def _fmt(x) -> str:
     if x == 0.0:
         return "0"  # canonicalize signed zeros
     return format(x, ".12g")
+
+
+def _column(values: list) -> list:
+    """`_fmt` over one column, in one pass where the column has one type."""
+    kinds = set(map(type, values))
+    if kinds == {float}:
+        return ["0" if x == 0.0 else f"{x:.12g}" for x in values]
+    if kinds == {bool}:
+        return ["true" if x else "false" for x in values]
+    return list(map(str if kinds <= {int, str} else _fmt, values))
 
 
 def _integer(value) -> int:
@@ -176,9 +172,10 @@ def _resolve_config(args: argparse.Namespace) -> dict:
             except (TypeError, ValueError, OverflowError) as exc:
                 raise ParameterError(f"{key}: cannot read {cfg[key]!r}: {exc}") from None
     used = {key for key, spec in _FIELDS.items() if args.command in spec[3]}
-    for key in ("seed", "n", "reps", "k_max", "length"):
-        if key in used and cfg[key] is not None and cfg[key] < 0:
-            raise ParameterError(f"{key}: must be >= 0, got {cfg[key]}")
+    lows = {"seed": 0, "n": 0, "reps": 0, "k_max": 0, "length": 0, "shards": 1}
+    for key, low in lows.items():
+        if key in used and cfg[key] is not None and cfg[key] < low:
+            raise ParameterError(f"{key}: must be >= {low}, got {cfg[key]}")
 
     has_pair = cfg["alpha"] is not None or cfg["beta"] is not None
     if has_pair and cfg["windows"] is not None:
@@ -187,8 +184,6 @@ def _resolve_config(args: argparse.Namespace) -> dict:
         raise ParameterError("alpha/beta: both must be given together")
     if not has_pair and cfg["windows"] is None:
         raise ParameterError("alpha/beta or windows: one of the two is required")
-    if "shards" in used and cfg["shards"] < 1:
-        raise ParameterError(f"shards: must be >= 1, got {cfg['shards']}")
     return cfg
 
 
@@ -196,16 +191,13 @@ def _emit(cfg: dict, header: list, rows: list, out_path):
     if cfg["output_format"] == "csv":
         # gamma echoes the input as the shortest text that reads back as the
         # same float, so a gamma a hair off a window endpoint is not printed on it
-        fmts = [repr if h == "gamma" else _fmt for h in header]
-        lines = [",".join(header)]
-        lines += [",".join(f(v) for f, v in zip(fmts, row)) for row in rows]
-        text = "\n".join(lines) + "\n"
+        cols = [[row[i] for row in rows] for i in range(len(header))]
+        cols = [list(map(repr, c)) if h == "gamma" else _column(c) for h, c in zip(header, cols)]
+        text = "\n".join([",".join(header), *map(",".join, zip(*cols))]) + "\n"
     else:
-        results = [
-            {k: (None if v == "" else v) for k, v in zip(header, row)}
-            for row in rows
-        ]
-        doc = {"config": cfg, "results": results}
+        results = [{k: (None if v == "" else v) for k, v in zip(header, row)} for row in rows]
+        # the worker count never changes the results, so the document omits it
+        doc = {"config": {k: v for k, v in cfg.items() if k != "shards"}, "results": results}
         text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     if out_path:
         with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
@@ -232,10 +224,7 @@ def cmd_params(cfg: dict) -> tuple[list, list]:
     else:
         composite = build_composite(WindowSet(cfg["windows"]), tol)
         comps, combined = composite.components, composite.combined_sigma
-    header = [
-        "component", "alpha", "beta", "u", "v",
-        "mu_origin", "mean_interval", "p1", "sigma",
-    ]
+    header = ["component", "alpha", "beta", "u", "v", "mu_origin", "mean_interval", "p1", "sigma"]
     rows = []
     for i, (params, stats) in enumerate(comps, start=1):
         w = window_from_params(params)
@@ -347,8 +336,7 @@ def cmd_autocov(cfg: dict) -> tuple[list, list]:
         means = np.array([b.mean() for b in batches])
         se = float(means.std(ddof=1) / math.sqrt(n_batches))
         bound = autocovariance_bound(params, k) if k >= 1 else ""
-        rows.append([k, autocovariance_exact(params, k, cfg["tol"]), bound,
-                     r_emp, se])
+        rows.append([k, autocovariance_exact(params, k, cfg["tol"]), bound, r_emp, se])
     return header, rows
 
 

@@ -27,7 +27,7 @@ The rule doubles N until that remainder is below the tolerance (or past
 from the lowest start is memoized per (alpha, tol, growth), so a later
 start costs a lookup and at most one remainder of its own.  sigma and r(k)
 read one lag table per cut, `_run_sums`, built with one walk over the
-levels and cached: from the weights W_s of the runs of levels that share
+levels and kept: from the weights W_s of the runs of levels that share
 one isqrt s, r(k) = sum_{s > k} (s - k) W_s and sigma^2 = sum_s s^2 W_s,
 so a warm lag is one cut lookup and one array read.  The one relative
 series, the tail of S''_n, walks its levels through `level_series`.  A
@@ -36,14 +36,23 @@ on each level alone, so a level gets the same bits in any block.  Where direct
 summation cannot reach float resolution (p_1 at small alpha) the mass
 beyond the cut has a closed form, `small_mass_tail`, built from
 incomplete gamma functions.
+
+Every per-pair table of the package (the cut memos, p_1, the window, the
+lag tables, and the alias and renewal tables that `chain` and `paths` hand
+it their own build functions for) lives in one store, `_TABLES`.  A read
+of a built table is one dict lookup and a recency stamp, with no lock.  A
+miss builds its key once, however many threads miss it together, and
+never waits on another key's build; a build that raises keeps nothing.
+All tables share one byte budget, the least recently read evicted first;
+`clear` empties the store for tests.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import threading
 from dataclasses import dataclass
-from functools import lru_cache, update_wrapper
 from operator import index
 
 import numpy as np
@@ -69,22 +78,66 @@ _P1_CUT = 1 << 14              # p_1 sums this far and adds the closed-form tail
 _GAMMA_TERMS = 8               # powers x^-2 .. x^-8 of 1/(x(x-1)) in the tail
 
 
-def locked_cache(maxsize: int):
-    """lru_cache whose misses are built once: threads (the workers of a
-    Monte Carlo run) that miss together wait for one build instead of
-    repeating it."""
+# Byte budget of the table store (two renewal tables at their 2^24 cap) and
+# its most tables; past either, the least recently read go.
+_TABLE_BUDGET = 1 << 28
+_TABLE_LIMIT = 128
 
-    def wrap(build):
-        cached, lock = lru_cache(maxsize)(build), threading.Lock()
 
-        def get(*args):
-            with lock:
-                return cached(*args)
+class _TableStore:
+    """The store of the module docstring, keyed by plain floats and ints (a
+    `Params` hash costs more than a read).  A miss claims its key under the
+    lock and builds outside it.  `misses` counts builds, `bytes` array bytes."""
 
-        get.cache_info, get.cache_clear = cached.cache_info, cached.cache_clear
-        return update_wrapper(get, build)
+    def __init__(self):
+        self._lock = threading.Lock()
+        self.clear()
 
-    return wrap
+    def clear(self) -> None:
+        with self._lock:
+            # key -> [last read, table, bytes]; key -> Event set when its build ends
+            self._tables, self._pending = {}, {}
+            self._clock = itertools.count()
+            self.misses = self.bytes = 0
+
+    def get(self, key, build, *args):
+        """The table under `key`, built as build(*args) on a miss."""
+        try:
+            entry = self._tables[key]
+        except KeyError:
+            return self._build(key, build, args)
+        entry[0] = next(self._clock)
+        return entry[1]
+
+    def _build(self, key, build, args):
+        with self._lock:
+            done = self._pending.get(key)
+            if claimed := done is None and key not in self._tables:
+                done = self._pending[key] = threading.Event()
+                self.misses += 1
+        if not claimed:  # read the table built meanwhile, or build it if that build raised
+            if done is not None:
+                done.wait()
+            return self.get(key, build, *args)
+        try:
+            table = build(*args)
+            # the bytes of the table's arrays: itself, or its attributes
+            parts = getattr(table, "__dict__", {}).values()
+            size = sum(x.nbytes for x in (table, *parts) if isinstance(x, np.ndarray))
+            with self._lock:
+                self._tables[key] = [next(self._clock), table, size]
+                self.bytes += size
+                while self.bytes > _TABLE_BUDGET or len(self._tables) > _TABLE_LIMIT:
+                    oldest = min(self._tables, key=lambda k: self._tables[k][0])
+                    self.bytes -= self._tables.pop(oldest)[2]
+        finally:
+            with self._lock:
+                self._pending.pop(key, None)
+            done.set()
+        return table
+
+
+_TABLES = _TableStore()
 
 
 def _integer(value, what: str, low: int | None = None) -> int:
@@ -137,9 +190,7 @@ class WindowSet:
         pairs = tuple([(float(u), float(v)) for u, v in windows])
         flat = [0.0, *[x for pair in pairs for x in pair]]
         if not (pairs and flat[-1] <= 0.5 and all(map(float.__lt__, flat, flat[1:]))):
-            raise ParameterError(
-                f"windows need 0 < u_1 < v_1 < u_2 < ... <= 0.5, got {pairs}"
-            )
+            raise ParameterError(f"windows need 0 < u_1 < v_1 < u_2 < ... <= 0.5, got {pairs}")
         object.__setattr__(self, "windows", pairs)
 
     @property
@@ -225,10 +276,8 @@ def _cut_remainder(alpha: float, growth: tuple, cut: int) -> float:
     return c * (cut + 1.0) ** e / cut * math.exp(-(float(cut) ** alpha))
 
 
-@lru_cache(maxsize=256)
 def _lowest_cut(alpha: float, tol: float, growth: tuple):
-    """(N*, remainder) of the absolute doubling from the lowest start, or
-    None where it refuses."""
+    """(N*, remainder) of the doubling from the lowest start, or None if it refuses."""
     try:
         return _doubling_cut(alpha, _FIRST_CUT, tol, growth, None)
     except PrecisionError:
@@ -251,12 +300,13 @@ def _series_cut(params: Params, start: int, tol: float, growth: tuple, walked=No
     _FIRST_CUT first tests its own remainder.  A start that does not pass
     there and lies at or below N* takes N*: the doublings past it are
     those of the memo.  Any other start, or a memo that refuses, runs the
-    doubling itself, so every refusal reads as it would without the memo."""
-    _check_tol(tol)
+    doubling itself, so every refusal reads as it would without the memo.
+    A bad tol is refused by the doubling, before the memo keeps anything."""
     if walked is None:
-        lowest = _lowest_cut(params.alpha, tol, growth)
+        alpha = params.alpha
+        lowest = _TABLES.get(("cut", alpha, tol, growth), _lowest_cut, alpha, tol, growth)
         if start > _FIRST_CUT:
-            rem = _cut_remainder(params.alpha, growth, start)
+            rem = _cut_remainder(alpha, growth, start)
             if rem < tol:
                 return start, rem
         if lowest is not None and start <= lowest[0]:
@@ -266,6 +316,7 @@ def _series_cut(params: Params, start: int, tol: float, growth: tuple, walked=No
 
 def _doubling_cut(alpha: float, start: int, tol: float, growth: tuple, walked):
     """The doubling of `_series_cut`, tested cut by cut."""
+    _check_tol(tol)
     # the remainder at the last cut, the doubling's first at or past the cap
     first = _FIRST_CUT
     last = max(start, first << ((_LEVEL_CAP - 1) // first).bit_length())
@@ -364,8 +415,7 @@ def small_mass_tail(params: Params, n_trunc: int) -> tuple[float, float]:
     return tail, abs(gp) / 6.0 + beyond + 4e-16 * (1.0 + t) * head
 
 
-@lru_cache(maxsize=64)
-def _p1_cached(params: Params) -> tuple[float, float]:
+def _p1_sum(params: Params) -> tuple[float, float]:
     """(p1, error bound): the self-loop weight 1 - sum_{k>=2} mu_k / mu_0,
     summed directly to _P1_CUT and in closed form beyond."""
     head = _level_walk(params, lambda lo, hi, mu: float(mu.sum()), 2, _P1_CUT)
@@ -376,11 +426,9 @@ def _p1_cached(params: Params) -> tuple[float, float]:
 def p1(params: Params, tol: float = 1e-12) -> float:
     """Self-loop transition weight p_1, certified to absolute error < tol."""
     _check_tol(tol)
-    value, err = _p1_cached(params)
+    value, err = _TABLES.get(("p1", params.alpha, params.beta), _p1_sum, params)
     if err >= tol:
-        raise PrecisionError(
-            f"p1 error bound {err:.3e} exceeds requested tolerance {tol:.3e}"
-        )
+        raise PrecisionError(f"p1 error bound {err:.3e} exceeds requested tolerance {tol:.3e}")
     return value
 
 
@@ -455,8 +503,12 @@ def _s_tilde_variance(params: Params, n: int) -> float:
     return MU0 * float(_p_law(params, n - 1) @ (r2 * (n - j)))
 
 
-@locked_cache(maxsize=32)
 def _run_sums(params: Params, cut: int) -> np.ndarray:
+    """The lag table of (params, cut), from the table store."""
+    return _TABLES.get(("lags", params.alpha, params.beta, cut), _lag_table, params, cut)
+
+
+def _lag_table(params: Params, cut: int) -> np.ndarray:
     """Read-only lag table R of one cut: entry j is
     sum_{s >= j} (s - j + 1) W_s, W_s = sum mu_tau tau^(-2 beta) over the
     levels tau in [s^2, (s+1)^2) n [2, cut], s = 0..isqrt(cut) (W_0 = 0).
@@ -491,14 +543,9 @@ def sigma(params: Params, tol: float = 1e-12) -> ProcessStats:
     cut = _series_cut(params, 2, tol, (1.0 / MU0, 1.0 - 2.0 * params.beta))[0]
     table = _run_sums(params, cut)
     m2 = float(table[1] + 2.0 * table[2:].sum()) / MU0
-    return ProcessStats(
-        mean_tau=MEAN_TAU,
-        second_moment_jump=m2,
-        sigma=math.sqrt(m2 / MEAN_TAU),
-    )
+    return ProcessStats(mean_tau=MEAN_TAU, second_moment_jump=m2, sigma=math.sqrt(m2 / MEAN_TAU))
 
 
-@lru_cache(maxsize=64)
 def window_from_params(params: Params) -> WindowSet:
     """Anomalous scale window (u, v) generated by the exponent pair, as a
     one-window set: u = alpha / (2 (1 - alpha - 2 beta)), v = 1/2 - 2 beta.
@@ -506,17 +553,18 @@ def window_from_params(params: Params) -> WindowSet:
     The parameter constraints force 0 < u < alpha < v <= 1/2; the window
     constructor revalidates the ordering.  u underflows to 0 for alpha
     below about 1e-323, and such a pair is refused on every call.  The set
-    is cached per pair (both are immutable), so a certificate does not
-    rebuild it.
+    is kept in the table store, so a certificate does not rebuild it.
     """
-    a, b = params.alpha, params.beta
+    return _TABLES.get(("window", params.alpha, params.beta), _window, params.alpha, params.beta)
+
+
+def _window(a: float, b: float) -> WindowSet:
     u = a / (2.0 * (1.0 - a - 2.0 * b))
     if u == 0.0:
         raise ParameterError(
             f"window start u = alpha / (2 (1 - alpha - 2 beta)) underflows to 0 at alpha = {a}"
         )
-    v = 0.5 - 2.0 * b
-    return WindowSet([(u, v)])
+    return WindowSet([(u, 0.5 - 2.0 * b)])
 
 
 def params_from_window(u: float, v: float) -> Params:

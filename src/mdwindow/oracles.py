@@ -28,16 +28,8 @@ import numpy as np
 from .chain import RngLike, RngStream, as_generator
 from .errors import BracketEmptyError, ParameterError, PrecisionError
 from .measure import (
-    _LEVEL_CAP,
-    Params,
-    WindowSet,
-    _floor_sqrt,
-    _integer,
-    _run_sums,
-    _series_cut,
-    level_series,
-    log_mu,
-    window_from_params,
+    _LEVEL_CAP, Params, WindowSet, _floor_sqrt, _integer, _run_sums, _series_cut, level_series,
+    log_mu, window_from_params,
 )
 from .paths import conditioned_path, decompose, iter_sums, s_double_prime_count
 
@@ -131,9 +123,7 @@ def wilson_interval(hits: int, reps: int, confidence: float) -> tuple[float, flo
     p = hits / reps
     denom = 1.0 + z * z / reps
     center = (p + z * z / (2.0 * reps)) / denom
-    spread = (
-        z * math.sqrt((p * (1.0 - p) + z * z / (4.0 * reps)) / reps) / denom
-    )
+    spread = z * math.sqrt((p * (1.0 - p) + z * z / (4.0 * reps)) / reps) / denom
     return max(0.0, center - spread), min(1.0, center + spread)
 
 
@@ -290,9 +280,7 @@ def case1_upper(params: Params, query: RateQuery) -> RateCertificate:
     """
     window = window_from_params(params)
     if window.locate(query.gamma) != "below":
-        raise ParameterError(
-            f"gamma={query.gamma} is not below the window start u={window.u}"
-        )
+        raise ParameterError(f"gamma={query.gamma} is not below the window start u={window.u}")
     x = 0.5 * query.threshold
     if x < 1.0:  # the cutoff is at least 1 exactly when x is
         raise _bracket_empty("case1_upper", query, lambda q: q.threshold >= 2.0)
@@ -425,20 +413,21 @@ def autocovariance_exact(params: Params, k: int, tol: float = 1e-12) -> float:
     (k+1)^2 contribute nothing, and the weight is at most
     tau^(1/2 - 2 beta), so the level series rule cuts the levels where the
     remainder is under tol.  r(k) is entry k + 1 of the lag table of the
-    cut (`_run_sums`), cached per (pair, cut) and built with one walk over
+    cut (`_run_sums`), kept per (pair, cut) and built with one walk over
     the levels, so a warm lag is one cut lookup and one array read.  The
     table's terms are nonnegative, so r(k) never rises with k along one cut.
     A lag whose cut is its own start (k+1)^2 reads that one level from
     `log_mu`, on Python ints at any size.  k must be an integer >= 0.
     """
-    k = _integer(k, "lag", 0)
+    if type(k) is not int or k < 0:  # the common case skips the call
+        k = _integer(k, "lag", 0)
     start = max((k + 1) * (k + 1), 2)
     # C = 2 although 1 would do: the cuts then stay those of the bound
     # 2 N^(-1/2 - 2 beta) exp(-N^alpha), so the values do not move
     cut = _series_cut(params, start, tol, (2.0, 0.5 - 2.0 * params.beta))[0]
     if cut == start:  # the one level (k+1)^2, with count 1
         return math.exp(log_mu(params, start)) * float(start) ** (-2.0 * params.beta)
-    return float(_run_sums(params, cut)[k + 1])
+    return _run_sums(params, cut).item(k + 1)
 
 
 def autocovariance_bound(params: Params, k: int) -> float:

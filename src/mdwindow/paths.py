@@ -25,15 +25,9 @@ from typing import Iterator
 
 import numpy as np
 
-from .chain import (
-    RngLike,
-    as_generator,
-    interval_alias,
-    raw_words,
-    sample_stationary_levels,
-)
+from .chain import RngLike, as_generator, interval_alias, raw_words, sample_stationary_levels
 from .errors import ParameterError, PrecisionError
-from .measure import Params, _integer, _p_law, _reward_ages, locked_cache
+from .measure import _TABLES, Params, _integer, _p_law, _reward_ages
 
 
 def phi(params: Params, k: int, l: int) -> float:
@@ -214,7 +208,8 @@ def iter_sums(
     cost O(1) per path at any horizon the renewal table covers.  The draw
     layout is a pure function of (generator state, n, reps, with_rewards,
     chunk); callers wanting bit-reproducibility must hold all of these
-    fixed, as the public front ends do.
+    fixed, as the public front ends do.  The arguments are checked, and
+    the table is read, when iter_sums is called.
     """
     n, reps = _integer(n, "horizon", 1), _integer(reps, "reps", 0)
     chunk = _integer(chunk, "chunk", 1)  # a chunk of 0 rows would never finish
@@ -223,11 +218,7 @@ def iter_sums(
         draw = partial(_roll_chunk, params, n, gen, interval_alias(params))
     else:
         draw = partial(_boundary_chunk, params, n, gen, _renewal_table(params, n))
-    done = 0
-    while done < reps:
-        c = min(chunk, reps - done)
-        done += c
-        yield draw(c)
+    return (draw(min(chunk, reps - done)) for done in range(0, reps, chunk))
 
 
 def _start_chunk(params, n, gen, c) -> dict:
@@ -274,27 +265,29 @@ _RENEWAL_BLOCK = 128  # times per directly solved block of the renewal table
 _RENEWAL_CAP = 1 << 24  # longest renewal table (128 MiB of float64)
 
 
-@locked_cache(maxsize=8)
 def _renewal_table(params: Params, n: int) -> np.ndarray:
+    return _TABLES.get(("renewal", params.alpha, params.beta, n), _solve_renewal, params, n)
+
+
+def _solve_renewal(params: Params, n: int) -> np.ndarray:
     """Renewal function u(j) = P[renewal at time j | renewal at time 0]
     for j = 0..n-1, from u(0) = 1, u(j) = sum_{k=1..j} p_k u(j-k).
 
     Only p_1..p_(n-1) enter, so nothing is truncated.  The first block of
     _RENEWAL_BLOCK times is solved term by term.  Later blocks receive the
-    contributions of all earlier times by FFT convolution, in
-    divide-and-conquer order (O(n log^2 n) overall), and then solve their
-    own in-block recursion u = f + L u, with L the strictly lower Toeplitz
-    matrix of p, as u = T f: since U(z) = 1/(1 - P(z)), the inverse of
-    I - L is the lower Toeplitz matrix T of u(0..block-1).  Rounding adds
-    up along the table: the FFT blocks leave about 1e-16 per entry, and
-    u(n-1) strays from its limit mu_0 by about 1e-11 at n = 1e6.
+    contributions of all earlier times by FFT convolution, in the order of
+    a divide-and-conquer recursion (O(n log^2 n) overall) run as one loop
+    over the blocks, and then solve their own recursion u = f + L u, with L
+    the strictly lower Toeplitz matrix of p, as u = T f: since U(z) =
+    1/(1 - P(z)), the inverse of I - L is the lower Toeplitz matrix T of
+    u(0..block-1).  Rounding adds up along the table: the FFT blocks leave
+    about 1e-16 per entry, and u(n-1) strays from its limit mu_0 by about
+    1e-11 at n = 1e6.
     """
     if n < 1:
         raise ParameterError(f"horizon must be >= 1, got {n}")
     if n > _RENEWAL_CAP:
-        raise PrecisionError(
-            f"horizon n={n} needs a renewal table beyond {_RENEWAL_CAP} terms"
-        )
+        raise PrecisionError(f"horizon n={n} needs a renewal table beyond {_RENEWAL_CAP} terms")
     p = _p_law(params, n - 1)
     u = np.zeros(n)  # a block holds the contributions of earlier times until solved
     u[0] = 1.0
@@ -303,31 +296,22 @@ def _renewal_table(params: Params, n: int) -> np.ndarray:
         u[j] = p[1 : j + 1] @ u[j - 1 :: -1]
     lag = np.subtract.outer(np.arange(blk), np.arange(blk))
     toeplitz = np.where(lag >= 0, u[np.maximum(lag, 0)], 0.0)
-    p_hat = {}
-
-    def solve(lo: int, hi: int) -> None:
-        # on entry u[lo:hi] holds the contributions of u[:lo]
-        if lo >= n:
-            return
-        top = min(hi, n)
-        if hi - lo == blk:
-            if lo:
-                u[lo:top] = toeplitz[: top - lo, : top - lo] @ u[lo:top]
-            return
-        mid = (lo + hi) // 2
-        solve(lo, mid)
-        if mid < top:
-            size = hi - lo
-            if size not in p_hat:
-                p_hat[size] = np.fft.rfft(p[:size], size)
-            conv = np.fft.irfft(np.fft.rfft(u[lo:mid], size) * p_hat[size], size)
-            u[mid:top] += conv[mid - lo : top - lo]  # circular wrap hits only [0, mid-lo)
-        solve(mid, hi)
-
-    span = blk
-    while span < n:
-        span *= 2
-    solve(0, span)
+    p_hat = {}  # the spectrum of p per convolution size
+    for lo in range(0, n, blk):
+        top = min(lo + blk, n)
+        if lo:
+            u[lo:top] = toeplitz[: top - lo, : top - lo] @ u[lo:top]
+        if top == n:
+            break
+        # the split at top: u[top - half:top] passes its contributions to the
+        # next half times, half the largest power of two blocks dividing top
+        half = blk * ((top // blk) & -(top // blk))
+        size = 2 * half
+        if size not in p_hat:
+            p_hat[size] = np.fft.rfft(p[:size], size)
+        conv = np.fft.irfft(np.fft.rfft(u[top - half : top], size) * p_hat[size], size)
+        end = min(top + half, n)
+        u[top:end] += conv[half : half + end - top]  # circular wrap hits only [0, half)
     u.setflags(write=False)
     return u
 

@@ -57,20 +57,17 @@ def test_measure_imports_only_errors_and_logspace():
     assert _package_imports(Path(measure.__file__)) <= {"errors", "logspace"}
 
 
-def test_the_package_holds_exactly_six_caches():
-    # every cache of per-pair data, counted once per object (oracles imports
-    # measure._run_sums); a new cache changes this list on purpose
-    caches = {}
+def test_the_package_holds_exactly_one_cache():
+    # every per-pair table lives in the one store of measure: no module
+    # holds a functools cache, and every module that reaches a store reaches
+    # that one
+    caches, stores = [], set()
     for info in pkgutil.iter_modules(mdwindow.__path__):
         module = importlib.import_module(f"mdwindow.{info.name}")
-        for fn in vars(module).values():
-            if callable(fn) and hasattr(fn, "cache_clear"):
-                caches[id(fn)] = f"{fn.__module__}.{fn.__qualname__}"
-    assert sorted(caches.values()) == [
-        "mdwindow.chain.interval_alias",
-        "mdwindow.measure._lowest_cut",
-        "mdwindow.measure._p1_cached",
-        "mdwindow.measure._run_sums",
-        "mdwindow.measure.window_from_params",
-        "mdwindow.paths._renewal_table",
-    ]
+        for name, value in vars(module).items():
+            if callable(value) and hasattr(value, "cache_clear"):
+                caches.append(f"{module.__name__}.{name}")
+            if isinstance(value, measure._TableStore):
+                stores.add(id(value))
+    assert caches == []
+    assert stores == {id(measure._TABLES)}

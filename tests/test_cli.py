@@ -412,6 +412,21 @@ def test_rates_mc_rows_match_one_call_per_point():
         ]
 
 
+_CELL = st.one_of(st.floats(), st.integers(), st.booleans(), st.sampled_from(["", "x"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_CELL, max_size=8), st.sampled_from([float, int, bool, str, None]))
+def test_a_column_is_formatted_as_its_cells(cells, kind):
+    # the one-pass column formats of `_emit` agree with `_fmt` cell by cell,
+    # on one-type columns (kind) and mixed ones (None)
+    from mdwindow.cli import _column, _fmt
+
+    if kind is not None:
+        cells = [c for c in cells if type(c) is kind]
+    assert _column(cells) == [_fmt(c) for c in cells]
+
+
 def test_rates_byte_identical_reruns():
     args = [
         "rates", "--alpha", "0.3", "--beta", "0.05",
@@ -529,12 +544,15 @@ def test_counts_read_integral_floats_exactly():
 
 @pytest.mark.parametrize("extra", [{"shards": 0}, {"reps": -5}])
 def test_range_checks_skip_fields_the_subcommand_ignores(tmp_path, extra):
-    # params reads neither shards nor reps; the readers still type them
+    # params reads neither shards nor reps; the readers still type them.  The
+    # document echoes the config but the worker count
     path = tmp_path / "run.json"
     path.write_text(json.dumps({"alpha": 0.3, "beta": 0.05, **extra}))
     res = run_cli("params", "--config", str(path), "--format", "json")
     assert res.returncode == 0, res.stderr
-    assert json.loads(res.stdout)["config"].items() >= extra.items()
+    config = json.loads(res.stdout)["config"]
+    assert "shards" not in config
+    assert config.items() >= {k: v for k, v in extra.items() if k != "shards"}.items()
 
 
 @pytest.mark.parametrize("args, field", [
@@ -575,7 +593,7 @@ def test_json_results_match_csv_values():
 _SIM = ("simulate", *_PAIR, "--n", "1000", "--reps", "3000", "--seed", "7", "--shards", "3")
 _PINNED_STDOUT = {
     "simulate": (_SIM, "73c1746e6eac1cb85cb41e72279e815f"),
-    "simulate-json": ((*_SIM, "--format", "json"), "b28059fe99fd40699ee14f8da163eb98"),
+    "simulate-json": ((*_SIM, "--format", "json"), "19ec4d48b74aef4bd349d5fc5a0281bf"),
     "rates": (("rates", *_PAIR, "--n-grid", "200,400", "--gamma-grid", "0.15,0.3,0.45",
                "--c", "0.2", "--reps", "20000", "--seed", "3", "--shards", "2"),
               "8db502dce997a9d01ff5c550a6168b0f"),
@@ -583,7 +601,7 @@ _PINNED_STDOUT = {
                 "0dbbc2e3f4a5da185e473fcdec4b3318"),
     "params": (("params", *_PAIR), "8a890c2ec3c3a469bf541eca52bb6ddc"),
     "params-windows": (("params", "--windows", "0.1:0.15,0.25:0.4", "--tol", "1e-5",
-                        "--format", "json"), "3cb9d7d0b107f7e31a3afed0860baa84"),
+                        "--format", "json"), "90a19524fe9620e5501754dee5793113"),
 }
 
 
@@ -616,11 +634,13 @@ def test_monte_carlo_stdout_does_not_depend_on_the_shard_count(command, reps, ca
 
     monkeypatch.delenv(cli.SEED_ENV, raising=False)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
-    outs = []
-    for shards in ("1", "2", "3", "8"):
-        assert cli.main([*command, "--reps", str(reps), "--seed", "3", "--shards", shards]) == 0
-        outs.append(capsys.readouterr().out)
-    assert outs[0].count("\n") > 1 and all(out == outs[0] for out in outs[1:])
+    for fmt in ("csv", "json"):  # the JSON config echo leaves the worker count out
+        outs = []
+        for shards in ("1", "2", "3", "8"):
+            args = [*command, "--reps", str(reps), "--seed", "3", "--shards", shards]
+            assert cli.main([*args, "--format", fmt]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0].count("\n") > 1 and all(out == outs[0] for out in outs[1:])
 
 
 # -------------------------------------------------------------------- parser

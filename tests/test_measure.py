@@ -319,7 +319,7 @@ def test_mean_tau_universal(alpha):
 
 
 SERIES = {
-    "p1": lambda p: measure._p1_cached.__wrapped__(p),
+    "p1": lambda p: measure._p1_sum(p),
     "second_moment": lambda p: sigma(p, 1e-12).second_moment_jump,
     "autocovariance": lambda p: oracles.autocovariance_exact(p, 3),
     "boundary_tail": lambda p: oracles.boundary_tail_exact(p, 1000, 5.0),
@@ -356,8 +356,8 @@ def test_level_series_remainder_covers_a_tighter_tolerance(monkeypatch, series):
     # the value at tol and at tol/1e4 differ by at most the remainder bound
     # returned at tol
     if series in _CUT_ROUTES:
-        # the cleared cache makes the lag table walk afresh
-        oracles._run_sums.cache_clear()
+        # the cleared store makes the lag table walk afresh
+        measure._TABLES.clear()
         value, bound, n_terms = _cut_route(monkeypatch, series, 1e-12)
         tight, _, tight_terms = _cut_route(monkeypatch, series, 1e-16)
     else:
@@ -386,7 +386,7 @@ def test_level_series_do_not_depend_on_level_blocks(monkeypatch, series):
     ref = SERIES[series](DEFAULT)
     for block in (777, 1 << 22):
         monkeypatch.setattr(measure, "_LEVEL_BLOCK", block)
-        oracles._run_sums.cache_clear()  # sigma reads a lag table built in these blocks
+        measure._TABLES.clear()  # sigma reads a lag table built in these blocks
         got = SERIES[series](DEFAULT)
         assert np.allclose(got, ref, rtol=1e-13, atol=0.0)
 
@@ -476,7 +476,7 @@ def test_a_lag_sweep_runs_one_doubling_per_tolerance(monkeypatch):
         doublings.append(args)
         return doubling(*args)
 
-    measure._lowest_cut.cache_clear()
+    measure._TABLES.clear()
     monkeypatch.setattr(measure, "_doubling_cut", spy)
     for tol in (1e-6, 1e-12):
         for k in range(201):
@@ -517,7 +517,7 @@ def test_p1_refuses_a_bad_tolerance_before_summing(monkeypatch, tol):
     # p1 keeps level_series' rule: inf and nan would return the value
     # unchecked, tol <= 0 would fail as a PrecisionError
     summed = []
-    monkeypatch.setattr(measure, "_p1_cached", lambda p: summed.append(p) or (0.8, 0.0))
+    monkeypatch.setattr(measure, "_p1_sum", lambda p: summed.append(p) or (0.8, 0.0))
     with pytest.raises(ParameterError, match="tol must be positive and finite"):
         p1(Params(0.3, 0.05), tol)
     assert summed == []
@@ -760,7 +760,7 @@ def test_lag_sweep_computes_each_mu_once(monkeypatch):
         computed.append((lo, hi))
         return direct(params, lo, hi)
 
-    oracles._run_sums.cache_clear()
+    measure._TABLES.clear()
     monkeypatch.setattr(measure, "_level_log_mu", spy)
     for k in range(201):
         oracles.autocovariance_exact(DEFAULT, k)
@@ -768,3 +768,155 @@ def test_lag_sweep_computes_each_mu_once(monkeypatch):
     for lo, hi in computed:
         times[lo:hi + 1] += 1
     assert times[:2].sum() == 0 and (times[2:] == 1).all()
+
+
+# --------------------------------------------------------------- table store
+
+def _store_builds(mp) -> tuple:
+    # counts every build the store starts, nested ones included: returns the
+    # list of (build function, args) it appends to and the unpatched functions
+    from mdwindow import chain, paths
+
+    builds, plain = [], {}
+    for owner, name in [(measure, "_lowest_cut"), (measure, "_p1_sum"), (measure, "_window"),
+                        (measure, "_lag_table"), (chain, "IntervalAlias"),
+                        (paths, "_solve_renewal")]:
+        build = plain[name] = getattr(owner, name)
+        mp.setattr(owner, name, lambda *a, _b=build, _n=name: builds.append((_n, a)) or _b(*a))
+    return builds, plain
+
+
+def _table_bits(table):
+    # the bits of a table of any kind
+    if isinstance(table, np.ndarray):
+        return table.dtype.str, table.tobytes()
+    if hasattr(table, "thr"):  # an IntervalAlias
+        return table.p1.hex(), *(getattr(table, a).tobytes()
+                                 for a in ("weights", "thr", "pair", "signed"))
+    return repr(table)
+
+
+_STORE_PAIRS = (DEFAULT, Params(0.25, 0.1), Params(0.45, 0.01))
+
+
+def _store_request(kind: str, params: Params, size: int, plain: dict):
+    # (read through the store, fresh build by the unpatched function) of one table
+    from mdwindow import chain, paths
+
+    growth, cut = (2.0, 0.5 - 2.0 * params.beta), 1 << (8 + size % 9)
+    return {
+        "renewal": (lambda: paths._renewal_table(params, size),
+                    lambda: plain["_solve_renewal"](params, size)),
+        "alias": (lambda: chain.interval_alias(params), lambda: plain["IntervalAlias"](params)),
+        "lags": (lambda: measure._run_sums(params, cut),
+                 lambda: plain["_lag_table"](params, cut)),
+        "p1": (lambda: p1(params), lambda: plain["_p1_sum"](params)[0]),
+        "window": (lambda: window_from_params(params),
+                   lambda: plain["_window"](params.alpha, params.beta)),
+        "cut": (lambda: _series_cut(params, 2, 1e-12, growth),
+                lambda: plain["_lowest_cut"](params.alpha, 1e-12, growth)),
+    }[kind]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    budget=st.sampled_from([1 << 12, 1 << 16, 1 << 19, 1 << 20]),
+    limit=st.integers(1, 8),
+    requests=st.lists(st.tuples(
+        st.sampled_from(["renewal", "alias", "lags", "p1", "window", "cut"]),
+        st.integers(0, len(_STORE_PAIRS) - 1),
+        st.sampled_from([1, 50, 700, 3001, 9000]),
+    ), min_size=1, max_size=25),
+)
+def test_the_store_keeps_tables_exact_within_its_budget(budget, limit, requests):
+    # each read is bit-equal to a fresh build, live bytes and the table count
+    # stay within the (small) bounds after every request, and the store counts
+    # every build as a miss, nested builds (p1 inside an alias) included
+    store = measure._TABLES
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(measure, "_TABLE_BUDGET", budget)
+        mp.setattr(measure, "_TABLE_LIMIT", limit)
+        store.clear()
+        builds, plain = _store_builds(mp)
+        for kind, i, size in requests:
+            read, fresh = _store_request(kind, _STORE_PAIRS[i], size, plain)
+            got = read()
+            assert store.bytes <= budget and len(store._tables) <= limit
+            assert store.bytes == sum(e[2] for e in store._tables.values())
+            assert store.misses == len(builds)
+            assert _table_bits(got) == _table_bits(fresh())
+    store.clear()
+
+
+def test_the_store_evicts_the_least_recently_read(monkeypatch):
+    store = measure._TableStore()
+    monkeypatch.setattr(measure, "_TABLE_BUDGET", 3 * 800)
+    for key in "abc":
+        store.get(key, np.zeros, 100)  # 800 bytes each
+    store.get("a", None)  # read: "b" is now the least recently read
+    store.get("d", np.zeros, 100)
+    assert list(store._tables) == ["a", "c", "d"]
+    assert (store.misses, store.bytes) == (4, 2400)
+    monkeypatch.setattr(measure, "_TABLE_LIMIT", 1)
+    store.get("e", np.zeros, 1)
+    assert list(store._tables) == ["e"] and store.bytes == 8
+
+
+def test_renewal_tables_past_the_budget_stay_within_it(monkeypatch):
+    # room for two tables of about 4096 entries: the five built leave the last two
+    from mdwindow import paths
+
+    monkeypatch.setattr(measure, "_TABLE_BUDGET", 2 * 4100 * 8)
+    measure._TABLES.clear()
+    p1(DEFAULT)
+    for n in range(4096, 4101):
+        want = paths._solve_renewal(DEFAULT, n)
+        assert np.array_equal(paths._renewal_table(DEFAULT, n), want)
+        assert measure._TABLES.bytes <= measure._TABLE_BUDGET
+    kept = [key[-1] for key in measure._TABLES._tables if key[0] == "renewal"]
+    assert kept == [4099, 4100]
+    measure._TABLES.clear()
+
+
+def test_a_read_of_a_built_table_takes_no_lock():
+    # with its lock replaced by one that refuses, the store still reads what
+    # it holds, and only a miss reaches the lock
+    class Refusing:
+        def __enter__(self):
+            raise AssertionError("the lock was taken")
+
+        def __exit__(self, *exc):
+            return False
+
+    store = measure._TableStore()
+    table = store.get("t", np.ones, 4)
+    store._lock = Refusing()
+    assert store.get("t", None) is table
+    with pytest.raises(AssertionError, match="lock was taken"):
+        store.get("u", np.ones, 4)
+
+
+def test_a_refused_build_keeps_nothing():
+    # a refusal raises on every call, and each call is a build
+    before = measure._TABLES.misses
+    for _ in range(2):
+        with pytest.raises(ParameterError, match="underflows"):
+            window_from_params(Params(5e-324, 0.0))
+    assert measure._TABLES.misses == before + 2
+
+
+def test_threads_build_p1_and_the_window_once():
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    params = Params(0.2875, 0.0375)  # a pair no other test uses
+    before = measure._TABLES.misses
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            got = list(pool.map(lambda _: (p1(params), window_from_params(params)), range(8)))
+    finally:
+        sys.setswitchinterval(interval)
+    assert measure._TABLES.misses == before + 2
+    assert all(g[0] == got[0][0] and g[1] is got[0][1] for g in got)

@@ -139,7 +139,7 @@ def test_path_and_tail_entry_points_refuse_a_non_integral_horizon(n):
 
     calls = [
         lambda: generate_path(DEFAULT, n, RngStream(1)),
-        lambda: next(iter_sums(DEFAULT, n, 4, RngStream(1))),
+        lambda: iter_sums(DEFAULT, n, 4, RngStream(1)),  # refused at the call
         lambda: conditioned_path(DEFAULT, n, 2, 3, RngStream(1)),
         lambda: mc_tail_curve(DEFAULT, n, {"dprime": [1.0]}, 10, 0.9, RngStream(1)),
         lambda: boundary_tail_exact(DEFAULT, n, 5.0),
@@ -153,11 +153,12 @@ def test_path_and_tail_entry_points_refuse_a_non_integral_horizon(n):
 def test_monte_carlo_entry_points_refuse_non_integral_counts():
     from mdwindow.paths import iter_sums
 
+    # refused when iter_sums is called, not at the first chunk
     with pytest.raises(ParameterError, match="reps must be an integer"):
-        next(iter_sums(DEFAULT, 10, 4.5, RngStream(1)))
+        iter_sums(DEFAULT, 10, 4.5, RngStream(1))
     for chunk in (0, 2.5):  # 0 rows per chunk once looped forever
         with pytest.raises(ParameterError, match="chunk"):
-            next(iter_sums(DEFAULT, 10, 4, RngStream(1), chunk=chunk))
+            iter_sums(DEFAULT, 10, 4, RngStream(1), chunk=chunk)
     for reps in (0, 2.5):
         with pytest.raises(ParameterError, match="reps"):
             conditioned_dprime_exceedance(DEFAULT, 100, 5, 30, 1.0, reps, RngStream(1))
@@ -610,7 +611,7 @@ def test_autocovariance_does_not_depend_on_level_blocks(monkeypatch):
     base = [autocovariance_exact(DEFAULT, k) for k in lags]
     for block in (777, 1 << 22):
         monkeypatch.setattr(measure, "_LEVEL_BLOCK", block)
-        oracles._run_sums.cache_clear()  # rebuild the run sums in these blocks
+        measure._TABLES.clear()  # rebuild the run sums in these blocks
         for k, ref in zip(lags, base):
             assert autocovariance_exact(DEFAULT, k) == pytest.approx(ref, rel=1e-13)
 
@@ -711,7 +712,7 @@ def test_cold_lag_sweep_walks_the_levels_once_per_cut(monkeypatch):
 
     monkeypatch.setattr(measure, "_level_walk", spy)
     cuts = _spy_cuts(monkeypatch)
-    oracles._run_sums.cache_clear()
+    measure._TABLES.clear()
     for params in SWEEP_PAIRS:
         for tol in (1e-6, 1e-12):
             for k in range(201):
@@ -723,13 +724,16 @@ def test_cold_lag_sweep_walks_the_levels_once_per_cut(monkeypatch):
 
 
 def test_threads_on_a_cold_run_sum_cache_agree():
-    # eight threads sweep the lags on a cold cache: one build, and every
-    # thread gets the bits of a serial sweep
+    # eight threads sweep the lags on a cold store: as many builds as a
+    # serial sweep (one cut memo, one lag table), and every thread gets the
+    # bits of a serial sweep
     def sweep(_):
         return [autocovariance_exact(DEFAULT, k).hex() for k in range(201)]
 
+    measure._TABLES.clear()
     serial = sweep(0)
-    oracles._run_sums.cache_clear()
+    assert measure._TABLES.misses == 2
+    measure._TABLES.clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -738,7 +742,7 @@ def test_threads_on_a_cold_run_sum_cache_agree():
     finally:
         sys.setswitchinterval(interval)
     assert got == [serial] * 8
-    assert oracles._run_sums.cache_info().misses == 1
+    assert measure._TABLES.misses == 2
 
 
 def test_autocovariance_matches_empirical():

@@ -626,12 +626,16 @@ def test_renewal_table_matches_mpmath_recursion():
 
 
 def _build_under_threads(get, args):
-    # eight threads miss a cold cache together; returns the number of
-    # builds and whether all threads received the same object
+    # eight threads miss a cold table together; returns the number of
+    # builds and whether all threads received the same object.  The pair's
+    # p1, which both tables read, is built first
     import sys
     from concurrent.futures import ThreadPoolExecutor
 
-    before = get.cache_info().misses
+    from mdwindow.measure import _TABLES, p1
+
+    p1(args[0])
+    before = _TABLES.misses
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -639,7 +643,7 @@ def _build_under_threads(get, args):
             got = list(pool.map(lambda _: get(*args), range(8)))
     finally:
         sys.setswitchinterval(interval)
-    return get.cache_info().misses - before, all(g is got[0] for g in got)
+    return _TABLES.misses - before, all(g is got[0] for g in got)
 
 
 def test_renewal_table_built_once_under_threads():
@@ -659,16 +663,17 @@ def test_engine_tables_built_once_under_threads():
 
 def test_mc_tail_curve_shards_share_one_alias_table(monkeypatch):
     # the two shard threads of a rewards curve once built the table twice
-    from mdwindow.chain import interval_alias
+    from mdwindow.measure import _TABLES, p1
     from mdwindow.oracles import _BLOCK_PATHS, mc_tail_curve
 
     params = Params(0.31, 0.05)
-    before = interval_alias.cache_info().misses
+    p1(params)  # the one other table the run reads
+    before = _TABLES.misses
     # three blocks on two threads, as two CPUs run them
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     mc_tail_curve(params, 200, {"total": [1.0]}, 2 * _BLOCK_PATHS + 1, 0.95, RngStream(3),
                   shards=2)
-    assert interval_alias.cache_info().misses == before + 1
+    assert _TABLES.misses == before + 1
 
 
 def test_renewal_table_refuses_beyond_cap():
