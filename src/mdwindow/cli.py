@@ -322,8 +322,11 @@ def cmd_rates(cfg: dict) -> tuple[list, list]:
 def cmd_autocov(cfg: dict) -> tuple[list, list]:
     params = _component(cfg, "autocov")
     k_max, length = cfg["k_max"], cfg["length"]
-    if length < 10 * (k_max + 1):
-        raise ParameterError("length: must be at least 10 * (k_max + 1)")
+    # at least 100 products per lag, one for each batch of its standard error
+    if length < max(10 * (k_max + 1), k_max + 100):
+        raise ParameterError(
+            f"length: must be at least max(10 * (k_max + 1), k_max + 100), got {length}"
+        )
     path = generate_path(params, length, RngStream(seed=cfg["seed"]))
     x = path.x
     header = ["k", "r_exact", "dominance_bound", "r_empirical", "se"]

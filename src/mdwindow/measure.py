@@ -22,22 +22,21 @@ identity above bounds the levels beyond a cut N by
 
     sum_{m > N} mu_m w(m) <= C (N+1)^e / N * exp(-N^alpha).
 
-The rule doubles N until that remainder is below the tolerance (or past
-2^26 levels refuses with PrecisionError).  In absolute mode the doubling
-from the lowest start is memoized per (alpha, tol, growth), so a later
-start costs a lookup and at most one remainder of its own.  sigma and r(k)
-read one lag table per cut, `_run_sums`, built with one walk over the
-levels and kept: from the weights W_s of the runs of levels that share
-one isqrt s, r(k) = sum_{s > k} (s - k) W_s and sigma^2 = sum_s s^2 W_s,
-so a warm lag is one cut lookup and one array read.  The one relative
-series, the tail of S''_n, walks its levels through `level_series`.  A
-walk computes mu per block of levels where it reads them; exp and log act
-on each level alone, so a level gets the same bits in any block.  Where direct
-summation cannot reach float resolution (p_1 at small alpha) the mass
-beyond the cut has a closed form, `small_mass_tail`, built from
-incomplete gamma functions.
+The rule doubles N from 2^10 until that remainder is below the tolerance
+(or past 2^26 levels refuses with PrecisionError).  In absolute mode the
+cut depends only on (alpha, tol, growth) and is kept, so sigma and every
+r(k) read one lag table per (pair, cut), `_run_sums`, built with one walk
+over the levels and kept: from the weights W_s of the runs of levels that
+share one isqrt s, r(k) = sum_{s > k} (s - k) W_s and sigma^2 =
+sum_s s^2 W_s, so a warm lag is one cut lookup and one array read.  The
+one relative series, the tail of S''_n, walks its levels through
+`level_series`.  A walk computes mu per block of levels where it reads
+them; exp and log act on each level alone, so a level gets the same bits
+in any block.  Where direct summation cannot reach float resolution (p_1
+at small alpha) the mass beyond the cut has a closed form,
+`small_mass_tail`, built from incomplete gamma functions.
 
-Every per-pair table of the package (the cut memos, p_1, the window, the
+Every per-pair table of the package (the cuts, p_1, the window, the
 lag tables, and the alias and renewal tables that `chain` and `paths` hand
 it their own build functions for) lives in one store, `_TABLES`.  A read
 of a built table is one dict lookup and a recency stamp, with no lock.  A
@@ -276,53 +275,28 @@ def _cut_remainder(alpha: float, growth: tuple, cut: int) -> float:
     return c * (cut + 1.0) ** e / cut * math.exp(-(float(cut) ** alpha))
 
 
-def _lowest_cut(alpha: float, tol: float, growth: tuple):
-    """(N*, remainder) of the doubling from the lowest start, or None if it refuses."""
-    try:
-        return _doubling_cut(alpha, _FIRST_CUT, tol, growth, None)
-    except PrecisionError:
-        return None
-
-
-def _series_cut(params: Params, start: int, tol: float, growth: tuple, walked=None):
-    """Cut N of a level series from `start` and its remainder bound, as
-    (N, remainder): the first of max(start, _FIRST_CUT 2^j), j = 0, 1, ...,
-    whose remainder C (N+1)^e / N exp(-N^alpha), growth = (C, e), is below
-    tol.  With walked, the relative test: walked(N) returns the sum over the
-    levels start..N and the remainder must be below tol times it.
-    PrecisionError is raised once no cut up to _LEVEL_CAP can pass: the
-    cap's remainder reaches tol, or in relative mode tol (sum + remainder),
-    a bound on tol * full sum.
-
-    In absolute mode the doublings from start depend on start only through
-    max(start, 2^j), so the doubling from _FIRST_CUT is memoized per
-    (alpha, tol, growth) as its first passing cut N*.  A start above
-    _FIRST_CUT first tests its own remainder.  A start that does not pass
-    there and lies at or below N* takes N*: the doublings past it are
-    those of the memo.  Any other start, or a memo that refuses, runs the
-    doubling itself, so every refusal reads as it would without the memo.
-    A bad tol is refused by the doubling, before the memo keeps anything."""
+def _series_cut(params: Params, tol: float, growth: tuple, walked=None):
+    """Cut N of a level series and its remainder bound, as (N, remainder):
+    the first of the cuts _FIRST_CUT 2^j, the last one _LEVEL_CAP, whose
+    remainder C (N+1)^e / N exp(-N^alpha), growth = (C, e), is below tol.
+    With walked, the relative test: walked(N) returns the sum over the
+    levels 2..N and the remainder must be below tol times it.
+    PrecisionError is raised once no cut can pass: the cap's remainder
+    reaches tol, or in relative mode tol (sum + remainder), a bound on
+    tol * full sum.  In absolute mode the cut depends only on (alpha, tol,
+    growth) and is kept in the table store; a refusal keeps nothing."""
     if walked is None:
-        alpha = params.alpha
-        lowest = _TABLES.get(("cut", alpha, tol, growth), _lowest_cut, alpha, tol, growth)
-        if start > _FIRST_CUT:
-            rem = _cut_remainder(alpha, growth, start)
-            if rem < tol:
-                return start, rem
-        if lowest is not None and start <= lowest[0]:
-            return lowest
-    return _doubling_cut(params.alpha, start, tol, growth, walked)
+        key = ("cut", params.alpha, tol, growth)
+        return _TABLES.get(key, _doubling_cut, params.alpha, tol, growth, None)
+    return _doubling_cut(params.alpha, tol, growth, walked)
 
 
-def _doubling_cut(alpha: float, start: int, tol: float, growth: tuple, walked):
+def _doubling_cut(alpha: float, tol: float, growth: tuple, walked):
     """The doubling of `_series_cut`, tested cut by cut."""
     _check_tol(tol)
-    # the remainder at the last cut, the doubling's first at or past the cap
-    first = _FIRST_CUT
-    last = max(start, first << ((_LEVEL_CAP - 1) // first).bit_length())
-    best = _cut_remainder(alpha, growth, last)
+    best = _cut_remainder(alpha, growth, _LEVEL_CAP)  # the remainder at the last cut
+    cut = _FIRST_CUT
     while True:
-        cut = max(start, first)
         rem = _cut_remainder(alpha, growth, cut)
         value = 1.0 if walked is None else walked(cut)
         if rem < tol * value:
@@ -333,8 +307,7 @@ def _doubling_cut(alpha: float, start: int, tol: float, growth: tuple, walked):
                 f"no cut up to {_LEVEL_CAP} levels brings the remainder bound "
                 f"{best:.3e} below the tolerance; relax it"
             )
-        while first <= cut:  # a doubling below start would test start again
-            first <<= 1
+        cut <<= 1
 
 
 def level_series(
@@ -359,7 +332,7 @@ def level_series(
         done = cut
         return value
 
-    cut, rem = _series_cut(params, 2, tol, growth, walked)
+    cut, rem = _series_cut(params, tol, growth, walked)
     return value, rem, cut - 1
 
 
@@ -540,7 +513,7 @@ def sigma(params: Params, tol: float = 1e-12) -> ProcessStats:
     R_j) / mu_0: sigma^2 is r(0) + 2 sum_{k>=1} r(k), read from one table.
     The weight isqrt(m)^2 m^(-2 beta) / mu_0 is at most m^(1 - 2 beta) / mu_0,
     the growth `_series_cut` is given."""
-    cut = _series_cut(params, 2, tol, (1.0 / MU0, 1.0 - 2.0 * params.beta))[0]
+    cut = _series_cut(params, tol, (1.0 / MU0, 1.0 - 2.0 * params.beta))[0]
     table = _run_sums(params, cut)
     m2 = float(table[1] + 2.0 * table[2:].sum()) / MU0
     return ProcessStats(mean_tau=MEAN_TAU, second_moment_jump=m2, sigma=math.sqrt(m2 / MEAN_TAU))

@@ -409,25 +409,23 @@ def autocovariance_exact(params: Params, k: int, tol: float = 1e-12) -> float:
         r(k) = sum_tau mu_tau tau^(-2 beta) (isqrt(tau) - k)^+
              = sum_{s > k} (s - k) W_s,
 
-    W_s the weight of the run of levels s^2 .. (s+1)^2 - 1.  Levels below
-    (k+1)^2 contribute nothing, and the weight is at most
-    tau^(1/2 - 2 beta), so the level series rule cuts the levels where the
-    remainder is under tol.  r(k) is entry k + 1 of the lag table of the
-    cut (`_run_sums`), kept per (pair, cut) and built with one walk over
-    the levels, so a warm lag is one cut lookup and one array read.  The
-    table's terms are nonnegative, so r(k) never rises with k along one cut.
-    A lag whose cut is its own start (k+1)^2 reads that one level from
-    `log_mu`, on Python ints at any size.  k must be an integer >= 0.
+    W_s the weight of the run of levels s^2 .. (s+1)^2 - 1.  The weight is
+    at most tau^(1/2 - 2 beta), so one cut of the level series rule, the
+    lags' cut, leaves a remainder under tol for every lag: a lag's levels
+    all lie at or above (k+1)^2.  r(k) is entry k + 1 of the lag table of
+    that cut (`_run_sums`), kept per (pair, cut) and built with one walk
+    over the levels, so a warm lag is one cut lookup and one array read.
+    A lag past the table has all its levels beyond the cut and reads 0.0.
+    The table's terms are nonnegative, so r(k) never rises with k.  k must
+    be an integer >= 0.
     """
     if type(k) is not int or k < 0:  # the common case skips the call
         k = _integer(k, "lag", 0)
-    start = max((k + 1) * (k + 1), 2)
-    # C = 2 although 1 would do: the cuts then stay those of the bound
-    # 2 N^(-1/2 - 2 beta) exp(-N^alpha), so the values do not move
-    cut = _series_cut(params, start, tol, (2.0, 0.5 - 2.0 * params.beta))[0]
-    if cut == start:  # the one level (k+1)^2, with count 1
-        return math.exp(log_mu(params, start)) * float(start) ** (-2.0 * params.beta)
-    return _run_sums(params, cut).item(k + 1)
+    # C = 2 although 1 would do: C sets the cut, and so a change of it
+    # would move every lag
+    cut = _series_cut(params, tol, (2.0, 0.5 - 2.0 * params.beta))[0]
+    table = _run_sums(params, cut)
+    return table.item(k + 1) if k + 1 < table.size else 0.0
 
 
 def autocovariance_bound(params: Params, k: int) -> float:

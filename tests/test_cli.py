@@ -456,6 +456,18 @@ def test_autocov_columns_and_bounds():
         assert abs(float(r["r_empirical"]) - float(r["r_exact"])) < 5 * float(r["se"])
 
 
+def test_autocov_takes_a_product_per_batch_at_every_lag():
+    # the standard error takes 100 batch means of each lag's products; a
+    # path just long enough gives a finite se with no warning (warnings are
+    # errors here), and a shorter one exits 2 (test_malformed_input_exit_2)
+    res = run_cli("autocov", "--alpha", "0.3", "--beta", "0.05", "--k-max", "2",
+                  "--length", "102", env_extra={"PYTHONWARNINGS": "error"})
+    assert res.returncode == 0, res.stderr
+    header, rows = parse_csv(res.stdout)
+    assert len(rows) == 3
+    assert all(math.isfinite(float(dict(zip(header, r))["se"])) for r in rows)
+
+
 # ------------------------------------------------------------------- general
 
 def test_csv_roundtrip_lossless():
@@ -515,10 +527,12 @@ _PAIR = ("--alpha", "0.3", "--beta", "0.05")
         (("rates", *_PAIR, "--n-grid", "1000000.5", "--gamma-grid", "0.3"), None, "n_grid"),
         (("simulate", *_PAIR, "--n", "10"), {"reps": True}, "reps"),
         (("autocov", *_PAIR), {"k_max": 2.5}, "k_max"),
+        (("autocov", *_PAIR, "--k-max", "2", "--length", "60"), None, "length"),
     ],
     ids=["n-nan", "n-inf", "seed", "n-grid", "gamma-grid", "windows", "k-max",
          "config-shards", "config-alpha", "tol-inf", "tol-nan", "n-fraction",
-         "n-grid-fraction", "config-reps-bool", "config-k-max-fraction"],
+         "n-grid-fraction", "config-reps-bool", "config-k-max-fraction",
+         "autocov-short-length"],
 )
 def test_malformed_input_exit_2(tmp_path, args, config, field):
     if config is not None:

@@ -340,14 +340,14 @@ def _cut_route(monkeypatch, series, tol):
     module, call = _CUT_ROUTES[series]
     cuts = []
 
-    def spy(params, start, *rest):
-        cuts.append((start, *_series_cut(params, start, *rest)))
-        return cuts[-1][1:]
+    def spy(*args):
+        cuts.append(_series_cut(*args))
+        return cuts[-1]
 
     monkeypatch.setattr(module, "_series_cut", spy)
     value = call(tol)
-    (start, cut, bound), = cuts
-    return value, bound, cut - start + 1
+    (cut, bound), = cuts
+    return value, bound, cut - 1
 
 
 # p_1 sums a fixed range and its closed-form tail, not a level series
@@ -394,7 +394,7 @@ def test_level_series_do_not_depend_on_level_blocks(monkeypatch, series):
 def test_level_series_refuses_beyond_the_cap():
     # the absolute cut rule and the relative series alike
     with pytest.raises(PrecisionError):
-        _series_cut(Params(0.1, 0.0), 2, 1e-15, (1.0, 0.0))
+        _series_cut(Params(0.1, 0.0), 1e-15, (1.0, 0.0))
     with pytest.raises(PrecisionError):
         level_series(Params(0.1, 0.0), lambda lo, hi, mu: float(mu.sum()), tol=1e-15)
 
@@ -414,7 +414,7 @@ def test_level_series_refuses_an_unreachable_relative_tolerance_at_once():
 
 
 def _reference_cut(alpha, start, tol, growth):
-    # the doubling of measure._series_cut without its memo: every cut
+    # the plain doubling from a start level, without the store: every cut
     # max(start, _FIRST_CUT 2^j) tested in turn
     c, e = growth
 
@@ -443,33 +443,25 @@ def _reference_cut(alpha, start, tol, growth):
     c=st.sampled_from([1.0, 2.0, 1.0 / MU0]),
     e=st.floats(0.0, 1.0),
     tol=st.floats(-16.0, -2.0).map(lambda x: 10.0 ** x),
-    data=st.data(),
 )
-def test_memoized_cut_matches_the_plain_doubling(alpha, c, e, tol, data):
-    # the memo per (alpha, tol, growth) gives the plain rule's cut and
-    # remainder, or its refusal word for word, from any start, past the cap
-    # too.  Starts spread over the bit lengths, or fall in the upper half
-    # of the lowest start's cut, where a start may pass below that cut
+def test_memoized_cut_matches_the_plain_doubling(alpha, c, e, tol):
+    # the cut kept per (alpha, tol, growth) is the plain doubling's from
+    # level 2, cut and remainder, or its refusal word for word, read cold
+    # and then warm (a refusal is not kept and raises again)
     def outcome(rule, *args):
         try:
             return rule(*args)
         except PrecisionError as err:
             return str(err)
 
-    lowest = outcome(_reference_cut, alpha, 2, tol, (c, e))
-    near = (lowest[0] // 2, lowest[0]) if isinstance(lowest, tuple) else (2, 1 << 28)
-    start = data.draw(st.one_of(
-        st.integers(1, 28).flatmap(lambda bits: st.integers(2, 1 << bits)),
-        st.integers(*near),
-    ), label="start")
-    want = outcome(_reference_cut, alpha, start, tol, (c, e))
-    for _ in range(2):  # the memo cold, then warm
-        assert outcome(_series_cut, Params(alpha, 0.0), start, tol, (c, e)) == want
+    want = outcome(_reference_cut, alpha, 2, tol, (c, e))
+    for _ in range(2):
+        assert outcome(_series_cut, Params(alpha, 0.0), tol, (c, e)) == want
 
 
 def test_a_lag_sweep_runs_one_doubling_per_tolerance(monkeypatch):
-    # every lag takes the memo or passes at its own start, so the doubling
-    # runs once per (alpha, tol, growth), to build the memo
+    # every lag reads the one cut of (alpha, tol, growth), so the doubling
+    # runs once per tolerance, to build it
     doublings, doubling = [], measure._doubling_cut
 
     def spy(*args):
@@ -481,7 +473,7 @@ def test_a_lag_sweep_runs_one_doubling_per_tolerance(monkeypatch):
     for tol in (1e-6, 1e-12):
         for k in range(201):
             oracles.autocovariance_exact(DEFAULT, k, tol)
-    assert [args[2] for args in doublings] == [1e-6, 1e-12]
+    assert [args[1] for args in doublings] == [1e-6, 1e-12]
 
 
 _BAD_TOL_CALLS = {
@@ -567,7 +559,7 @@ def test_sigma_is_the_long_run_variance_of_its_lag_table(params, tol):
     # table at sigma's cut; sigma refuses exactly where that cut does
     growth = (1.0 / MU0, 1.0 - 2.0 * params.beta)
     try:
-        cut = _series_cut(params, 2, tol, growth)[0]
+        cut = _series_cut(params, tol, growth)[0]
     except PrecisionError as err:
         with pytest.raises(PrecisionError, match=str(err)):
             sigma(params, tol)
@@ -581,7 +573,7 @@ def test_second_moment_is_the_level_sum_over_its_cut():
     # a short cut: E X^2 against the plain sum of mu_m isqrt(m)^2 m^(-2 beta)
     # / mu_0 over the levels 2..cut
     p, tol = Params(0.45, 0.01), 1e-4
-    cut = _series_cut(p, 2, tol, (1.0 / MU0, 1.0 - 2.0 * p.beta))[0]
+    cut = _series_cut(p, tol, (1.0 / MU0, 1.0 - 2.0 * p.beta))[0]
     assert cut <= 1 << 12
     terms = [
         math.exp(log_mu(p, m)) * math.isqrt(m) ** 2 * float(m) ** (-2.0 * p.beta) / MU0
@@ -778,7 +770,7 @@ def _store_builds(mp) -> tuple:
     from mdwindow import chain, paths
 
     builds, plain = [], {}
-    for owner, name in [(measure, "_lowest_cut"), (measure, "_p1_sum"), (measure, "_window"),
+    for owner, name in [(measure, "_doubling_cut"), (measure, "_p1_sum"), (measure, "_window"),
                         (measure, "_lag_table"), (chain, "IntervalAlias"),
                         (paths, "_solve_renewal")]:
         build = plain[name] = getattr(owner, name)
@@ -813,8 +805,8 @@ def _store_request(kind: str, params: Params, size: int, plain: dict):
         "p1": (lambda: p1(params), lambda: plain["_p1_sum"](params)[0]),
         "window": (lambda: window_from_params(params),
                    lambda: plain["_window"](params.alpha, params.beta)),
-        "cut": (lambda: _series_cut(params, 2, 1e-12, growth),
-                lambda: plain["_lowest_cut"](params.alpha, 1e-12, growth)),
+        "cut": (lambda: _series_cut(params, 1e-12, growth),
+                lambda: plain["_doubling_cut"](params.alpha, 1e-12, growth, None)),
     }[kind]
 
 

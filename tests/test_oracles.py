@@ -616,79 +616,113 @@ def test_autocovariance_does_not_depend_on_level_blocks(monkeypatch):
             assert autocovariance_exact(DEFAULT, k) == pytest.approx(ref, rel=1e-13)
 
 
-# the level series pairs: at (0.45, 0.01) the lags past 44 cut at their one
-# level (k+1)^2 for tol 1e-12, and (0.25, 0.1) walks 2^19 levels
+# the level series pairs: the lag table of (0.45, 0.01) at tol 1e-6 ends at
+# lag 32, and (0.25, 0.1) at tol 1e-12 walks 2^18 levels
 SWEEP_PAIRS = (DEFAULT, Params(0.45, 0.01), Params(0.25, 0.1))
 
 
 def _spy_cuts(monkeypatch):
-    # records (params, start, cut) of every cut the autocovariance takes
+    # records (params, cut) of every cut the autocovariance takes
     cuts, rule = [], oracles._series_cut
 
-    def spy(params, start, *rest):
-        cut, rem = rule(params, start, *rest)
-        cuts.append((params, start, cut))
+    def spy(params, *rest):
+        cut, rem = rule(params, *rest)
+        cuts.append((params, cut))
         return cut, rem
 
     monkeypatch.setattr(oracles, "_series_cut", spy)
     return cuts
 
 
+def _level_terms(params, k, lo, hi):
+    # mu_tau tau^(-2 beta) (isqrt(tau) - k) over the levels lo..hi
+    tau = np.arange(lo, hi + 1, dtype=np.int64)
+    mu = np.exp(measure._level_log_mu(params, lo, hi))
+    return mu * tau.astype(np.float64) ** (-2.0 * params.beta) * (measure._floor_sqrt(tau) - k)
+
+
 @pytest.mark.parametrize("params", SWEEP_PAIRS)
 @pytest.mark.parametrize("tol", [1e-6, 1e-12])
 def test_autocovariance_matches_fsum_over_its_levels(monkeypatch, params, tol):
-    # r(k) from cached run sums against a correctly rounded sum of
-    # mu_tau tau^(-2 beta) (isqrt(tau) - k) over the same levels start..cut;
-    # at DEFAULT, tol 1e-12, the lags from 174 on read their one level
-    cuts, one_level = _spy_cuts(monkeypatch), []
+    # r(k) from the lag table against a correctly rounded sum over the same
+    # levels (k+1)^2..cut; a lag whose levels all lie past the cut reads
+    # 0.0.  At DEFAULT, tol 1e-12, that is lag 200 of these
+    cuts, past = _spy_cuts(monkeypatch), []
     for k in (0, 1, 7, 60, 150, 174, 180, 200):
         got = autocovariance_exact(params, k, tol)
-        (_, start, cut), = cuts
+        (_, cut), = cuts
         cuts.clear()
-        if start == cut:
-            one_level.append(k)
-        tau = np.arange(start, cut + 1, dtype=np.int64)
-        mu = np.exp(measure._level_log_mu(params, start, cut))
-        terms = mu * tau.astype(np.float64) ** (-2.0 * params.beta) * (measure._floor_sqrt(tau) - k)
-        assert got == pytest.approx(math.fsum(terms), rel=1e-13, abs=0.0)
+        start = max((k + 1) ** 2, 2)
+        if start > cut:
+            past.append(k)
+            assert got == 0.0
+        else:
+            assert got == pytest.approx(
+                math.fsum(_level_terms(params, k, start, cut)), rel=1e-13, abs=0.0
+            )
     if (params, tol) == (DEFAULT, 1e-12):
-        assert one_level == [174, 180, 200]
+        assert past == [200]
 
 
 def test_a_deep_lag_table_matches_fsum_and_never_rises(monkeypatch):
-    # at (0.2, 0.0), tol 1e-12, the lags 0..1958 cut at 2^22 and read one
-    # table over 2,048 runs; the later lags cut at their own level
-    params, tol = Params(0.2, 0.0), 1e-12
+    # at (0.2, 0.0), tol 1e-12, every lag cuts at 2^22 and the lags 0..2047
+    # read one table over 2,048 runs; the later lags read 0.0
+    params, tol, cut = Params(0.2, 0.0), 1e-12, 1 << 22
     cuts = _spy_cuts(monkeypatch)
-    values = [autocovariance_exact(params, k, tol) for k in range(2048)]
-    deep = [k for k, (_, start, cut) in enumerate(cuts) if start < cut == 1 << 22]
-    assert deep == list(range(1959))
-    assert oracles._run_sums(params, 1 << 22).size == 2049
-    shared = [values[k] for k in deep]
-    assert all(a >= b for a, b in zip(shared, shared[1:]))
-    for k in (0, 1, 100, 1000, 2046):
-        _, start, cut = cuts[k]
-
-        def terms(lo, hi):
-            tau = np.arange(lo, hi + 1, dtype=np.int64)
-            mu = np.exp(measure._level_log_mu(params, lo, hi))
-            return (mu * (measure._floor_sqrt(tau) - k)).tolist()
-
-        blocks = range(start, cut + 1, 1 << 18)
-        want = math.fsum(t for lo in blocks for t in terms(lo, min(lo + (1 << 18) - 1, cut)))
+    values = [autocovariance_exact(params, k, tol) for k in range(2051)]
+    assert {c for _, c in cuts} == {cut}
+    assert oracles._run_sums(params, cut).size == 2049
+    assert values[2047] > 0.0 and values[2048:] == [0.0] * 3
+    assert all(a >= b for a, b in zip(values, values[1:]))
+    for k in (0, 1, 100, 1000, 2046, 2047):
+        blocks = range(max((k + 1) ** 2, 2), cut + 1, 1 << 18)
+        want = math.fsum(t for lo in blocks
+                         for t in _level_terms(params, k, lo, min(lo + (1 << 18) - 1, cut)).tolist())
         assert values[k] == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
-def test_a_lag_past_int64_reads_its_level_from_log_mu():
-    # (k+1)^2 passes 2^63 from k = 3,037,000,499; at alpha 0.01 and tol
-    # 1e-9 the cut of these lags is their one level, and both routes agree
-    params, edge = Params(0.01, 0.0), 3_037_000_499
+def test_a_lag_past_int64_reads_zero_or_refuses_with_its_pair():
+    # (k+1)^2 passes 2^63 from k = 3,037,000,499.  Such a lag lies past
+    # every lag table and reads 0.0, and where the lags cannot be cut (alpha
+    # 0.01 at tol 1e-9) it refuses as lag 0 does
+    edge = 3_037_000_499
     for k in (edge - 1, edge, 10 ** 10):
-        level = (k + 1) ** 2
-        got = autocovariance_exact(params, k, 1e-9)
-        assert got > 0.0
-        assert got == pytest.approx(math.exp(log_mu(params, level)), rel=1e-13)
-    assert autocovariance_exact(DEFAULT, 10 ** 10) == 0.0  # mu underflows
+        assert autocovariance_exact(DEFAULT, k) == 0.0
+    for k in (0, 10 ** 10):
+        with pytest.raises(PrecisionError):
+            autocovariance_exact(Params(0.01, 0.0), k, 1e-9)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    alpha=st.floats(0.2, 0.45),
+    beta_share=st.floats(0.0, 0.999),
+    tol=st.floats(-12.0, -6.0).map(lambda x: 10.0 ** x),
+)
+@example(alpha=0.2, beta_share=0.0, tol=1e-12)  # the deepest cut, 2^22
+def test_every_lag_keeps_the_certified_contract(alpha, beta_share, tol):
+    # every lag 0..table size + 2 lies in [0, autocovariance_bound], never
+    # rises, and is within tol of the sum of its levels (k+1)^2..2 cut
+    # (twice the cut: at alpha 0.2 the cut reaches 2^22)
+    params = Params(alpha, beta_share * (0.5 - alpha) / 2.0)
+    cut = measure._series_cut(params, tol, (2.0, 0.5 - 2.0 * params.beta))[0]
+    size = oracles._run_sums(params, cut).size
+    # run weights W_s over the levels 2..2 cut, then sum_{s > k} (s - k) W_s
+    runs = np.zeros(math.isqrt(2 * cut) + 1)
+    for lo in range(2, 2 * cut + 1, 1 << 18):
+        hi = min(lo + (1 << 18) - 1, 2 * cut)
+        tau = np.arange(lo, hi + 1, dtype=np.int64)
+        w = np.exp(measure._level_log_mu(params, lo, hi)) * tau.astype(np.float64) ** (-2.0 * params.beta)
+        runs += np.bincount(measure._floor_sqrt(tau), w, minlength=runs.size)
+    s = np.arange(runs.size)
+    prev = math.inf
+    for k in range(size + 3):
+        got = autocovariance_exact(params, k, tol)
+        assert 0.0 <= got <= prev
+        if k >= 1:
+            assert got <= autocovariance_bound(params, k)
+        assert abs(got - float(((s - k) * runs)[k + 1:].sum())) <= tol
+        prev = got
 
 
 @pytest.mark.parametrize("lag", [2.0, 1.5, "3", None])
@@ -702,8 +736,8 @@ def test_a_numpy_integer_lag_is_a_lag():
 
 
 def test_cold_lag_sweep_walks_the_levels_once_per_cut(monkeypatch):
-    # a lag whose cut is its own start reads that one level; every other
-    # lag reads the run sums of its (pair, cut), walked once over 2..cut
+    # every lag reads the run sums of its (pair, cut), walked once over
+    # 2..cut: one walk per pair and tolerance
     walks, walk = [], measure._level_walk
 
     def spy(params, block_sum, lo, hi):
@@ -717,10 +751,9 @@ def test_cold_lag_sweep_walks_the_levels_once_per_cut(monkeypatch):
         for tol in (1e-6, 1e-12):
             for k in range(201):
                 autocovariance_exact(params, k, tol)
-    walked = {(params, 2, cut) for params, start, cut in cuts if cut > start}
+    walked = {(params, 2, cut) for params, cut in cuts}
     assert len(walks) == len(walked) == 6
     assert set(walks) == walked
-    assert any(cut == start for _, start, cut in cuts)
 
 
 def test_threads_on_a_cold_run_sum_cache_agree():
