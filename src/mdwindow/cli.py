@@ -40,28 +40,19 @@ from .paths import _RENEWAL_CAP, generate_path, iter_sums
 SEED_ENV = "MDWINDOW_SEED"
 
 
-def _fmt(x) -> str:
-    """Every row value is a Python str, bool, int or float; a computed float
-    prints to 12 significant digits."""
-    if isinstance(x, str):
-        return x
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if isinstance(x, int):
-        return str(x)
-    if x == 0.0:
-        return "0"  # canonicalize signed zeros
-    return format(x, ".12g")
-
-
-def _column(values: list) -> list:
-    """`_fmt` over one column, in one pass where the column has one type."""
+def _column(values) -> list:
+    """One column's cells as text, by type: a str as it is, a bool as
+    true/false, an int in full, and a computed float to 12 significant
+    digits with signed zeros as 0.  A column of one type takes one pass; a
+    mixed one (a blank beside numbers) is formatted cell by cell."""
     kinds = set(map(type, values))
+    if len(kinds) > 1:
+        return [_column([x])[0] for x in values]
     if kinds == {float}:
         return ["0" if x == 0.0 else f"{x:.12g}" for x in values]
     if kinds == {bool}:
         return ["true" if x else "false" for x in values]
-    return list(map(str if kinds <= {int, str} else _fmt, values))
+    return list(map(str, values))
 
 
 def _integer(value) -> int:
@@ -98,25 +89,27 @@ def _windows(value) -> list:
 _ALL = ("params", "simulate", "rates", "autocov")
 _MC = ("simulate", "rates")
 
-# every configuration field: (flag type, reader, default, the subcommands
-# whose flags offer it, help).  A config file may set any field; the reader
-# turns a flag's or a file's value into the field's type, in this order.
+# every configuration field: (flag type, reader, default, lower bound, the
+# subcommands whose flags offer it, help).  A config file may set any field;
+# the reader turns a flag's or a file's value into the field's type, in this
+# order, and the bound holds for the fields a subcommand reads.
 _FIELDS = {
-    "seed": (int, _integer, 0, ("simulate", "rates", "autocov"),
+    "seed": (int, _integer, 0, 0, ("simulate", "rates", "autocov"),
              f"random seed (default ${SEED_ENV}, else 0)"),
-    "shards": (int, _integer, 1, _MC, "worker threads (results do not depend on it)"),
-    "alpha": (float, float, None, _ALL, "tail exponent"),
-    "beta": (float, float, None, _ALL, "reward exponent"),
-    "tol": (float, float, 1e-10, ("params", "autocov"), "series tolerance"),
-    "c": (float, float, 1.0, ("rates",), "deviation level"),
-    "confidence": (float, float, 0.999, ("rates",), "Monte Carlo interval level"),
-    "n": (float, _count, None, ("simulate",), "horizon (time steps)"),
-    "reps": (float, _count, 0, _MC, "number of paths (rates: per horizon, 0 = no MC)"),
-    "k_max": (float, _count, 20, ("autocov",), "largest lag"),
-    "length": (float, _count, 200000, ("autocov",), "empirical path length"),
-    "n_grid": (str, _grid(_count), None, ("rates",), "comma-separated horizons"),
-    "gamma_grid": (str, _grid(float), None, ("rates",), "comma-separated scale exponents"),
-    "windows": (str, _windows, None, _ALL,
+    "shards": (int, _integer, 1, 1, _MC, "worker threads (results do not depend on it)"),
+    "alpha": (float, float, None, None, _ALL, "tail exponent"),
+    "beta": (float, float, None, None, _ALL, "reward exponent"),
+    "tol": (float, float, 1e-10, None, ("params", "autocov"), "series tolerance"),
+    "c": (float, float, 1.0, None, ("rates",), "deviation level"),
+    "confidence": (float, float, 0.999, None, ("rates",), "Monte Carlo interval level"),
+    "n": (float, _count, None, 0, ("simulate",), "horizon (time steps)"),
+    "reps": (float, _count, 0, 0, _MC, "number of paths (rates: per horizon, 0 = no MC)"),
+    "k_max": (float, _count, 20, 0, ("autocov",), "largest lag"),
+    "length": (float, _count, 200000, 0, ("autocov",), "empirical path length"),
+    "n_grid": (str, _grid(_count), None, None, ("rates",), "comma-separated horizons"),
+    "gamma_grid": (str, _grid(float), None, None, ("rates",),
+                   "comma-separated scale exponents"),
+    "windows": (str, _windows, None, None, _ALL,
                 "comma-separated u:v pairs, e.g. 0.1:0.15,0.25:0.4"),
 }
 
@@ -130,7 +123,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
     for command, (_, summary) in _COMMANDS.items():
         p = sub.add_parser(command, help=summary)
-        for field, (kind, _, _, commands, text) in _FIELDS.items():
+        for field, (kind, _, _, _, commands, text) in _FIELDS.items():
             if command in commands:
                 p.add_argument("--" + field.replace("_", "-"), type=kind, help=text)
         p.add_argument("--config", help="JSON config file")
@@ -165,16 +158,14 @@ def _resolve_config(args: argparse.Namespace) -> dict:
         flag = getattr(args, key, None)
         if flag is not None:
             cfg[key] = flag
-    for key, (_, read, *_) in _FIELDS.items():
-        if cfg[key] is not None:
-            try:
-                cfg[key] = read(cfg[key])
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise ParameterError(f"{key}: cannot read {cfg[key]!r}: {exc}") from None
-    used = {key for key, spec in _FIELDS.items() if args.command in spec[3]}
-    lows = {"seed": 0, "n": 0, "reps": 0, "k_max": 0, "length": 0, "shards": 1}
-    for key, low in lows.items():
-        if key in used and cfg[key] is not None and cfg[key] < low:
+    for key, (_, read, _, low, commands, _) in _FIELDS.items():
+        if cfg[key] is None:
+            continue
+        try:
+            cfg[key] = read(cfg[key])
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ParameterError(f"{key}: cannot read {cfg[key]!r}: {exc}") from None
+        if low is not None and args.command in commands and cfg[key] < low:
             raise ParameterError(f"{key}: must be >= {low}, got {cfg[key]}")
 
     has_pair = cfg["alpha"] is not None or cfg["beta"] is not None
@@ -187,21 +178,26 @@ def _resolve_config(args: argparse.Namespace) -> dict:
     return cfg
 
 
-def _emit(cfg: dict, header: list, rows: list, out_path):
+def _emit(cfg: dict, header: list, columns: list, out_path):
+    """Write a command's table, one sequence of values per header name."""
     if cfg["output_format"] == "csv":
         # gamma echoes the input as the shortest text that reads back as the
         # same float, so a gamma a hair off a window endpoint is not printed on it
-        cols = [[row[i] for row in rows] for i in range(len(header))]
-        cols = [list(map(repr, c)) if h == "gamma" else _column(c) for h, c in zip(header, cols)]
-        text = "\n".join([",".join(header), *map(",".join, zip(*cols))]) + "\n"
+        cells = [list(map(repr, c)) if h == "gamma" else _column(c)
+                 for h, c in zip(header, columns)]
+        text = "\n".join([",".join(header), *map(",".join, zip(*cells))]) + "\n"
     else:
-        results = [{k: (None if v == "" else v) for k, v in zip(header, row)} for row in rows]
+        results = [{k: (None if v == "" else v) for k, v in zip(header, row)}
+                   for row in zip(*columns)]
         # the worker count never changes the results, so the document omits it
         doc = {"config": {k: v for k, v in cfg.items() if k != "shards"}, "results": results}
         text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ParameterError(f"out: cannot write {out_path}: {exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -234,7 +230,7 @@ def cmd_params(cfg: dict) -> tuple[list, list]:
         )
     if len(comps) > 1:
         rows.append(["combined", "", "", "", "", "", "", "", combined])
-    return header, rows
+    return header, list(zip(*rows))
 
 
 def _within_mc_cap(field: str, n: int, hint: str = "") -> None:
@@ -252,13 +248,10 @@ def cmd_simulate(cfg: dict) -> tuple[list, list]:
     _within_mc_cap("n", cfg["n"])
     params = _component(cfg, "simulate")
     header = ["s_prime", "s_tilde", "s_dprime", "s_total", "a1", "b1", "an", "bn", "interior"]
-
-    def block_rows(r: int, gen) -> list:
-        chunks = iter_sums(params, cfg["n"], r, gen)
-        return [row for chunk in chunks for row in zip(*(chunk[k].tolist() for k in header))]
-
-    blocks = _run_blocks(cfg["reps"], RngStream(seed=cfg["seed"]), cfg["shards"], block_rows)
-    return header, [row for rows in blocks for row in rows]
+    blocks = _run_blocks(cfg["reps"], RngStream(seed=cfg["seed"]), cfg["shards"],
+                         lambda r, gen: list(iter_sums(params, cfg["n"], r, gen)))
+    chunks = [chunk for block in blocks for chunk in block]
+    return header, [np.concatenate([chunk[k] for chunk in chunks]).tolist() for k in header]
 
 
 # the certificate of each regime `WindowSet.locate` names, by row kind
@@ -316,7 +309,7 @@ def cmd_rates(cfg: dict) -> tuple[list, list]:
                     rows.append(row("mc", lp, interval, query.rate(lp)))
                 else:
                     rows.append(row("mc", est=interval, note=flag or "zero_hits"))
-    return header, rows
+    return header, list(zip(*rows))
 
 
 def cmd_autocov(cfg: dict) -> tuple[list, list]:
@@ -340,7 +333,7 @@ def cmd_autocov(cfg: dict) -> tuple[list, list]:
         se = float(means.std(ddof=1) / math.sqrt(n_batches))
         bound = autocovariance_bound(params, k) if k >= 1 else ""
         rows.append([k, autocovariance_exact(params, k, cfg["tol"]), bound, r_emp, se])
-    return header, rows
+    return header, list(zip(*rows))
 
 
 _COMMANDS = {
@@ -356,15 +349,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _resolve_config(args)
-        header, rows = _COMMANDS[args.command][0](cfg)
+        header, columns = _COMMANDS[args.command][0](cfg)
+        cfg["command"] = args.command
+        _emit(cfg, header, columns, args.out)
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except PrecisionError as exc:
         print(f"error: unreachable precision: {exc}", file=sys.stderr)
         return 3
-    cfg["command"] = args.command
-    _emit(cfg, header, rows, args.out)
     return 0
 
 

@@ -14,8 +14,7 @@ from math import sqrt
 import numpy as np
 
 from .chain import RngStream
-from .errors import ParameterError
-from .measure import WindowSet, params_from_window, sigma
+from .measure import WindowSet, _integer, params_from_window, sigma
 from .paths import generate_path
 
 
@@ -45,8 +44,7 @@ def sample_composite_path(
 ) -> np.ndarray:
     """Pointwise sum of independently sampled component paths (component i
     draws from rng.substream(i)), divided by the combined normalizer."""
-    if n < 1:
-        raise ParameterError(f"path length must be >= 1, got {n}")
+    n = _integer(n, "path length", 1)
     total = np.zeros(n)
     for i, (params, _) in enumerate(composite.components):
         total += generate_path(params, n, rng.substream(i)).x

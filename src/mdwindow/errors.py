@@ -5,10 +5,6 @@ class ParameterError(ValueError):
     """A parameter or configuration value violates its domain constraints."""
 
 
-class StateIndexError(ValueError):
-    """A level index outside the chain's state space was requested."""
-
-
 class PrecisionError(ArithmeticError):
     """The requested tolerance cannot be certified with the available
     truncation budget (the result would be smaller than the best rigorous

@@ -56,7 +56,7 @@ from operator import index
 
 import numpy as np
 
-from .errors import ParameterError, PrecisionError, StateIndexError
+from .errors import ParameterError, PrecisionError
 from .logspace import log1mexp, power_gap
 
 # Constants forced by the tail identity at n = 1 plus normalization; they
@@ -233,9 +233,9 @@ def log_mu(params: Params, n: int) -> float:
     if n == 0:
         return LOG_MU0
     if n == 1:
-        raise StateIndexError("level 1 is not in the state space")
+        raise ParameterError("level 1 is not in the state space")
     if n < 0:
-        raise StateIndexError(f"negative level {n}")
+        raise ParameterError(f"negative level {n}")
     a = params.alpha
     return -(float(n - 1) ** a) + log1mexp(power_gap(n, a)) - math.log(n - 1)
 

@@ -390,7 +390,7 @@ def test_rates_mc_rows_match_one_call_per_point():
     # one set of paths per horizon serves all its thresholds: the rows equal
     # those of a separate mc_tail_curve call per (n, gamma)
     from mdwindow import Params, RateQuery, RngStream, mc_tail_curve
-    from mdwindow.cli import _fmt
+    from mdwindow.cli import _column
 
     res = run_cli(
         "rates", "--alpha", "0.3", "--beta", "0.05",
@@ -407,9 +407,9 @@ def test_rates_mc_rows_match_one_call_per_point():
             Params(0.3, 0.05), n, {"total": [RateQuery(n, gamma, 0.2).threshold]},
             3000, 0.999, RngStream(seed=5), 2,
         )["total"][0]
-        assert [row["p_hat"], row["ci_low"], row["ci_high"]] == [
-            _fmt(est.p_hat), _fmt(est.ci_low), _fmt(est.ci_high)
-        ]
+        assert [row["p_hat"], row["ci_low"], row["ci_high"]] == _column(
+            [est.p_hat, est.ci_low, est.ci_high]
+        )
 
 
 _CELL = st.one_of(st.floats(), st.integers(), st.booleans(), st.sampled_from(["", "x"]))
@@ -418,13 +418,19 @@ _CELL = st.one_of(st.floats(), st.integers(), st.booleans(), st.sampled_from([""
 @settings(max_examples=300, deadline=None)
 @given(st.lists(_CELL, max_size=8), st.sampled_from([float, int, bool, str, None]))
 def test_a_column_is_formatted_as_its_cells(cells, kind):
-    # the one-pass column formats of `_emit` agree with `_fmt` cell by cell,
-    # on one-type columns (kind) and mixed ones (None)
-    from mdwindow.cli import _column, _fmt
+    # a column, of one type (kind) or mixed (None), reads as its cells
+    # formatted one at a time, and each type keeps its text
+    from mdwindow.cli import _column
 
     if kind is not None:
         cells = [c for c in cells if type(c) is kind]
-    assert _column(cells) == [_fmt(c) for c in cells]
+    assert _column(cells) == [_column([c])[0] for c in cells]
+    floats = [-0.0, 0.0, math.nan, math.inf, -math.inf, 0.1 + 0.2, -1e-300]
+    texts = ["0", "0", "nan", "inf", "-inf", "0.3", "-1e-300"]
+    assert _column(floats) == texts
+    assert _column([True, False]) == ["true", "false"]
+    assert _column(["combined", 2 ** 70, True, "", *floats]) == [
+        "combined", str(2 ** 70), "true", "", *texts]
 
 
 def test_rates_byte_identical_reruns():
@@ -528,11 +534,13 @@ _PAIR = ("--alpha", "0.3", "--beta", "0.05")
         (("simulate", *_PAIR, "--n", "10"), {"reps": True}, "reps"),
         (("autocov", *_PAIR), {"k_max": 2.5}, "k_max"),
         (("autocov", *_PAIR, "--k-max", "2", "--length", "60"), None, "length"),
+        (("params", *_PAIR, "--out", "/nonexistent/dir/x.csv"), None,
+         "out: cannot write /nonexistent/dir/x.csv: "),
     ],
     ids=["n-nan", "n-inf", "seed", "n-grid", "gamma-grid", "windows", "k-max",
          "config-shards", "config-alpha", "tol-inf", "tol-nan", "n-fraction",
          "n-grid-fraction", "config-reps-bool", "config-k-max-fraction",
-         "autocov-short-length"],
+         "autocov-short-length", "out-unwritable"],
 )
 def test_malformed_input_exit_2(tmp_path, args, config, field):
     if config is not None:
@@ -601,12 +609,16 @@ def test_json_results_match_csv_values():
     assert float(cert_csv["rate"]) == pytest.approx(cert_json["rate"], rel=1e-11)
 
 
-# stdout md5s of six runs, in process; a change to any draw layout, series
-# value or output format moves them.  Each Monte Carlo run fits in one block,
-# which draws from the seed's shard 0 whatever --shards says
+# stdout md5s of seven runs, in process; a change to any draw layout, series
+# value or output format moves them.  Each Monte Carlo run but one fits in one
+# block, which draws from the seed's shard 0 whatever --shards says;
+# simulate-two-blocks puts one path in a second block, so its rows pin the
+# block order
 _SIM = ("simulate", *_PAIR, "--n", "1000", "--reps", "3000", "--seed", "7", "--shards", "3")
 _PINNED_STDOUT = {
     "simulate": (_SIM, "73c1746e6eac1cb85cb41e72279e815f"),
+    "simulate-two-blocks": (("simulate", *_PAIR, "--n", "20", "--reps", "65537", "--seed", "3"),
+                            "aaab1cce0030a182d4af6091334f2c8c"),
     "simulate-json": ((*_SIM, "--format", "json"), "19ec4d48b74aef4bd349d5fc5a0281bf"),
     "rates": (("rates", *_PAIR, "--n-grid", "200,400", "--gamma-grid", "0.15,0.3,0.45",
                "--c", "0.2", "--reps", "20000", "--seed", "3", "--shards", "2"),

@@ -13,7 +13,6 @@ from mdwindow import (
     ParameterError,
     Params,
     PrecisionError,
-    StateIndexError,
     autocovariance_bound,
     build_measure_table,
     excursion_reward_magnitude,
@@ -98,12 +97,12 @@ def test_log_mu_beyond_two_to_the_53_against_mpmath(alpha, n):
 
 @pytest.mark.parametrize("alpha", ALPHA_GRID)
 def test_log_mu_rejects_level_one(alpha):
-    with pytest.raises(StateIndexError):
+    with pytest.raises(ParameterError, match="^level 1 is not in the state space$"):
         log_mu(Params(alpha, 0.0), 1)
 
 
 def test_log_mu_rejects_negative_level():
-    with pytest.raises(StateIndexError):
+    with pytest.raises(ParameterError, match="^negative level -3$"):
         log_mu(DEFAULT, -3)
 
 

@@ -135,8 +135,10 @@ def test_a_bool_is_not_an_integer(flag):
 def test_path_and_tail_entry_points_refuse_a_non_integral_horizon(n):
     # README promises a ParameterError, not a truncated horizon: 10.5 once
     # gave an 11-point path and 1000.5 a tail between those of 1000 and 1001
+    from mdwindow import build_composite, sample_composite_path
     from mdwindow.paths import conditioned_path, iter_sums
 
+    composite = build_composite(WindowSet([(0.25, 0.4)]))
     calls = [
         lambda: generate_path(DEFAULT, n, RngStream(1)),
         lambda: iter_sums(DEFAULT, n, 4, RngStream(1)),  # refused at the call
@@ -144,6 +146,7 @@ def test_path_and_tail_entry_points_refuse_a_non_integral_horizon(n):
         lambda: mc_tail_curve(DEFAULT, n, {"dprime": [1.0]}, 10, 0.9, RngStream(1)),
         lambda: boundary_tail_exact(DEFAULT, n, 5.0),
         lambda: boundary_sum_sup(DEFAULT, n),
+        lambda: sample_composite_path(composite, n, RngStream(1)),
     ]
     for call in calls:
         with pytest.raises(ParameterError, match="horizon|path length"):
