@@ -126,19 +126,19 @@ def sample_stationary_levels(
     is uniform on (0, 1/e) and the level is the unique m with
     exp(-m^alpha) <= u - mu_0 < exp(-(m-1)^alpha), i.e.
     m = ceil((-log(u - mu_0))^(1/alpha)).  The age is uniform on 1..m-1.
+    Draw order: `size` uniforms for the states, then one uniform per
+    excursion state, in order, for its age (none when all are origins).
     """
-    alpha = params.alpha
-    _check_tau_cap(alpha)
+    _check_tau_cap(params.alpha)
     gen = as_generator(rng)
     u = gen.random(size)
     tau = np.zeros(size, dtype=np.int64)
     age = np.zeros(size, dtype=np.int64)
-    exc = u >= MU0
-    if np.any(exc):
-        tau[exc] = _size_biased_level(u[exc] - MU0, alpha, 2)
-        span = (tau[exc] - 1).astype(np.float64)
-        a = 1 + np.floor(gen.random(int(exc.sum())) * span).astype(np.int64)
-        age[exc] = np.minimum(a, tau[exc] - 1)
+    exc = np.flatnonzero(u >= MU0)
+    if exc.size:  # all origins, as in 63% of single draws: nothing more to draw
+        tau[exc] = lev = _size_biased_level(u[exc] - MU0, params.alpha, 2)
+        a = np.floor(gen.random(exc.size) * (lev - 1)).astype(np.int64)
+        age[exc] = np.minimum(a + 1, lev - 1)
     return tau, age
 
 

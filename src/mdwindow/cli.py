@@ -102,7 +102,7 @@ _FIELDS = {
     "tol": (float, float, 1e-10, None, ("params", "autocov"), "series tolerance"),
     "c": (float, float, 1.0, None, ("rates",), "deviation level"),
     "confidence": (float, float, 0.999, None, ("rates",), "Monte Carlo interval level"),
-    "n": (float, _count, None, 0, ("simulate",), "horizon (time steps)"),
+    "n": (float, _count, None, 1, ("simulate",), "horizon (time steps)"),
     "reps": (float, _count, 0, 0, _MC, "number of paths (rates: per horizon, 0 = no MC)"),
     "k_max": (float, _count, 20, 0, ("autocov",), "largest lag"),
     "length": (float, _count, 200000, 0, ("autocov",), "empirical path length"),
@@ -200,6 +200,18 @@ def _emit(cfg: dict, header: list, columns: list, out_path):
             raise ParameterError(f"out: cannot write {out_path}: {exc}") from None
     else:
         sys.stdout.write(text)
+
+
+def _check_out(path) -> None:
+    """Refuse an unwritable output file before any work, creating or
+    truncating nothing: a missing file is created and removed again."""
+    try:
+        made = not os.path.lexists(path)
+        os.close(os.open(path, os.O_WRONLY | os.O_CREAT))
+        if made:
+            os.remove(path)
+    except OSError as exc:
+        raise ParameterError(f"out: cannot write {path}: {exc}") from None
 
 
 def _component(cfg: dict, command: str) -> Params:
@@ -349,6 +361,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _resolve_config(args)
+        if args.out:
+            _check_out(args.out)
         header, columns = _COMMANDS[args.command][0](cfg)
         cfg["command"] = args.command
         _emit(cfg, header, columns, args.out)

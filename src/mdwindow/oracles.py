@@ -289,14 +289,8 @@ def case1_upper(params: Params, query: RateQuery) -> RateCertificate:
     except OverflowError:
         raise PrecisionError(f"tail cutoff at n={query.n:.6g} is beyond float range") from None
     log_prob = math.log(2.0) - float(k) ** params.alpha
-    return RateCertificate(
-        kind="case1_upper",
-        n=query.n,
-        gamma=query.gamma,
-        c=query.c,
-        log_prob=log_prob,
-        rate=query.rate(log_prob),
-    )
+    return RateCertificate(kind="case1_upper", n=query.n, gamma=query.gamma, c=query.c,
+                           log_prob=log_prob, rate=query.rate(log_prob))
 
 
 def _bracket_empty(kind: str, query: RateQuery, exists) -> BracketEmptyError:
@@ -372,17 +366,9 @@ def case2_certificate(params: Params, query: RateQuery) -> RateCertificate:
         )
     c_n, a_n, b_n = built
     log_prob = math.log(0.25) + log_mu(params, c_n)
-    return RateCertificate(
-        kind="case2_lower",
-        n=query.n,
-        gamma=query.gamma,
-        c=query.c,
-        log_prob=log_prob,
-        rate=query.rate(log_prob),
-        c_n=c_n,
-        a_n=a_n,
-        b_n=b_n,
-    )
+    return RateCertificate(kind="case2_lower", n=query.n, gamma=query.gamma, c=query.c,
+                           log_prob=log_prob, rate=query.rate(log_prob),
+                           c_n=c_n, a_n=a_n, b_n=b_n)
 
 
 def predicted_rate(windows: WindowSet, gamma: float, c: float) -> Optional[float]:

@@ -241,15 +241,12 @@ def _start_chunk(params, n, gen, c) -> dict:
         "bn": np.zeros(c, dtype=np.int64),
         "interior": ~no_renew,
     }
-    if np.any(no_renew):
-        a, b = a1[no_renew] + (n - 1), b1[no_renew] - (n - 1)
-        _set_end_excursion(out, n, no_renew, a, b, sign0[no_renew], params.beta)
-
+    a, b = a1[no_renew] + (n - 1), b1[no_renew] - (n - 1)
+    _set_end_excursion(out, n, no_renew, a, b, sign0[no_renew], params.beta)
     lead = (tau1 > 0) & ~no_renew
-    if np.any(lead):
-        tau, a = tau1[lead], a1[lead]
-        cnt = _reward_ages(tau, a, tau - 1)
-        out["s_prime"][lead] = sign0[lead] * cnt * tau.astype(np.float64) ** (-params.beta)
+    tau, a = tau1[lead], a1[lead]
+    cnt = _reward_ages(tau, a, tau - 1)
+    out["s_prime"][lead] = sign0[lead] * cnt * tau.astype(np.float64) ** (-params.beta)
     return out
 
 
@@ -326,21 +323,24 @@ def _boundary_chunk(params, n, gen, u_tab, c):
     pi(a, b) = mu_0 p_(a+b) and pi(origin) = mu_0, a stationary proposal
     accepted with probability u(m - a) (zero for a > m) is an exact draw;
     u <= u(0) = 1, and the acceptance rate is exactly mu_0 = 1 - 1/e.
+    Draw order: `_start_chunk`'s draws, then per round the pending rows'
+    proposals, an acceptance uniform each and a sign uniform per row that
+    ends inside an excursion; all end states are written after the loop.
     """
     out = _start_chunk(params, n, gen, c)
     idx = np.flatnonzero(out["interior"])
     m = n - 1 - out["b1"][idx]
+    ends = []  # per round: rows, ages, levels and sign uniforms of the end states
     while idx.size:
         lev, age = sample_stationary_levels(params, gen, idx.size)
         lag = m - age
         keep = (lag >= 0) & (gen.random(idx.size) < u_tab[np.maximum(lag, 0)])
-        ended = keep & (age > 0)  # origin proposals leave the zero end state
-        if np.any(ended):
-            rows = idx[ended]
-            a = age[ended]
-            sign = np.where(gen.random(rows.size) < 0.5, 1.0, -1.0)
-            _set_end_excursion(out, n, rows, a, lev[ended] - a, sign, params.beta)
+        ended = np.flatnonzero(keep & (age > 0))  # origin proposals leave the zero end state
+        ends.append((idx[ended], age[ended], lev[ended], gen.random(ended.size)))
         idx, m = idx[~keep], m[~keep]
+    if ends:
+        rows, a, lev, s = map(np.concatenate, zip(*ends))
+        _set_end_excursion(out, n, rows, a, lev - a, np.where(s < 0.5, 1.0, -1.0), params.beta)
     return out
 
 

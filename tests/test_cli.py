@@ -536,11 +536,12 @@ _PAIR = ("--alpha", "0.3", "--beta", "0.05")
         (("autocov", *_PAIR, "--k-max", "2", "--length", "60"), None, "length"),
         (("params", *_PAIR, "--out", "/nonexistent/dir/x.csv"), None,
          "out: cannot write /nonexistent/dir/x.csv: "),
+        (("simulate", *_PAIR, "--n", "0", "--reps", "5"), None, "n: must be >= 1, got 0"),
     ],
     ids=["n-nan", "n-inf", "seed", "n-grid", "gamma-grid", "windows", "k-max",
          "config-shards", "config-alpha", "tol-inf", "tol-nan", "n-fraction",
          "n-grid-fraction", "config-reps-bool", "config-k-max-fraction",
-         "autocov-short-length", "out-unwritable"],
+         "autocov-short-length", "out-unwritable", "simulate-n-zero"],
 )
 def test_malformed_input_exit_2(tmp_path, args, config, field):
     if config is not None:
@@ -552,6 +553,43 @@ def test_malformed_input_exit_2(tmp_path, args, config, field):
     assert res.stderr.startswith(f"error: {field}"), res.stderr
     assert "Traceback" not in res.stderr
     assert res.stdout == ""
+
+
+_BIG_SIM = ("simulate", *_PAIR, "--n", "20", "--reps", "140000")
+
+
+def _engine_fails(monkeypatch, exc):
+    # the Monte Carlo runner raises if reached
+    from mdwindow import cli
+
+    def run_blocks(*args):
+        raise exc
+
+    monkeypatch.setattr(cli, "_run_blocks", run_blocks)
+    return cli
+
+
+def test_unwritable_out_is_refused_before_any_work(tmp_path, monkeypatch, capsys):
+    # a missing directory and a directory as the file: the refusal comes
+    # before the engine, which would fail the run otherwise, and leaves nothing
+    cli = _engine_fails(monkeypatch, AssertionError("the engine ran"))
+    for out in (tmp_path / "missing" / "x.csv", tmp_path):
+        assert cli.main([*_BIG_SIM, "--out", str(out)]) == 2
+        out_text, err = capsys.readouterr()
+        assert out_text == "" and err.startswith(f"error: out: cannot write {out}: "), err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_refused_run_neither_creates_nor_truncates_its_out_file(tmp_path, monkeypatch, capsys):
+    from mdwindow import ParameterError
+
+    cli = _engine_fails(monkeypatch, ParameterError("refused"))
+    kept, fresh = tmp_path / "kept.csv", tmp_path / "fresh.csv"
+    kept.write_text("earlier output\n")
+    for out in (kept, fresh):
+        assert cli.main([*_BIG_SIM, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: refused\n"
+    assert kept.read_text() == "earlier output\n" and not fresh.exists()
 
 
 def test_counts_read_integral_floats_exactly():

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 
@@ -20,6 +21,7 @@ from mdwindow import (
 )
 
 from mdwindow.measure import MU0, _reward_ages, _s_tilde_variance
+from mdwindow.chain import raw_words, sample_stationary_levels
 from mdwindow.paths import _materialize, conditioned_path
 
 from conftest import DEFAULT, SMALL_ALPHA, three_se
@@ -682,6 +684,120 @@ def test_renewal_table_refuses_beyond_cap():
 
     with pytest.raises(PrecisionError):
         _renewal_table(DEFAULT, _RENEWAL_CAP + 1)
+
+
+def _chunk_md5(params, n, reps, seed, with_rewards, chunk):
+    # md5 over every chunk iter_sums yields: each key in sorted order, then
+    # its array's bytes; a change to any draw, its order or its arithmetic
+    # moves it
+    h = hashlib.md5()
+    gen = RngStream(seed).generator()
+    for ch in iter_sums(params, n, reps, gen, with_rewards=with_rewards, chunk=chunk):
+        for key in sorted(ch):
+            h.update(key.encode())
+            h.update(np.ascontiguousarray(ch[key]).tobytes())
+    return h.hexdigest()
+
+
+# boundary-only chunks of one row, of seven (the last chunk short) and of
+# 4096 (as a `boundary_mc` op), each pinned bit for bit: (chunk, reps) and
+# the md5 of each, per pair and horizon
+_CHUNKS = ((1, 64), (7, 100), (4096, 10000))
+_PAIRS = {"default": DEFAULT, "small_alpha": SMALL_ALPHA}
+_BOUNDARY_MD5 = {
+    ("default", 1): ("80af5f51e8fa8781570f5a2f30fe5f44", "08c65df72ee67654b351b3b9d7a634c0",
+                     "23de92059b206ba7f2b8cb6b977521b4"),
+    ("default", 2): ("158c6f37f563566123fe5b6e1d6a2815", "065f6d39b6f41fe541bbdd7f6cfc6081",
+                     "44e577c70ab9f2af448d7d8e07fe11b9"),
+    ("default", 40): ("1e30b37877f62bf5105b16f22f4ca59c", "e1cba9daea80b8f164076a809625f3a6",
+                      "15dcdb8018de4b52a79645223ae4c363"),
+    ("default", 1000): ("3697184544ac6f73a72ffbf7fd954d93", "19aabdaec23847aec6795c1889f7d9f5",
+                        "1ea50783a1915a3b54d66a9e07f80b3b"),
+    ("default", 20000): ("3697184544ac6f73a72ffbf7fd954d93", "19aabdaec23847aec6795c1889f7d9f5",
+                         "19fd2165114db1196e86b88e608ca976"),
+    ("small_alpha", 1): ("c0d6c5c685aa0fb39ce833b63c54aec9", "2b10b1f18cd60afd76195d0f42847430",
+                         "6e3c8c0668e25f13fa9f077d3569b43a"),
+    ("small_alpha", 2): ("e17371f5959322de0b6968e21f87bb19", "7fbead02728983171944367a99f25817",
+                         "935d644ffce1e65f2da4d6efccd5874a"),
+    ("small_alpha", 40): ("e0c349f9d7607bdd1c439ad6ff9a832d", "4394e70a324b72f00ef4e1bcdebc93a6",
+                          "7ced9d6e53159e388fba0ccfcd76e29e"),
+    ("small_alpha", 1000): ("eb2e0b7f01fcf808913eeaad0028d816", "d6bb03f354d01389e6a303d0d43f3e6c",
+                            "ff0432c964476c3240770201525c8a81"),
+    ("small_alpha", 20000): ("04c8afc81624d58930114a4f14d0f685", "204b28d701d76626552a29154fff93aa",
+                             "217dccaa2637f3ec9a4a103f48fd0131"),
+}
+
+
+@pytest.mark.parametrize("pair, n", sorted(_BOUNDARY_MD5))
+def test_boundary_chunks_are_pinned(pair, n):
+    got = [_chunk_md5(_PAIRS[pair], n, reps, 700, False, chunk) for chunk, reps in _CHUNKS]
+    assert tuple(got) == _BOUNDARY_MD5[pair, n]
+
+
+def test_rewards_chunks_are_pinned():
+    assert _chunk_md5(DEFAULT, 1000, 1000, 730, True, 256) == "d5010da305a6b23bcd51882659be9f64"
+
+
+@pytest.mark.parametrize("size, want", [
+    (0, "d0ea6bb38b7eaad2256ca079ed942680"),
+    (1, "f44e56e292b8499a1799caf2e573e9e0"),
+    (4096, "4f5a51807afe16fd85cd63b3c0d37811"),
+])
+def test_stationary_draws_are_pinned(size, want):
+    # the levels, the ages, and the stream's next words, which show how many
+    # uniforms the draw consumed (none at size 0)
+    gen = RngStream(720).generator()
+    tau, age = sample_stationary_levels(DEFAULT, gen, size)
+    got = hashlib.md5(tau.tobytes() + age.tobytes() + raw_words(gen, 4).tobytes())
+    assert got.hexdigest() == want
+
+
+def _boundary_chunk_per_round(params, n, gen, u_tab, c):
+    # the first boundary sampler's loop, kept as the reference: each round
+    # writes the end states it accepts as soon as it draws their signs
+    from mdwindow.paths import _set_end_excursion, _start_chunk
+
+    out = _start_chunk(params, n, gen, c)
+    idx = np.flatnonzero(out["interior"])
+    m = n - 1 - out["b1"][idx]
+    while idx.size:
+        lev, age = sample_stationary_levels(params, gen, idx.size)
+        lag = m - age
+        keep = (lag >= 0) & (gen.random(idx.size) < u_tab[np.maximum(lag, 0)])
+        ended = keep & (age > 0)
+        if np.any(ended):
+            rows = idx[ended]
+            a = age[ended]
+            sign = np.where(gen.random(rows.size) < 0.5, 1.0, -1.0)
+            _set_end_excursion(out, n, rows, a, lev[ended] - a, sign, params.beta)
+        idx, m = idx[~keep], m[~keep]
+    return out
+
+
+@st.composite
+def _boundary_runs(draw):
+    alpha = draw(st.floats(0.15, 0.45))
+    beta = draw(st.floats(0.0, 1.0)) * (0.5 - alpha) / 2.0 * 0.999
+    return Params(alpha, beta), draw(st.integers(1, 3000)), draw(st.integers(1, 600))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_boundary_runs(), st.integers(0, 2 ** 32))
+def test_boundary_chunk_equals_the_per_round_loop(run, seed):
+    # same draws in the same order, so the same bits, and the same stream
+    # left behind
+    from mdwindow.paths import _boundary_chunk, _renewal_table
+
+    params, n, rows = run
+    u_tab = _renewal_table(params, n)
+    gens = [RngStream(seed).generator() for _ in range(2)]
+    want = _boundary_chunk_per_round(params, n, gens[0], u_tab, rows)
+    got = _boundary_chunk(params, n, gens[1], u_tab, rows)
+    assert got.keys() == want.keys()
+    for key in want:
+        assert got[key].dtype == want[key].dtype
+        assert got[key].tobytes() == want[key].tobytes(), key
+    assert gens[0].bit_generator.state == gens[1].bit_generator.state
 
 
 def _joint_cells(ch, n):
