@@ -187,11 +187,16 @@ def _emit(cfg: dict, header: list, columns: list, out_path):
                  for h, c in zip(header, columns)]
         text = "\n".join([",".join(header), *map(",".join, zip(*cells))]) + "\n"
     else:
-        results = [{k: (None if v == "" else v) for k, v in zip(header, row)}
-                   for row in zip(*columns)]
+        # json.dumps(doc, sort_keys=True, indent=2) laid out by hand, each
+        # record through the C encoder, which runs only without an indent
+        record = json.JSONEncoder(sort_keys=True, separators=(",\n      ", ": ")).encode
+        rows = ["    {\n      " + record(dict(zip(header, row)))[1:-1] + "\n    }"
+                for row in zip(*([None if v == "" else v for v in c] for c in columns))]
         # the worker count never changes the results, so the document omits it
-        doc = {"config": {k: v for k, v in cfg.items() if k != "shards"}, "results": results}
-        text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        config = {k: v for k, v in cfg.items() if k != "shards"}
+        config = json.dumps(config, sort_keys=True, indent=2).replace("\n", "\n  ")
+        results = "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
+        text = f'{{\n  "config": {config},\n  "results": {results}\n}}\n'
     if out_path:
         try:
             with open(out_path, "w", encoding="utf-8", newline="\n") as fh:

@@ -201,15 +201,16 @@ def iter_sums(
     Yields dict chunks with the decomposition terms and end states; the
     per-time values are never materialized.  With rewards every excursion
     is rolled in blocks of a self-loop run and one excursion (`_roll_chunk`),
-    about 4e-9 s per chain step on one CPU, so horizons up to ~1e4 with
-    millions of paths stay affordable.  With with_rewards=False the middle
-    term is skipped and no excursion is rolled: the end state is drawn
-    exactly from its law given the first renewal, so boundary-only studies
-    cost O(1) per path at any horizon the renewal table covers.  The draw
-    layout is a pure function of (generator state, n, reps, with_rewards,
-    chunk); callers wanting bit-reproducibility must hold all of these
-    fixed, as the public front ends do.  The arguments are checked, and
-    the table is read, when iter_sums is called.
+    about 1.2e10 chain steps per minute on one CPU as README measures it,
+    so horizons up to ~1e4 with millions of paths stay affordable.  With
+    with_rewards=False the middle term is skipped and no excursion is
+    rolled: the end state is drawn exactly from its law given the first
+    renewal, so boundary-only studies cost O(1) per path at any horizon
+    the renewal table covers.  The draw layout is a pure function of
+    (generator state, n, reps, with_rewards, chunk); callers wanting
+    bit-reproducibility must hold all of these fixed, as the public front
+    ends do.  The arguments are checked, and the table is read, when
+    iter_sums is called.
     """
     n, reps = _integer(n, "horizon", 1), _integer(reps, "reps", 0)
     chunk = _integer(chunk, "chunk", 1)  # a chunk of 0 rows would never finish
@@ -221,41 +222,42 @@ def iter_sums(
     return (draw(min(chunk, reps - done)) for done in range(0, reps, chunk))
 
 
-def _start_chunk(params, n, gen, c) -> dict:
+def _start_chunk(params, n, gen, c) -> tuple[dict, list]:
     """Stationary start states of `c` paths with their leading terms.
 
-    Fills S'_n, and for paths whose first renewal 1 + B_1 lies past n (no
-    renewal in the window) also the end state and S''_n; the caller fills
-    the end state of the others (rows marked `interior`).
+    Fills S'_n and returns the chunk's dict with a list of end records,
+    (rows, ages, levels, sign uniforms) of the paths whose first renewal
+    1 + B_1 lies past n (no renewal in the window); the caller ends the
+    others (rows marked `interior`) and writes all records with one
+    `_set_end_excursion` call.  Draw order, unchanged: the stationary
+    states, then one sign uniform per path, read only where it is used.
     """
     tau1, a1 = sample_stationary_levels(params, gen, c)
     b1 = tau1 - a1  # 0 at the origin
-    sign0 = np.where(gen.random(c) < 0.5, 1.0, -1.0)
-    no_renew = b1 >= n
-    out = {
-        "s_prime": np.zeros(c),
-        "s_dprime": np.zeros(c),
-        "a1": a1,
-        "b1": b1,
-        "an": np.zeros(c, dtype=np.int64),
-        "bn": np.zeros(c, dtype=np.int64),
-        "interior": ~no_renew,
-    }
-    a, b = a1[no_renew] + (n - 1), b1[no_renew] - (n - 1)
-    _set_end_excursion(out, n, no_renew, a, b, sign0[no_renew], params.beta)
-    lead = (tau1 > 0) & ~no_renew
-    tau, a = tau1[lead], a1[lead]
+    u = gen.random(c)
+    interior = b1 < n
+    out = {"s_prime": np.zeros(c), "s_dprime": np.zeros(c), "a1": a1, "b1": b1,
+           "an": np.zeros(c, dtype=np.int64), "bn": np.zeros(c, dtype=np.int64),
+           "interior": interior}
+    lead = (interior & (b1 > 0)).nonzero()[0]  # tau_1 > 0 exactly when b_1 > 0
+    tau, a = tau1.take(lead), a1.take(lead)
     cnt = _reward_ages(tau, a, tau - 1)
-    out["s_prime"][lead] = sign0[lead] * cnt * tau.astype(np.float64) ** (-params.beta)
-    return out
+    sign = np.where(u.take(lead) < 0.5, 1.0, -1.0)
+    out["s_prime"][lead] = sign * cnt * tau.astype(np.float64) ** (-params.beta)
+    rows = (~interior).nonzero()[0]
+    return out, [(rows, a1.take(rows) + (n - 1), tau1.take(rows), u.take(rows))]
 
 
-def _set_end_excursion(out, n, rows, a, b, sign, beta):
-    """Record end state (a, b), a >= 1, and its S''_n on `rows`."""
-    cnt = _reward_ages(a + b, np.maximum(a - n, 0) + 1, a)
-    out["s_dprime"][rows] = sign * cnt * (a + b).astype(np.float64) ** (-beta)
+def _set_end_excursion(out, n, ends, beta):
+    """Record the end states of `ends`, a list of (rows, ages a >= 1, levels,
+    sign uniforms) records, and their S''_n, one write per array; a sign
+    uniform below 1/2 means +1, and a sign bit (0 or 1) reads the same."""
+    rows, a, lev, u = map(np.concatenate, zip(*ends))
+    cnt = _reward_ages(lev, np.maximum(a - n, 0) + 1, a)
+    sign = np.where(u < 0.5, 1.0, -1.0)
+    out["s_dprime"][rows] = sign * cnt * lev.astype(np.float64) ** (-beta)
     out["an"][rows] = a
-    out["bn"][rows] = b
+    out["bn"][rows] = lev - a
 
 
 _RENEWAL_BLOCK = 128  # times per directly solved block of the renewal table
@@ -323,24 +325,24 @@ def _boundary_chunk(params, n, gen, u_tab, c):
     pi(a, b) = mu_0 p_(a+b) and pi(origin) = mu_0, a stationary proposal
     accepted with probability u(m - a) (zero for a > m) is an exact draw;
     u <= u(0) = 1, and the acceptance rate is exactly mu_0 = 1 - 1/e.
-    Draw order: `_start_chunk`'s draws, then per round the pending rows'
-    proposals, an acceptance uniform each and a sign uniform per row that
-    ends inside an excursion; all end states are written after the loop.
+    Draw order, unchanged: `_start_chunk`'s draws, then per round the
+    pending rows' proposals, an acceptance uniform each and a sign uniform
+    per row that ends inside an excursion; the rounds keep their end
+    records, and one `_set_end_excursion` call writes them after the loop.
     """
-    out = _start_chunk(params, n, gen, c)
-    idx = np.flatnonzero(out["interior"])
-    m = n - 1 - out["b1"][idx]
-    ends = []  # per round: rows, ages, levels and sign uniforms of the end states
+    out, ends = _start_chunk(params, n, gen, c)
+    idx = out["interior"].nonzero()[0]
+    m = n - 1 - out["b1"].take(idx)
     while idx.size:
         lev, age = sample_stationary_levels(params, gen, idx.size)
         lag = m - age
-        keep = (lag >= 0) & (gen.random(idx.size) < u_tab[np.maximum(lag, 0)])
-        ended = np.flatnonzero(keep & (age > 0))  # origin proposals leave the zero end state
-        ends.append((idx[ended], age[ended], lev[ended], gen.random(ended.size)))
-        idx, m = idx[~keep], m[~keep]
-    if ends:
-        rows, a, lev, s = map(np.concatenate, zip(*ends))
-        _set_end_excursion(out, n, rows, a, lev - a, np.where(s < 0.5, 1.0, -1.0), params.beta)
+        keep = gen.random(idx.size) < u_tab.take(lag, mode="clip")
+        keep &= lag >= 0  # a clipped read of u(0) for a negative lag is refused
+        ended = (keep & (age > 0)).nonzero()[0]  # origin proposals leave the zero end state
+        ends.append((idx.take(ended), age.take(ended), lev.take(ended), gen.random(ended.size)))
+        pending = (~keep).nonzero()[0]
+        idx, m = idx.take(pending), m.take(pending)
+    _set_end_excursion(out, n, ends, params.beta)
     return out
 
 
@@ -360,9 +362,11 @@ def _roll_chunk(params, n, gen, alias, c):
     renewals cross n take a cumulative sum, to find the block straddling n.
     If n falls in its self-loop run the path ends at the origin, otherwise
     inside its excursion.  Tiles of _TILE rows keep a round's temporaries
-    (192 KiB each) near the size of an L2 cache.
+    (192 KiB each) near the size of an L2 cache.  The draws and their
+    order are unchanged by the one `_set_end_excursion` call after the
+    last tile, which writes the end records (sign bits as sign uniforms).
     """
-    out = _start_chunk(params, n, gen, c)
+    out, ends = _start_chunk(params, n, gen, c)
     s_tilde = np.zeros(c)
     first = 1 + out["b1"]  # first renewal
     todo = np.flatnonzero(first <= n - 1)
@@ -384,18 +388,15 @@ def _roll_chunk(params, n, gen, alias, c):
                 kstar = (pos > n).argmax(axis=1)  # the block straddling n
                 before = np.arange(_BLOCK) < kstar[:, None]
                 gain[rows] = (reward[rows] * before).sum(axis=1)
-                pos_c = pos[np.arange(rows.size), kstar]
-                ac = n - (pos_c - tau[rows, kstar])
-                ended = ac > 0  # ac <= 0: n falls on a self-loop renewal
-                if np.any(ended):
-                    _set_end_excursion(
-                        out, n, idx[rows[ended]], ac[ended], (pos_c - n)[ended],
-                        1.0 - 2.0 * sign[rows[ended], kstar[ended]], params.beta,
-                    )
+                level = tau[rows, kstar]
+                ac = n - (pos[np.arange(rows.size), kstar] - level)
+                e = np.flatnonzero(ac > 0)  # ac <= 0: n falls on a self-loop renewal
+                ends.append((idx[rows[e]], ac[e], level[e], sign[rows[e], kstar[e]]))
             s_tilde[idx] += gain
             alive = end <= n - 1
             idx, t = idx[alive], end[alive]
 
+    _set_end_excursion(out, n, ends, params.beta)
     out["s_tilde"] = s_tilde
     out["s_total"] = out["s_prime"] + s_tilde + out["s_dprime"]
     return out

@@ -433,6 +433,30 @@ def test_a_column_is_formatted_as_its_cells(cells, kind):
         "combined", str(2 ** 70), "true", "", *texts]
 
 
+_JSON_CELL = st.one_of(st.floats(), st.integers(), st.booleans(), st.text(max_size=3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.text(min_size=1, max_size=3), min_size=1, max_size=4, unique=True),
+       st.integers(0, 3), st.data())
+def test_json_output_is_the_indented_dump_of_its_document(header, rows, data):
+    # the JSON document is laid out by hand, each record through the C
+    # encoder: its bytes are those of json.dumps(..., indent=2), with
+    # blanks as null, NaN, nested config values and empty results included
+    from mdwindow.cli import _emit
+
+    cells = st.lists(_JSON_CELL, min_size=rows, max_size=rows)
+    columns = [data.draw(cells) for _ in header]
+    cfg = {"output_format": "json", "shards": 2, "n": 10, "empty": {},
+           "grid": [1.5, math.nan, None, {"b": [], "a": "\u00e9"}]}
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        _emit(cfg, header, columns, None)
+    results = [{k: (None if v == "" else v) for k, v in zip(header, row)}
+               for row in zip(*columns)]
+    doc = {"config": {k: v for k, v in cfg.items() if k != "shards"}, "results": results}
+    assert out.getvalue() == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
 def test_rates_byte_identical_reruns():
     args = [
         "rates", "--alpha", "0.3", "--beta", "0.05",

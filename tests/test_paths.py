@@ -738,6 +738,12 @@ def test_rewards_chunks_are_pinned():
     assert _chunk_md5(DEFAULT, 1000, 1000, 730, True, 256) == "d5010da305a6b23bcd51882659be9f64"
 
 
+def test_small_alpha_rewards_chunks_are_pinned():
+    # this run sends five draws to the tail bucket, so `_tail_draw` is pinned
+    want = "20f085b4e3bef476d5764d6084a48623"
+    assert _chunk_md5(SMALL_ALPHA, 1000, 1000, 731, True, 256) == want
+
+
 @pytest.mark.parametrize("size, want", [
     (0, "d0ea6bb38b7eaad2256ca079ed942680"),
     (1, "f44e56e292b8499a1799caf2e573e9e0"),
@@ -752,12 +758,43 @@ def test_stationary_draws_are_pinned(size, want):
     assert got.hexdigest() == want
 
 
+def _start_chunk_whole(params, n, gen, c):
+    # the first chunk start, kept as the reference: signs over every row,
+    # boolean masks, and the no-renewal end states written at once
+    tau1, a1 = sample_stationary_levels(params, gen, c)
+    b1 = tau1 - a1
+    sign0 = np.where(gen.random(c) < 0.5, 1.0, -1.0)
+    no_renew = b1 >= n
+    out = {
+        "s_prime": np.zeros(c),
+        "s_dprime": np.zeros(c),
+        "a1": a1,
+        "b1": b1,
+        "an": np.zeros(c, dtype=np.int64),
+        "bn": np.zeros(c, dtype=np.int64),
+        "interior": ~no_renew,
+    }
+    a, b = a1[no_renew] + (n - 1), b1[no_renew] - (n - 1)
+    _write_end_states(out, n, no_renew, a, b, sign0[no_renew], params.beta)
+    lead = (tau1 > 0) & ~no_renew
+    tau, a = tau1[lead], a1[lead]
+    cnt = _reward_ages(tau, a, tau - 1)
+    out["s_prime"][lead] = sign0[lead] * cnt * tau.astype(np.float64) ** (-params.beta)
+    return out
+
+
+def _write_end_states(out, n, rows, a, b, sign, beta):
+    # the first end-state writer: end state (a, b) and its S''_n on `rows`
+    cnt = _reward_ages(a + b, np.maximum(a - n, 0) + 1, a)
+    out["s_dprime"][rows] = sign * cnt * (a + b).astype(np.float64) ** (-beta)
+    out["an"][rows] = a
+    out["bn"][rows] = b
+
+
 def _boundary_chunk_per_round(params, n, gen, u_tab, c):
     # the first boundary sampler's loop, kept as the reference: each round
     # writes the end states it accepts as soon as it draws their signs
-    from mdwindow.paths import _set_end_excursion, _start_chunk
-
-    out = _start_chunk(params, n, gen, c)
+    out = _start_chunk_whole(params, n, gen, c)
     idx = np.flatnonzero(out["interior"])
     m = n - 1 - out["b1"][idx]
     while idx.size:
@@ -769,9 +806,16 @@ def _boundary_chunk_per_round(params, n, gen, u_tab, c):
             rows = idx[ended]
             a = age[ended]
             sign = np.where(gen.random(rows.size) < 0.5, 1.0, -1.0)
-            _set_end_excursion(out, n, rows, a, lev[ended] - a, sign, params.beta)
+            _write_end_states(out, n, rows, a, lev[ended] - a, sign, params.beta)
         idx, m = idx[~keep], m[~keep]
     return out
+
+
+def _assert_same_chunk(got, want):
+    assert got.keys() == want.keys()
+    for key in want:
+        assert got[key].dtype == want[key].dtype
+        assert got[key].tobytes() == want[key].tobytes(), key
 
 
 @st.composite
@@ -793,10 +837,27 @@ def test_boundary_chunk_equals_the_per_round_loop(run, seed):
     gens = [RngStream(seed).generator() for _ in range(2)]
     want = _boundary_chunk_per_round(params, n, gens[0], u_tab, rows)
     got = _boundary_chunk(params, n, gens[1], u_tab, rows)
-    assert got.keys() == want.keys()
-    for key in want:
-        assert got[key].dtype == want[key].dtype
-        assert got[key].tobytes() == want[key].tobytes(), key
+    _assert_same_chunk(got, want)
+    assert gens[0].bit_generator.state == gens[1].bit_generator.state
+
+
+@settings(max_examples=60, deadline=None)
+@given(_boundary_runs(), st.integers(0, 2 ** 32))
+@example((DEFAULT, 1, 50), 0)  # at n = 1 only the origin starts renew inside
+def test_start_chunk_equals_the_whole_row_start(run, seed):
+    # the start gathers by index and returns the no-renewal end records;
+    # written, they give the reference's bits, and the stream left behind
+    # is the same
+    from mdwindow.paths import _set_end_excursion, _start_chunk
+
+    params, n, rows = run
+    gens = [RngStream(seed).generator() for _ in range(2)]
+    want = _start_chunk_whole(params, n, gens[0], rows)
+    got, ends = _start_chunk(params, n, gens[1], rows)
+    assert len(ends) == 1
+    assert ends[0][0].tolist() == np.flatnonzero(~want["interior"]).tolist()
+    _set_end_excursion(got, n, ends, params.beta)
+    _assert_same_chunk(got, want)
     assert gens[0].bit_generator.state == gens[1].bit_generator.state
 
 
