@@ -23,7 +23,9 @@ from typing import Union
 import numpy as np
 
 from .errors import ParameterError, PrecisionError
-from .measure import MU0, _TABLES, Params, _level_log_mu, _p_law, excursion_reward_magnitude
+from .measure import (
+    MU0, _TABLES, Params, _integer, _level_log_mu, _p_law, excursion_reward_magnitude,
+)
 
 # Interval lengths are clamped here, so they fit int64.  The stationary mass
 # beyond the cap, exp(-2^(62 alpha)), is 9.4% at alpha = 0.02 and 1.8e-4 at
@@ -334,6 +336,7 @@ def stationary_push_l1(params: Params, n_max: int) -> dict:
     exp(-N^alpha)/N).  Returns the exactly computable part and a rigorous
     upper bound on the total.
     """
+    n_max = _integer(n_max, "n_max", 1)
     mu = np.exp(_level_log_mu(params, 2, n_max))
     p = _p_law(params, max(n_max, 1))
     origin_new = MU0 * float(p[1]) + float(mu.sum())

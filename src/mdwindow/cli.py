@@ -29,11 +29,12 @@ from .chain import RngStream
 from .composite import build_composite
 from .errors import BracketEmptyError, ParameterError, PrecisionError
 from .measure import (
-    MEAN_TAU, MU0, Params, WindowSet, p1, params_from_window, sigma, window_from_params,
+    MEAN_TAU, MU0, Params, WindowSet, autocovariance_bound, autocovariance_exact, p1,
+    params_from_window, sigma, window_from_params,
 )
 from .oracles import (
-    RateQuery, _run_blocks, autocovariance_bound, autocovariance_exact, case1_upper,
-    case2_certificate, gaussian_reference, mc_tail_curve, predicted_rate,
+    RateQuery, _run_blocks, case1_upper, case2_certificate, gaussian_reference, mc_tail_curve,
+    predicted_rate,
 )
 from .paths import _RENEWAL_CAP, generate_path, iter_sums
 
@@ -243,7 +244,7 @@ def cmd_params(cfg: dict) -> tuple[list, list]:
         w = window_from_params(params)
         rows.append(
             [i, params.alpha, params.beta, w.u, w.v, MU0, MEAN_TAU,
-             p1(params, max(tol, 1e-12)), stats.sigma]
+             p1(params, tol), stats.sigma]
         )
     if len(comps) > 1:
         rows.append(["combined", "", "", "", "", "", "", "", combined])

@@ -24,16 +24,13 @@ identity above bounds the levels beyond a cut N by
 
 The rule doubles N from 2^10 until that remainder is below the tolerance
 (or past 2^26 levels refuses with PrecisionError).  In absolute mode the
-cut depends only on (alpha, tol, growth) and is kept, so sigma and every
-r(k) read one lag table per (pair, cut), `_run_sums`, built with one walk
-over the levels and kept: from the weights W_s of the runs of levels that
-share one isqrt s, r(k) = sum_{s > k} (s - k) W_s and sigma^2 =
-sum_s s^2 W_s, so a warm lag is one cut lookup and one array read.  The
-one relative series, the tail of S''_n, walks its levels through
-`level_series`.  A walk computes mu per block of levels where it reads
-them; exp and log act on each level alone, so a level gets the same bits
-in any block.  Where direct summation cannot reach float resolution (p_1
-at small alpha) the mass beyond the cut has a closed form,
+cut depends only on (alpha, tol, growth) and is kept, and sigma and every
+r(k) read the lag table of their cut, `_lags`, built with one walk over
+the levels.  The one relative series, the tail of S''_n, walks its levels
+through `level_series`.  A walk computes mu per block of levels where it
+reads them; exp and log act on each level alone, so a level gets the same
+bits in any block.  Where direct summation cannot reach float resolution
+(p_1 at small alpha) the mass beyond the cut has a closed form,
 `small_mass_tail`, built from incomplete gamma functions.
 
 Every per-pair table of the package (the cuts, p_1, the window, the
@@ -321,8 +318,8 @@ def level_series(
     array mu = (mu_lo, ..., mu_hi), which it may write to.  `_series_cut`
     picks the first cut N whose remainder is below tol times the value, or
     refuses with PrecisionError; each doubling of the cut walks only its new
-    levels, in blocks of _LEVEL_BLOCK.  (The series to an absolute tol,
-    sigma and r(k), take only a cut and read the lag table of `_run_sums`.)
+    levels, in blocks of _LEVEL_BLOCK.  (sigma and r(k), the series to an
+    absolute tol, take only a cut and read a lag table through `_lags`.)
     """
     value, done = 0.0, 1
 
@@ -476,11 +473,6 @@ def _s_tilde_variance(params: Params, n: int) -> float:
     return MU0 * float(_p_law(params, n - 1) @ (r2 * (n - j)))
 
 
-def _run_sums(params: Params, cut: int) -> np.ndarray:
-    """The lag table of (params, cut), from the table store."""
-    return _TABLES.get(("lags", params.alpha, params.beta, cut), _lag_table, params, cut)
-
-
 def _lag_table(params: Params, cut: int) -> np.ndarray:
     """Read-only lag table R of one cut: entry j is
     sum_{s >= j} (s - j + 1) W_s, W_s = sum mu_tau tau^(-2 beta) over the
@@ -504,19 +496,105 @@ def _lag_table(params: Params, cut: int) -> np.ndarray:
     return table
 
 
+def _lags(params: Params, tol: float, of_sigma: bool) -> np.ndarray:
+    """The lag table of the cut of tol for sigma's series or the lags', from
+    the table store.  A series' weight w(m) <= C m^e sets its growth (C, e):
+    sigma's, isqrt(m)^2 m^(-2 beta) / mu_0, is at most m^(1 - 2 beta) / mu_0,
+    and a lag's, (isqrt(tau) - k)^+ tau^(-2 beta), at most tau^(1/2 - 2 beta),
+    taken with C = 2 although 1 would do: C sets the cut, and so a change of
+    it would move every lag.  The two cuts may differ (at (0.3, 0.05), tol
+    1e-12, sigma's is 2^16 and the lags' 2^15), and each reads its own table."""
+    b = params.beta
+    growth = (1.0 / MU0, 1.0 - 2.0 * b) if of_sigma else (2.0, 0.5 - 2.0 * b)
+    cut = _series_cut(params, tol, growth)[0]
+    return _TABLES.get(("lags", params.alpha, b, cut), _lag_table, params, cut)
+
+
 def sigma(params: Params, tol: float = 1e-12) -> ProcessStats:
     """Normalizing constant sqrt(E X^2 / E tau) with its ingredients, E X^2
     to absolute error < tol.
 
-    A level m carries isqrt(m) rewards of size m^(-beta), so on the lag
-    table R of `_run_sums` E X^2 = sum_s s^2 W_s / mu_0 = (R_1 + 2 sum_{j>=2}
-    R_j) / mu_0: sigma^2 is r(0) + 2 sum_{k>=1} r(k), read from one table.
-    The weight isqrt(m)^2 m^(-2 beta) / mu_0 is at most m^(1 - 2 beta) / mu_0,
-    the growth `_series_cut` is given."""
-    cut = _series_cut(params, tol, (1.0 / MU0, 1.0 - 2.0 * params.beta))[0]
-    table = _run_sums(params, cut)
+    A level m carries isqrt(m) rewards of size m^(-beta), so on its lag
+    table R, E X^2 = sum_s s^2 W_s / mu_0 = (R_1 + 2 sum_{j>=2} R_j) / mu_0:
+    sigma^2 is r(0) + 2 sum_{k>=1} r(k), read from one table."""
+    table = _lags(params, tol, True)
     m2 = float(table[1] + 2.0 * table[2:].sum()) / MU0
     return ProcessStats(mean_tau=MEAN_TAU, second_moment_jump=m2, sigma=math.sqrt(m2 / MEAN_TAU))
+
+
+def autocovariance_exact(params: Params, k: int, tol: float = 1e-12) -> float:
+    """Exact lag-k autocovariance of the per-time values.
+
+    Cross-excursion pairs vanish by sign independence; within one excursion
+    at level tau both ages must carry reward, leaving
+    (isqrt(tau) - k)^+ admissible ages, each of stationary weight mu_tau:
+
+        r(k) = sum_tau mu_tau tau^(-2 beta) (isqrt(tau) - k)^+
+             = sum_{s > k} (s - k) W_s,
+
+    entry k + 1 of the lag table of the lags' cut (`_lags`).  One cut serves
+    every lag, since a lag's levels all lie at or above (k+1)^2, so a warm
+    lag is one cut lookup and one array read.  A lag past the table has all
+    its levels beyond the cut and reads 0.0.  The table's terms are
+    nonnegative, so r(k) never rises with k.  k must be an integer >= 0.
+    """
+    if type(k) is not int or k < 0:  # the common case skips the call
+        k = _integer(k, "lag", 0)
+    table = _lags(params, tol, False)
+    return table.item(k + 1) if k + 1 < table.size else 0.0
+
+
+def autocovariance_bound(params: Params, k: int) -> float:
+    """Stretched-exponential dominance bound for k >= 1.
+
+    Any contributing level needs tau >= (k+1)^2; bounding the count by
+    tau - 1 leaves the exact interval tail exp(-((k+1)^2 - 1)^alpha).
+    """
+    k = _integer(k, "lag", 1)  # the bound holds for lags >= 1
+    return math.exp(-(float((k + 1) * (k + 1) - 1) ** params.alpha))
+
+
+def boundary_tail_exact(params: Params, n: int, x: float, rel_tail: float = 1e-6) -> float:
+    """log P[S''_n > x] by exact enumeration over end states.
+
+    Given (A_n, B_n) = (a, b) the magnitude of S''_n is
+    count(a, b, n) * (a+b)^(-beta) and the sign is a fair coin, so
+
+        P[|S''_n| > x] = sum_tau mu_tau * #{(a, b) : a+b = tau, count > x tau^beta}
+
+    and the signed tail is half of that.  The count is unimodal in the age,
+    so the qualifying ages per level form one interval and each level is
+    O(1).  At most tau - 1 pairs qualify, so the level series stops once its
+    remainder bound is below rel_tail times the accumulated sum; if no cut
+    certifies that, the requested point is unreachable.
+    """
+    if not x > 0.0:
+        raise ParameterError(f"threshold must be > 0, got {x}")
+    n = _integer(n, "horizon", 1)
+    beta = params.beta
+    # attained maximum of |S''| is n^(1-2 beta) (at tau = n^2, age n)
+    if x >= float(n) ** (1.0 - 2.0 * beta):
+        return -math.inf
+
+    def block_sum(lo, hi, mu):
+        taus = np.arange(lo, hi + 1, dtype=np.int64)
+        s = _floor_sqrt(taus)
+        q = x * taus.astype(np.float64) ** beta
+        qf = np.floor(q).astype(np.int64)
+        hi_age = np.minimum(taus - 1, n + s - qf - 1)  # ages from qf + 1
+        pairs = np.where(np.minimum(s, n) > q, np.maximum(hi_age - qf, 0), 0)
+        return float((mu * pairs).sum())
+
+    try:
+        if x >= float(_LEVEL_CAP) ** (0.5 - beta):  # |S''| <= tau^(1/2 - beta) at level tau
+            raise PrecisionError(f"no level up to {_LEVEL_CAP} reaches {x}")
+        total = level_series(params, block_sum, tol=rel_tail, growth=(1.0, 1.0))[0]
+    except PrecisionError as err:
+        raise PrecisionError(
+            f"P[S'' > {x}] at n={n} is below the best rigorous remainder "
+            "bound; the point is unreachable"
+        ) from err
+    return math.log(0.5 * total)
 
 
 def window_from_params(params: Params) -> WindowSet:

@@ -1,10 +1,8 @@
-"""Three evaluation routes for tail probabilities and deviation rates.
+"""Two evaluation routes for tail probabilities and deviation rates, beside
+the exact level sums of `measure` (sigma, r(k) and the law of S''_n).
 
 * Monte Carlo with Wilson confidence intervals, for probabilities the
   sampler can actually resolve.
-* Exact finite enumeration of the trailing boundary term's law: given the
-  end state (A_n, B_n) the magnitude of S''_n is deterministic and the sign
-  is a fair coin, so its tail is a single sum over the invariant measure.
 * Closed-form log-domain certificates for horizons up to 1e12 and beyond,
   where the dichotomy between scale exponents inside and outside the
   anomalous window actually shows: a lower bound pinning one rare end
@@ -27,10 +25,9 @@ import numpy as np
 
 from .chain import RngLike, RngStream, as_generator
 from .errors import BracketEmptyError, ParameterError, PrecisionError
-from .measure import (
-    _LEVEL_CAP, Params, WindowSet, _floor_sqrt, _integer, _run_sums, _series_cut, level_series,
-    log_mu, window_from_params,
-)
+from .measure import Params, WindowSet, _integer, log_mu, window_from_params
+# re-exported only because the benchmark patches and calls them as oracles.*
+from .measure import autocovariance_bound, autocovariance_exact, boundary_tail_exact  # noqa: F401
 from .paths import conditioned_path, decompose, iter_sums, s_double_prime_count
 
 # column getters of an `iter_sums` chunk, by mc_tail_curve target
@@ -178,6 +175,9 @@ def mc_tail_curve(
     shards = _integer(shards, "shards", 1)
     with_rewards = any(t in ("total", "tilde") for t in thresholds)
     xs = {t: np.atleast_1d(np.asarray(v, dtype=np.float64)) for t, v in thresholds.items()}
+    for target, v in xs.items():  # a nan threshold would count no hits; +-inf are valid
+        if v.ndim > 1 or np.isnan(v).any():
+            raise ParameterError(f"{target} thresholds must be a flat list without nan, got {v}")
 
     def block_hits(r: int, gen) -> dict:
         local = {t: np.zeros(v.size, dtype=np.int64) for t, v in xs.items()}
@@ -212,51 +212,6 @@ def boundary_sum_sup(params: Params, n: int) -> float:
         return single
     split = 2.0 ** (2.0 * b) * float(n - 1) ** (1.0 - 2.0 * b)
     return max(single, split)
-
-
-def boundary_tail_exact(
-    params: Params, n: int, x: float, rel_tail: float = 1e-6
-) -> float:
-    """log P[S''_n > x] by exact enumeration over end states.
-
-    Given (A_n, B_n) = (a, b) the magnitude of S''_n is
-    count(a, b, n) * (a+b)^(-beta) and the sign is a fair coin, so
-
-        P[|S''_n| > x] = sum_tau mu_tau * #{(a, b) : a+b = tau, count > x tau^beta}
-
-    and the signed tail is half of that.  The count is unimodal in the age,
-    so the qualifying ages per level form one interval and each level is
-    O(1).  At most tau - 1 pairs qualify, so the level series stops once its
-    remainder bound is below rel_tail times the accumulated sum; if no cut
-    certifies that, the requested point is unreachable.
-    """
-    if not x > 0.0:
-        raise ParameterError(f"threshold must be > 0, got {x}")
-    n = _integer(n, "horizon", 1)
-    beta = params.beta
-    # attained maximum of |S''| is n^(1-2 beta) (at tau = n^2, age n)
-    if x >= float(n) ** (1.0 - 2.0 * beta):
-        return -math.inf
-
-    def block_sum(lo, hi, mu):
-        taus = np.arange(lo, hi + 1, dtype=np.int64)
-        s = _floor_sqrt(taus)
-        q = x * taus.astype(np.float64) ** beta
-        qf = np.floor(q).astype(np.int64)
-        hi_age = np.minimum(taus - 1, n + s - qf - 1)  # ages from qf + 1
-        pairs = np.where(np.minimum(s, n) > q, np.maximum(hi_age - qf, 0), 0)
-        return float((mu * pairs).sum())
-
-    try:
-        if x >= float(_LEVEL_CAP) ** (0.5 - beta):  # |S''| <= tau^(1/2 - beta) at level tau
-            raise PrecisionError(f"no level up to {_LEVEL_CAP} reaches {x}")
-        total = level_series(params, block_sum, tol=rel_tail, growth=(1.0, 1.0))[0]
-    except PrecisionError as err:
-        raise PrecisionError(
-            f"P[S'' > {x}] at n={n} is below the best rigorous remainder "
-            "bound; the point is unreachable"
-        ) from err
-    return math.log(0.5 * total)
 
 
 def gaussian_reference(c: float) -> float:
@@ -385,45 +340,6 @@ def predicted_rate(windows: WindowSet, gamma: float, c: float) -> Optional[float
     return 0.0 if where == "inside" else reference
 
 
-def autocovariance_exact(params: Params, k: int, tol: float = 1e-12) -> float:
-    """Exact lag-k autocovariance of the per-time values.
-
-    Cross-excursion pairs vanish by sign independence; within one excursion
-    at level tau both ages must carry reward, leaving
-    (isqrt(tau) - k)^+ admissible ages, each of stationary weight mu_tau:
-
-        r(k) = sum_tau mu_tau tau^(-2 beta) (isqrt(tau) - k)^+
-             = sum_{s > k} (s - k) W_s,
-
-    W_s the weight of the run of levels s^2 .. (s+1)^2 - 1.  The weight is
-    at most tau^(1/2 - 2 beta), so one cut of the level series rule, the
-    lags' cut, leaves a remainder under tol for every lag: a lag's levels
-    all lie at or above (k+1)^2.  r(k) is entry k + 1 of the lag table of
-    that cut (`_run_sums`), kept per (pair, cut) and built with one walk
-    over the levels, so a warm lag is one cut lookup and one array read.
-    A lag past the table has all its levels beyond the cut and reads 0.0.
-    The table's terms are nonnegative, so r(k) never rises with k.  k must
-    be an integer >= 0.
-    """
-    if type(k) is not int or k < 0:  # the common case skips the call
-        k = _integer(k, "lag", 0)
-    # C = 2 although 1 would do: C sets the cut, and so a change of it
-    # would move every lag
-    cut = _series_cut(params, tol, (2.0, 0.5 - 2.0 * params.beta))[0]
-    table = _run_sums(params, cut)
-    return table.item(k + 1) if k + 1 < table.size else 0.0
-
-
-def autocovariance_bound(params: Params, k: int) -> float:
-    """Stretched-exponential dominance bound for k >= 1.
-
-    Any contributing level needs tau >= (k+1)^2; bounding the count by
-    tau - 1 leaves the exact interval tail exp(-((k+1)^2 - 1)^alpha).
-    """
-    k = _integer(k, "lag", 1)  # the bound holds for lags >= 1
-    return math.exp(-(float((k + 1) * (k + 1) - 1) ** params.alpha))
-
-
 def conditioned_dprime_exceedance(
     params: Params,
     n: int,
@@ -440,6 +356,8 @@ def conditioned_dprime_exceedance(
     through the standard decomposition, making this an end-to-end check of
     the certificate's event rather than a restatement of the count formula.
     """
+    if math.isnan(threshold):  # it would count no hits
+        raise ParameterError("threshold must not be nan")
     reps, gen = _integer(reps, "reps", 1), as_generator(rng)
     hits = 0
     for _ in range(reps):

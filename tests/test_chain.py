@@ -421,6 +421,13 @@ def test_one_step_l1_small_truncation_against_dense_kernel():
     assert res["tail_mass"] == math.exp(-(float(n_max) ** DEFAULT.alpha))
 
 
+def test_one_step_l1_refuses_a_level_below_one():
+    # a level below 1 is refused before NumPy sees it
+    for n_max in (0, -3):
+        with pytest.raises(ParameterError, match="n_max must be >= 1"):
+            stationary_push_l1(DEFAULT, n_max)
+
+
 def test_one_step_l1_is_tail_sized():
     res = stationary_push_l1(DEFAULT, 2000)
     tail = math.exp(-(2000.0 ** DEFAULT.alpha))

@@ -90,6 +90,14 @@ def test_params_unreachable_tolerance_exit_3():
     assert "precision" in res.stderr.lower()
 
 
+def test_params_tolerance_below_the_p1_bound_exit_3():
+    # p1's error bound at (0.3, 0.05) is 1.58e-15: sigma certifies 1e-16,
+    # p1 refuses it, and so does the command rather than clamp p1's tol
+    res = run_cli("params", "--alpha", "0.3", "--beta", "0.05", "--tol", "1e-16")
+    assert res.returncode == 3
+    assert "p1 error bound" in res.stderr
+
+
 def test_params_json_format():
     res = run_cli("params", "--alpha", "0.3", "--beta", "0.05", "--format", "json")
     doc = json.loads(res.stdout)

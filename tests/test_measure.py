@@ -25,9 +25,10 @@ from mdwindow import (
     s_double_prime_count,
     s_prime_count,
     sigma,
+    stationary_push_l1,
     window_from_params,
 )
-from mdwindow import measure, oracles
+from mdwindow import measure
 from mdwindow.measure import (
     _level_log_mu,
     _level_walk,
@@ -115,6 +116,7 @@ _INTEGER_ENTRIES = {
     "s_prime_count": lambda v: s_prime_count(v, 3, 10),
     "s_double_prime_count": lambda v: s_double_prime_count(2, 3, v),
     "autocovariance_bound": lambda v: autocovariance_bound(DEFAULT, v),
+    "stationary_push_l1": lambda v: stationary_push_l1(DEFAULT, v),
 }
 
 
@@ -320,31 +322,30 @@ def test_mean_tau_universal(alpha):
 SERIES = {
     "p1": lambda p: measure._p1_sum(p),
     "second_moment": lambda p: sigma(p, 1e-12).second_moment_jump,
-    "autocovariance": lambda p: oracles.autocovariance_exact(p, 3),
-    "boundary_tail": lambda p: oracles.boundary_tail_exact(p, 1000, 5.0),
+    "autocovariance": lambda p: measure.autocovariance_exact(p, 3),
+    "boundary_tail": lambda p: measure.boundary_tail_exact(p, 1000, 5.0),
 }
 
 
 # the series to an absolute tol: each takes only its cut from the rule and
 # reads the cached lag table
 _CUT_ROUTES = {
-    "autocovariance": (oracles, lambda tol: oracles.autocovariance_exact(DEFAULT, 3, tol)),
-    "second_moment": (measure, lambda tol: sigma(DEFAULT, tol).second_moment_jump),
+    "autocovariance": lambda tol: measure.autocovariance_exact(DEFAULT, 3, tol),
+    "second_moment": lambda tol: sigma(DEFAULT, tol).second_moment_jump,
 }
 
 
 def _cut_route(monkeypatch, series, tol):
     # the series at tol through its own route, as (value, remainder bound,
     # n_terms)
-    module, call = _CUT_ROUTES[series]
     cuts = []
 
     def spy(*args):
         cuts.append(_series_cut(*args))
         return cuts[-1]
 
-    monkeypatch.setattr(module, "_series_cut", spy)
-    value = call(tol)
+    monkeypatch.setattr(measure, "_series_cut", spy)
+    value = _CUT_ROUTES[series](tol)
     (cut, bound), = cuts
     return value, bound, cut - 1
 
@@ -366,7 +367,7 @@ def test_level_series_remainder_covers_a_tighter_tolerance(monkeypatch, series):
             calls.append((args, kwargs, level_series(*args, **kwargs)))
             return calls[-1][2]
 
-        monkeypatch.setattr(oracles, "level_series", spy)
+        monkeypatch.setattr(measure, "level_series", spy)
         SERIES[series](DEFAULT)
         (args, kwargs, (value, bound, n_terms)), = calls
         bound_args = inspect.signature(level_series).bind(*args, **kwargs)
@@ -471,15 +472,15 @@ def test_a_lag_sweep_runs_one_doubling_per_tolerance(monkeypatch):
     monkeypatch.setattr(measure, "_doubling_cut", spy)
     for tol in (1e-6, 1e-12):
         for k in range(201):
-            oracles.autocovariance_exact(DEFAULT, k, tol)
+            measure.autocovariance_exact(DEFAULT, k, tol)
     assert [args[1] for args in doublings] == [1e-6, 1e-12]
 
 
 _BAD_TOL_CALLS = {
     "second_moment": lambda tol: sigma(DEFAULT, tol).second_moment_jump,
-    "autocovariance": lambda tol: oracles.autocovariance_exact(DEFAULT, 3, tol),
-    "boundary_tail": lambda tol: oracles.boundary_tail_exact(DEFAULT, 1000, 3.0, tol),
-    "boundary_tail_threshold": lambda x: oracles.boundary_tail_exact(DEFAULT, 1000, x),
+    "autocovariance": lambda tol: measure.autocovariance_exact(DEFAULT, 3, tol),
+    "boundary_tail": lambda tol: measure.boundary_tail_exact(DEFAULT, 1000, 3.0, tol),
+    "boundary_tail_threshold": lambda x: measure.boundary_tail_exact(DEFAULT, 1000, x),
 }
 
 
@@ -556,14 +557,12 @@ def test_second_moment_tolerance_consistency():
 def test_sigma_is_the_long_run_variance_of_its_lag_table(params, tol):
     # sigma^2 = r(0) + 2 sum_{k >= 1} r(k), the r(k) = R_(k+1) of the lag
     # table at sigma's cut; sigma refuses exactly where that cut does
-    growth = (1.0 / MU0, 1.0 - 2.0 * params.beta)
     try:
-        cut = _series_cut(params, tol, growth)[0]
+        r = measure._lags(params, tol, True)[1:]
     except PrecisionError as err:
         with pytest.raises(PrecisionError, match=str(err)):
             sigma(params, tol)
         return
-    r = measure._run_sums(params, cut)[1:]
     long_run = math.fsum([r[0], *(2.0 * r[1:])])
     assert sigma(params, tol).sigma ** 2 == pytest.approx(long_run, rel=1e-13, abs=0.0)
 
@@ -754,7 +753,7 @@ def test_lag_sweep_computes_each_mu_once(monkeypatch):
     measure._TABLES.clear()
     monkeypatch.setattr(measure, "_level_log_mu", spy)
     for k in range(201):
-        oracles.autocovariance_exact(DEFAULT, k)
+        measure.autocovariance_exact(DEFAULT, k)
     times = np.zeros(max(hi for _, hi in computed) + 1, dtype=np.int64)
     for lo, hi in computed:
         times[lo:hi + 1] += 1
@@ -799,7 +798,8 @@ def _store_request(kind: str, params: Params, size: int, plain: dict):
         "renewal": (lambda: paths._renewal_table(params, size),
                     lambda: plain["_solve_renewal"](params, size)),
         "alias": (lambda: chain.interval_alias(params), lambda: plain["IntervalAlias"](params)),
-        "lags": (lambda: measure._run_sums(params, cut),
+        "lags": (lambda: measure._TABLES.get(("lags", params.alpha, params.beta, cut),
+                                             measure._lag_table, params, cut),
                  lambda: plain["_lag_table"](params, cut)),
         "p1": (lambda: p1(params), lambda: plain["_p1_sum"](params)[0]),
         "window": (lambda: window_from_params(params),

@@ -266,6 +266,19 @@ def test_mc_tail_rejects_unknown_target():
         mc_tail_curve(DEFAULT, 50, {"bogus": [1.0]}, 10, 0.9, RngStream(1))
 
 
+def test_a_nan_or_nested_threshold_is_refused():
+    # a nan threshold would count no hits, and a 2-D list would fail in a
+    # NumPy broadcast; +-inf stay valid thresholds
+    for bad in ([1.0, math.nan], math.nan, [[1.0, 2.0]]):
+        with pytest.raises(ParameterError, match="dprime thresholds"):
+            mc_tail_curve(DEFAULT, 50, {"dprime": bad}, 10, 0.9, RngStream(1))
+    with pytest.raises(ParameterError, match="nan"):
+        conditioned_dprime_exceedance(DEFAULT, 100, 5, 30, math.nan, 10, RngStream(1))
+    est = mc_tail_curve(DEFAULT, 50, {"dprime": [-math.inf, math.inf]}, 10, 0.9, RngStream(1))
+    assert [e.hits for e in est["dprime"]] == [10, 0]
+    assert conditioned_dprime_exceedance(DEFAULT, 100, 5, 30, -math.inf, 3, RngStream(1)).hits == 3
+
+
 def test_mc_symmetry_between_signed_tails():
     # P[component > x] vs P[component < -x] for every target
     n, reps = 300, 10 ** 5
@@ -626,14 +639,14 @@ SWEEP_PAIRS = (DEFAULT, Params(0.45, 0.01), Params(0.25, 0.1))
 
 def _spy_cuts(monkeypatch):
     # records (params, cut) of every cut the autocovariance takes
-    cuts, rule = [], oracles._series_cut
+    cuts, rule = [], measure._series_cut
 
     def spy(params, *rest):
         cut, rem = rule(params, *rest)
         cuts.append((params, cut))
         return cut, rem
 
-    monkeypatch.setattr(oracles, "_series_cut", spy)
+    monkeypatch.setattr(measure, "_series_cut", spy)
     return cuts
 
 
@@ -674,7 +687,7 @@ def test_a_deep_lag_table_matches_fsum_and_never_rises(monkeypatch):
     cuts = _spy_cuts(monkeypatch)
     values = [autocovariance_exact(params, k, tol) for k in range(2051)]
     assert {c for _, c in cuts} == {cut}
-    assert oracles._run_sums(params, cut).size == 2049
+    assert measure._lags(params, tol, False).size == 2049
     assert values[2047] > 0.0 and values[2048:] == [0.0] * 3
     assert all(a >= b for a, b in zip(values, values[1:]))
     for k in (0, 1, 100, 1000, 2046, 2047):
@@ -709,7 +722,7 @@ def test_every_lag_keeps_the_certified_contract(alpha, beta_share, tol):
     # (twice the cut: at alpha 0.2 the cut reaches 2^22)
     params = Params(alpha, beta_share * (0.5 - alpha) / 2.0)
     cut = measure._series_cut(params, tol, (2.0, 0.5 - 2.0 * params.beta))[0]
-    size = oracles._run_sums(params, cut).size
+    size = measure._lags(params, tol, False).size
     # run weights W_s over the levels 2..2 cut, then sum_{s > k} (s - k) W_s
     runs = np.zeros(math.isqrt(2 * cut) + 1)
     for lo in range(2, 2 * cut + 1, 1 << 18):
