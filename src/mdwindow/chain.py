@@ -338,7 +338,7 @@ def stationary_push_l1(params: Params, n_max: int) -> dict:
     """
     n_max = _integer(n_max, "n_max", 1)
     mu = np.exp(_level_log_mu(params, 2, n_max))
-    p = _p_law(params, max(n_max, 1))
+    p = _p_law(params, n_max)
     origin_new = MU0 * float(p[1]) + float(mu.sum())
     exact = abs(origin_new - MU0) + float(np.abs(MU0 * p[2:] - mu).sum())
     tail = math.exp(-(float(n_max) ** params.alpha))

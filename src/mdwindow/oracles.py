@@ -168,16 +168,19 @@ def mc_tail_curve(
     the hit counts merge in block order, so the result is a pure function
     of (seed, stream_id): the worker count never changes it.
     """
-    for target in thresholds:
+    xs = {}
+    for target, v in thresholds.items():  # a nan threshold would count no hits; +-inf are valid
         if target not in _TARGETS:
             raise ParameterError(f"unknown target {target!r}")
+        try:
+            x = xs[target] = np.atleast_1d(np.asarray(v, dtype=np.float64))
+        except (TypeError, ValueError):  # a ragged list or a string
+            x = None
+        if x is None or x.ndim > 1 or np.isnan(x).any():
+            raise ParameterError(f"{target} thresholds must be flat, numeric and not nan: {v!r}")
     n, reps = _integer(n, "horizon", 1), _integer(reps, "reps", 1)
     shards = _integer(shards, "shards", 1)
     with_rewards = any(t in ("total", "tilde") for t in thresholds)
-    xs = {t: np.atleast_1d(np.asarray(v, dtype=np.float64)) for t, v in thresholds.items()}
-    for target, v in xs.items():  # a nan threshold would count no hits; +-inf are valid
-        if v.ndim > 1 or np.isnan(v).any():
-            raise ParameterError(f"{target} thresholds must be a flat list without nan, got {v}")
 
     def block_hits(r: int, gen) -> dict:
         local = {t: np.zeros(v.size, dtype=np.int64) for t, v in xs.items()}
@@ -359,9 +362,6 @@ def conditioned_dprime_exceedance(
     if math.isnan(threshold):  # it would count no hits
         raise ParameterError("threshold must not be nan")
     reps, gen = _integer(reps, "reps", 1), as_generator(rng)
-    hits = 0
-    for _ in range(reps):
-        path = conditioned_path(params, n, a, b, gen)
-        if decompose(path).s_double_prime > threshold:
-            hits += 1
+    hits = sum(1 for _ in range(reps)
+               if decompose(conditioned_path(params, n, a, b, gen)).s_double_prime > threshold)
     return TailEstimate.from_hits(hits, reps, 0.99)

@@ -557,12 +557,15 @@ def test_second_moment_tolerance_consistency():
 def test_sigma_is_the_long_run_variance_of_its_lag_table(params, tol):
     # sigma^2 = r(0) + 2 sum_{k >= 1} r(k), the r(k) = R_(k+1) of the lag
     # table at sigma's cut; sigma refuses exactly where that cut does
+    growth = (1.0 / MU0, 1.0 - 2.0 * params.beta)
     try:
-        r = measure._lags(params, tol, True)[1:]
+        cut = _series_cut(params, tol, growth)[0]
     except PrecisionError as err:
         with pytest.raises(PrecisionError, match=str(err)):
             sigma(params, tol)
         return
+    r = measure._TABLES.get(("lags", params.alpha, params.beta, cut),
+                            measure._lag_table, params, cut)[1:]
     long_run = math.fsum([r[0], *(2.0 * r[1:])])
     assert sigma(params, tol).sigma ** 2 == pytest.approx(long_run, rel=1e-13, abs=0.0)
 

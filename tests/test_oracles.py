@@ -267,9 +267,10 @@ def test_mc_tail_rejects_unknown_target():
 
 
 def test_a_nan_or_nested_threshold_is_refused():
-    # a nan threshold would count no hits, and a 2-D list would fail in a
-    # NumPy broadcast; +-inf stay valid thresholds
-    for bad in ([1.0, math.nan], math.nan, [[1.0, 2.0]]):
+    # a nan threshold would count no hits, a 2-D list would fail in a
+    # NumPy broadcast, and a ragged list or a string in NumPy's conversion;
+    # +-inf stay valid thresholds
+    for bad in ([1.0, math.nan], math.nan, [[1.0, 2.0]], [[1.0], [2.0, 3.0]], ["a"], "a"):
         with pytest.raises(ParameterError, match="dprime thresholds"):
             mc_tail_curve(DEFAULT, 50, {"dprime": bad}, 10, 0.9, RngStream(1))
     with pytest.raises(ParameterError, match="nan"):
