@@ -122,26 +122,28 @@ def _size_biased_level(v: np.ndarray, alpha: float, floor: int) -> np.ndarray:
 def sample_stationary_levels(
     params: Params, rng: RngLike, size: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vector of stationary states as (level, age) arrays; level 0 = origin.
-
-    A uniform u gives the origin with probability mu_0; otherwise u - mu_0
-    is uniform on (0, 1/e) and the level is the unique m with
-    exp(-m^alpha) <= u - mu_0 < exp(-(m-1)^alpha), i.e.
-    m = ceil((-log(u - mu_0))^(1/alpha)).  The age is uniform on 1..m-1.
-    Draw order: `size` uniforms for the states, then one uniform per
-    excursion state, in order, for its age (none when all are origins).
-    """
+    """Vector of stationary states as (level, age) arrays; level 0 = origin:
+    `_stationary_excursions` scattered, once the tau cap is checked."""
     _check_tau_cap(params.alpha)
-    gen = as_generator(rng)
+    exc, lev, age = _stationary_excursions(params.alpha, as_generator(rng), size)
+    tau, ages = np.zeros((2, size), dtype=np.int64)
+    tau[exc], ages[exc] = lev, age
+    return tau, ages
+
+
+def _stationary_excursions(alpha: float, gen: np.random.Generator, size: int):
+    """(positions, levels, ages) of the excursion states among `size`
+    stationary draws, the rest origins; the tau cap is not checked.  A
+    uniform u >= mu_0 gives the level m with exp(-m^alpha) <= u - mu_0 <
+    exp(-(m-1)^alpha) and an age uniform on 1..m-1.  Draw order: `size`
+    state uniforms, then one age uniform per excursion state, in order."""
     u = gen.random(size)
-    tau = np.zeros(size, dtype=np.int64)
-    age = np.zeros(size, dtype=np.int64)
-    exc = np.flatnonzero(u >= MU0)
-    if exc.size:  # all origins, as in 63% of single draws: nothing more to draw
-        tau[exc] = lev = _size_biased_level(u[exc] - MU0, params.alpha, 2)
-        a = np.floor(gen.random(exc.size) * (lev - 1)).astype(np.int64)
-        age[exc] = np.minimum(a + 1, lev - 1)
-    return tau, age
+    exc = (u >= MU0).nonzero()[0]
+    if not exc.size:  # all origins, as in 63% of single draws: nothing more to draw
+        return exc, exc, exc
+    lev = _size_biased_level(u.take(exc) - MU0, alpha, 2)
+    age = (gen.random(exc.size) * (lev - 1)).astype(np.int64)  # floor: the product is >= 0
+    return exc, lev, np.minimum(age + 1, lev - 1)
 
 
 def _interval_tail_reject(

@@ -112,11 +112,20 @@ def wilson_interval(hits: int, reps: int, confidence: float) -> tuple[float, flo
     hits, reps = _integer(hits, "hits", 0), _integer(reps, "reps", 1)
     if hits > reps:
         raise ParameterError(f"hits must be <= reps, got {hits} of {reps}")
+    return _wilson(hits, reps, confidence, _normal_quantile(confidence))
+
+
+def _normal_quantile(confidence: float) -> float:
+    """z with P[|N(0, 1)| <= z] = confidence, checked to lie in (0, 1)."""
     if not 0.0 < confidence < 1.0:
         raise ParameterError("confidence must lie in (0, 1)")
+    return NormalDist().inv_cdf(0.5 + 0.5 * confidence)
+
+
+def _wilson(hits: int, reps: int, confidence: float, z: float) -> tuple[float, float]:
+    """`wilson_interval` of checked arguments, z its normal quantile."""
     if hits == 0:
         return 0.0, 1.0 - (1.0 - confidence) ** (1.0 / reps)
-    z = NormalDist().inv_cdf(0.5 + 0.5 * confidence)
     p = hits / reps
     denom = 1.0 + z * z / reps
     center = (p + z * z / (2.0 * reps)) / denom
@@ -180,6 +189,7 @@ def mc_tail_curve(
             raise ParameterError(f"{target} thresholds must be flat, numeric and not nan: {v!r}")
     n, reps = _integer(n, "horizon", 1), _integer(reps, "reps", 1)
     shards = _integer(shards, "shards", 1)
+    z = _normal_quantile(confidence)
     with_rewards = any(t in ("total", "tilde") for t in thresholds)
 
     def block_hits(r: int, gen) -> dict:
@@ -187,15 +197,13 @@ def mc_tail_curve(
         for chunk in iter_sums(params, n, r, gen, with_rewards=with_rewards):
             for target, v in xs.items():
                 comp = _TARGETS[target](chunk)
-                local[target] += (comp[None, :] > v[:, None]).sum(axis=1)
+                above = np.sort(comp[comp > v.min(initial=np.inf)])  # the rest pass none
+                local[target] += above.size - above.searchsorted(v, side="right")
         return local
 
-    block_counts = _run_blocks(reps, rng, shards, block_hits)
-    hits = {t: sum(local[t] for local in block_counts) for t in xs}
-    return {
-        target: [TailEstimate.from_hits(int(h), reps, confidence) for h in counts]
-        for target, counts in hits.items()
-    }
+    blocks = _run_blocks(reps, rng, shards, block_hits)
+    return {t: [TailEstimate(h / reps, *_wilson(h, reps, confidence, z), reps, h, confidence)
+                for h in sum(local[t] for local in blocks).tolist()] for t in xs}
 
 
 def boundary_sum_sup(params: Params, n: int) -> float:

@@ -26,6 +26,7 @@ from typing import Iterator
 import numpy as np
 
 from .chain import RngLike, as_generator, interval_alias, raw_words, sample_stationary_levels
+from .chain import _stationary_excursions
 from .errors import ParameterError, PrecisionError
 from .measure import _TABLES, Params, _integer, _p_law, _reward_ages
 
@@ -204,13 +205,13 @@ def iter_sums(
     about 1.2e10 chain steps per minute on one CPU as README measures it,
     so horizons up to ~1e4 with millions of paths stay affordable.  With
     with_rewards=False the middle term is skipped and no excursion is
-    rolled: the end state is drawn exactly from its law given the first
-    renewal, so boundary-only studies cost O(1) per path at any horizon
-    the renewal table covers.  The draw layout is a pure function of
-    (generator state, n, reps, with_rewards, chunk); callers wanting
-    bit-reproducibility must hold all of these fixed, as the public front
-    ends do.  The arguments are checked, and the table is read, when
-    iter_sums is called.
+    rolled: an end state is the first accepted of stationary proposals,
+    drawn row by row, k = max(1, min(c, 1024) // p) for each of a round's
+    p pending rows in a chunk of c (`_boundary_chunk`), O(1) per path at
+    any horizon the renewal table covers.  The draw layout is a pure
+    function of (generator state, n, reps, with_rewards, chunk), which
+    callers wanting bit-reproducibility must hold fixed, as the front ends
+    do.  Arguments are checked, and the table read, at the call.
     """
     n, reps = _integer(n, "horizon", 1), _integer(reps, "reps", 0)
     chunk = _integer(chunk, "chunk", 1)  # a chunk of 0 rows would never finish
@@ -229,8 +230,8 @@ def _start_chunk(params, n, gen, c) -> tuple[dict, list]:
     (rows, ages, levels, sign uniforms) of the paths whose first renewal
     1 + B_1 lies past n (no renewal in the window); the caller ends the
     others (rows marked `interior`) and writes all records with one
-    `_set_end_excursion` call.  Draw order, unchanged: the stationary
-    states, then one sign uniform per path, read only where it is used.
+    `_set_end_excursion` call.  Draw order: the stationary states, then
+    one sign uniform per path, read only where it is used.
     """
     tau1, a1 = sample_stationary_levels(params, gen, c)
     b1 = tau1 - a1  # 0 at the origin
@@ -323,29 +324,39 @@ def _boundary_chunk(params, n, gen, u_tab, c):
     u(m - a) p_(a+b) (last renewal at n - a, then an excursion of length
     a + b), and P[A_n = 0] = u(m).  Since the invariant measure is
     pi(a, b) = mu_0 p_(a+b) and pi(origin) = mu_0, a stationary proposal
-    accepted with probability u(m - a) (zero for a > m) is an exact draw;
-    u <= u(0) = 1, and the acceptance rate is exactly mu_0 = 1 - 1/e.
-    Draw order, unchanged: `_start_chunk`'s draws, then per round the
-    pending rows' proposals, an acceptance uniform each and a sign uniform
-    per row that ends inside an excursion; the rounds keep their end
-    records, and one `_set_end_excursion` call writes them after the loop.
+    accepted with probability u(m - a) (zero for a > m) is an exact draw,
+    and so is the first accepted of i.i.d. ones; u <= u(0) = 1, and the
+    acceptance rate is exactly mu_0 = 1 - 1/e.  After `_start_chunk`'s
+    draws, a round draws k = max(1, min(c, _PROPOSALS) // p) proposals for
+    each of its p pending rows, row by row, an acceptance uniform each and
+    a sign uniform per row whose first accepted one ends inside an
+    excursion; a row with none stays pending.  End states are written once.
     """
     out, ends = _start_chunk(params, n, gen, c)
     idx = out["interior"].nonzero()[0]
     m = n - 1 - out["b1"].take(idx)
     while idx.size:
-        lev, age = sample_stationary_levels(params, gen, idx.size)
-        lag = m - age
-        keep = gen.random(idx.size) < u_tab.take(lag, mode="clip")
+        k = max(1, min(c, _PROPOSALS) // idx.size)  # a one-row chunk: always 1
+        exc, lev, age = _stationary_excursions(params.alpha, gen, idx.size * k)
+        lag = m.repeat(k) if k > 1 else m.copy()  # origin proposals wait all m steps
+        lag[exc] -= age
+        keep = gen.random(lag.size) < u_tab.take(lag, mode="clip")
         keep &= lag >= 0  # a clipped read of u(0) for a negative lag is refused
-        ended = (keep & (age > 0)).nonzero()[0]  # origin proposals leave the zero end state
-        ends.append((idx.take(ended), age.take(ended), lev.take(ended), gen.random(ended.size)))
-        pending = (~keep).nonzero()[0]
+        took, row = keep, exc  # proposal j belongs to row j // k
+        if k > 1:  # each row takes its first accepted proposal, if any
+            first = keep.reshape(-1, k).argmax(axis=1) + np.arange(0, keep.size, k)
+            took, keep, row = keep.take(first), np.zeros(keep.size, bool), exc // k
+            keep[first] = took
+        ended = keep.take(exc).nonzero()[0]  # origin proposals leave the zero end state
+        ends.append((idx.take(row.take(ended)), age.take(ended), lev.take(ended),
+                     gen.random(ended.size)))
+        pending = (~took).nonzero()[0]
         idx, m = idx.take(pending), m.take(pending)
     _set_end_excursion(out, n, ends, params.beta)
     return out
 
 
+_PROPOSALS = 1024  # most proposals a boundary round spreads over its pending rows
 _BLOCK = 48  # blocks (a self-loop run and one excursion) drawn per path per round
 _TILE = 512  # rows rolled together
 
@@ -362,9 +373,8 @@ def _roll_chunk(params, n, gen, alias, c):
     renewals cross n take a cumulative sum, to find the block straddling n.
     If n falls in its self-loop run the path ends at the origin, otherwise
     inside its excursion.  Tiles of _TILE rows keep a round's temporaries
-    (192 KiB each) near the size of an L2 cache.  The draws and their
-    order are unchanged by the one `_set_end_excursion` call after the
-    last tile, which writes the end records (sign bits as sign uniforms).
+    (192 KiB each) near the size of an L2 cache.  `_set_end_excursion`
+    writes the end records once (sign bits read as sign uniforms).
     """
     out, ends = _start_chunk(params, n, gen, c)
     s_tilde = np.zeros(c)

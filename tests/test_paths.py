@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import math
 import os
@@ -701,30 +702,31 @@ def _chunk_md5(params, n, reps, seed, with_rewards, chunk):
 
 # boundary-only chunks of one row, of seven (the last chunk short) and of
 # 4096 (as a `boundary_mc` op), each pinned bit for bit: (chunk, reps) and
-# the md5 of each, per pair and horizon
+# the md5 of each, per pair and horizon.  One-row chunks take one proposal
+# a round, as the first sampler did, so their pins are that sampler's
 _CHUNKS = ((1, 64), (7, 100), (4096, 10000))
 _PAIRS = {"default": DEFAULT, "small_alpha": SMALL_ALPHA}
 _BOUNDARY_MD5 = {
-    ("default", 1): ("80af5f51e8fa8781570f5a2f30fe5f44", "08c65df72ee67654b351b3b9d7a634c0",
-                     "23de92059b206ba7f2b8cb6b977521b4"),
-    ("default", 2): ("158c6f37f563566123fe5b6e1d6a2815", "065f6d39b6f41fe541bbdd7f6cfc6081",
-                     "44e577c70ab9f2af448d7d8e07fe11b9"),
-    ("default", 40): ("1e30b37877f62bf5105b16f22f4ca59c", "e1cba9daea80b8f164076a809625f3a6",
-                      "15dcdb8018de4b52a79645223ae4c363"),
-    ("default", 1000): ("3697184544ac6f73a72ffbf7fd954d93", "19aabdaec23847aec6795c1889f7d9f5",
-                        "1ea50783a1915a3b54d66a9e07f80b3b"),
-    ("default", 20000): ("3697184544ac6f73a72ffbf7fd954d93", "19aabdaec23847aec6795c1889f7d9f5",
-                         "19fd2165114db1196e86b88e608ca976"),
-    ("small_alpha", 1): ("c0d6c5c685aa0fb39ce833b63c54aec9", "2b10b1f18cd60afd76195d0f42847430",
-                         "6e3c8c0668e25f13fa9f077d3569b43a"),
-    ("small_alpha", 2): ("e17371f5959322de0b6968e21f87bb19", "7fbead02728983171944367a99f25817",
-                         "935d644ffce1e65f2da4d6efccd5874a"),
-    ("small_alpha", 40): ("e0c349f9d7607bdd1c439ad6ff9a832d", "4394e70a324b72f00ef4e1bcdebc93a6",
-                          "7ced9d6e53159e388fba0ccfcd76e29e"),
-    ("small_alpha", 1000): ("eb2e0b7f01fcf808913eeaad0028d816", "d6bb03f354d01389e6a303d0d43f3e6c",
-                            "ff0432c964476c3240770201525c8a81"),
-    ("small_alpha", 20000): ("04c8afc81624d58930114a4f14d0f685", "204b28d701d76626552a29154fff93aa",
-                             "217dccaa2637f3ec9a4a103f48fd0131"),
+    ("default", 1): ("80af5f51e8fa8781570f5a2f30fe5f44", "f4378435f7a438ae79355698ff4e18cd",
+                     "91f709376ba3993ddf061f9b554cdc1a"),
+    ("default", 2): ("158c6f37f563566123fe5b6e1d6a2815", "f10b7a6311d55bb9c70c05aeeb62e789",
+                     "335bf27219062727588d683453ebc25d"),
+    ("default", 40): ("1e30b37877f62bf5105b16f22f4ca59c", "65016b53175a0edef16f291159a85db3",
+                      "1e9f3f766c4fae2367ccfc2a131b697d"),
+    ("default", 1000): ("3697184544ac6f73a72ffbf7fd954d93", "b68f5eeedf929fd834a7b775c5f9908c",
+                        "e91f75883c11160bf4e51efc70f730b9"),
+    ("default", 20000): ("3697184544ac6f73a72ffbf7fd954d93", "b68f5eeedf929fd834a7b775c5f9908c",
+                         "1b22776e4be9a796d291c961e8cb5519"),
+    ("small_alpha", 1): ("c0d6c5c685aa0fb39ce833b63c54aec9", "9dc0b1cc1ff3e874c0514756e438ad6f",
+                         "0e63fa3510d3165d5797df09f904f2e9"),
+    ("small_alpha", 2): ("e17371f5959322de0b6968e21f87bb19", "568edc37a124a50c84e666e2f7c69596",
+                         "0ef82b0d301da148f402e7d0667cb0b2"),
+    ("small_alpha", 40): ("e0c349f9d7607bdd1c439ad6ff9a832d", "faeeb57f43300593e3a303125e86ca19",
+                          "115df8c81ba7865104bb565016fbef2a"),
+    ("small_alpha", 1000): ("eb2e0b7f01fcf808913eeaad0028d816", "89c937c7ddb6c918fb9e212b685b9c95",
+                            "eee4b4a071a87028761a42bc37e453c6"),
+    ("small_alpha", 20000): ("04c8afc81624d58930114a4f14d0f685", "22ec8561090fb35bdcb5a65389b8bced",
+                             "95ee48f3995f582928fb5c1a44c4132e"),
 }
 
 
@@ -825,20 +827,136 @@ def _boundary_runs(draw):
     return Params(alpha, beta), draw(st.integers(1, 3000)), draw(st.integers(1, 600))
 
 
-@settings(max_examples=60, deadline=None)
-@given(_boundary_runs(), st.integers(0, 2 ** 32))
-def test_boundary_chunk_equals_the_per_round_loop(run, seed):
-    # same draws in the same order, so the same bits, and the same stream
-    # left behind
-    from mdwindow.paths import _boundary_chunk, _renewal_table
+_AGE_EDGES = list(range(16)) + [1 << k for k in range(4, 13)]  # bins [a_i, a_(i+1))
 
-    params, n, rows = run
-    u_tab = _renewal_table(params, n)
-    gens = [RngStream(seed).generator() for _ in range(2)]
-    want = _boundary_chunk_per_round(params, n, gens[0], u_tab, rows)
-    got = _boundary_chunk(params, n, gens[1], u_tab, rows)
-    _assert_same_chunk(got, want)
-    assert gens[0].bit_generator.state == gens[1].bit_generator.state
+
+@functools.lru_cache
+def _end_age_law(alpha):
+    # P[A_n in each bin of _AGE_EDGES, the last one open] for the stationary
+    # chain: P[A >= a] = 1 at a = 0 and, summing P[A = a'] = sum_(m > a')
+    # mu_m by parts, e^(-a^alpha) / a + (a - 1) R(a) for a >= 1, with
+    # R(a) = sum_(m > a) e^(-m^alpha) / (m (m - 1)), summed to m = 2^22;
+    # the levels beyond move P[A >= 4096] by under 1e-7
+    m = np.arange(2, (1 << 22) + 1, dtype=np.float64)
+    tail = np.cumsum((np.exp(-m ** alpha) / (m * (m - 1.0)))[::-1])[::-1]
+    a = np.array(_AGE_EDGES[1:], dtype=np.float64)
+    surv = np.exp(-a ** alpha) / a + (a - 1.0) * tail[a.astype(np.int64) - 1]
+    return -np.diff(np.concatenate(([1.0], surv, [0.0])))
+
+
+def _end_age_pvalue(params, n, reps, rows, seed):
+    # chi-square fit of the boundary engine's A_n to its stationary law,
+    # bins expecting fewer than 5 paths pooled into one (dropped if empty)
+    from scipy.stats import chi2
+
+    gen = RngStream(seed, n).generator()
+    an = np.concatenate([ch["an"] for ch in iter_sums(params, n, reps, gen,
+                                                      with_rewards=False, chunk=rows)])
+    got = np.bincount(np.searchsorted(_AGE_EDGES, an, side="right") - 1,
+                      minlength=len(_AGE_EDGES)).astype(np.float64)
+    want = reps * _end_age_law(params.alpha)
+    sparse = want < 5.0
+    got = np.append(got[~sparse], got[sparse].sum())
+    want = np.append(want[~sparse], want[sparse].sum())
+    got, want = got[want > 0], want[want > 0]
+    stat = float(((got - want) ** 2 / want).sum())
+    return chi2.sf(stat, got.size - 1)
+
+
+_LAW_RUNS = [(pair, n, rows) for pair in sorted(_PAIRS) for n in (1, 2, 40, 1000)
+             for rows in (7, 4096)]
+
+
+@pytest.mark.parametrize("pair, n, rows", _LAW_RUNS)
+def test_boundary_end_age_has_the_stationary_law(pair, n, rows):
+    # a row takes the first accepted of its k proposals, an exact draw, so
+    # A_n keeps the law P[A = 0] = mu_0, P[A = a] = sum_(m > a) mu_m
+    reps = 50 * 4096 if rows == 4096 else 1500 * rows
+    assert _end_age_pvalue(_PAIRS[pair], n, reps, rows, 751) > 1e-4
+
+
+@pytest.mark.parametrize("pair, n", [run[:2] for run in _LAW_RUNS if run[2] == 4096])
+def test_boundary_end_age_law_with_the_k_rule_on_every_round(monkeypatch, pair, n):
+    # with the cap past the chunk size, min(c, _PROPOSALS) = c: every round
+    # after the first spreads c proposals over its pending rows, k >= 2
+    # (7-row chunks already run so, the cap of 1024 not binding there)
+    from mdwindow import paths
+
+    monkeypatch.setattr(paths, "_PROPOSALS", 1 << 30)
+    assert _end_age_pvalue(_PAIRS[pair], n, 50 * 4096, 4096, 752) > 1e-4
+
+
+def test_boundary_chunk_law_matches_the_per_round_reference(monkeypatch):
+    # the joint law of start state, end state and trailing sign, against
+    # the first sampler's loop (one proposal a round), with the k rule on
+    # every round after the first
+    from mdwindow import paths
+
+    monkeypatch.setattr(paths, "_PROPOSALS", 1 << 30)
+    n, rows, chunks = 40, 4096, 40
+    u_tab = paths._renewal_table(DEFAULT, n)
+    keys = []
+    for engine, seed in ((paths._boundary_chunk, 753), (_boundary_chunk_per_round, 754)):
+        gen = RngStream(seed).generator()
+        keys.append(np.concatenate([_joint_cells(engine(DEFAULT, n, gen, u_tab, rows), n)
+                                    for _ in range(chunks)]))
+    _assert_same_cell_law(*keys)
+
+
+def test_a_row_takes_its_first_accepted_proposal(monkeypatch):
+    # every proposal is an excursion state whose age alone decides it:
+    # u(100 - age) is 1 for an even age and 0 for an odd one.  Round 1
+    # leaves rows 61-63 pending, round 2 gives them 64 // 3 = 21 proposals
+    # each (row 63 none accepted), round 3 gives row 63 all 64; every
+    # accepting block holds several even ages, all distinct
+    from mdwindow import paths
+
+    c, n = 64, 101
+    rounds = [np.full(c, 2), np.arange(3, 3 + 63),
+              np.concatenate((np.arange(1, 19, 2), np.arange(40, 150, 2)))[:64]]
+    rounds[0][61:] = 1
+    rounds[1][42:] = np.arange(1, 1 + 2 * 21, 2)  # row 63: odd ages only
+    sizes = []
+
+    def proposals(alpha, gen, size):
+        ages = rounds[len(sizes)].astype(np.int64)
+        sizes.append(size)
+        assert ages.size == size
+        return np.arange(size), ages + 5, ages
+
+    def start(params, n, gen, c):
+        zero = np.zeros(c, dtype=np.int64)
+        out = {"s_prime": np.zeros(c), "s_dprime": np.zeros(c), "a1": zero, "b1": zero,
+               "an": zero.copy(), "bn": zero.copy(), "interior": np.ones(c, dtype=bool)}
+        return out, [(zero[:0], zero[:0], zero[:0], np.zeros(0))]
+
+    monkeypatch.setattr(paths, "_stationary_excursions", proposals)
+    monkeypatch.setattr(paths, "_start_chunk", start)
+    u_tab = np.where(np.arange(n) % 2 == 0, 1.0, 0.0)  # lag 100 - age: even age, even lag
+    out = paths._boundary_chunk(DEFAULT, n, RngStream(755).generator(), u_tab, c)
+    assert sizes == [64, 63, 64]
+    want = [2] * 61 + [4, 24, 40]  # first even age of rows 61 (3..23) and 62 (24..44)
+    assert out["an"].tolist() == want
+    assert np.all(out["bn"] == 5)
+
+
+def test_boundary_chunks_take_few_rounds(monkeypatch):
+    # the k rule ends a 4096-row chunk at (0.3, 0.05), n = 1e3, in about
+    # five rounds; one proposal a round took about 9.4
+    from mdwindow import paths
+
+    calls = []
+
+    def spy(alpha, gen, size):
+        calls.append(size)
+        return kernel(alpha, gen, size)
+
+    kernel = paths._stationary_excursions
+    monkeypatch.setattr(paths, "_stationary_excursions", spy)
+    gen = RngStream(756).generator()
+    for _ in iter_sums(DEFAULT, 1000, 50 * 4096, gen, with_rewards=False, chunk=4096):
+        pass
+    assert len(calls) / 50 <= 6.0
 
 
 @settings(max_examples=60, deadline=None)
@@ -888,17 +1006,23 @@ def test_boundary_sampler_matches_rolled_engine_joint_law(n):
     # the rewards engine rolls every excursion, an independent route to
     # the same joint law of start state, end state and trailing sign; at
     # n = 6 the renewal weights u(0..5) differ most from their limit mu_0
-    from scipy.stats import chi2
-
     reps = 300_000
     keys = [
         _joint_cells(next(iter_sums(DEFAULT, n, reps, RngStream(seed, n).generator(),
                                     with_rewards=rewards, chunk=reps)), n)
         for seed, rewards in ((611, False), (612, True))
     ]
-    cells, inv = np.unique(np.concatenate(keys), return_inverse=True)
-    x = np.bincount(inv[:reps], minlength=cells.size)
-    y = np.bincount(inv[reps:], minlength=cells.size)
+    _assert_same_cell_law(*keys)
+
+
+def _assert_same_cell_law(x_keys, y_keys):
+    # two-sample chi-square over the cells of two equal-sized samples, cells
+    # with fewer than 20 draws in all pooled into one
+    from scipy.stats import chi2
+
+    cells, inv = np.unique(np.concatenate((x_keys, y_keys)), return_inverse=True)
+    x = np.bincount(inv[: x_keys.size], minlength=cells.size)
+    y = np.bincount(inv[x_keys.size :], minlength=cells.size)
     sparse = x + y < 20  # pooled into one cell
     x = np.append(x[~sparse], x[sparse].sum())
     y = np.append(y[~sparse], y[sparse].sum())
