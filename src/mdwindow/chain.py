@@ -100,7 +100,7 @@ class RngStream:
         return RngStream(seed=self.seed, stream_id=self._key + (index, 0))
 
 
-RngLike = Union[RngStream, np.random.Generator]
+RngLike = Union[RngStream, "np.random.Generator"]  # a string: numpy.random loads on first use
 
 
 def as_generator(rng: RngLike) -> np.random.Generator:

@@ -33,9 +33,9 @@ bits in any block.  Where direct summation cannot reach float resolution
 (p_1 at small alpha) the mass beyond the cut has a closed form,
 `small_mass_tail`, built from incomplete gamma functions.
 
-Every per-pair table of the package (the cuts, p_1, the window, the
-lag tables, and the alias and renewal tables that `chain` and `paths` hand
-it their own build functions for) lives in one store, `_TABLES`.  A read
+Every per-pair table of the package (the cuts, p_1, the window, the lag
+tables, and the alias, renewal and envelope tables that `chain` and `paths`
+hand it their own build functions for) lives in one store, `_TABLES`.  A read
 of a built table is one dict lookup and a recency stamp, with no lock.  A
 miss builds its key once, however many threads miss it together, and
 never waits on another key's build; a build that raises keeps nothing.
@@ -74,9 +74,9 @@ _P1_CUT = 1 << 14              # p_1 sums this far and adds the closed-form tail
 _GAMMA_TERMS = 8               # powers x^-2 .. x^-8 of 1/(x(x-1)) in the tail
 
 
-# Byte budget of the table store (two renewal tables at their 2^24 cap) and
-# its most tables; past either, the least recently read go.
-_TABLE_BUDGET = 1 << 28
+# Byte budget (two boundary routes at the 2^24 cap, 384 MiB each, and small
+# tables) and most tables of the store; past either, the least recently read go.
+_TABLE_BUDGET = 7 << 27
 _TABLE_LIMIT = 128
 
 
@@ -242,12 +242,6 @@ def _level_log_mu(params: Params, lo: int, hi: int) -> np.ndarray:
     ns = np.arange(lo, hi + 1, dtype=np.int64)
     nm1 = (ns - 1).astype(np.float64)
     return -(nm1 ** params.alpha) + log1mexp(power_gap(ns, params.alpha)) - np.log(nm1)
-
-
-def log_interval_tail(params: Params, k: int) -> float:
-    """Exact log of the stationary tail P[A + B > k], k >= 1: just -k^alpha."""
-    k = _integer(k, "tail index", 1)
-    return -(float(k) ** params.alpha)
 
 
 def _level_walk(params: Params, block_sum, lo: int, hi: int) -> float:
@@ -425,8 +419,10 @@ def log_p(params: Params, n: int) -> float:
 
 
 def _floor_sqrt(arr: np.ndarray) -> np.ndarray:
-    """Exact floor square root of an int64 array (float sqrt, corrected)."""
+    """Exact floor square root of an int64 array (float sqrt, corrected from 2^52)."""
     s = np.sqrt(arr.astype(np.float64)).astype(np.int64)
+    if arr.max(initial=0) < 1 << 52:
+        return s
     s -= s * s > arr
     # (s + 1)^2 <= arr, tested without forming (s + 1)^2: past 3037000499^2
     # that square wraps around in int64

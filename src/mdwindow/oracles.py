@@ -18,7 +18,6 @@ import math
 import os
 from dataclasses import dataclass
 from operator import itemgetter
-from statistics import NormalDist
 from typing import Optional
 
 import numpy as np
@@ -119,6 +118,7 @@ def _normal_quantile(confidence: float) -> float:
     """z with P[|N(0, 1)| <= z] = confidence, checked to lie in (0, 1)."""
     if not 0.0 < confidence < 1.0:
         raise ParameterError("confidence must lie in (0, 1)")
+    from statistics import NormalDist  # imported here: a cold import skips the module
     return NormalDist().inv_cdf(0.5 + 0.5 * confidence)
 
 

@@ -21,12 +21,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from types import SimpleNamespace
 from typing import Iterator
 
 import numpy as np
 
 from .chain import RngLike, as_generator, interval_alias, raw_words, sample_stationary_levels
-from .chain import _stationary_excursions
+from .chain import _check_tau_cap, _interval_tail_reject, _stationary_excursions
 from .errors import ParameterError, PrecisionError
 from .measure import _TABLES, Params, _integer, _p_law, _reward_ages
 
@@ -202,16 +203,14 @@ def iter_sums(
     Yields dict chunks with the decomposition terms and end states; the
     per-time values are never materialized.  With rewards every excursion
     is rolled in blocks of a self-loop run and one excursion (`_roll_chunk`),
-    about 1.2e10 chain steps per minute on one CPU as README measures it,
-    so horizons up to ~1e4 with millions of paths stay affordable.  With
-    with_rewards=False the middle term is skipped and no excursion is
-    rolled: an end state is the first accepted of stationary proposals,
-    drawn row by row, k = max(1, min(c, 1024) // p) for each of a round's
-    p pending rows in a chunk of c (`_boundary_chunk`), O(1) per path at
+    about 1.2e10 chain steps per minute on one CPU as README measures it.
+    With with_rewards=False the middle term is skipped and no excursion is
+    rolled (`_boundary_chunk`): an end state is drawn directly below a lag
+    of 16 or as the first kept of stationary proposals, O(1) per path at
     any horizon the renewal table covers.  The draw layout is a pure
     function of (generator state, n, reps, with_rewards, chunk), which
     callers wanting bit-reproducibility must hold fixed, as the front ends
-    do.  Arguments are checked, and the table read, at the call.
+    do.  Arguments are checked, and the tables read, at the call.
     """
     n, reps = _integer(n, "horizon", 1), _integer(reps, "reps", 0)
     chunk = _integer(chunk, "chunk", 1)  # a chunk of 0 rows would never finish
@@ -219,7 +218,8 @@ def iter_sums(
     if with_rewards:
         draw = partial(_roll_chunk, params, n, gen, interval_alias(params))
     else:
-        draw = partial(_boundary_chunk, params, n, gen, _renewal_table(params, n))
+        env = _TABLES.get(("peel", params.alpha, params.beta, n), _solve_peel, params, n)
+        draw = partial(_boundary_chunk, params, n, gen, _renewal_table(params, n), env)
     return (draw(min(chunk, reps - done)) for done in range(0, reps, chunk))
 
 
@@ -316,31 +316,69 @@ def _solve_renewal(params: Params, n: int) -> np.ndarray:
     return u
 
 
-def _boundary_chunk(params, n, gen, u_tab, c):
+def _solve_peel(params: Params, n: int) -> SimpleNamespace:
+    """`_boundary_chunk`'s envelope: `top` U = max u(j) over j >= _PEEL (0 if
+    none), `excess` e_j = (u(j) - U)^+ below, `cdf` F(k) = P[tau <= k] to
+    max(n, _LEVELS), `z` Z(m) = sum_j e_j T(m - j) (T = 1 - F, T(-1) = 0) and,
+    for m < _KEYED, `keys` m 2^53 + ceil(C 2^53) of its running sums C."""
+    u = _renewal_table(params, n)
+    top = float(u[_PEEL:].max(initial=0.0))
+    excess = np.maximum(u[:_PEEL] - top, 0.0)
+    cdf = np.minimum(np.cumsum(_p_law(params, max(n, _LEVELS) - 1)), 1.0)
+    _check_tau_cap(params.alpha, cdf.size - 1)  # as the rejection step past F will
+    tail = np.concatenate((np.zeros(_PEEL), 1.0 - cdf))  # T(a) at a + _PEEL
+    z = np.zeros(n)
+    for j in range(excess.size):  # every sum of Z adds in the order of j
+        z[j:] += excess[j] * tail[_PEEL : _PEEL + n - j]
+    m = np.arange(min(n, _KEYED))[:, None]
+    run = np.cumsum(excess * tail.take(m + _PEEL - np.arange(excess.size)), axis=1)
+    keys = ((m << 53) + np.ceil(np.ldexp(run, 53)).astype(np.int64)).ravel()
+    return SimpleNamespace(top=top, excess=excess, cdf=cdf, z=z, keys=keys)
+
+
+def _boundary_chunk(params, n, gen, u_tab, env, c):
     """Boundary terms of `c` paths without rolling any excursion.
 
-    Given the first renewal r_1 = 1 + B_1 <= n, with m = n - r_1 time
-    steps left, the end state has law P[(A_n, B_n) = (a, b)] =
-    u(m - a) p_(a+b) (last renewal at n - a, then an excursion of length
-    a + b), and P[A_n = 0] = u(m).  Since the invariant measure is
-    pi(a, b) = mu_0 p_(a+b) and pi(origin) = mu_0, a stationary proposal
-    accepted with probability u(m - a) (zero for a > m) is an exact draw,
-    and so is the first accepted of i.i.d. ones; u <= u(0) = 1, and the
-    acceptance rate is exactly mu_0 = 1 - 1/e.  After `_start_chunk`'s
-    draws, a round draws k = max(1, min(c, _PROPOSALS) // p) proposals for
-    each of its p pending rows, row by row, an acceptance uniform each and
-    a sign uniform per row whose first accepted one ends inside an
-    excursion; a row with none stays pending.  End states are written once.
+    With m = n - 1 - B_1 steps after the first renewal, the end state has law
+    pi(a, b) h(a) / mu_0, pi the invariant measure (mu_0 p_(a+b), mu_0 at the
+    origin) and h(a) = u(m - a), zero past m; `env` splits h as min(h, U) +
+    e_(m - a).  After `_start_chunk`'s draws a row draws a uniform v.  Below
+    Z(m) (always if U = 0) it ends at age m - j, j the first lag whose
+    running sum passes v: at the origin, or at a level of p above the age (a
+    uniform per row inverts F, `_interval_tail_reject` past it), then a sign
+    uniform each.  Other rows take the first stationary proposal kept with
+    probability min(h, U) / U, drawing k = max(1, min(c, _PROPOSALS) // p)
+    for each of a round's p pending rows, row by row, a uniform each, and a
+    sign uniform per row whose first kept one ends in an excursion.
     """
     out, ends = _start_chunk(params, n, gen, c)
     idx = out["interior"].nonzero()[0]
     m = n - 1 - out["b1"].take(idx)
+    v = gen.random(idx.size)
+    peel = v < env.z.take(m) if env.top else np.ones(idx.size, bool)  # Z = 1 if U = 0
+    rows = peel.nonzero()[0]
+    if rows.size:
+        a, vp = m.take(rows), v.take(rows)
+        key = np.minimum(a, _KEYED - 1)
+        lag = np.searchsorted(env.keys, (key << 53) + np.ldexp(vp, 53).astype(np.int64), "right")
+        lag -= key * env.excess.size
+        far = (a >= _KEYED).nonzero()[0]  # no keys: the running sums themselves
+        f = env.cdf.take(a.take(far)[:, None] - np.arange(env.excess.size))
+        lag[far] = (np.cumsum(env.excess * (1.0 - f), axis=1) <= vp.take(far)[:, None]).sum(1)
+        a -= np.minimum(lag, a)  # a v past a rounded Z(m) = 1 takes the last lag
+        floor = a.take(exc := a.nonzero()[0])
+        at = env.cdf.take(floor)  # levels past the table take the rejection step
+        lev = np.searchsorted(env.cdf, at + gen.random(exc.size) * (1.0 - at), "right")
+        past = (lev == env.cdf.size).nonzero()[0]
+        lev[past] = _interval_tail_reject(params, gen, past.size, env.cdf.size - 1)
+        ends.append((idx.take(rows.take(exc)), floor, lev, gen.random(exc.size)))
+        idx, m = idx.compress(~peel), m.compress(~peel)
     while idx.size:
         k = max(1, min(c, _PROPOSALS) // idx.size)  # a one-row chunk: always 1
         exc, lev, age = _stationary_excursions(params.alpha, gen, idx.size * k)
         lag = m.repeat(k) if k > 1 else m.copy()  # origin proposals wait all m steps
         lag[exc] -= age
-        keep = gen.random(lag.size) < u_tab.take(lag, mode="clip")
+        keep = gen.random(lag.size) * env.top < u_tab.take(lag, mode="clip")
         keep &= lag >= 0  # a clipped read of u(0) for a negative lag is refused
         took, row = keep, exc  # proposal j belongs to row j // k
         if k > 1:  # each row takes its first accepted proposal, if any
@@ -356,6 +394,9 @@ def _boundary_chunk(params, n, gen, u_tab, c):
     return out
 
 
+_PEEL = 16  # lags j < _PEEL whose weight over the envelope U a boundary row draws directly
+_KEYED = 1 << 10  # rows with m below this find their lag in `keys`
+_LEVELS = 1 << 13  # fewest levels of F; a level past them takes the rejection step
 _PROPOSALS = 1024  # most proposals a boundary round spreads over its pending rows
 _BLOCK = 48  # blocks (a self-loop run and one excursion) drawn per path per round
 _TILE = 512  # rows rolled together

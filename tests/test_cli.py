@@ -40,6 +40,15 @@ def test_cli_import_loads_no_scipy():
     assert res.stdout.strip() == "[]"
 
 
+def test_cli_import_loads_no_numpy_random_or_statistics():
+    # both load on first use: a generator's construction, a Wilson interval
+    code = ("import sys, mdwindow.cli; "
+            "print([m for m in ('numpy.random', 'statistics') if m in sys.modules])")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
+
+
 # -------------------------------------------------------------------- params
 
 def test_params_basic_output():

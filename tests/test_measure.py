@@ -4,7 +4,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mdwindow import (
@@ -16,7 +16,6 @@ from mdwindow import (
     autocovariance_bound,
     build_measure_table,
     excursion_reward_magnitude,
-    log_interval_tail,
     log_mu,
     log_p,
     p1,
@@ -110,7 +109,6 @@ def test_log_mu_rejects_negative_level():
 # each entry point with one integer argument replaced by the test's value
 _INTEGER_ENTRIES = {
     "log_mu": lambda v: log_mu(DEFAULT, v),
-    "log_interval_tail": lambda v: log_interval_tail(DEFAULT, v),
     "log_p": lambda v: log_p(DEFAULT, v),
     "phi": lambda v: phi(DEFAULT, v, 3),
     "s_prime_count": lambda v: s_prime_count(v, 3, 10),
@@ -273,36 +271,6 @@ def test_p_values_nonnegative():
     p = DEFAULT
     for n in range(1, 2000):
         assert log_p(p, n) <= 0.0  # finite log-probability, hence p_n > 0
-
-
-# ------------------------------------------------------------- interval tail
-
-@pytest.mark.parametrize("alpha", ALPHA_GRID)
-def test_interval_tail_closed_form(alpha):
-    p = Params(alpha, 0.0)
-    for k in (1, 2, 5, 77, 10 ** 6):
-        assert log_interval_tail(p, k) == -(float(k) ** alpha)
-
-
-def test_interval_tail_examples():
-    # the quadratic-exponent arithmetic -sqrt(4) = -2, checked on the same
-    # formula the valid-domain operation computes (alpha = 1/2 itself is
-    # outside the admissible exponent region)
-    assert -(4.0 ** 0.5) == -2.0
-    p = Params(0.49, 0.0)
-    assert log_interval_tail(p, 4) == pytest.approx(-(4.0 ** 0.49), abs=1e-15)
-
-
-def test_interval_tail_k1_matches_origin_complement():
-    # P[A+B > 1] = P[A+B > 0] = 1 - mu_0 = e^-1 because level 1 is empty
-    assert math.exp(log_interval_tail(DEFAULT, 1)) == pytest.approx(
-        1.0 - MU0, abs=1e-15
-    )
-
-
-def test_interval_tail_strictly_decreasing():
-    vals = [log_interval_tail(DEFAULT, k) for k in range(1, 200)]
-    assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
 # ------------------------------------------------------------------- moments
@@ -594,6 +562,23 @@ _INT64_MAX = 2 ** 63 - 1
     min_size=1, max_size=16,
 ))
 def test_floor_sqrt_is_isqrt_over_int64(taus):
+    got = measure._floor_sqrt(np.array(taus, dtype=np.int64))
+    assert got.tolist() == [math.isqrt(t) for t in taus]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(
+    st.tuples(st.one_of(st.integers(1, 1 << 26), st.integers(1, 1 << 31)), st.integers(-1, 1)),
+    min_size=1, max_size=16,
+))
+@example([((1 << 26) - 1, 1), (1 << 26, -1)])  # 2^52 - 2^27 + 1 and 2^52 - 1: float alone
+@example([(1 << 26, 0)])  # 2^52 itself: the corrections run
+@example([(94906267, -1), (3, 0)])  # float64 rounds 94906267^2 - 1 up to the square
+def test_floor_sqrt_is_isqrt_near_squares(roots):
+    # values s^2 - 1, s^2 and s^2 + 1 up to 2^62: an array whose values all
+    # lie below 2^52 takes the float square root alone, any other the
+    # corrections too, and both read as math.isqrt
+    taus = [s * s + d for s, d in roots]
     got = measure._floor_sqrt(np.array(taus, dtype=np.int64))
     assert got.tolist() == [math.isqrt(t) for t in taus]
 

@@ -2,6 +2,7 @@ import functools
 import hashlib
 import math
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from mdwindow import (
     s_prime_count,
 )
 
-from mdwindow.measure import MU0, _reward_ages, _s_tilde_variance
+from mdwindow.measure import MU0, _p_law, _reward_ages, _s_tilde_variance
 from mdwindow.chain import raw_words, sample_stationary_levels
 from mdwindow.paths import _materialize, conditioned_path
 
@@ -687,6 +688,20 @@ def test_renewal_table_refuses_beyond_cap():
         _renewal_table(DEFAULT, _RENEWAL_CAP + 1)
 
 
+@pytest.mark.parametrize("rewards", [False, True])
+def test_both_routes_refuse_clamped_draws_past_the_level_table_at_the_call(rewards):
+    # at alpha = 0.085 a stationary draw passes the tau cap check, but a
+    # draw of p beyond 8191 would be clamped at 2^62 too often: the rewards
+    # route's alias table and the boundary route's envelope both reach past
+    # that level, and both refuse before a chunk is drawn
+    from mdwindow import PrecisionError
+
+    params = Params(0.085, 0.0)
+    sample_stationary_levels(params, RngStream(1).generator(), 10)
+    with pytest.raises(PrecisionError, match="clamped"):
+        iter_sums(params, 10, 10, RngStream(1), with_rewards=rewards)
+
+
 def _chunk_md5(params, n, reps, seed, with_rewards, chunk):
     # md5 over every chunk iter_sums yields: each key in sorted order, then
     # its array's bytes; a change to any draw, its order or its arithmetic
@@ -702,31 +717,31 @@ def _chunk_md5(params, n, reps, seed, with_rewards, chunk):
 
 # boundary-only chunks of one row, of seven (the last chunk short) and of
 # 4096 (as a `boundary_mc` op), each pinned bit for bit: (chunk, reps) and
-# the md5 of each, per pair and horizon.  One-row chunks take one proposal
-# a round, as the first sampler did, so their pins are that sampler's
+# the md5 of each, per pair and horizon.  Every interior row draws the
+# uniform that decides whether it peels, one-row chunks included
 _CHUNKS = ((1, 64), (7, 100), (4096, 10000))
 _PAIRS = {"default": DEFAULT, "small_alpha": SMALL_ALPHA}
 _BOUNDARY_MD5 = {
-    ("default", 1): ("80af5f51e8fa8781570f5a2f30fe5f44", "f4378435f7a438ae79355698ff4e18cd",
-                     "91f709376ba3993ddf061f9b554cdc1a"),
-    ("default", 2): ("158c6f37f563566123fe5b6e1d6a2815", "f10b7a6311d55bb9c70c05aeeb62e789",
-                     "335bf27219062727588d683453ebc25d"),
-    ("default", 40): ("1e30b37877f62bf5105b16f22f4ca59c", "65016b53175a0edef16f291159a85db3",
-                      "1e9f3f766c4fae2367ccfc2a131b697d"),
-    ("default", 1000): ("3697184544ac6f73a72ffbf7fd954d93", "b68f5eeedf929fd834a7b775c5f9908c",
-                        "e91f75883c11160bf4e51efc70f730b9"),
-    ("default", 20000): ("3697184544ac6f73a72ffbf7fd954d93", "b68f5eeedf929fd834a7b775c5f9908c",
-                         "1b22776e4be9a796d291c961e8cb5519"),
-    ("small_alpha", 1): ("c0d6c5c685aa0fb39ce833b63c54aec9", "9dc0b1cc1ff3e874c0514756e438ad6f",
-                         "0e63fa3510d3165d5797df09f904f2e9"),
-    ("small_alpha", 2): ("e17371f5959322de0b6968e21f87bb19", "568edc37a124a50c84e666e2f7c69596",
-                         "0ef82b0d301da148f402e7d0667cb0b2"),
-    ("small_alpha", 40): ("e0c349f9d7607bdd1c439ad6ff9a832d", "faeeb57f43300593e3a303125e86ca19",
-                          "115df8c81ba7865104bb565016fbef2a"),
-    ("small_alpha", 1000): ("eb2e0b7f01fcf808913eeaad0028d816", "89c937c7ddb6c918fb9e212b685b9c95",
-                            "eee4b4a071a87028761a42bc37e453c6"),
-    ("small_alpha", 20000): ("04c8afc81624d58930114a4f14d0f685", "22ec8561090fb35bdcb5a65389b8bced",
-                             "95ee48f3995f582928fb5c1a44c4132e"),
+    ("default", 1): ("1874884db4070550c6c1be8c5ce77151", "577d7636df4b6365a3d073e4c7179528",
+                     "57685e8a729fd1366852b1fb972868b2"),
+    ("default", 2): ("908f10458db7582b07ecc9d85228f2c8", "24182603bdef1033de906a11891f0eb3",
+                     "705a306d1c7eb804318bf4eea0a952dc"),
+    ("default", 40): ("dd309fbff857834411acf326df7a91ee", "e9d2bbd49bd33ffeb90584658032ba1d",
+                      "3556ccdbc0f2498dd9a677a0faa3d1d6"),
+    ("default", 1000): ("991b5819ecd3572535ba2bf6ab83bdc0", "c275605465221a38a22f9ca51a333a5f",
+                        "9aee35ebc19bc99aaf1a8944c7f77e02"),
+    ("default", 20000): ("991b5819ecd3572535ba2bf6ab83bdc0", "c275605465221a38a22f9ca51a333a5f",
+                         "31abcb95adde65e805353d7d4a7ecb92"),
+    ("small_alpha", 1): ("1c2dd3dc391ddc4d8c70f73586a16023", "5300be3dbae3d5b7daf3dddd5a239974",
+                         "87dd8ea034aa24c9bcf409285d309365"),
+    ("small_alpha", 2): ("534eb815060d2e3fcbbf35ae11412164", "03a908a5b34b92f89fa1a09067e185bb",
+                         "4ae0a37c04208cb2daa3f5d9f54962d8"),
+    ("small_alpha", 40): ("71de5f84a128a50890629b7794f2081d", "7c0176f4b6a5ffd8f7eec2160ba6a793",
+                          "cde0e7480e5ec07ff3de44d838118b52"),
+    ("small_alpha", 1000): ("2c189d0c281bc651c933d579b62e9b2e", "a3c05ed5dc6c50ba1179c50c2d4b86fb",
+                            "f69a261418493c08b8086bd34e2c9047"),
+    ("small_alpha", 20000): ("57e5d524cc98964c5dac8a8365fd332c", "9ca560b7295c629de759d6f0b6d2f556",
+                             "9946e7ac8aca605c08ab9768671cef3e"),
 }
 
 
@@ -886,6 +901,105 @@ def test_boundary_end_age_law_with_the_k_rule_on_every_round(monkeypatch, pair, 
     assert _end_age_pvalue(_PAIRS[pair], n, 50 * 4096, 4096, 752) > 1e-4
 
 
+def _start_end_law(params, n):
+    # P[(B_1, A_n) = (b, a)] = mu_0 T(b) T(a) u(n - 1 - b - a) for
+    # b + a <= n - 1, T(a) = P[tau > a] = 1 - sum_(k <= a) p_k: the start
+    # sits at residual b with mass mu_0 T(b), and the end at age a after a
+    # renewal at n - a with weight u(m - a) T(a), m = n - 1 - b
+    from mdwindow.paths import _renewal_table
+
+    tail = 1.0 - np.cumsum(_p_law(params, n - 1))
+    b, a = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    inside = b + a <= n - 1
+    u = _renewal_table(params, n).take(np.where(inside, n - 1 - b - a, 0))
+    return np.where(inside, MU0 * tail[b] * tail[a] * u, 0.0)
+
+
+_JOINT_RUNS = [(pair, n, rows) for pair in sorted(_PAIRS) for n in (1, 2, 6, 17, 40)
+               for rows in (7, 4096)]
+
+
+@pytest.mark.parametrize("pair, n, rows", _JOINT_RUNS)
+def test_boundary_start_and_end_fit_the_closed_form(pair, n, rows):
+    # one-sample chi-square of (B_1, A_n) over its cells b + a <= n - 1,
+    # plus one cell for the paths with no renewal in the window; at
+    # n <= _PEEL no lag reaches the envelope, U = 0, and every row peels,
+    # and at n = 17 the rows with B_1 >= 1 have m < _PEEL: they peel often
+    # and the rest meet the rounds, so both parts of the mixture show
+    from scipy.stats import chi2
+
+    params = _PAIRS[pair]
+    reps = 50 * 4096 if rows == 4096 else 3000 * rows
+    gen = RngStream(757, n).generator()
+    chunks = list(iter_sums(params, n, reps, gen, with_rewards=False, chunk=rows))
+    inside = np.concatenate([ch["interior"] for ch in chunks])
+    b1 = np.concatenate([ch["b1"] for ch in chunks])[inside]
+    an = np.concatenate([ch["an"] for ch in chunks])[inside]
+    assert np.all(b1 + an <= n - 1)
+    law = _start_end_law(params, n)
+    got = np.append(np.bincount(b1 * n + an, minlength=n * n), reps - inside.sum())
+    want = reps * np.append(law.ravel(), 1.0 - law.sum())
+    cells = want > 0
+    got, want = got[cells].astype(np.float64), want[cells]
+    sparse = want < 5.0  # pooled into one cell
+    got = np.append(got[~sparse], got[sparse].sum())
+    want = np.append(want[~sparse], want[sparse].sum())
+    got, want = got[want > 0], want[want > 0]
+    stat = float(((got - want) ** 2 / want).sum())
+    assert chi2.sf(stat, max(got.size - 1, 1)) > 1e-4, f"chi2={stat:.1f} on {got.size - 1} cells"
+
+
+def _envelope(params, n):
+    from mdwindow import paths
+
+    return paths._TABLES.get(("peel", params.alpha, params.beta, n), paths._solve_peel, params, n)
+
+
+@pytest.mark.parametrize("pair", sorted(_PAIRS))
+@pytest.mark.parametrize("n", [1, 2, 16, 17, 40, 1000, 1025])
+def test_envelope_splits_the_renewal_identity(pair, n):
+    # sum_(j <= m) u(j) T(m - j) = 1 splits into the peeled mass Z(m) and
+    # the envelope's, sum_j min(u(j), U) T(m - j); Z(m) is the last of the
+    # running sums the engine forms, to the bit, and the keys hold them all
+    from mdwindow import paths
+
+    params = _PAIRS[pair]
+    env, u = _envelope(params, n), paths._renewal_table(params, n)
+    lags = min(n, paths._PEEL)
+    assert env.top == (u[paths._PEEL:].max() if n > paths._PEEL else 0.0)
+    assert env.excess.tolist() == np.maximum(u[:lags] - env.top, 0.0).tolist()
+    assert env.cdf.size == max(n, paths._LEVELS) and env.cdf[0] == 0.0
+    assert np.all(np.diff(env.cdf) >= 0.0) and env.cdf[-1] <= 1.0
+    m = np.arange(n)[:, None]
+    at = m - np.arange(lags)
+    tail = np.where(at >= 0, 1.0 - env.cdf.take(np.maximum(at, 0)), 0.0)  # T(-1) = 0
+    run = np.cumsum(env.excess * tail, axis=1)
+    assert run[:, -1].tobytes() == env.z.tobytes()
+    keyed = min(n, paths._KEYED)
+    want = (m[:keyed] << 53) + np.ceil(np.ldexp(run[:keyed], 53)).astype(np.int64)
+    assert env.keys.tolist() == want.ravel().tolist()
+    assert np.all(np.diff(env.keys) >= 0)
+    envelope = [np.minimum(u[: j + 1], env.top) @ (1.0 - env.cdf[j::-1]) for j in range(n)]
+    # F is a running sum of p, so T = 1 - F drifts by some ulps per level
+    np.testing.assert_allclose(env.z + envelope, 1.0, rtol=0.0, atol=1e-11)
+    if env.top:
+        assert env.z.max() < 1.0
+
+
+@pytest.mark.parametrize("pair", sorted(_PAIRS))
+def test_keyed_lags_match_the_running_sums(monkeypatch, pair):
+    # with keys only below m = _PEEL, the rows peeled at m >= _PEEL find
+    # their lag by summing (here some 150-180 rows are expected to, the sum
+    # of their Z(m)); an exact lookup picks the same lags, so the chunks
+    # agree bit for bit
+    from mdwindow import paths
+
+    params, n = _PAIRS[pair], 40
+    want = _chunk_md5(params, n, 40 * 4096, 758, False, 4096)
+    monkeypatch.setattr(paths, "_KEYED", paths._PEEL)
+    assert _chunk_md5(params, n, 40 * 4096, 758, False, 4096) == want
+
+
 def test_boundary_chunk_law_matches_the_per_round_reference(monkeypatch):
     # the joint law of start state, end state and trailing sign, against
     # the first sampler's loop (one proposal a round), with the k rule on
@@ -895,17 +1009,21 @@ def test_boundary_chunk_law_matches_the_per_round_reference(monkeypatch):
     monkeypatch.setattr(paths, "_PROPOSALS", 1 << 30)
     n, rows, chunks = 40, 4096, 40
     u_tab = paths._renewal_table(DEFAULT, n)
+    env = _envelope(DEFAULT, n)
     keys = []
     for engine, seed in ((paths._boundary_chunk, 753), (_boundary_chunk_per_round, 754)):
         gen = RngStream(seed).generator()
-        keys.append(np.concatenate([_joint_cells(engine(DEFAULT, n, gen, u_tab, rows), n)
+        tabs = (u_tab, env) if engine is paths._boundary_chunk else (u_tab,)
+        keys.append(np.concatenate([_joint_cells(engine(DEFAULT, n, gen, *tabs, rows), n)
                                     for _ in range(chunks)]))
     _assert_same_cell_law(*keys)
 
 
 def test_a_row_takes_its_first_accepted_proposal(monkeypatch):
     # every proposal is an excursion state whose age alone decides it:
-    # u(100 - age) is 1 for an even age and 0 for an odd one.  Round 1
+    # u(100 - age) is 1 for an even age and 0 for an odd one, and the
+    # envelope U = 1 with nothing peeled (Z = 0) leaves every row to the
+    # rounds, accepting with probability u(lag) / U = u(lag).  Round 1
     # leaves rows 61-63 pending, round 2 gives them 64 // 3 = 21 proposals
     # each (row 63 none accepted), round 3 gives row 63 all 64; every
     # accepting block holds several even ages, all distinct
@@ -933,7 +1051,8 @@ def test_a_row_takes_its_first_accepted_proposal(monkeypatch):
     monkeypatch.setattr(paths, "_stationary_excursions", proposals)
     monkeypatch.setattr(paths, "_start_chunk", start)
     u_tab = np.where(np.arange(n) % 2 == 0, 1.0, 0.0)  # lag 100 - age: even age, even lag
-    out = paths._boundary_chunk(DEFAULT, n, RngStream(755).generator(), u_tab, c)
+    env = SimpleNamespace(top=1.0, z=np.zeros(n))  # Z = 0: no row peels
+    out = paths._boundary_chunk(DEFAULT, n, RngStream(755).generator(), u_tab, env, c)
     assert sizes == [64, 63, 64]
     want = [2] * 61 + [4, 24, 40]  # first even age of rows 61 (3..23) and 62 (24..44)
     assert out["an"].tolist() == want
@@ -941,8 +1060,10 @@ def test_a_row_takes_its_first_accepted_proposal(monkeypatch):
 
 
 def test_boundary_chunks_take_few_rounds(monkeypatch):
-    # the k rule ends a 4096-row chunk at (0.3, 0.05), n = 1e3, in about
-    # five rounds; one proposal a round took about 9.4
+    # the k rule on the peeled envelope ends a 4096-row chunk at
+    # (0.3, 0.05), n = 1e3, in about two rounds: a proposal is kept with
+    # probability about mu_0 / u(16) = 0.95; on the envelope 1 it took
+    # 4.8 rounds, and with one proposal a round 9.4
     from mdwindow import paths
 
     calls = []
@@ -956,7 +1077,7 @@ def test_boundary_chunks_take_few_rounds(monkeypatch):
     gen = RngStream(756).generator()
     for _ in iter_sums(DEFAULT, 1000, 50 * 4096, gen, with_rewards=False, chunk=4096):
         pass
-    assert len(calls) / 50 <= 6.0
+    assert len(calls) / 50 <= 3.0
 
 
 @settings(max_examples=60, deadline=None)
