@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -226,6 +227,17 @@ def test_alias_thresholds_rebuild_the_input_law():
     assert sum(mass) == k * cap
     rebuilt = np.array([m / (k * cap) for m in mass])
     assert float(np.abs(rebuilt - alias.weights).max()) < 1e-15
+
+
+@pytest.mark.parametrize("params, md5", [
+    (DEFAULT, "43eb5c8661f49310df7fa2deaa754e69"),
+    (SMALL_ALPHA, "c6a1db41846ecd5d28219592d7162836"),
+])
+def test_vose_tables_keep_their_bits(params, md5):
+    # accept (float64) then alias (int64), from the alias table's own weights
+    accept, alias = _vose_tables(interval_alias(params).weights)
+    assert (accept.dtype, alias.dtype) == (np.float64, np.int64)
+    assert hashlib.md5(accept.tobytes() + alias.tobytes()).hexdigest() == md5
 
 
 @pytest.mark.parametrize(

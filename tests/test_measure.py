@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import math
 
@@ -726,6 +727,139 @@ def test_measure_table_accessors():
     for n_max in (1, 0, -3, 5.5):  # 5.5 is not read as the levels 2..6
         with pytest.raises(ParameterError):
             build_measure_table(DEFAULT, n_max)
+
+
+# -------------------------------------------------------------------- kernel
+
+def _md5(*arrays) -> str:
+    return hashlib.md5(b"".join(a.tobytes() for a in arrays)).hexdigest()
+
+
+def _reference_level_log_mu(alpha, lo, hi):
+    # the kernel as it once read: three lines over the levels lo..hi, with
+    # power_gap's and log1mexp's array branches written out (the gather and
+    # scatter included), as (log mu, gaps).  The kernel's bytes are held to it.
+    ns = np.arange(lo, hi + 1, dtype=np.int64)
+    nm1 = (ns - 1).astype(np.float64)
+    mf = ns.astype(np.float64)
+    gap = -(mf ** alpha) * np.expm1(alpha * np.log1p(-1.0 / mf))
+    if not gap.min() > 0.0:
+        return None, gap
+    small = gap < math.log(2.0)
+    log1mexp = np.empty_like(gap)
+    log1mexp[small] = np.log(-np.expm1(-gap[small]))
+    log1mexp[~small] = np.log1p(-np.exp(-gap[~small]))
+    return -(nm1 ** alpha) + log1mexp - np.log(nm1), gap
+
+
+# Below about 1e-304 the gap at levels near 2^62 underflows to 0, and the
+# kernel refuses it (`test_kernel_refuses_a_gap_that_is_not_positive`).
+_KERNEL_ALPHA = st.floats(1e-300, 0.5, exclude_max=True)
+_KERNEL_LO = st.integers(2, (1 << 62) - (1 << 13))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_KERNEL_ALPHA, _KERNEL_LO, st.integers(1, 1 << 13))
+@example(0.3, 2, 1 << 13)
+@example(0.49999999999999994, 2, 1 << 13)
+@example(0.10833333333333335, (1 << 62) - (1 << 13), 1 << 13)
+@example(0.45, (1 << 53) - 17, 40)
+def test_kernel_bytes_match_the_three_line_formula(alpha, lo, width):
+    want, _ = _reference_level_log_mu(alpha, lo, lo + width - 1)
+    got = _level_log_mu(Params(alpha, 0.0), lo, lo + width - 1)
+    assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_KERNEL_ALPHA, _KERNEL_LO, st.integers(1, 1 << 13))
+@example(0.49999999999999994, 2, 1)
+def test_every_level_gap_lies_below_ln2(alpha, lo, width):
+    # m^alpha - (m-1)^alpha falls in m, so at levels >= 2 it is at most
+    # 2^alpha - 1 < sqrt(2) - 1 < ln 2: log1mexp's small-argument side is
+    # the only one the kernel needs.  Every valid Params has alpha in
+    # (0, 1/2), and beta does not enter the gaps.
+    _, gap = _reference_level_log_mu(Params(alpha, 0.0).alpha, lo, lo + width - 1)
+    assert (gap > 0.0).all() and (gap < math.log(2.0)).all()
+
+
+@pytest.mark.parametrize("alpha", ALPHA_GRID)
+def test_kernel_agrees_with_scalar_log_mu(alpha):
+    params = Params(alpha, 0.0)
+    for lo in (2, 5, 10 ** 6, 10 ** 12):
+        block = _level_log_mu(params, lo, lo + 3)
+        for n, got in zip(range(lo, lo + 4), block.tolist()):
+            assert got == pytest.approx(log_mu(params, n), rel=1e-14)
+
+
+@pytest.mark.parametrize("alpha", ALPHA_GRID)
+@pytest.mark.parametrize("n", [2 ** 53 + 1, 10 ** 18 + 7, 2 ** 62 + 3])
+def test_kernel_beyond_two_to_the_53_against_mpmath(alpha, n):
+    # the levels reach the kernel as int64 and are rounded to float64 once
+    with mpmath.workdps(60):
+        a, m = mpmath.mpf(alpha), mpmath.mpf(n)
+        ref = float(mpmath.log((mpmath.exp(-(m - 1) ** a) - mpmath.exp(-m ** a)) / (m - 1)))
+    [got] = _level_log_mu(Params(alpha, 0.0), n, n).tolist()
+    assert got == pytest.approx(ref, rel=1e-14)
+
+
+# md5 of the kernel's bytes on 8192-level blocks from the level `lo` on
+_KERNEL_MD5 = {
+    "default": {
+        2: "e388fedf56635800011a226520122f85",
+        8194: "3c5dfee5abd66dd69e404a5cfbc8d6a6",
+        1 << 20: "76781400796912085f8f214f8872c4c3",
+        1 << 40: "0a193ea054ee454265097a98df7fa9f0",
+        (1 << 53) + 1: "c1a11e619e5f8534551b6352fbaec4ac",
+    },
+    "small_alpha": {
+        2: "02eed9c6fafe9bfed565a3909c89334b",
+        8194: "f0edfac8bc6e474d3f5d4cedcda68b33",
+        1 << 20: "fcfd3dde00dc312bbb96f13452ee38f8",
+        1 << 40: "1c41c1ce1ce9f3cf845ec7afdbdf8eca",
+        (1 << 53) + 1: "91a304f502af4ad2a7f34cd30b635cb7",
+    },
+}
+_PAIRS = {"default": DEFAULT, "small_alpha": SMALL_ALPHA}
+
+
+@pytest.mark.parametrize("pair", sorted(_KERNEL_MD5))
+@pytest.mark.parametrize("lo", sorted(_KERNEL_MD5["default"]))
+def test_kernel_blocks_keep_their_bits(pair, lo):
+    assert _md5(_level_log_mu(_PAIRS[pair], lo, lo + 8191)) == _KERNEL_MD5[pair][lo]
+
+
+# every series the kernel feeds, pinned by repr or md5: sigma with E X^2 and
+# the md5 of its lag table, per (pair, tol); p_1 per pair; log P[S''_1000 > x]
+_SIGMA_PINS = {
+    ("default", 1e-12): ("0.5165869770162923", "0.42216963377583966",
+                         "4f64b79093014d80503065e4008e970c"),
+    ("small_alpha", 1e-4): ("0.2975871179570049", "0.14009683997317174",
+                            "a2d8209ef4950cecd1d2d553040be851"),
+}
+_P1_PINS = {"default": "0.7972140659069855", "small_alpha": "0.9215586427100384"}
+_BOUNDARY_TAIL_PINS = {1.0: "-2.215885044843137", 2.2: "-2.6699124478843332",
+                       5.0: "-3.875350702431279", 11.0: "-5.820171614559604",
+                       23.0: "-9.272756027564146"}
+
+
+@pytest.mark.parametrize("pair, tol", sorted(_SIGMA_PINS))
+def test_sigma_and_its_lag_table_keep_their_bits(pair, tol):
+    measure._TABLES.clear()
+    stats = sigma(_PAIRS[pair], tol)
+    table = measure._lags(_PAIRS[pair], tol, True)
+    got = (repr(stats.sigma), repr(stats.second_moment_jump), _md5(table))
+    assert got == _SIGMA_PINS[pair, tol]
+
+
+@pytest.mark.parametrize("pair", sorted(_P1_PINS))
+def test_p1_keeps_its_bits(pair):
+    measure._TABLES.clear()
+    assert repr(p1(_PAIRS[pair])) == _P1_PINS[pair]
+
+
+def test_boundary_tails_keep_their_bits():
+    got = {x: repr(measure.boundary_tail_exact(DEFAULT, 1000, x)) for x in _BOUNDARY_TAIL_PINS}
+    assert got == _BOUNDARY_TAIL_PINS
 
 
 # ---------------------------------------------------------------- level walk
