@@ -276,15 +276,18 @@ class IntervalAlias:
 
 
 def _vose_tables(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vose alias construction; w must sum to 1."""
+    """Vose alias construction; w must sum to 1.  The pairing loop runs on
+    Python lists of floats, the same doubles a float64 array would hold, and
+    the tables become arrays once at the end.  A column never paired (left
+    in either list) keeps accept 1 and its own index as alias."""
     k = w.size
     scaled = w * k
-    accept = np.ones(k)
-    alias = np.arange(k, dtype=np.int64)
     small = np.flatnonzero((scaled > 0.0) & (scaled < 1.0)).tolist()
-    small += np.flatnonzero(scaled == 0.0).tolist()  # popped first: leftovers get accept 1
+    small += np.flatnonzero(scaled == 0.0).tolist()  # popped first
     large = np.flatnonzero(scaled >= 1.0).tolist()
-    scaled = scaled.copy()
+    scaled = scaled.tolist()
+    accept = [1.0] * k
+    alias = list(range(k))
     while small and large:
         s = small.pop()
         g = large.pop()
@@ -292,9 +295,7 @@ def _vose_tables(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         alias[s] = g
         scaled[g] = scaled[g] - (1.0 - scaled[s])
         (small if scaled[g] < 1.0 else large).append(g)
-    for i in small + large:
-        accept[i] = 1.0
-    return accept, alias
+    return np.array(accept), np.array(alias, dtype=np.int64)
 
 
 def interval_alias(params: Params) -> IntervalAlias:

@@ -1,6 +1,7 @@
 import hashlib
 import inspect
 import math
+import types
 
 import mpmath
 import numpy as np
@@ -780,6 +781,17 @@ def test_every_level_gap_lies_below_ln2(alpha, lo, width):
     # (0, 1/2), and beta does not enter the gaps.
     _, gap = _reference_level_log_mu(Params(alpha, 0.0).alpha, lo, lo + width - 1)
     assert (gap > 0.0).all() and (gap < math.log(2.0)).all()
+
+
+@pytest.mark.parametrize("alpha", [0.0, -0.1, math.nan, 1e-306])
+def test_kernel_refuses_a_gap_that_is_not_positive(alpha):
+    # alpha 0 makes every gap 0, a negative one makes them negative, nan
+    # makes them nan, and at 1e-306 the gap near 2^62 underflows to 0: each
+    # is refused rather than read as log mu = -inf or nan
+    fake = types.SimpleNamespace(alpha=alpha)  # Params would refuse three of them
+    lo = (1 << 62) - (1 << 13) if alpha == 1e-306 else 2
+    with pytest.raises(ValueError, match="gap"):
+        _level_log_mu(fake, lo, lo + 99)
 
 
 @pytest.mark.parametrize("alpha", ALPHA_GRID)
