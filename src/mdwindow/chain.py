@@ -276,10 +276,8 @@ class IntervalAlias:
 
 
 def _vose_tables(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vose alias construction; w must sum to 1.  The pairing loop runs on
-    Python lists of floats, the same doubles a float64 array would hold, and
-    the tables become arrays once at the end.  A column never paired (left
-    in either list) keeps accept 1 and its own index as alias."""
+    """Vose alias construction; w must sum to 1.  The pairing runs on lists of
+    Python floats, the same doubles, and an unpaired column keeps accept 1."""
     k = w.size
     scaled = w * k
     small = np.flatnonzero((scaled > 0.0) & (scaled < 1.0)).tolist()

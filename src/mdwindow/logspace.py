@@ -3,9 +3,8 @@
 Everything downstream manipulates probabilities like exp(-n^a) for n up to
 1e12 and beyond, where the interesting quantities are differences of nearly
 equal exponentials.  The helpers here keep full relative precision in the
-regimes where naive evaluation underflows or cancels.  They serve the
-scalar `measure.log_mu`; the level kernel `measure._level_log_mu` writes
-the same formula over arrays.
+regimes where naive evaluation underflows or cancels, for the scalar
+`measure.log_mu`; its level kernel writes the same formula over arrays.
 """
 
 from __future__ import annotations

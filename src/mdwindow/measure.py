@@ -238,22 +238,25 @@ def log_mu(params: Params, n: int) -> float:
 
 
 def _level_log_mu(params: Params, lo: int, hi: int) -> np.ndarray:
-    """log mu_n for n = lo..hi (inclusive), lo >= 2, as `log_mu` reads it:
-    -(n-1)^a + log1mexp(power_gap(n, a)) - log(n-1), on one power per level.
-
-    The levels lo-1..hi are converted to float once, x^a taken once, and
-    (n-1)^a, n^a are its two shifted views.  At levels >= 2 the gap
-    n^a - (n-1)^a is at most 2^a - 1 < sqrt(2) - 1 < ln 2 for a < 1/2, so
-    log(1 - e^-gap) is log(-expm1(-gap)), log1mexp's small side, on the whole
-    block.  A gap that is not positive (an exponent outside (0, 1/2), or
-    one below about 1e-304, where the gap underflows) raises ValueError."""
+    """log mu_n for n = lo..hi (inclusive), lo >= 2, bit for bit as `log_mu`
+    reads it, on one power per level: x^a over the levels lo-1..hi gives both
+    (n-1)^a and n^a.  Every gap n^a - (n-1)^a at levels >= 2 is at most
+    2^a - 1 < sqrt(2) - 1 < ln 2 for a < 1/2, so log1mexp(gap) is its small
+    side, log(-expm1(-gap)), throughout.  A gap that is not positive (an
+    exponent outside (0, 1/2), or below about 1e-304: it underflows) raises."""
     a = params.alpha
     x = np.arange(lo - 1, hi + 1, dtype=np.int64).astype(np.float64)
     pw = x ** a
-    gap = -pw[1:] * np.expm1(a * np.log1p(-1.0 / x[1:]))
-    if not gap.min() > 0.0:  # nan too
-        raise ValueError(f"level gaps must be positive, got {gap.min()} at alpha = {a}")
-    return -pw[:-1] + np.log(-np.expm1(-gap)) - np.log(x[:-1])
+    t = np.log1p(-1.0 / x[1:])  # each step below writes over t
+    t *= a
+    np.expm1(t, out=t)
+    t *= pw[1:]  # -gap
+    if not t.max() < 0.0:  # nan too
+        raise ValueError(f"level gaps must be positive, got {-t.max()} at alpha = {a}")
+    np.log(np.negative(np.expm1(t, out=t), out=t), out=t)
+    t -= pw[:-1]
+    t -= np.log(x[:-1])
+    return t
 
 
 def _level_walk(params: Params, block_sum, lo: int, hi: int) -> float:

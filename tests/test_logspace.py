@@ -25,12 +25,6 @@ def test_log1mexp_rejects_nonpositive():
             log1mexp(x)
 
 
-def test_log1mexp_branches_meet_at_ln2():
-    below, above = math.nextafter(math.log(2.0), 0.0), math.log(2.0)
-    for x in (below, above):
-        assert log1mexp(x) == pytest.approx(math.log1p(-math.exp(-x)), rel=1e-15)
-
-
 @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.45])
 def test_power_gap_small_m_exact(alpha):
     for m in [2, 3, 10, 1000]:
