@@ -3,7 +3,14 @@ import math
 import mpmath
 import pytest
 
+from mdwindow import Params
 from mdwindow.logspace import log1mexp, power_gap
+from mdwindow.measure import _level_log_mu
+
+
+def _scalar_log_mu(alpha, n):
+    # log mu_n from the scalar helpers, as `measure.log_mu` composes them
+    return -(float(n - 1) ** alpha) + log1mexp(power_gap(n, alpha)) - math.log(n - 1)
 
 
 def test_log1mexp_matches_direct_in_easy_range():
@@ -23,6 +30,18 @@ def test_log1mexp_rejects_nonpositive():
     for x in (0.0, -2.0):
         with pytest.raises(ValueError):
             log1mexp(x)
+
+
+def test_log1mexp_array_agrees_with_scalar():
+    # the array form of log1mexp is the level kernel's log(-expm1(-gap));
+    # these levels give gaps from about 1e-12 up to 2^alpha - 1 < ln 2, the
+    # only side a level >= 2 reaches (test_measure's
+    # test_every_level_gap_lies_below_ln2)
+    for alpha in (0.1, 0.3, 0.45):
+        for lo in (2, 3, 1000, 10 ** 6, 10 ** 12):
+            block = _level_log_mu(Params(alpha, 0.0), lo, lo + 3)
+            for n, got in zip(range(lo, lo + 4), block.tolist()):
+                assert got == pytest.approx(_scalar_log_mu(alpha, n), rel=1e-14)
 
 
 @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.45])
@@ -50,3 +69,11 @@ def test_power_gap_beyond_two_to_the_53_against_mpmath(alpha, m):
     with mpmath.workdps(60):
         ref = float(mpmath.mpf(m) ** alpha - mpmath.mpf(m - 1) ** alpha)
     assert power_gap(m, alpha) == pytest.approx(ref, rel=1e-14)
+
+
+def test_power_gap_vectorized():
+    # the array form of power_gap is the level kernel's gap, read off one
+    # power per level
+    for m in (2, 5, 10 ** 6, 10 ** 12):
+        [got] = _level_log_mu(Params(0.45, 0.0), m, m).tolist()
+        assert got == pytest.approx(_scalar_log_mu(0.45, m), rel=1e-14)

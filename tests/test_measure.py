@@ -795,15 +795,6 @@ def test_kernel_refuses_a_gap_that_is_not_positive(alpha):
 
 
 @pytest.mark.parametrize("alpha", ALPHA_GRID)
-def test_kernel_agrees_with_scalar_log_mu(alpha):
-    params = Params(alpha, 0.0)
-    for lo in (2, 5, 10 ** 6, 10 ** 12):
-        block = _level_log_mu(params, lo, lo + 3)
-        for n, got in zip(range(lo, lo + 4), block.tolist()):
-            assert got == pytest.approx(log_mu(params, n), rel=1e-14)
-
-
-@pytest.mark.parametrize("alpha", ALPHA_GRID)
 @pytest.mark.parametrize("n", [2 ** 53 + 1, 10 ** 18 + 7, 2 ** 62 + 3])
 def test_kernel_beyond_two_to_the_53_against_mpmath(alpha, n):
     # the levels reach the kernel as int64 and are rounded to float64 once
