@@ -26,7 +26,10 @@ The rule doubles N from 2^10 until that remainder is below the tolerance
 (or past 2^26 levels refuses with PrecisionError).  In absolute mode the
 cut depends only on (alpha, tol, growth) and is kept, and sigma and every
 r(k) read the lag table of their cut, `_lags`, built with one walk over
-the levels.  The one relative series, the tail of S''_n, walks its levels
+the levels.  Past level _RUN_START^2 = 2^16 the table may take each run
+of levels sharing one isqrt in closed form (`_run_bracket`), when the
+remainder plus that bracket's half-width and rounding is below the
+tolerance.  The one relative series, the tail of S''_n, walks its levels
 through `level_series`.  A walk computes mu per block of levels where it
 reads them; exp and log act on each level alone, so a level gets the same
 bits in any block.  Where direct summation cannot reach float resolution
@@ -34,11 +37,12 @@ bits in any block.  Where direct summation cannot reach float resolution
 `small_mass_tail`, built from incomplete gamma functions.
 
 Every per-pair table of the package (the cuts, p_1, the window, the lag
-tables, and the alias, renewal and envelope tables that `chain` and `paths`
-hand it their own build functions for) lives in one store, `_TABLES`.  A read
-of a built table is one dict lookup and a recency stamp, with no lock.  A
-miss builds its key once, however many threads miss it together, and
-never waits on another key's build; a build that raises keeps nothing.
+tables and their run brackets, and the alias, renewal and envelope tables
+that `chain` and `paths` hand it their own build functions for) lives in
+one store, `_TABLES`.  A read of a built table is one dict lookup and a
+recency stamp, with no lock.  A miss builds its key once, however many
+threads miss it together, and never waits on another key's build; a build
+that raises keeps nothing.
 All tables share one byte budget, the least recently read evicted first;
 `clear` empties the store for tests.
 """
@@ -50,6 +54,7 @@ import math
 import threading
 from dataclasses import dataclass
 from operator import index
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -71,6 +76,7 @@ _LEVEL_BLOCK = 1 << 13
 _FIRST_CUT = 1 << 10           # first truncation level a series tries
 _LEVEL_CAP = 1 << 26           # deepest truncation level; beyond it, refuse
 _P1_CUT = 1 << 14              # p_1 sums this far and adds the closed-form tail
+_RUN_START = 1 << 8            # past level _RUN_START^2 a lag table may sum whole isqrt runs
 _GAMMA_TERMS = 8               # powers x^-2 .. x^-8 of 1/(x(x-1)) in the tail
 
 
@@ -460,13 +466,22 @@ def excursion_reward_magnitude(params: Params, tau):
     the reward-carrying ages 1..tau-1 times tau^(-beta).  A length-1
     excursion never leaves the origin and earns nothing.  A length must be
     an integer: a float scalar or an array of a non-integer dtype is
-    refused rather than truncated.
+    refused rather than truncated.  A scalar length is counted exactly at
+    any size (certificate levels pass 2^63); the lengths of a list or an
+    array must fit in int64.
     """
     if np.ndim(tau) == 0:
-        tau = _integer(tau, "interval length")
-    elif (dtype := np.asarray(tau).dtype).kind not in "iu":
-        raise ParameterError(f"interval lengths must be integers, got dtype {dtype}")
-    tau = np.asarray(tau, dtype=np.int64)
+        tau = _integer(tau, "interval length", 1)
+        return _reward_ages(tau, 1, tau - 1) * float(tau) ** -params.beta
+    arr = np.asarray(tau)
+    # a list of Python ints past 2^64 becomes an array of objects
+    if arr.dtype.kind not in "iuO" or (
+            arr.dtype.kind == "O" and not all(type(t) is int for t in arr.flat)):
+        raise ParameterError(f"interval lengths must be integers, got dtype {arr.dtype}")
+    if arr.dtype.kind != "i" and arr.max(initial=0) > np.iinfo(np.int64).max:
+        raise ParameterError("interval lengths in an array must fit in int64; "
+                             "pass a longer one alone, as an int")
+    tau = arr.astype(np.int64)
     if np.any(tau < 1):
         raise ParameterError("interval lengths must be >= 1")
     return _reward_ages(tau, 1, tau - 1) * tau.astype(np.float64) ** (-params.beta)
@@ -484,12 +499,14 @@ def _s_tilde_variance(params: Params, n: int) -> float:
     return MU0 * float(_p_law(params, n - 1) @ (r2 * (n - j)))
 
 
-def _lag_table(params: Params, cut: int) -> np.ndarray:
+def _lag_table(params: Params, cut: int, mid=None) -> np.ndarray:
     """Read-only lag table R of one cut: entry j is
     sum_{s >= j} (s - j + 1) W_s, W_s = sum mu_tau tau^(-2 beta) over the
     levels tau in [s^2, (s+1)^2) n [2, cut], s = 0..isqrt(cut) (W_0 = 0).
     One walk over the levels 2..cut gives W, and two reverse cumulative
-    sums turn it into R, at most 64 KiB at the cap."""
+    sums turn it into R, at most 64 KiB at the cap.  Given the run
+    midpoints `mid` of `_run_bracket`, the walk stops below _RUN_START^2 and
+    the runs from _RUN_START on take their midpoints."""
     runs = np.zeros(math.isqrt(cut) + 1)
     b = params.beta
 
@@ -501,10 +518,50 @@ def _lag_table(params: Params, cut: int) -> np.ndarray:
         runs[s0:s1 + 1] += np.add.reduceat(w, np.maximum(s * s - lo, 0))
         return 0.0
 
-    _level_walk(params, block_sum, 2, cut)
+    if mid is None:
+        _level_walk(params, block_sum, 2, cut)
+    else:
+        _level_walk(params, block_sum, 2, _RUN_START * _RUN_START - 1)
+        runs[_RUN_START:] = mid
     table = np.cumsum(np.cumsum(runs[::-1]))[::-1]
     table.setflags(write=False)
     return table
+
+
+def _run_bracket(params: Params, cut: int) -> SimpleNamespace:
+    """Run weights W_s of `_lag_table` in closed form, for the runs
+    s = _RUN_START..isqrt(cut): the midpoints `mid` and half-widths `hw` of
+    their brackets, and the slack each series takes on when it reads them,
+    `lag_slack` and `sigma_slack`.
+
+    The run s holds the levels A..B, A = s^2, B = min((s+1)^2 - 1, cut), and
+    there the size-biased identity gives D_s = sum (tau - 1) mu_tau =
+    T(A-1) - T(B) exactly, T(n) = exp(-n^alpha), taken without cancellation
+    as T(A-1) (-expm1(-gap)) with gap = B^alpha - (A-1)^alpha =
+    (A-1)^alpha expm1(alpha log1p((B-A+1)/(A-1))).  The rest of the weight,
+    g(tau) = tau^(-2 beta) / (tau - 1), falls across the run, so W_s lies in
+    [g(B) D_s, g(A) D_s]: mid is its midpoint and hw its half-width.  A lag
+    sum_{s>k} (s-k) W_s then moves by at most sum s hw_s, and E X^2 =
+    sum s^2 W_s / mu_0 by sum s^2 hw_s / mu_0.  Each slack adds rounding:
+    a closed form carries at most cut^alpha + 16 ulps, and the sums that
+    gather the runs at most 4 isqrt(cut) more, of a series below 1.2
+    (E X^2 <= sum m mu_m / mu_0 = 2/(e - 1)) or 0.6 (r(0) <= sum sqrt(m)
+    mu_m <= sqrt(2)/e), counted twice so that the slack also bounds the
+    distance to the direct walk of the same cut."""
+    a, b = params.alpha, params.beta
+    s = np.arange(_RUN_START, math.isqrt(cut) + 1, dtype=np.int64)
+    lo = (s * s).astype(np.float64)
+    hi = np.minimum(s * s + 2 * s, cut).astype(np.float64)
+    x = (lo - 1.0) ** a
+    gap = x * np.expm1(a * np.log1p((hi - lo + 1.0) / (lo - 1.0)))
+    d = np.exp(-x) * -np.expm1(-gap)
+    g_lo, g_hi = lo ** (-2.0 * b) / (lo - 1.0), hi ** (-2.0 * b) / (hi - 1.0)
+    hw = 0.5 * d * (g_lo - g_hi)
+    sf = s.astype(np.float64)
+    ulps = 2.0 * (float(cut) ** a + 4.0 * math.isqrt(cut) + 16.0) * 2.0 ** -53
+    return SimpleNamespace(mid=0.5 * d * (g_lo + g_hi), hw=hw,
+                           lag_slack=float(sf @ hw) + 0.6 * ulps,
+                           sigma_slack=float((sf * sf) @ hw) / MU0 + 1.2 * ulps)
 
 
 def _lags(params: Params, tol: float, of_sigma: bool) -> np.ndarray:
@@ -514,11 +571,22 @@ def _lags(params: Params, tol: float, of_sigma: bool) -> np.ndarray:
     and a lag's, (isqrt(tau) - k)^+ tau^(-2 beta), at most tau^(1/2 - 2 beta),
     taken with C = 2 although 1 would do: C sets the cut, and so a change of
     it would move every lag.  The two cuts may differ (at (0.3, 0.05), tol
-    1e-12, sigma's is 2^16 and the lags' 2^15), and each reads its own table."""
-    b = params.beta
+    1e-12, sigma's is 2^16 and the lags' 2^15), and each reads its own table.
+
+    A cut past _RUN_START^2 reads the table whose runs from _RUN_START on are
+    `_run_bracket`'s midpoints, kept under a key that carries the start,
+    when the remainder plus that bracket's slack is below tol (the levels
+    2^16..2^21 of the small-alpha sigma at tol 1e-4 are 1,193 runs);
+    otherwise, and at any cut up to _RUN_START^2, the table of the direct
+    walk, with its bits."""
+    a, b = params.alpha, params.beta
     growth = (1.0 / MU0, 1.0 - 2.0 * b) if of_sigma else (2.0, 0.5 - 2.0 * b)
-    cut = _series_cut(params, tol, growth)[0]
-    return _TABLES.get(("lags", params.alpha, b, cut), _lag_table, params, cut)
+    cut, rem = _series_cut(params, tol, growth)
+    if cut > _RUN_START * _RUN_START:
+        runs = _TABLES.get(("runs", a, b, cut), _run_bracket, params, cut)
+        if rem + (runs.sigma_slack if of_sigma else runs.lag_slack) < tol:
+            return _TABLES.get(("lags", a, b, cut, _RUN_START), _lag_table, params, cut, runs.mid)
+    return _TABLES.get(("lags", a, b, cut), _lag_table, params, cut)
 
 
 def sigma(params: Params, tol: float = 1e-12) -> ProcessStats:
@@ -527,7 +595,9 @@ def sigma(params: Params, tol: float = 1e-12) -> ProcessStats:
 
     A level m carries isqrt(m) rewards of size m^(-beta), so on its lag
     table R, E X^2 = sum_s s^2 W_s / mu_0 = (R_1 + 2 sum_{j>=2} R_j) / mu_0:
-    sigma^2 is r(0) + 2 sum_{k>=1} r(k), read from one table."""
+    sigma^2 is r(0) + 2 sum_{k>=1} r(k), read from one table.  On a table
+    of closed-form runs (`_lags`) the error bound is the remainder plus
+    the runs' slack, which `_lags` holds below tol."""
     table = _lags(params, tol, True)
     m2 = float(table[1] + 2.0 * table[2:].sum()) / MU0
     return ProcessStats(mean_tau=MEAN_TAU, second_moment_jump=m2, sigma=math.sqrt(m2 / MEAN_TAU))
@@ -543,9 +613,11 @@ def autocovariance_exact(params: Params, k: int, tol: float = 1e-12) -> float:
         r(k) = sum_tau mu_tau tau^(-2 beta) (isqrt(tau) - k)^+
              = sum_{s > k} (s - k) W_s,
 
-    entry k + 1 of the lag table of the lags' cut (`_lags`).  One cut serves
-    every lag, since a lag's levels all lie at or above (k+1)^2, so a warm
-    lag is one cut lookup and one array read.  A lag past the table has all
+    entry k + 1 of the lag table of the lags' cut (`_lags`), within tol of
+    the series whether the table walked every level or took the runs past
+    2^16 in closed form.  One cut serves every lag, since a lag's levels
+    all lie at or above (k+1)^2, so a warm lag is one cut lookup and one
+    array read (one more lookup past 2^16).  A lag past the table has all
     its levels beyond the cut and reads 0.0.  The table's terms are
     nonnegative, so r(k) never rises with k.  k must be an integer >= 0.
     """

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import mdwindow
-from mdwindow import Params, params_from_window
+from mdwindow import MU0, Params, measure, params_from_window
 
 # the CLI tests run the package in child processes: point them at the copy
 # these tests import, installed or not
@@ -21,6 +21,20 @@ ALPHA_GRID = (0.1, 0.3, 0.45)
 @pytest.fixture(scope="session")
 def default_params() -> Params:
     return DEFAULT
+
+
+def lag_route(params: Params, tol: float, of_sigma: bool):
+    """(cut, table, direct, slack) of sigma's series (of_sigma) or the lags'
+    at tol: the table `measure._lags` reads, the table of the direct walk to
+    the same cut, and the slack of the run bracket between them, 0.0 where
+    the direct table is the one read.  The direct table is built afresh."""
+    growth = (1.0 / MU0, 1.0 - 2.0 * params.beta) if of_sigma else (2.0, 0.5 - 2.0 * params.beta)
+    cut = measure._series_cut(params, tol, growth)[0]
+    table, direct = measure._lags(params, tol, of_sigma), measure._lag_table(params, cut)
+    if table.tobytes() == direct.tobytes():
+        return cut, table, direct, 0.0
+    runs = measure._run_bracket(params, cut)
+    return cut, table, direct, runs.sigma_slack if of_sigma else runs.lag_slack
 
 
 def three_se(p: float, n: int) -> float:

@@ -62,9 +62,11 @@ def test_measure_imports_only_errors_and_logspace():
 
 
 # measure's level-series internals: the cut rule, the lag table and its
-# accessor, the walk, the one relative series and the level cap
+# accessor, the walk, the one relative series, the level cap, and the run
+# start and run bracket past which a lag table sums whole isqrt runs
 _SERIES_INTERNALS = {"_series_cut", "_doubling_cut", "_cut_remainder", "_lag_table", "_lags",
-                     "_level_walk", "level_series", "_FIRST_CUT", "_LEVEL_CAP"}
+                     "_level_walk", "level_series", "_FIRST_CUT", "_LEVEL_CAP", "_RUN_START",
+                     "_run_bracket"}
 _LEVEL_SUMS = {"autocovariance_exact", "autocovariance_bound", "boundary_tail_exact"}
 
 

@@ -706,7 +706,7 @@ _PINNED_STDOUT = {
                 "0dbbc2e3f4a5da185e473fcdec4b3318"),
     "params": (("params", *_PAIR), "8a890c2ec3c3a469bf541eca52bb6ddc"),
     "params-windows": (("params", "--windows", "0.1:0.15,0.25:0.4", "--tol", "1e-5",
-                        "--format", "json"), "90a19524fe9620e5501754dee5793113"),
+                        "--format", "json"), "3c49fad78e4ca75cc0fea4525a7b609a"),
 }
 
 

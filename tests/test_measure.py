@@ -39,7 +39,7 @@ from mdwindow.measure import (
     small_mass_tail,
 )
 
-from conftest import ALPHA_GRID, DEFAULT, SMALL_ALPHA
+from conftest import ALPHA_GRID, DEFAULT, SMALL_ALPHA, lag_route
 
 
 # ---------------------------------------------------------------- parameters
@@ -526,18 +526,21 @@ def test_second_moment_tolerance_consistency():
 @pytest.mark.parametrize("tol", [1e-4, 1e-8, 1e-12])
 def test_sigma_is_the_long_run_variance_of_its_lag_table(params, tol):
     # sigma^2 = r(0) + 2 sum_{k >= 1} r(k), the r(k) = R_(k+1) of the lag
-    # table at sigma's cut; sigma refuses exactly where that cut does
+    # table sigma reads at its cut, and of the direct walk's table to the
+    # same cut within the run bracket's slack; sigma refuses exactly where
+    # that cut does
     growth = (1.0 / MU0, 1.0 - 2.0 * params.beta)
     try:
-        cut = _series_cut(params, tol, growth)[0]
+        _series_cut(params, tol, growth)
     except PrecisionError as err:
         with pytest.raises(PrecisionError, match=str(err)):
             sigma(params, tol)
         return
-    r = measure._TABLES.get(("lags", params.alpha, params.beta, cut),
-                            measure._lag_table, params, cut)[1:]
-    long_run = math.fsum([r[0], *(2.0 * r[1:])])
-    assert sigma(params, tol).sigma ** 2 == pytest.approx(long_run, rel=1e-13, abs=0.0)
+    _, table, direct, slack = lag_route(params, tol, True)
+    got = sigma(params, tol).sigma ** 2
+    for r, allowed in ((table[1:], 0.0), (direct[1:], slack / MEAN_TAU)):
+        long_run = math.fsum([r[0], *(2.0 * r[1:])])
+        assert abs(got - long_run) <= allowed + 1e-13 * long_run
 
 
 def test_second_moment_is_the_level_sum_over_its_cut():
@@ -553,6 +556,117 @@ def test_second_moment_is_the_level_sum_over_its_cut():
     assert sigma(p, tol).second_moment_jump == pytest.approx(
         math.fsum(terms), rel=1e-13, abs=0.0
     )
+
+
+# ------------------------------------------------------------ run brackets
+
+def _run_sum_mp(params, lo, hi):
+    # sum mu_tau tau^(-2 beta) over the levels lo..hi at 40 digits, mu_tau
+    # from the closed form (T(tau - 1) - T(tau)) / (tau - 1)
+    with mpmath.workdps(40):
+        a, b = mpmath.mpf(params.alpha), mpmath.mpf(params.beta)
+        prev, total = mpmath.exp(-mpmath.mpf(lo - 1) ** a), mpmath.mpf(0)
+        for tau in range(lo, hi + 1):
+            t = mpmath.exp(-mpmath.mpf(tau) ** a)
+            total += (prev - t) / (tau - 1) * mpmath.mpf(tau) ** (-2 * b)
+            prev = t
+        return total
+
+
+# whole runs at s = 256 and 1000, the cut's last run (1448^2..2^21, part of
+# a run) at the small-alpha pair, and a run at the cap's edge at (0.15, 0.3)
+@pytest.mark.parametrize("params, cut, s", [
+    (SMALL_ALPHA, 1 << 21, 256), (SMALL_ALPHA, 1 << 21, 1000), (SMALL_ALPHA, 1 << 21, 1448),
+    (params_from_window(0.15, 0.3), 1 << 26, 8191),
+], ids=["small_alpha-256", "small_alpha-1000", "small_alpha-1448", "window_0.15_0.3-8191"])
+def test_run_bracket_holds_the_run_sum_at_40_digits(params, cut, s):
+    runs = measure._run_bracket(params, cut)
+    i = s - measure._RUN_START
+    mid, hw = runs.mid[i], runs.hw[i]
+    exact = _run_sum_mp(params, s * s, min((s + 1) ** 2 - 1, cut))
+    assert 0.0 < hw < 0.01 * mid
+    assert mid - hw <= exact <= mid + hw
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    alpha=st.floats(0.09, 0.45),
+    beta_share=st.floats(0.0, 0.999),
+    s=st.integers(256, 8191),
+)
+@example(alpha=0.09, beta_share=0.0, s=256)
+@example(alpha=0.45, beta_share=0.999, s=8191)
+def test_run_bracket_holds_the_level_sum(alpha, beta_share, s):
+    # the bracket of run s, the cut's last whole run, contains the sum of
+    # the level kernel's weights over the run, to their rounding (1e-12
+    # relative, and 1e-300 for subnormal weights)
+    params = Params(alpha, beta_share * (0.5 - alpha) / 2.0)
+    lo, hi = s * s, (s + 1) ** 2 - 1
+    runs = measure._run_bracket(params, hi)
+    tau = np.arange(lo, hi + 1, dtype=np.float64)
+    direct = math.fsum(np.exp(_level_log_mu(params, lo, hi)) * tau ** (-2.0 * params.beta))
+    mid, hw = runs.mid[-1], runs.hw[-1]
+    assert abs(direct - mid) <= hw + 1e-12 * mid + 1e-300
+
+
+# the run route at the small-alpha sigma's tols 1e-4 and 1e-5 (cuts 2^21 and
+# 2^26); the direct route where the cut is at most 2^16 ((0.15, 0.3) at
+# 1e-4), where the half-width passes tol ((0.25, 0.1) at 1e-12) and where
+# the rounding term does ((0.3, 0.05) at 1e-13, cut 2^17)
+@pytest.mark.parametrize("params, tol, runs", [
+    (SMALL_ALPHA, 1e-4, True), (SMALL_ALPHA, 1e-5, True),
+    (params_from_window(0.15, 0.3), 1e-4, False), (Params(0.25, 0.1), 1e-12, False),
+    (DEFAULT, 1e-13, False),
+], ids=["small_alpha-1e-4", "small_alpha-1e-5", "window_0.15_0.3-1e-4", "(0.25,0.1)-1e-12",
+        "default-1e-13"])
+def test_second_moment_on_runs_is_within_its_slack_of_the_direct_walk(params, tol, runs):
+    # E X^2 from the table sigma reads against E X^2 from the direct walk's
+    # table at the same cut: within the slack (half-width + rounding) where
+    # the run route is taken, and then remainder + slack < tol; bit for bit
+    # where it is not
+    cut, _, direct, slack = lag_route(params, tol, True)
+    rem = _series_cut(params, tol, (1.0 / MU0, 1.0 - 2.0 * params.beta))[1]
+    got = sigma(params, tol).second_moment_jump
+    want = float(direct[1] + 2.0 * direct[2:].sum()) / MU0
+    fits = (cut > measure._RUN_START ** 2
+            and rem + measure._run_bracket(params, cut).sigma_slack < tol)
+    assert (slack > 0.0) == fits == runs
+    assert abs(got - want) <= slack
+    if not runs:
+        assert got == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    alpha=st.floats(0.05, 0.45),
+    beta_share=st.floats(0.0, 0.999),
+    tol=st.floats(-14.0, -3.0).map(lambda x: 10.0 ** x),
+)
+@example(alpha=SMALL_ALPHA.alpha, beta_share=SMALL_ALPHA.beta / ((0.5 - SMALL_ALPHA.alpha) / 2.0),
+         tol=1e-6)  # sigma refuses, the lags take the run route
+def test_sigma_and_every_lag_refuse_exactly_where_the_cut_does(alpha, beta_share, tol):
+    # with the walks stubbed out (no table keeps their zeros: the store is
+    # cleared after), sigma and the lags 0 and 300 raise the cut rule's
+    # PrecisionError word for word, or nothing, on either route
+    params = Params(alpha, beta_share * (0.5 - alpha) / 2.0)
+    calls = {True: lambda: sigma(params, tol),
+             False: lambda: [measure.autocovariance_exact(params, k, tol) for k in (0, 300)]}
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(measure, "_level_walk", lambda *args: 0.0)
+            for of_sigma, call in calls.items():
+                growth = (1.0 / MU0, 1.0 - 2.0 * params.beta) if of_sigma else (
+                    2.0, 0.5 - 2.0 * params.beta)
+                try:
+                    measure._doubling_cut(alpha, tol, growth, None)
+                except PrecisionError as err:
+                    with pytest.raises(PrecisionError) as got:
+                        call()
+                    assert str(got.value) == str(err)
+                else:
+                    call()
+    finally:
+        measure._TABLES.clear()
 
 
 _INT64_MAX = 2 ** 63 - 1
@@ -593,6 +707,26 @@ def test_reward_magnitude_at_the_top_of_int64():
         3037000499.0, 3037000499.0
     ]
     assert excursion_reward_magnitude(p, top) == 3037000499.0
+
+
+def test_reward_magnitude_past_int64_counts_exactly():
+    # a scalar length takes the exact Python-int count: certificate levels
+    # pass 2^63 (c_n ~ 1.29e19 at the 1e10 golden).  Below 2^63 a scalar
+    # keeps the bits of the int64 route, pinned at 2^62
+    p = Params(0.3, 0.05)
+    for tau in (2 ** 63, 2 ** 64 + 1, 10 ** 30):
+        assert excursion_reward_magnitude(p, tau) == math.isqrt(tau) * float(tau) ** -p.beta
+    for tau in (2 ** 62, _INT64_MAX, 3037000499 ** 2, 9, 2, 1):
+        want = excursion_reward_magnitude(p, np.array([tau]))
+        assert excursion_reward_magnitude(p, tau) == want.item()
+    assert repr(excursion_reward_magnitude(p, 2 ** 62)) == "250459136.546227"
+
+
+@pytest.mark.parametrize("taus", [[2 ** 63], np.array([2 ** 63], dtype=np.uint64), [10 ** 30],
+                                  [1, 2 ** 64 + 1]], ids=["list", "uint64", "object", "mixed"])
+def test_reward_magnitude_refuses_arrays_past_int64(taus):
+    with pytest.raises(ParameterError, match="int64"):
+        excursion_reward_magnitude(Params(0.3, 0.05), taus)
 
 
 def test_reward_magnitude_refuses_non_integral_lengths():
@@ -836,9 +970,12 @@ def test_kernel_blocks_keep_their_bits(pair, lo):
 _SIGMA_PINS = {
     ("default", 1e-12): ("0.5165869770162923", "0.42216963377583966",
                          "4f64b79093014d80503065e4008e970c"),
-    ("small_alpha", 1e-4): ("0.2975871179570049", "0.14009683997317174",
-                            "a2d8209ef4950cecd1d2d553040be851"),
+    ("small_alpha", 1e-4): ("0.2975871199588762", "0.14009684185803725",
+                            "c936eaeaa01ec6a8c6e81e3a6b56108c"),
 }
+# the direct walk's lag table at the small-alpha sigma's cut, 2^21 levels,
+# and the E X^2 it gives: the run route replaced it at tol 1e-4
+_DIRECT_TABLE_PIN = ("0.14009683997317174", "a2d8209ef4950cecd1d2d553040be851")
 _P1_PINS = {"default": "0.7972140659069855", "small_alpha": "0.9215586427100384"}
 _BOUNDARY_TAIL_PINS = {1.0: "-2.215885044843137", 2.2: "-2.6699124478843332",
                        5.0: "-3.875350702431279", 11.0: "-5.820171614559604",
@@ -852,6 +989,12 @@ def test_sigma_and_its_lag_table_keep_their_bits(pair, tol):
     table = measure._lags(_PAIRS[pair], tol, True)
     got = (repr(stats.sigma), repr(stats.second_moment_jump), _md5(table))
     assert got == _SIGMA_PINS[pair, tol]
+
+
+def test_the_direct_lag_table_keeps_its_bits():
+    table = measure._lag_table(SMALL_ALPHA, 1 << 21)
+    m2 = float(table[1] + 2.0 * table[2:].sum()) / MU0
+    assert (repr(m2), _md5(table)) == _DIRECT_TABLE_PIN
 
 
 @pytest.mark.parametrize("pair", sorted(_P1_PINS))

@@ -38,7 +38,7 @@ from mdwindow import (
 from mdwindow import measure, oracles
 from mdwindow.oracles import conditioned_dprime_exceedance
 
-from conftest import DEFAULT, three_se
+from conftest import DEFAULT, lag_route, three_se
 
 GOLDEN = Path(__file__).parent / "golden" / "certificates.json"
 N_GRID = (10 ** 6, 10 ** 8, 10 ** 10, 10 ** 12)
@@ -661,22 +661,29 @@ def _level_terms(params, k, lo, hi):
 @pytest.mark.parametrize("params", SWEEP_PAIRS)
 @pytest.mark.parametrize("tol", [1e-6, 1e-12])
 def test_autocovariance_matches_fsum_over_its_levels(monkeypatch, params, tol):
-    # r(k) from the lag table against a correctly rounded sum over the same
-    # levels (k+1)^2..cut; a lag whose levels all lie past the cut reads
-    # 0.0.  At DEFAULT, tol 1e-12, that is lag 200 of these
+    # r(k) from the direct walk's lag table against a correctly rounded sum
+    # over the same levels (k+1)^2..cut, and the lag read within the run
+    # bracket's slack of it (bit for bit on the direct route: at (0.25,
+    # 0.1), tol 1e-12, the lags' cut is 2^19 and the runs are read); a lag
+    # whose levels all lie past the cut reads 0.0.  At DEFAULT, tol 1e-12,
+    # that is lag 200 of these
+    cut, _, direct, slack = lag_route(params, tol, False)
+    assert (slack > 0.0) == ((params, tol) == (Params(0.25, 0.1), 1e-12))
     cuts, past = _spy_cuts(monkeypatch), []
     for k in (0, 1, 7, 60, 150, 174, 180, 200):
         got = autocovariance_exact(params, k, tol)
-        (_, cut), = cuts
+        assert cuts == [(params, cut)]
         cuts.clear()
         start = max((k + 1) ** 2, 2)
         if start > cut:
             past.append(k)
             assert got == 0.0
         else:
-            assert got == pytest.approx(
+            want = direct.item(k + 1)
+            assert want == pytest.approx(
                 math.fsum(_level_terms(params, k, start, cut)), rel=1e-13, abs=0.0
             )
+            assert abs(got - want) <= slack
     if (params, tol) == (DEFAULT, 1e-12):
         assert past == [200]
 
@@ -754,7 +761,8 @@ def test_a_numpy_integer_lag_is_a_lag():
 
 def test_cold_lag_sweep_walks_the_levels_once_per_cut(monkeypatch):
     # every lag reads the run sums of its (pair, cut), walked once over
-    # 2..cut: one walk per pair and tolerance
+    # 2..cut, or over 2..2^16 - 1 where the runs past it are read from their
+    # bracket ((0.25, 0.1) at tol 1e-12): one walk per pair and tolerance
     walks, walk = [], measure._level_walk
 
     def spy(params, block_sum, lo, hi):
@@ -768,9 +776,16 @@ def test_cold_lag_sweep_walks_the_levels_once_per_cut(monkeypatch):
         for tol in (1e-6, 1e-12):
             for k in range(201):
                 autocovariance_exact(params, k, tol)
-    walked = {(params, 2, cut) for params, cut in cuts}
+    start = measure._RUN_START
+
+    def top(params, cut):
+        runs = ("lags", params.alpha, params.beta, cut, start) in measure._TABLES._tables
+        return start * start - 1 if runs else cut
+
+    walked = {(params, 2, top(params, cut)) for params, cut in cuts}
     assert len(walks) == len(walked) == 6
     assert set(walks) == walked
+    assert (Params(0.25, 0.1), 2, start * start - 1) in walked
 
 
 def test_threads_on_a_cold_run_sum_cache_agree():
