@@ -26,8 +26,8 @@ The rule doubles N from 2^10 until that remainder is below the tolerance
 (or past 2^26 levels refuses with PrecisionError).  In absolute mode the
 cut depends only on (alpha, tol, growth) and is kept, and sigma and every
 r(k) read the lag table of their cut, `_lags`, built with one walk over
-the levels.  Past level _RUN_START^2 = 2^16 the table may take each run
-of levels sharing one isqrt in closed form (`_run_bracket`), when the
+the levels.  Past level _RUN_START = 2^16 the table may take each run of
+levels sharing one isqrt in closed form (`_run_bracket`), when the
 remainder plus that bracket's half-width and rounding is below the
 tolerance.  The one relative series, the tail of S''_n, walks its levels
 through `level_series`.  A walk computes mu per block of levels where it
@@ -76,7 +76,7 @@ _LEVEL_BLOCK = 1 << 13
 _FIRST_CUT = 1 << 10           # first truncation level a series tries
 _LEVEL_CAP = 1 << 26           # deepest truncation level; beyond it, refuse
 _P1_CUT = 1 << 14              # p_1 sums this far and adds the closed-form tail
-_RUN_START = 1 << 8            # past level _RUN_START^2 a lag table may sum whole isqrt runs
+_RUN_START = 1 << 16           # past this level a lag table may sum isqrt runs in closed form
 _GAMMA_TERMS = 8               # powers x^-2 .. x^-8 of 1/(x(x-1)) in the tail
 
 
@@ -473,15 +473,12 @@ def excursion_reward_magnitude(params: Params, tau):
     if np.ndim(tau) == 0:
         tau = _integer(tau, "interval length", 1)
         return _reward_ages(tau, 1, tau - 1) * float(tau) ** -params.beta
-    arr = np.asarray(tau)
-    # a list of Python ints past 2^64 becomes an array of objects
-    if arr.dtype.kind not in "iuO" or (
-            arr.dtype.kind == "O" and not all(type(t) is int for t in arr.flat)):
-        raise ParameterError(f"interval lengths must be integers, got dtype {arr.dtype}")
-    if arr.dtype.kind != "i" and arr.max(initial=0) > np.iinfo(np.int64).max:
-        raise ParameterError("interval lengths in an array must fit in int64; "
-                             "pass a longer one alone, as an int")
-    tau = arr.astype(np.int64)
+    tau = np.asarray(tau)
+    # a list of ints past 2^63 reads as uint64, and past 2^64 as objects
+    if tau.dtype.kind not in "iu" or tau.dtype == np.uint64 and tau.max(initial=0) >= 1 << 63:
+        raise ParameterError("interval lengths in an array must be integers that fit in "
+                             f"int64 (pass a longer one alone), got dtype {tau.dtype}")
+    tau = tau.astype(np.int64)
     if np.any(tau < 1):
         raise ParameterError("interval lengths must be >= 1")
     return _reward_ages(tau, 1, tau - 1) * tau.astype(np.float64) ** (-params.beta)
@@ -505,8 +502,8 @@ def _lag_table(params: Params, cut: int, mid=None) -> np.ndarray:
     levels tau in [s^2, (s+1)^2) n [2, cut], s = 0..isqrt(cut) (W_0 = 0).
     One walk over the levels 2..cut gives W, and two reverse cumulative
     sums turn it into R, at most 64 KiB at the cap.  Given the run
-    midpoints `mid` of `_run_bracket`, the walk stops below _RUN_START^2 and
-    the runs from _RUN_START on take their midpoints."""
+    midpoints `mid` of `_run_bracket`, the walk stops below _RUN_START and
+    the runs from isqrt(_RUN_START) on take their midpoints."""
     runs = np.zeros(math.isqrt(cut) + 1)
     b = params.beta
 
@@ -521,8 +518,8 @@ def _lag_table(params: Params, cut: int, mid=None) -> np.ndarray:
     if mid is None:
         _level_walk(params, block_sum, 2, cut)
     else:
-        _level_walk(params, block_sum, 2, _RUN_START * _RUN_START - 1)
-        runs[_RUN_START:] = mid
+        _level_walk(params, block_sum, 2, _RUN_START - 1)
+        runs[-mid.size:] = mid
     table = np.cumsum(np.cumsum(runs[::-1]))[::-1]
     table.setflags(write=False)
     return table
@@ -530,9 +527,9 @@ def _lag_table(params: Params, cut: int, mid=None) -> np.ndarray:
 
 def _run_bracket(params: Params, cut: int) -> SimpleNamespace:
     """Run weights W_s of `_lag_table` in closed form, for the runs
-    s = _RUN_START..isqrt(cut): the midpoints `mid` and half-widths `hw` of
-    their brackets, and the slack each series takes on when it reads them,
-    `lag_slack` and `sigma_slack`.
+    s = isqrt(_RUN_START)..isqrt(cut): the midpoints `mid` and half-widths
+    `hw` of their brackets, and the slack each series takes on when it reads
+    them, `lag_slack` and `sigma_slack`.
 
     The run s holds the levels A..B, A = s^2, B = min((s+1)^2 - 1, cut), and
     there the size-biased identity gives D_s = sum (tau - 1) mu_tau =
@@ -549,7 +546,7 @@ def _run_bracket(params: Params, cut: int) -> SimpleNamespace:
     mu_m <= sqrt(2)/e), counted twice so that the slack also bounds the
     distance to the direct walk of the same cut."""
     a, b = params.alpha, params.beta
-    s = np.arange(_RUN_START, math.isqrt(cut) + 1, dtype=np.int64)
+    s = np.arange(math.isqrt(_RUN_START), math.isqrt(cut) + 1, dtype=np.int64)
     lo = (s * s).astype(np.float64)
     hi = np.minimum(s * s + 2 * s, cut).astype(np.float64)
     x = (lo - 1.0) ** a
@@ -573,20 +570,21 @@ def _lags(params: Params, tol: float, of_sigma: bool) -> np.ndarray:
     it would move every lag.  The two cuts may differ (at (0.3, 0.05), tol
     1e-12, sigma's is 2^16 and the lags' 2^15), and each reads its own table.
 
-    A cut past _RUN_START^2 reads the table whose runs from _RUN_START on are
+    A cut past _RUN_START reads the table whose runs past _RUN_START are
     `_run_bracket`'s midpoints, kept under a key that carries the start,
     when the remainder plus that bracket's slack is below tol (the levels
     2^16..2^21 of the small-alpha sigma at tol 1e-4 are 1,193 runs);
-    otherwise, and at any cut up to _RUN_START^2, the table of the direct
+    otherwise, and at any cut up to _RUN_START, the table of the direct
     walk, with its bits."""
-    a, b = params.alpha, params.beta
+    b = params.beta
     growth = (1.0 / MU0, 1.0 - 2.0 * b) if of_sigma else (2.0, 0.5 - 2.0 * b)
     cut, rem = _series_cut(params, tol, growth)
-    if cut > _RUN_START * _RUN_START:
-        runs = _TABLES.get(("runs", a, b, cut), _run_bracket, params, cut)
+    if cut > _RUN_START:
+        runs = _TABLES.get(("runs", params.alpha, b, cut), _run_bracket, params, cut)
         if rem + (runs.sigma_slack if of_sigma else runs.lag_slack) < tol:
-            return _TABLES.get(("lags", a, b, cut, _RUN_START), _lag_table, params, cut, runs.mid)
-    return _TABLES.get(("lags", a, b, cut), _lag_table, params, cut)
+            key = ("lags", params.alpha, b, cut, _RUN_START)
+            return _TABLES.get(key, _lag_table, params, cut, runs.mid)
+    return _TABLES.get(("lags", params.alpha, b, cut), _lag_table, params, cut)
 
 
 def sigma(params: Params, tol: float = 1e-12) -> ProcessStats:

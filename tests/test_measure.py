@@ -581,7 +581,7 @@ def _run_sum_mp(params, lo, hi):
 ], ids=["small_alpha-256", "small_alpha-1000", "small_alpha-1448", "window_0.15_0.3-8191"])
 def test_run_bracket_holds_the_run_sum_at_40_digits(params, cut, s):
     runs = measure._run_bracket(params, cut)
-    i = s - measure._RUN_START
+    i = s - math.isqrt(measure._RUN_START)
     mid, hw = runs.mid[i], runs.hw[i]
     exact = _run_sum_mp(params, s * s, min((s + 1) ** 2 - 1, cut))
     assert 0.0 < hw < 0.01 * mid
@@ -628,7 +628,7 @@ def test_second_moment_on_runs_is_within_its_slack_of_the_direct_walk(params, to
     rem = _series_cut(params, tol, (1.0 / MU0, 1.0 - 2.0 * params.beta))[1]
     got = sigma(params, tol).second_moment_jump
     want = float(direct[1] + 2.0 * direct[2:].sum()) / MU0
-    fits = (cut > measure._RUN_START ** 2
+    fits = (cut > measure._RUN_START
             and rem + measure._run_bracket(params, cut).sigma_slack < tol)
     assert (slack > 0.0) == fits == runs
     assert abs(got - want) <= slack
@@ -658,7 +658,7 @@ def test_sigma_and_every_lag_refuse_exactly_where_the_cut_does(alpha, beta_share
                 growth = (1.0 / MU0, 1.0 - 2.0 * params.beta) if of_sigma else (
                     2.0, 0.5 - 2.0 * params.beta)
                 try:
-                    measure._doubling_cut(alpha, tol, growth, None)
+                    _series_cut(params, tol, growth)
                 except PrecisionError as err:
                     with pytest.raises(PrecisionError) as got:
                         call()

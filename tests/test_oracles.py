@@ -780,12 +780,12 @@ def test_cold_lag_sweep_walks_the_levels_once_per_cut(monkeypatch):
 
     def top(params, cut):
         runs = ("lags", params.alpha, params.beta, cut, start) in measure._TABLES._tables
-        return start * start - 1 if runs else cut
+        return start - 1 if runs else cut
 
     walked = {(params, 2, top(params, cut)) for params, cut in cuts}
     assert len(walks) == len(walked) == 6
     assert set(walks) == walked
-    assert (Params(0.25, 0.1), 2, start * start - 1) in walked
+    assert (Params(0.25, 0.1), 2, start - 1) in walked
 
 
 def test_threads_on_a_cold_run_sum_cache_agree():
