@@ -276,24 +276,49 @@ class IntervalAlias:
 
 
 def _vose_tables(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vose alias construction; w must sum to 1.  The pairing runs on lists of
-    Python floats, the same doubles, and an unpaired column keeps accept 1."""
+    """Vose alias construction; w must sum to 1, and an unpaired column
+    keeps accept 1.  The stack pairing (pop a small and a large column, give
+    the small one's deficit 1 - w_s k to the large one, push that back on the
+    stack its new weight names) runs one large column at a time, last first:
+    it absorbs the last large column to fall below 1, then the next smalls in
+    pop order until its own weight falls below 1.  One cumulative sum per
+    large column takes that run, from the same doubles in the same order as
+    the stack's subtractions, so the tables keep their bits."""
     k = w.size
     scaled = w * k
-    small = np.flatnonzero((scaled > 0.0) & (scaled < 1.0)).tolist()
-    small += np.flatnonzero(scaled == 0.0).tolist()  # popped first
-    large = np.flatnonzero(scaled >= 1.0).tolist()
-    scaled = scaled.tolist()
-    accept = [1.0] * k
-    alias = list(range(k))
-    while small and large:
-        s = small.pop()
-        g = large.pop()
-        accept[s] = scaled[s]
-        alias[s] = g
-        scaled[g] = scaled[g] - (1.0 - scaled[s])
-        (small if scaled[g] < 1.0 else large).append(g)
-    return np.array(accept), np.array(alias, dtype=np.int64)
+    small = np.concatenate((np.flatnonzero((scaled > 0.0) & (scaled < 1.0)),
+                            np.flatnonzero(scaled == 0.0)))[::-1]  # pop order: zeros first
+    deficit = 1.0 - scaled.take(small)
+    ahead = np.cumsum(deficit)  # where each run ends, up to rounding
+    accept, alias = np.ones(k), np.arange(k)
+    at, retired = 0, None  # the next small, and the large column that fell below 1
+    for g in np.flatnonzero(scaled >= 1.0)[::-1].tolist():
+        v = float(scaled[g])
+        if retired is not None:
+            r, rv = retired
+            accept[r], alias[r] = rv, g
+            v = v - (1.0 - rv)
+            if v < 1.0:
+                retired = (g, v)
+                continue
+        if at == small.size:
+            break
+        # the run ends where the deficits first exceed v - 1; compute it from
+        # a little past the estimate, and from all the rest if it ends later
+        reach = int(np.searchsorted(ahead, (ahead[at - 1] if at else 0.0) + (v - 1.0)))
+        for end in (min(reach + 3, small.size), small.size):
+            run = np.cumsum(np.append(v, -deficit[at:end]))
+            below = np.flatnonzero(run < 1.0)
+            if below.size or end == small.size:
+                break
+        n = int(below[0]) if below.size else run.size - 1
+        s = small[at:at + n]
+        accept[s], alias[s] = scaled.take(s), g
+        at += n
+        if not below.size:  # the smalls ran out first: g keeps accept 1
+            break
+        retired = (g, float(run[n]))
+    return accept, alias
 
 
 def interval_alias(params: Params) -> IntervalAlias:

@@ -25,18 +25,13 @@ import sys
 
 import numpy as np
 
-from .chain import RngStream
-from .composite import build_composite
+# what every command reads; each command imports the rest where it uses it,
+# so a cold `params` loads no sampler or oracle
 from .errors import BracketEmptyError, ParameterError, PrecisionError
 from .measure import (
     MEAN_TAU, MU0, Params, WindowSet, autocovariance_bound, autocovariance_exact, p1,
     params_from_window, sigma, window_from_params,
 )
-from .oracles import (
-    RateQuery, _run_blocks, case1_upper, case2_certificate, gaussian_reference, mc_tail_curve,
-    predicted_rate,
-)
-from .paths import _RENEWAL_CAP, generate_path, iter_sums
 
 SEED_ENV = "MDWINDOW_SEED"
 
@@ -236,6 +231,8 @@ def cmd_params(cfg: dict) -> tuple[list, list]:
         params = Params(cfg["alpha"], cfg["beta"])
         comps, combined = [(params, sigma(params, tol))], None
     else:
+        from .composite import build_composite
+
         composite = build_composite(WindowSet(cfg["windows"]), tol)
         comps, combined = composite.components, composite.combined_sigma
     header = ["component", "alpha", "beta", "u", "v", "mu_origin", "mean_interval", "p1", "sigma"]
@@ -254,6 +251,8 @@ def cmd_params(cfg: dict) -> tuple[list, list]:
 def _within_mc_cap(field: str, n: int, hint: str = "") -> None:
     """Refuse a Monte Carlo horizon beyond the renewal table's cap, before
     any path is drawn."""
+    from .paths import _RENEWAL_CAP
+
     if n > _RENEWAL_CAP:
         raise ParameterError(
             f"{field}: horizon {n} is beyond the Monte Carlo cap 2^24 = {_RENEWAL_CAP}{hint}"
@@ -261,6 +260,10 @@ def _within_mc_cap(field: str, n: int, hint: str = "") -> None:
 
 
 def cmd_simulate(cfg: dict) -> tuple[list, list]:
+    from .chain import RngStream
+    from .oracles import _run_blocks
+    from .paths import iter_sums
+
     if cfg["n"] is None or not cfg["reps"]:
         raise ParameterError("n/reps: both are required for simulate")
     _within_mc_cap("n", cfg["n"])
@@ -272,14 +275,18 @@ def cmd_simulate(cfg: dict) -> tuple[list, list]:
     return header, [np.concatenate([chunk[k] for chunk in chunks]).tolist() for k in header]
 
 
-# the certificate of each regime `WindowSet.locate` names, by row kind
-_CERTIFICATES = {"inside": ("case2_lower", case2_certificate),
-                 "below": ("case1_upper", case1_upper)}
-
-
 def cmd_rates(cfg: dict) -> tuple[list, list]:
     """Per (n, gamma): the reference row, the certificate row of gamma's regime
     in the pair's own window, and an mc row when reps > 0."""
+    from .chain import RngStream
+    from .oracles import (
+        RateQuery, case1_upper, case2_certificate, gaussian_reference, mc_tail_curve,
+        predicted_rate,
+    )
+
+    # the certificate of each regime `WindowSet.locate` names, by row kind
+    certificates = {"inside": ("case2_lower", case2_certificate),
+                    "below": ("case1_upper", case1_upper)}
     if not cfg["n_grid"] or not cfg["gamma_grid"]:
         raise ParameterError("n_grid/gamma_grid: both are required for rates")
     if cfg["reps"]:
@@ -309,8 +316,8 @@ def cmd_rates(cfg: dict) -> tuple[list, list]:
                         "" if predicted is None else predicted, note]
 
             rows.append(row("gaussian_reference", rate=reference))
-            if where in _CERTIFICATES:
-                kind, certify = _CERTIFICATES[where]
+            if where in certificates:
+                kind, certify = certificates[where]
                 try:
                     cert = certify(params, query)
                 except BracketEmptyError as exc:
@@ -331,6 +338,9 @@ def cmd_rates(cfg: dict) -> tuple[list, list]:
 
 
 def cmd_autocov(cfg: dict) -> tuple[list, list]:
+    from .chain import RngStream
+    from .paths import generate_path
+
     params = _component(cfg, "autocov")
     k_max, length = cfg["k_max"], cfg["length"]
     # at least 100 products per lag, one for each batch of its standard error

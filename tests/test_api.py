@@ -2,7 +2,10 @@
 
 import ast
 import importlib
+import json
 import pkgutil
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -28,12 +31,49 @@ def test_all_entries_resolve():
 
 
 def test_all_equals_the_public_names():
+    # names load on first use, so resolve every one before reading the namespace
+    for name in mdwindow.__all__:
+        getattr(mdwindow, name)
     assert set(mdwindow.__all__) == _public_names()
 
 
 def test_public_name_count():
     # the size of the public API; change it only with a deliberate API change
     assert len(mdwindow.__all__) == 45
+
+
+def _fresh(code: str):
+    """What `code` prints as JSON when run in a fresh interpreter."""
+    res = subprocess.run([sys.executable, "-c", "import json, sys\n" + code],
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    return json.loads(res.stdout)
+
+
+def test_import_loads_no_submodule():
+    code = "import mdwindow\nprint(json.dumps([m for m in sys.modules if m.startswith('mdwindow')]))"
+    assert _fresh(code) == ["mdwindow"]
+
+
+def test_submodules_resolve_after_a_plain_import():
+    code = ("import mdwindow\n"
+            "print(json.dumps([mdwindow.paths.__name__, mdwindow.cli.__name__, dir(mdwindow)]))")
+    paths, cli, listed = _fresh(code)
+    assert (paths, cli) == ("mdwindow.paths", "mdwindow.cli")
+    assert set(mdwindow.__all__) <= set(listed)
+    assert set(mdwindow._SUBMODULES) == {info.name for info in pkgutil.iter_modules(mdwindow.__path__)}
+
+
+def test_star_import_binds_exactly_all():
+    code = ("names = {}\nexec('from mdwindow import *', names)\n"
+            "print(json.dumps(sorted(set(names) - {'__builtins__'})))")
+    assert _fresh(code) == sorted(mdwindow.__all__)
+
+
+def test_an_unknown_name_raises_an_attribute_error_naming_the_package():
+    code = ("import mdwindow\ntry:\n    mdwindow.no_such_name\n"
+            "except AttributeError as exc:\n    print(json.dumps(str(exc)))")
+    assert _fresh(code) == "module 'mdwindow' has no attribute 'no_such_name'"
 
 
 def _package_imports(path: Path, names: bool = False) -> set:

@@ -49,6 +49,34 @@ def test_cli_import_loads_no_numpy_random_or_statistics():
     assert res.stdout.strip() == "[]"
 
 
+def _loaded_modules(code: str) -> set:
+    """The package's modules loaded after `code` runs in a fresh interpreter,
+    its stdout set aside."""
+    code = ("import contextlib, io, sys\nwith contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    {code}\nprint(' '.join(m for m in sys.modules if m.startswith('mdwindow')))")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    return set(res.stdout.split())
+
+
+def test_cli_import_loads_only_what_every_command_reads():
+    assert _loaded_modules("import mdwindow.cli") == {
+        "mdwindow", "mdwindow.cli", "mdwindow.errors", "mdwindow.logspace", "mdwindow.measure"}
+
+
+@pytest.mark.parametrize("args, composite", [
+    (["--alpha", "0.3", "--beta", "0.05"], False),
+    (["--windows", "0.25:0.4"], True),
+])
+def test_params_loads_no_sampler_or_oracle(args, composite):
+    loaded = _loaded_modules(f"import mdwindow.cli; mdwindow.cli.main(['params', *{args!r}])")
+    samplers = {f"mdwindow.{m}" for m in ("chain", "paths", "oracles", "composite")}
+    if composite:  # the composite's sigmas come from build_composite
+        assert "mdwindow.composite" in loaded and "mdwindow.oracles" not in loaded
+    else:
+        assert loaded & samplers == set()
+
+
 # -------------------------------------------------------------------- params
 
 def test_params_basic_output():
@@ -286,7 +314,7 @@ def test_rates_csv_gamma_reads_back_as_given(capsys):
 
 
 def test_rates_refuses_monte_carlo_beyond_the_renewal_cap(capsys, monkeypatch):
-    from mdwindow import cli
+    from mdwindow import cli, oracles
     from mdwindow.paths import _RENEWAL_CAP
 
     def no_mc(*args, **kwargs):
@@ -296,7 +324,7 @@ def test_rates_refuses_monte_carlo_beyond_the_renewal_cap(capsys, monkeypatch):
         return cli.main(["rates", *_PAIR, "--n-grid", n_grid, "--gamma-grid", "0.15,0.3",
                          "--c", "0.2", *extra])
 
-    monkeypatch.setattr(cli, "mc_tail_curve", no_mc)
+    monkeypatch.setattr(oracles, "mc_tail_curve", no_mc)
     assert rates(f"200,{_RENEWAL_CAP + 1},400", "--reps", "2000", "--shards", "2") == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: n_grid: ")
@@ -308,13 +336,13 @@ def test_rates_refuses_monte_carlo_beyond_the_renewal_cap(capsys, monkeypatch):
 
 @pytest.mark.parametrize("n", ["16777217", "1e19"])  # 2^24 + 1, and past int64
 def test_simulate_refuses_a_horizon_beyond_the_monte_carlo_cap(n, capsys, monkeypatch):
-    from mdwindow import cli
+    from mdwindow import cli, paths
     from mdwindow.paths import _RENEWAL_CAP
 
     def no_mc(*args, **kwargs):
         raise AssertionError("simulation ran before the horizon check")
 
-    monkeypatch.setattr(cli, "iter_sums", no_mc)
+    monkeypatch.setattr(paths, "iter_sums", no_mc)
     assert cli.main(["simulate", *_PAIR, "--n", n, "--reps", "1"]) == 2
     out, err = capsys.readouterr()
     horizon = int(float(n))
@@ -601,12 +629,12 @@ _BIG_SIM = ("simulate", *_PAIR, "--n", "20", "--reps", "140000")
 
 def _engine_fails(monkeypatch, exc):
     # the Monte Carlo runner raises if reached
-    from mdwindow import cli
+    from mdwindow import cli, oracles
 
     def run_blocks(*args):
         raise exc
 
-    monkeypatch.setattr(cli, "_run_blocks", run_blocks)
+    monkeypatch.setattr(oracles, "_run_blocks", run_blocks)
     return cli
 
 
