@@ -1179,3 +1179,44 @@ def test_threads_build_p1_and_the_window_once():
         sys.setswitchinterval(interval)
     assert measure._TABLES.misses == before + 2
     assert all(g[0] == got[0][0] and g[1] is got[0][1] for g in got)
+
+
+def test_a_build_may_read_another_table_on_its_own_thread():
+    # the alias table reads p1 and the envelope the renewal table while they
+    # build, so a miss inside a build must not wait on the outer one
+    store = measure._TableStore()
+    outer = store.get("outer", lambda: store.get("inner", np.ones, 2) * 2)
+    assert np.array_equal(outer, [2.0, 2.0]) and store.get("outer", None) is outer
+    assert store.misses == 2
+
+
+def test_threads_that_miss_a_refused_key_each_raise_and_keep_nothing():
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    def refused(_):
+        with pytest.raises(ParameterError, match="underflows"):
+            window_from_params(Params(5e-324, 0.0))
+
+    before = measure._TABLES.misses
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            list(pool.map(refused, range(8)))
+    finally:
+        sys.setswitchinterval(interval)
+    assert measure._TABLES.misses == before + 8
+    assert ("window", 5e-324, 0.0) not in measure._TABLES._tables
+
+
+def test_a_miss_after_a_refused_build_still_builds():
+    store = measure._TableStore()
+
+    def refuse():
+        raise ParameterError("refused")
+
+    with pytest.raises(ParameterError, match="refused"):
+        store.get("bad", refuse)
+    assert np.array_equal(store.get("good", np.ones, 3), np.ones(3))
+    assert list(store._tables) == ["good"] and store.misses == 2
