@@ -1,7 +1,9 @@
 """The deviation-rate dichotomy, certified at astronomically large horizons.
 
 On the normal scale gamma the quantity n^(-2 gamma) log P[S_n/sqrt(n) >
-c n^gamma] should approach -c^2/2.  Inside the window (u, v) the boundary
+c n^gamma] should approach the normal limit -c^2 / (2 sigma^2) in these
+plain-sum units, the units of `RateQuery`; the -c^2/2 printed below is the
+rate of S_n / sigma.  Inside the window (u, v) the boundary
 excursions break this: a single rare end state already carries enough
 probability to drag the rate up to zero.  Simulation dies long before the
 effect is visible, but both regimes reduce to closed-form log-domain

@@ -26,7 +26,7 @@ _NAMES = {name: module for module, names in {
               "phi", "s_double_prime_count", "s_prime_count"),
 }.items() for name in names}
 
-_SUBMODULES = ("chain", "cli", "composite", "errors", "logspace", "measure", "oracles", "paths")
+_SUBMODULES = ("chain", "cli", "composite", "errors", "measure", "oracles", "paths")
 
 __all__ = sorted(_NAMES)
 

@@ -40,9 +40,9 @@ Every per-pair table of the package (the cuts, p_1, the window, the lag
 tables and their run brackets, and the alias, renewal and envelope tables
 that `chain` and `paths` hand it their own build functions for) lives in
 one store, `_TABLES`.  A read of a built table is one dict lookup and a
-recency stamp, with no lock.  A miss builds its key once, however many
-threads miss it together, and never waits on another key's build; a build
-that raises keeps nothing.
+recency stamp, with no lock.  A miss builds under one lock, so its key is
+built once however many threads miss it together; a build that raises
+keeps nothing.
 All tables share one byte budget, the least recently read evicted first;
 `clear` empties the store for tests.
 """
@@ -59,13 +59,13 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import ParameterError, PrecisionError
-from .logspace import log1mexp, power_gap
 
 # Constants forced by the tail identity at n = 1 plus normalization; they
 # do not depend on the exponents.
 MU0 = -math.expm1(-1.0)        # 1 - 1/e, weight of the origin
 LOG_MU0 = math.log(MU0)
 MEAN_TAU = 1.0 / MU0           # e/(e-1), mean return interval
+_LN2 = math.log(2.0)           # where `log1mexp` changes branch
 
 # Levels per block of a level series.  At 64 KiB the temporaries are
 # recycled from malloc's heap.  Larger ones are mapped and unmapped, or
@@ -88,17 +88,17 @@ _TABLE_LIMIT = 128
 
 class _TableStore:
     """The store of the module docstring, keyed by plain floats and ints (a
-    `Params` hash costs more than a read).  A miss claims its key under the
-    lock and builds outside it.  `misses` counts builds, `bytes` array bytes."""
+    `Params` hash costs more than a read).  A miss builds under a reentrant
+    lock, as a build may read other tables (the alias table reads p_1).
+    `misses` counts builds, `bytes` array bytes."""
 
     def __init__(self):
-        self._lock = threading.Lock()
+        self._lock = threading.RLock()
         self.clear()
 
     def clear(self) -> None:
         with self._lock:
-            # key -> [last read, table, bytes]; key -> Event set when its build ends
-            self._tables, self._pending = {}, {}
+            self._tables = {}  # key -> [last read, table, bytes]
             self._clock = itertools.count()
             self.misses = self.bytes = 0
 
@@ -113,29 +113,18 @@ class _TableStore:
 
     def _build(self, key, build, args):
         with self._lock:
-            done = self._pending.get(key)
-            if claimed := done is None and key not in self._tables:
-                done = self._pending[key] = threading.Event()
-                self.misses += 1
-        if not claimed:  # read the table built meanwhile, or build it if that build raised
-            if done is not None:
-                done.wait()
-            return self.get(key, build, *args)
-        try:
+            if key in self._tables:  # built while this thread waited
+                return self.get(key, build, *args)
+            self.misses += 1
             table = build(*args)
             # the bytes of the table's arrays: itself, or its attributes
             parts = getattr(table, "__dict__", {}).values()
             size = sum(x.nbytes for x in (table, *parts) if isinstance(x, np.ndarray))
-            with self._lock:
-                self._tables[key] = [next(self._clock), table, size]
-                self.bytes += size
-                while self.bytes > _TABLE_BUDGET or len(self._tables) > _TABLE_LIMIT:
-                    oldest = min(self._tables, key=lambda k: self._tables[k][0])
-                    self.bytes -= self._tables.pop(oldest)[2]
-        finally:
-            with self._lock:
-                self._pending.pop(key, None)
-            done.set()
+            self._tables[key] = [next(self._clock), table, size]
+            self.bytes += size
+            while self.bytes > _TABLE_BUDGET or len(self._tables) > _TABLE_LIMIT:
+                oldest = min(self._tables, key=lambda k: self._tables[k][0])
+                self.bytes -= self._tables.pop(oldest)[2]
         return table
 
 
@@ -224,6 +213,26 @@ class ProcessStats:
     mean_tau: float               # expected return interval
     second_moment_jump: float     # E X^2 of the per-excursion reward
     sigma: float                  # sqrt(E X^2 / E tau)
+
+
+def log1mexp(x: float) -> float:
+    """log(1 - exp(-x)) for x > 0, stable for tiny and large x: through expm1
+    below x = ln 2, through log1p above.  The scalar `log_mu` reads it, and
+    `_level_log_mu` writes the same formula over arrays."""
+    if x <= 0.0:
+        raise ValueError(f"log1mexp needs x > 0, got {x}")
+    if x < _LN2:
+        return math.log(-math.expm1(-x))
+    return math.log1p(-math.exp(-x))
+
+
+def power_gap(m, a: float) -> float:
+    """m^a - (m-1)^a with full relative precision, m >= 2, 0 < a < 1, as
+    -m^a expm1(a log1p(-1/m)): direct subtraction dies for large m (the gap
+    ~ a m^(a-1) falls below one ulp of m^a).  m is converted to float once,
+    so it may exceed 2^53 at the usual relative-error cost."""
+    mf = float(m)
+    return -(mf ** a) * math.expm1(a * math.log1p(-1.0 / mf))
 
 
 def log_mu(params: Params, n: int) -> float:

@@ -226,7 +226,9 @@ def boundary_sum_sup(params: Params, n: int) -> float:
 
 
 def gaussian_reference(c: float) -> float:
-    """Normal-approximation rate -c^2/2 that holds outside the windows."""
+    """Normal-approximation rate -c^2/2 that holds outside the windows: the
+    rate of S_n / sigma.  In `RateQuery`'s plain-sum units the normal limit
+    is -c^2 / (2 sigma^2)."""
     if not c > 0.0:
         raise ParameterError(f"threshold coefficient must be > 0, got {c}")
     return -0.5 * c * c
@@ -339,9 +341,10 @@ def case2_certificate(params: Params, query: RateQuery) -> RateCertificate:
 
 def predicted_rate(windows: WindowSet, gamma: float, c: float) -> Optional[float]:
     """Limit rate claimed for the process built from `windows`: 0 inside
-    any window, -c^2/2 in the interior of the complement, and None exactly
-    on a window endpoint, where the dichotomy (stated on open sets) claims
-    nothing."""
+    any window, -c^2/2 (the rate of S_n / sigma; -c^2 / (2 sigma^2) in
+    `RateQuery`'s plain-sum units) in the interior of the complement, and
+    None exactly on a window endpoint, where the dichotomy (stated on open
+    sets) claims nothing."""
     reference = gaussian_reference(c)
     if not 0.0 < gamma < 0.5:
         raise ParameterError(f"gamma must lie in (0, 0.5), got {gamma}")

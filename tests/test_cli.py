@@ -61,7 +61,7 @@ def _loaded_modules(code: str) -> set:
 
 def test_cli_import_loads_only_what_every_command_reads():
     assert _loaded_modules("import mdwindow.cli") == {
-        "mdwindow", "mdwindow.cli", "mdwindow.errors", "mdwindow.logspace", "mdwindow.measure"}
+        "mdwindow", "mdwindow.cli", "mdwindow.errors", "mdwindow.measure"}
 
 
 def test_params_loads_no_sampler_or_oracle_and_composite_only_for_windows():

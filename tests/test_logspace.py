@@ -4,8 +4,7 @@ import mpmath
 import pytest
 
 from mdwindow import Params
-from mdwindow.logspace import log1mexp, power_gap
-from mdwindow.measure import _level_log_mu
+from mdwindow.measure import _level_log_mu, log1mexp, power_gap
 
 
 def _scalar_log_mu(alpha, n):
