@@ -376,14 +376,15 @@ def _boundary_chunk(params, n, gen, u_tab, env, c):
     while idx.size:
         k = max(1, min(c, _PROPOSALS) // idx.size)  # a one-row chunk: always 1
         exc, lev, age = _stationary_excursions(params.alpha, gen, idx.size * k)
-        lag = m.repeat(k)  # origin proposals wait all m steps
+        lag = m.repeat(k) if k > 1 else m.copy()  # origin proposals wait all m steps
         lag[exc] -= age
         keep = gen.random(lag.size) * env.top < u_tab.take(lag, mode="clip")
         keep &= lag >= 0  # a clipped read of u(0) for a negative lag is refused
-        # row j // k takes its first accepted proposal j, if any
-        first = keep.reshape(-1, k).argmax(axis=1) + np.arange(0, keep.size, k)
-        took, keep, row = keep.take(first), np.zeros(keep.size, bool), exc // k
-        keep[first] = took
+        took, row = keep, exc  # proposal j belongs to row j // k
+        if k > 1:  # each row takes its first accepted proposal, if any
+            first = keep.reshape(-1, k).argmax(axis=1) + np.arange(0, keep.size, k)
+            took, keep, row = keep.take(first), np.zeros(keep.size, bool), exc // k
+            keep[first] = took
         ended = keep.take(exc).nonzero()[0]  # origin proposals leave the zero end state
         ends.append((idx.take(row.take(ended)), age.take(ended), lev.take(ended),
                      gen.random(ended.size)))
