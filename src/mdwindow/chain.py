@@ -136,11 +136,10 @@ def _stationary_excursions(alpha: float, gen: np.random.Generator, size: int):
     stationary draws, the rest origins; the tau cap is not checked.  A
     uniform u >= mu_0 gives the level m with exp(-m^alpha) <= u - mu_0 <
     exp(-(m-1)^alpha) and an age uniform on 1..m-1.  Draw order: `size`
-    state uniforms, then one age uniform per excursion state, in order."""
+    state uniforms, then one age uniform per excursion state, in order (none
+    when all are origins)."""
     u = gen.random(size)
     exc = (u >= MU0).nonzero()[0]
-    if not exc.size:  # all origins, as in 63% of single draws: nothing more to draw
-        return exc, exc, exc
     lev = _size_biased_level(u.take(exc) - MU0, alpha, 2)
     age = (gen.random(exc.size) * (lev - 1)).astype(np.int64)  # floor: the product is >= 0
     return exc, lev, np.minimum(age + 1, lev - 1)

@@ -38,6 +38,11 @@ _TARGETS = {
 }
 
 
+def _check_c(c: float) -> None:
+    if not (c > 0.0 and math.isfinite(c * c)):  # c^2 overflows into a rate of -inf
+        raise ParameterError(f"threshold coefficient must be > 0 with a finite square, got {c}")
+
+
 @dataclass(frozen=True)
 class RateQuery:
     """Deviation event at horizon n: the chosen component of the sum,
@@ -52,8 +57,7 @@ class RateQuery:
         _integer(self.n, "horizon", 1)
         if not 0.0 < self.gamma < 0.5:
             raise ParameterError(f"gamma must lie in (0, 0.5), got {self.gamma}")
-        if not self.c > 0.0:
-            raise ParameterError(f"threshold coefficient must be > 0, got {self.c}")
+        _check_c(self.c)
 
     @property
     def threshold(self) -> float:
@@ -229,8 +233,7 @@ def gaussian_reference(c: float) -> float:
     """Normal-approximation rate -c^2/2 that holds outside the windows: the
     rate of S_n / sigma.  In `RateQuery`'s plain-sum units the normal limit
     is -c^2 / (2 sigma^2)."""
-    if not c > 0.0:
-        raise ParameterError(f"threshold coefficient must be > 0, got {c}")
+    _check_c(c)
     return -0.5 * c * c
 
 

@@ -319,21 +319,18 @@ def _solve_renewal(params: Params, n: int) -> np.ndarray:
 def _solve_peel(params: Params, n: int) -> SimpleNamespace:
     """`_boundary_chunk`'s envelope: `top` U = max u(j) over j >= _PEEL (0 if
     none), `excess` e_j = (u(j) - U)^+ below, `cdf` F(k) = P[tau <= k] to
-    max(n, _LEVELS), `z` Z(m) = sum_j e_j T(m - j) (T = 1 - F, T(-1) = 0) and,
-    for m < _KEYED, `keys` m 2^53 + ceil(C 2^53) of its running sums C."""
+    max(n, _LEVELS) and `z` Z(m) = sum_(j <= m) e_j T(m - j), T = 1 - F, each
+    sum added in the order of j as `_boundary_chunk`'s running sums are."""
     u = _renewal_table(params, n)
     top = float(u[_PEEL:].max(initial=0.0))
     excess = np.maximum(u[:_PEEL] - top, 0.0)
     cdf = np.minimum(np.cumsum(_p_law(params, max(n, _LEVELS) - 1)), 1.0)
     _check_tau_cap(params.alpha, cdf.size - 1)  # as the rejection step past F will
-    tail = np.concatenate((np.zeros(_PEEL), 1.0 - cdf))  # T(a) at a + _PEEL
+    tail = 1.0 - cdf
     z = np.zeros(n)
-    for j in range(excess.size):  # every sum of Z adds in the order of j
-        z[j:] += excess[j] * tail[_PEEL : _PEEL + n - j]
-    m = np.arange(min(n, _KEYED))[:, None]
-    run = np.cumsum(excess * tail.take(m + _PEEL - np.arange(excess.size)), axis=1)
-    keys = ((m << 53) + np.ceil(np.ldexp(run, 53)).astype(np.int64)).ravel()
-    return SimpleNamespace(top=top, excess=excess, cdf=cdf, z=z, keys=keys)
+    for j in range(excess.size):
+        z[j:] += excess[j] * tail[: n - j]
+    return SimpleNamespace(top=top, excess=excess, cdf=cdf, z=z)
 
 
 def _boundary_chunk(params, n, gen, u_tab, env, c):
@@ -344,9 +341,10 @@ def _boundary_chunk(params, n, gen, u_tab, env, c):
     origin) and h(a) = u(m - a), zero past m; `env` splits h as min(h, U) +
     e_(m - a).  After `_start_chunk`'s draws a row draws a uniform v.  Below
     Z(m) (always if U = 0) it ends at age m - j, j the first lag whose
-    running sum passes v: at the origin, or at a level of p above the age (a
-    uniform per row inverts F, `_interval_tail_reject` past it), then a sign
-    uniform each.  Other rows take the first stationary proposal kept with
+    running sum of e_i T(m - i) passes v, summed in the order `_solve_peel`
+    sums Z(m), with T = 0 past m: at the origin, or at a level of p above
+    the age (a uniform per row inverts F, `_interval_tail_reject` past it),
+    then a sign uniform each.  Other rows take the first stationary proposal kept with
     probability min(h, U) / U, drawing k = max(1, min(c, _PROPOSALS) // p)
     for each of a round's p pending rows, row by row, a uniform each, and a
     sign uniform per row whose first kept one ends in an excursion.
@@ -359,12 +357,9 @@ def _boundary_chunk(params, n, gen, u_tab, env, c):
     rows = peel.nonzero()[0]
     if rows.size:
         a, vp = m.take(rows), v.take(rows)
-        key = np.minimum(a, _KEYED - 1)
-        lag = np.searchsorted(env.keys, (key << 53) + np.ldexp(vp, 53).astype(np.int64), "right")
-        lag -= key * env.excess.size
-        far = (a >= _KEYED).nonzero()[0]  # no keys: the running sums themselves
-        f = env.cdf.take(a.take(far)[:, None] - np.arange(env.excess.size))
-        lag[far] = (np.cumsum(env.excess * (1.0 - f), axis=1) <= vp.take(far)[:, None]).sum(1)
+        at = a[:, None] - np.arange(env.excess.size)
+        tail = np.where(at >= 0, 1.0 - env.cdf.take(at, mode="clip"), 0.0)  # T(m - j), 0 past m
+        lag = (np.cumsum(env.excess * tail, axis=1) <= vp[:, None]).sum(1)
         a -= np.minimum(lag, a)  # a v past a rounded Z(m) = 1 takes the last lag
         floor = a.take(exc := a.nonzero()[0])
         at = env.cdf.take(floor)  # levels past the table take the rejection step
@@ -395,7 +390,6 @@ def _boundary_chunk(params, n, gen, u_tab, env, c):
 
 
 _PEEL = 16  # lags j < _PEEL whose weight over the envelope U a boundary row draws directly
-_KEYED = 1 << 10  # rows with m below this find their lag in `keys`
 _LEVELS = 1 << 13  # fewest levels of F; a level past them takes the rejection step
 _PROPOSALS = 1024  # most proposals a boundary round spreads over its pending rows
 _BLOCK = 48  # blocks (a self-loop run and one excursion) drawn per path per round

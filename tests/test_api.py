@@ -4,6 +4,7 @@ import ast
 import importlib
 import json
 import pkgutil
+import re
 import subprocess
 import sys
 import types
@@ -146,3 +147,27 @@ def test_the_package_holds_exactly_one_cache():
                 stores.add(id(value))
     assert caches == []
     assert stores == {id(measure._TABLES)}
+
+
+def test_every_module_constant_is_read():
+    # a module-level UPPER_CASE constant of the package is read somewhere in
+    # it, by name, as an attribute or by import: one whose last reader is
+    # deleted goes with it
+    upper = re.compile(r"_?[A-Z][A-Z0-9_]*\Z")
+    defined, read = {}, set()
+    for path in sorted(Path(measure.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined |= {name.id: path.stem for target in targets for name in ast.walk(target)
+                            if isinstance(name, ast.Name) and upper.match(name.id)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read |= {alias.name for alias in node.names}
+    assert len(defined) > 30
+    assert {name: module for name, module in defined.items() if name not in read} == {}

@@ -354,6 +354,20 @@ def test_rates_horizon_beyond_float_range_exit_3(gamma, capsys):
     assert err.startswith("error: unreachable precision:") and "n=1e+200" in err
 
 
+@pytest.mark.parametrize("c", ["inf", "1e200"])
+@pytest.mark.parametrize("gamma", ["0.1", "0.3"])  # below the window, and inside it
+def test_rates_refuses_a_level_whose_square_overflows_exit_2(c, gamma, capsys):
+    # a rate of -c^2/2 = -inf would be written as Infinity, which strict
+    # JSON refuses; below the window the certificate once met c first and
+    # exited 3, as for an unreachable precision
+    from mdwindow import cli
+
+    args = ["rates", *_PAIR, "--n-grid", "100", "--gamma-grid", gamma, "--c", c, "--format", "json"]
+    assert cli.main(args) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: threshold coefficient") and "Infinity" not in err
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     st.sampled_from(["pair", "windows"]), st.floats(1e-3, 0.49), st.floats(0.0, 0.5),

@@ -110,6 +110,9 @@ def test_rate_query_validation():
         RateQuery(10, 0.6, 1.0)
     with pytest.raises(ParameterError):
         RateQuery(10, 0.3, 0.0)
+    for c in (math.inf, math.nan, -1.0, 1e200):  # 1e200: c^2 overflows
+        with pytest.raises(ParameterError, match="threshold coefficient"):
+            RateQuery(10, 0.3, c)
     with pytest.raises(ParameterError, match="horizon must be an integer"):
         RateQuery(1e6, 0.32, 1.0)  # refused here, not deep inside a certificate
     q = RateQuery(100, 0.25, 2.0)
@@ -395,6 +398,10 @@ def test_gaussian_reference_examples():
     assert gaussian_reference(1e-9) == pytest.approx(0.0, abs=1e-17)
     with pytest.raises(ParameterError):
         gaussian_reference(0.0)
+    assert gaussian_reference(1e154) == pytest.approx(-0.5e308)  # c^2 near the float maximum
+    for c in (math.inf, math.nan, 1.4e154):  # c^2 overflows: the rate would read -inf
+        with pytest.raises(ParameterError, match="threshold coefficient"):
+            gaussian_reference(c)
 
 
 # ------------------------------------------------------------- certificates

@@ -558,6 +558,68 @@ def test_rolled_middle_term_has_the_exact_variance(params):
     assert abs(var - _s_tilde_variance(params, n)) < 5.0 * se
 
 
+def _s_tilde_law(params, n):
+    # P[S~_n = s] by a pass over renewal times, as {excursion counts: mass}:
+    # S~_n is sum_tau c_tau R(tau) with c the signed count of complete
+    # excursions of length tau.  The first renewal 1 + B_1 takes mu_0 at
+    # the origin (B_1 = 0) and sum_(tau > b) mu_tau = mu_0 T(b) at residual
+    # b, T(b) = P[tau > b]; from a renewal at t a length tau <= n - t moves
+    # mass p_tau to t + tau with +-R(tau), and the rest, T(n - t), crosses
+    # n.  The paths with B_1 >= n hold sum_(tau > n) (tau - n) mu_tau =
+    # exp(-n^alpha) - (n - 1) mu_0 T(n), as (tau - 1) mu_tau sums to
+    # exp(-n^alpha) past n, so the total mass checks p and mu_0 too
+    p = _p_law(params, n)
+    tail = 1.0 - np.cumsum(p)
+    zero = (0,) * n
+    law = {zero: math.exp(-(n ** params.alpha)) - (n - 1) * MU0 * tail[n]}
+    at = [{} for _ in range(n + 1)]  # the renewals at time t, by their counts
+    at[1][zero] = MU0
+    for b in range(1, n):
+        at[1 + b][zero] = MU0 * tail[b]
+    for t in range(1, n + 1):
+        for key, mass in at[t].items():
+            law[key] = law.get(key, 0.0) + mass * tail[n - t]
+            for tau in range(1, n - t + 1):
+                for sign in (1, -1):  # R(1) = 0: a self-loop keeps the counts
+                    step = key if tau == 1 else key[:tau] + (key[tau] + sign,) + key[tau + 1 :]
+                    at[t + tau][step] = at[t + tau].get(step, 0.0) + 0.5 * mass * p[tau]
+    return law
+
+
+@pytest.mark.parametrize("params", [DEFAULT, SMALL_ALPHA], ids=["default", "small_alpha"])
+@pytest.mark.parametrize("n", [2, 5, 12])
+def test_rolled_middle_term_has_the_exact_small_horizon_law(params, n):
+    # chi-square of the rolled S~_n against its exact law, one cell per
+    # atom (atoms within 1e-9 merged, edges halfway between), sparse cells
+    # pooled; the law's mass is 1 and its variance the closed form's
+    from scipy.stats import chi2
+
+    law = _s_tilde_law(params, n)
+    r = np.zeros(n)
+    r[1:] = excursion_reward_magnitude(params, np.arange(1, n))
+    atoms = np.array([float(np.dot(key, r)) for key in law])
+    mass = np.array(list(law.values()))
+    assert abs(mass.sum() - 1.0) < 1e-12
+    var = float(mass @ atoms**2 - (mass @ atoms) ** 2)
+    assert var == pytest.approx(_s_tilde_variance(params, n), rel=1e-9, abs=0.0)
+    order = np.argsort(atoms)
+    atoms, mass = atoms[order], mass[order]
+    cell = np.concatenate(([0], np.cumsum(np.diff(atoms) > 1e-9)))
+    mass = np.bincount(cell, mass)
+    values = atoms[np.flatnonzero(np.diff(cell, prepend=-1))]
+    edges = 0.5 * (values[1:] + values[:-1])
+    reps = 1 << 17
+    x = next(iter_sums(params, n, reps, RngStream(760, n).generator(), chunk=reps))["s_tilde"]
+    got = np.bincount(np.searchsorted(edges, x), minlength=values.size).astype(np.float64)
+    want = reps * mass
+    sparse = want < 5.0  # pooled into one cell
+    got = np.append(got[~sparse], got[sparse].sum())
+    want = np.append(want[~sparse], want[sparse].sum())
+    got, want = got[want > 0], want[want > 0]
+    stat = float(((got - want) ** 2 / want).sum())
+    assert chi2.sf(stat, max(got.size - 1, 1)) > 1e-4, f"chi2={stat:.1f} on {got.size - 1} cells"
+
+
 def test_iter_sums_without_rewards_skips_middle_term():
     ch = next(
         iter_sums(DEFAULT, 100, 1000, RngStream(607).generator(), with_rewards=False)
@@ -960,7 +1022,7 @@ def _envelope(params, n):
 def test_envelope_splits_the_renewal_identity(pair, n):
     # sum_(j <= m) u(j) T(m - j) = 1 splits into the peeled mass Z(m) and
     # the envelope's, sum_j min(u(j), U) T(m - j); Z(m) is the last of the
-    # running sums the engine forms, to the bit, and the keys hold them all
+    # running sums the engine forms, to the bit
     from mdwindow import paths
 
     params = _PAIRS[pair]
@@ -975,29 +1037,11 @@ def test_envelope_splits_the_renewal_identity(pair, n):
     tail = np.where(at >= 0, 1.0 - env.cdf.take(np.maximum(at, 0)), 0.0)  # T(-1) = 0
     run = np.cumsum(env.excess * tail, axis=1)
     assert run[:, -1].tobytes() == env.z.tobytes()
-    keyed = min(n, paths._KEYED)
-    want = (m[:keyed] << 53) + np.ceil(np.ldexp(run[:keyed], 53)).astype(np.int64)
-    assert env.keys.tolist() == want.ravel().tolist()
-    assert np.all(np.diff(env.keys) >= 0)
     envelope = [np.minimum(u[: j + 1], env.top) @ (1.0 - env.cdf[j::-1]) for j in range(n)]
     # F is a running sum of p, so T = 1 - F drifts by some ulps per level
     np.testing.assert_allclose(env.z + envelope, 1.0, rtol=0.0, atol=1e-11)
     if env.top:
         assert env.z.max() < 1.0
-
-
-@pytest.mark.parametrize("pair", sorted(_PAIRS))
-def test_keyed_lags_match_the_running_sums(monkeypatch, pair):
-    # with keys only below m = _PEEL, the rows peeled at m >= _PEEL find
-    # their lag by summing (here some 150-180 rows are expected to, the sum
-    # of their Z(m)); an exact lookup picks the same lags, so the chunks
-    # agree bit for bit
-    from mdwindow import paths
-
-    params, n = _PAIRS[pair], 40
-    want = _chunk_md5(params, n, 40 * 4096, 758, False, 4096)
-    monkeypatch.setattr(paths, "_KEYED", paths._PEEL)
-    assert _chunk_md5(params, n, 40 * 4096, 758, False, 4096) == want
 
 
 def test_boundary_chunk_law_matches_the_per_round_reference(monkeypatch):
