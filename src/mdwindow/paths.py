@@ -344,10 +344,11 @@ def _boundary_chunk(params, n, gen, u_tab, env, c):
     running sum of e_i T(m - i) passes v, summed in the order `_solve_peel`
     sums Z(m), with T = 0 past m: at the origin, or at a level of p above
     the age (a uniform per row inverts F, `_interval_tail_reject` past it),
-    then a sign uniform each.  Other rows take the first stationary proposal kept with
-    probability min(h, U) / U, drawing k = max(1, min(c, _PROPOSALS) // p)
-    for each of a round's p pending rows, row by row, a uniform each, and a
-    sign uniform per row whose first kept one ends in an excursion.
+    then a sign uniform each.  Other rows take the first stationary
+    proposal kept with probability min(h, U) / U, drawing k = max(1,
+    min(c, _PROPOSALS) // p) for each of a round's p pending rows, row by
+    row, a uniform each, and a sign uniform per row whose first kept one
+    ends in an excursion.
     """
     out, ends = _start_chunk(params, n, gen, c)
     idx = out["interior"].nonzero()[0]
@@ -357,8 +358,8 @@ def _boundary_chunk(params, n, gen, u_tab, env, c):
     rows = peel.nonzero()[0]
     if rows.size:
         a, vp = m.take(rows), v.take(rows)
-        at = a[:, None] - np.arange(env.excess.size)
-        tail = np.where(at >= 0, 1.0 - env.cdf.take(at, mode="clip"), 0.0)  # T(m - j), 0 past m
+        back = a[:, None] - np.arange(env.excess.size)  # m - j per lag j
+        tail = np.where(back >= 0, 1.0 - env.cdf.take(back, mode="clip"), 0.0)  # T = 0 past m
         lag = (np.cumsum(env.excess * tail, axis=1) <= vp[:, None]).sum(1)
         a -= np.minimum(lag, a)  # a v past a rounded Z(m) = 1 takes the last lag
         floor = a.take(exc := a.nonzero()[0])

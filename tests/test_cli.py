@@ -354,20 +354,6 @@ def test_rates_horizon_beyond_float_range_exit_3(gamma, capsys):
     assert err.startswith("error: unreachable precision:") and "n=1e+200" in err
 
 
-@pytest.mark.parametrize("c", ["inf", "1e200"])
-@pytest.mark.parametrize("gamma", ["0.1", "0.3"])  # below the window, and inside it
-def test_rates_refuses_a_level_whose_square_overflows_exit_2(c, gamma, capsys):
-    # a rate of -c^2/2 = -inf would be written as Infinity, which strict
-    # JSON refuses; below the window the certificate once met c first and
-    # exited 3, as for an unreachable precision
-    from mdwindow import cli
-
-    args = ["rates", *_PAIR, "--n-grid", "100", "--gamma-grid", gamma, "--c", c, "--format", "json"]
-    assert cli.main(args) == 2
-    out, err = capsys.readouterr()
-    assert out == "" and err.startswith("error: threshold coefficient") and "Infinity" not in err
-
-
 @settings(max_examples=200, deadline=None)
 @given(
     st.sampled_from(["pair", "windows"]), st.floats(1e-3, 0.49), st.floats(0.0, 0.5),
@@ -605,6 +591,13 @@ _PAIR = ("--alpha", "0.3", "--beta", "0.05")
         (("params",), {"alpha": 0.3, "beta": 0.05, "shards": "2"}, "shards"),
         (("params",), {"alpha": "x", "beta": 0.05}, "alpha"),
         (("params", *_PAIR, "--tol", "inf"), None, "tol"),
+        # a rate of -c^2/2 = -inf would reach stdout as -Infinity, which
+        # strict JSON refuses; below the window a certificate once met c
+        # first and exited 3, as for an unreachable precision
+        (("rates", *_PAIR, "--n-grid", "100", "--gamma-grid", "0.3", "--c", "inf",
+          "--format", "json"), None, "threshold coefficient"),
+        (("rates", *_PAIR, "--n-grid", "100", "--gamma-grid", "0.1", "--c", "1e200",
+          "--format", "json"), None, "threshold coefficient"),
         (("autocov", *_PAIR, "--tol", "nan"), None, "tol"),
         (("simulate", *_PAIR, "--n", "100.7", "--reps", "2"), None, "n"),
         (("rates", *_PAIR, "--n-grid", "1000000.5", "--gamma-grid", "0.3"), None, "n_grid"),
@@ -616,8 +609,8 @@ _PAIR = ("--alpha", "0.3", "--beta", "0.05")
         (("simulate", *_PAIR, "--n", "0", "--reps", "5"), None, "n: must be >= 1, got 0"),
     ],
     ids=["n-nan", "n-inf", "seed", "n-grid", "gamma-grid", "windows", "k-max",
-         "config-shards", "config-alpha", "tol-inf", "tol-nan", "n-fraction",
-         "n-grid-fraction", "config-reps-bool", "config-k-max-fraction",
+         "config-shards", "config-alpha", "tol-inf", "c-inf", "c-overflow", "tol-nan",
+         "n-fraction", "n-grid-fraction", "config-reps-bool", "config-k-max-fraction",
          "autocov-short-length", "out-unwritable", "simulate-n-zero"],
 )
 def test_malformed_input_exit_2(tmp_path, args, config, field):

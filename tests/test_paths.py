@@ -558,6 +558,17 @@ def test_rolled_middle_term_has_the_exact_variance(params):
     assert abs(var - _s_tilde_variance(params, n)) < 5.0 * se
 
 
+def _pooled_chi2(got, want):
+    # chi-square statistic and degrees of freedom of counts against their
+    # expectations, the cells expecting fewer than 5 pooled into one
+    # (dropped if it expects none)
+    sparse = want < 5.0
+    got = np.append(got[~sparse], got[sparse].sum())
+    want = np.append(want[~sparse], want[sparse].sum())
+    got, want = got[want > 0], want[want > 0]
+    return float(((got - want) ** 2 / want).sum()), got.size - 1
+
+
 def _s_tilde_law(params, n):
     # P[S~_n = s] by a pass over renewal times, as {excursion counts: mass}:
     # S~_n is sum_tau c_tau R(tau) with c the signed count of complete
@@ -612,12 +623,8 @@ def test_rolled_middle_term_has_the_exact_small_horizon_law(params, n):
     x = next(iter_sums(params, n, reps, RngStream(760, n).generator(), chunk=reps))["s_tilde"]
     got = np.bincount(np.searchsorted(edges, x), minlength=values.size).astype(np.float64)
     want = reps * mass
-    sparse = want < 5.0  # pooled into one cell
-    got = np.append(got[~sparse], got[sparse].sum())
-    want = np.append(want[~sparse], want[sparse].sum())
-    got, want = got[want > 0], want[want > 0]
-    stat = float(((got - want) ** 2 / want).sum())
-    assert chi2.sf(stat, max(got.size - 1, 1)) > 1e-4, f"chi2={stat:.1f} on {got.size - 1} cells"
+    stat, dof = _pooled_chi2(got, want)
+    assert chi2.sf(stat, max(dof, 1)) > 1e-4, f"chi2={stat:.1f} on {dof} cells"
 
 
 def test_iter_sums_without_rewards_skips_middle_term():
@@ -922,8 +929,7 @@ def _end_age_law(alpha):
 
 
 def _end_age_pvalue(params, n, reps, rows, seed):
-    # chi-square fit of the boundary engine's A_n to its stationary law,
-    # bins expecting fewer than 5 paths pooled into one (dropped if empty)
+    # chi-square fit of the boundary engine's A_n to its stationary law
     from scipy.stats import chi2
 
     gen = RngStream(seed, n).generator()
@@ -932,12 +938,7 @@ def _end_age_pvalue(params, n, reps, rows, seed):
     got = np.bincount(np.searchsorted(_AGE_EDGES, an, side="right") - 1,
                       minlength=len(_AGE_EDGES)).astype(np.float64)
     want = reps * _end_age_law(params.alpha)
-    sparse = want < 5.0
-    got = np.append(got[~sparse], got[sparse].sum())
-    want = np.append(want[~sparse], want[sparse].sum())
-    got, want = got[want > 0], want[want > 0]
-    stat = float(((got - want) ** 2 / want).sum())
-    return chi2.sf(stat, got.size - 1)
+    return chi2.sf(*_pooled_chi2(got, want))
 
 
 _LAW_RUNS = [(pair, n, rows) for pair in sorted(_PAIRS) for n in (1, 2, 40, 1000)
@@ -1003,12 +1004,8 @@ def test_boundary_start_and_end_fit_the_closed_form(pair, n, rows):
     want = reps * np.append(law.ravel(), 1.0 - law.sum())
     cells = want > 0
     got, want = got[cells].astype(np.float64), want[cells]
-    sparse = want < 5.0  # pooled into one cell
-    got = np.append(got[~sparse], got[sparse].sum())
-    want = np.append(want[~sparse], want[sparse].sum())
-    got, want = got[want > 0], want[want > 0]
-    stat = float(((got - want) ** 2 / want).sum())
-    assert chi2.sf(stat, max(got.size - 1, 1)) > 1e-4, f"chi2={stat:.1f} on {got.size - 1} cells"
+    stat, dof = _pooled_chi2(got, want)
+    assert chi2.sf(stat, max(dof, 1)) > 1e-4, f"chi2={stat:.1f} on {dof} cells"
 
 
 def _envelope(params, n):
