@@ -104,9 +104,12 @@ RngLike = Union[RngStream, "np.random.Generator"]  # a string: numpy.random load
 
 
 def as_generator(rng: RngLike) -> np.random.Generator:
-    """Accept either a stream descriptor or a live generator."""
+    """Accept either a stream descriptor or a live generator; refuse one of
+    32-bit raw words (MT19937), whose words `raw_words` would misread."""
     if isinstance(rng, RngStream):
         return rng.generator()
+    if isinstance(rng.bit_generator, np.random.MT19937):
+        raise ParameterError("rng: MT19937 gives 32-bit raw words; use PCG64, Philox or SFC64")
     return rng
 
 
@@ -177,9 +180,32 @@ def raw_words(gen: np.random.Generator, shape) -> np.ndarray:
     return gen.bit_generator.random_raw(shape).view(np.int64)
 
 
-class IntervalAlias:
-    """Draws from {p_n}: self-loop runs and one alias table (Vose, IEEE TSE
-    1991) over the non-trivial law p_k / (1 - p_1), k >= 2.
+class _AliasTable:
+    """Alias table (Vose, IEEE TSE 1991) over `weights`, a power of two of
+    at most 8192 entries summing to 1, drawn by `decode` from 64-bit words."""
+
+    def __init__(self, weights: np.ndarray):
+        accept, alias = _vose_tables(weights)
+        # for an integer f, f < ceil(x) exactly when f < x
+        self.thr = np.ceil(np.ldexp(accept, _FRAC_BITS)).astype(np.int64)
+        # pair[2 col + take]: the alias when the accept test fails, else col
+        self.pair = np.column_stack((alias, np.arange(weights.size))).ravel()
+
+    def decode(self, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Slot and sign bit of each int64 word: the top 13 bits pick the
+        column (their low bits, for fewer than 8192 columns), bit 50 is the
+        sign, and the low 50 bits f keep the column's own slot when
+        f < thr[col], i.e. f * 2^-50 < accept[col]."""
+        col = (words >> 51) & (self.thr.size - 1)
+        take = (words & _FRAC_MASK) < self.thr.take(col)
+        col <<= 1
+        col |= take
+        return self.pair.take(col), (words >> _FRAC_BITS) & 1
+
+
+class IntervalAlias(_AliasTable):
+    """Draws from {p_n}: self-loop runs and one alias table over the
+    non-trivial law p_k / (1 - p_1), k >= 2.
 
     A run of G self-loops, P[G >= g] = p_1^g (`runs`, one uniform double),
     then one table draw (`excursions`, one 64-bit word) make a block of
@@ -203,24 +229,10 @@ class IntervalAlias:
         self.p1 = float(probs[0])
         probs[0] = 0.0
         self.weights = probs / probs.sum()
-        accept, alias = _vose_tables(self.weights)
-        # for an integer f, f < ceil(x) exactly when f < x
-        self.thr = np.ceil(np.ldexp(accept, _FRAC_BITS)).astype(np.int64)
-        # pair[2 col + take]: the alias when the accept test fails, else col
-        self.pair = np.column_stack((alias, np.arange(k))).ravel()
+        super().__init__(self.weights)
         # the bucket's two entries are 0: its draws take their own reward
         mag = np.append(excursion_reward_magnitude(params, np.arange(1, k)), 0.0)
         self.signed = np.column_stack((mag, -mag)).ravel()
-
-    def decode(self, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Slot (tau - 1) and sign bit of each int64 word: the top 13 bits
-        pick the column, bit 50 is the sign, and the low 50 bits f keep the
-        column's own slot when f < thr[col], i.e. f * 2^-50 < accept[col]."""
-        col = (words >> 51) & (self.K - 1)
-        take = (words & _FRAC_MASK) < self.thr.take(col)
-        col <<= 1
-        col |= take
-        return self.pair.take(col), (words >> _FRAC_BITS) & 1
 
     def excursions(self, gen: np.random.Generator, words: np.ndarray):
         """(tau, sign bit, signed reward) of one table draw per int64 word,

@@ -264,8 +264,10 @@ def cmd_simulate(cfg: dict) -> tuple[list, list]:
     from .oracles import _run_blocks
     from .paths import iter_sums
 
-    if cfg["n"] is None or not cfg["reps"]:
-        raise ParameterError("n/reps: both are required for simulate")
+    if cfg["n"] is None:
+        raise ParameterError("n: required for simulate")
+    if not cfg["reps"]:
+        raise ParameterError(f"reps: must be >= 1 for simulate, got {cfg['reps']}")
     _within_mc_cap("n", cfg["n"])
     params = _component(cfg, "simulate")
     header = ["s_prime", "s_tilde", "s_dprime", "s_total", "a1", "b1", "an", "bn", "interior"]

@@ -19,6 +19,7 @@ full excursion's reward falls out of it rather than being assumed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 from types import SimpleNamespace
@@ -27,7 +28,7 @@ from typing import Iterator
 import numpy as np
 
 from .chain import RngLike, as_generator, interval_alias, raw_words, sample_stationary_levels
-from .chain import _check_tau_cap, _interval_tail_reject, _stationary_excursions
+from .chain import _AliasTable, _check_tau_cap, _interval_tail_reject, _stationary_excursions
 from .errors import ParameterError, PrecisionError
 from .measure import _TABLES, Params, _integer, _p_law, _reward_ages
 
@@ -202,8 +203,9 @@ def iter_sums(
 
     Yields dict chunks with the decomposition terms and end states; the
     per-time values are never materialized.  With rewards every excursion
-    is rolled in blocks of a self-loop run and one excursion (`_roll_chunk`),
-    about 1.2e10 chain steps per minute on one CPU as README measures it.
+    is rolled in blocks of a self-loop run and one excursion, far from n
+    only the runs' sum (`_roll_chunk`), about 2.2e10 chain steps per minute
+    on one CPU as README measures it.
     With with_rewards=False the middle term is skipped and no excursion is
     rolled (`_boundary_chunk`): an end state is drawn directly below a lag
     of 16 or as the first kept of stationary proposals, O(1) per path at
@@ -395,6 +397,7 @@ _LEVELS = 1 << 13  # fewest levels of F; a level past them takes the rejection s
 _PROPOSALS = 1024  # most proposals a boundary round spreads over its pending rows
 _BLOCK = 48  # blocks (a self-loop run and one excursion) drawn per path per round
 _TILE = 512  # rows rolled together
+_BULK = 3  # expected round spans from n past which a round draws its runs' sum alone
 
 
 def _roll_chunk(params, n, gen, alias, c):
@@ -411,25 +414,42 @@ def _roll_chunk(params, n, gen, alias, c):
     inside its excursion.  Tiles of _TILE rows keep a round's temporaries
     (192 KiB each) near the size of an L2 cache.  `_set_end_excursion`
     writes the end records once (sign bits read as sign uniforms).
+
+    While the tile's most advanced row is more than _BULK expected round
+    spans, _BLOCK (p1 / (1 - p1) + E[tau | tau >= 2]), from n, a round is a
+    bulk round: a row needs only the sum S of its runs, NegBin(_BLOCK,
+    1 - p1), one word decoded by `_solve_run_sums`' table (built at the first
+    bulk round; it drops the mass of S past 8191, under 2^-53 or refused).
+    Given S the runs are uniform over the compositions of S into _BLOCK
+    parts, so a row whose bulk round crosses n draws them (`_compositions`).
+    Draw order of a bulk round: the excursion words, the S words, the
+    tail-bucket draws, then the crossing rows' composition uniforms, row by
+    row.  Rounds nearer n keep the draws above.
     """
     out, ends = _start_chunk(params, n, gen, c)
     s_tilde = np.zeros(c)
     first = 1 + out["b1"]  # first renewal
     todo = np.flatnonzero(first <= n - 1)
+    mean_tau = alias.weights @ np.arange(1, alias.K + 1)  # E[tau | tau >= 2], the bucket at K
+    reach = _BULK * _BLOCK * (alias.p1 / (1.0 - alias.p1) + mean_tau)
     for lo in range(0, todo.size, _TILE):
         idx = todo[lo : lo + _TILE]
         t = first[idx]
         while idx.size:
             shape = (idx.size, _BLOCK)
             words = raw_words(gen, shape)
-            span = alias.runs(gen.random(shape))
+            if bulk := n - t.max() > reach:
+                table = _TABLES.get(("run sums", params.alpha), _solve_run_sums, alias)
+                runs = table.decode(raw_words(gen, idx.size))[0]
+            else:
+                runs = alias.runs(gen.random(shape))
             tau, sign, reward = alias.excursions(gen, words)
-            span += tau
-            end = t + span.sum(axis=1)
+            end = t + (runs if bulk else runs.sum(axis=1)) + tau.sum(axis=1)
             gain = reward.sum(axis=1)
             rows = np.flatnonzero(end > n)  # renewals cross n
             if rows.size:
-                pos = np.cumsum(span[rows], axis=1)
+                span = _compositions(gen, runs[rows], _BLOCK) if bulk else runs[rows]
+                pos = np.cumsum(span + tau[rows], axis=1)
                 pos += t[rows, None]
                 kstar = (pos > n).argmax(axis=1)  # the block straddling n
                 before = np.arange(_BLOCK) < kstar[:, None]
@@ -446,3 +466,28 @@ def _roll_chunk(params, n, gen, alias, c):
     out["s_tilde"] = s_tilde
     out["s_total"] = out["s_prime"] + s_tilde + out["s_dprime"]
     return out
+
+
+def _solve_run_sums(alias) -> _AliasTable:
+    """Alias table of the sum of _BLOCK self-loop runs, P[S = s] = C(s + _BLOCK
+    - 1, s) p1^s (1 - p1)^_BLOCK on s < K = 8192, from the ratios p1 (s +
+    _BLOCK) / (s + 1) of successive terms.  They fall in s, so the mass past
+    K - 1 is below P[S = K] / (1 - ratio(K - 1)); over 2^-53 is refused."""
+    p1, k = alias.p1, alias.K
+    ratio = p1 * (np.arange(k) + _BLOCK) / (np.arange(k) + 1.0)
+    log_tail = (math.lgamma(k + _BLOCK) - math.lgamma(k + 1) - math.lgamma(_BLOCK)
+                + k * math.log(p1) + _BLOCK * math.log1p(-p1) - math.log1p(-ratio[-1]))
+    if log_tail > -53.0 * math.log(2.0):
+        raise PrecisionError(f"p1={p1:g}: over 2^-53 of the run sums lie past {k - 1}")
+    pmf = np.cumprod(np.append((1.0 - p1) ** _BLOCK, ratio[:-1]))
+    return _AliasTable(pmf / pmf.sum())
+
+
+def _compositions(gen, s, k):
+    """Uniform compositions of each s into k parts >= 0 (stars and bars: the
+    k - 1 bars sit at the smallest of s + k - 1 uniforms, drawn row by row)."""
+    slots = s + (k - 1)
+    keys = np.full((s.size, int(slots.max())), 2.0)
+    keys[np.arange(keys.shape[1]) < slots[:, None]] = gen.random(int(slots.sum()))
+    bars = np.sort(np.argpartition(keys, k - 2, axis=1)[:, : k - 1], axis=1)
+    return np.diff(bars, axis=1, prepend=-1, append=slots[:, None]) - 1

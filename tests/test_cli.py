@@ -607,11 +607,13 @@ _PAIR = ("--alpha", "0.3", "--beta", "0.05")
         (("params", *_PAIR, "--out", "/nonexistent/dir/x.csv"), None,
          "out: cannot write /nonexistent/dir/x.csv: "),
         (("simulate", *_PAIR, "--n", "0", "--reps", "5"), None, "n: must be >= 1, got 0"),
+        (("simulate", *_PAIR, "--n", "10", "--reps", "0"), None,
+         "reps: must be >= 1 for simulate, got 0"),
     ],
     ids=["n-nan", "n-inf", "seed", "n-grid", "gamma-grid", "windows", "k-max",
          "config-shards", "config-alpha", "tol-inf", "c-inf", "c-overflow", "tol-nan",
          "n-fraction", "n-grid-fraction", "config-reps-bool", "config-k-max-fraction",
-         "autocov-short-length", "out-unwritable", "simulate-n-zero"],
+         "autocov-short-length", "out-unwritable", "simulate-n-zero", "simulate-reps-zero"],
 )
 def test_malformed_input_exit_2(tmp_path, args, config, field):
     if config is not None:

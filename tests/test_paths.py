@@ -28,6 +28,8 @@ from mdwindow.paths import _materialize, conditioned_path
 
 from conftest import DEFAULT, SMALL_ALPHA, three_se
 
+_PAIRS = {"default": DEFAULT, "small_alpha": SMALL_ALPHA}
+
 
 # ----------------------------------------------------------------------- phi
 
@@ -533,11 +535,26 @@ def test_iter_sums_boundary_sign_symmetry_and_independence():
     assert abs(float((sp * sd).mean())) < 3.0 / math.sqrt(m)
 
 
-@pytest.mark.parametrize("params", [DEFAULT, SMALL_ALPHA], ids=["default", "small_alpha"])
-@pytest.mark.parametrize("n", [3, 37, 1000])
-def test_rolled_paths_end_at_the_origin_with_weight_mu0(params, n):
+def _bulk_cases(pairs, horizons):
+    # (params, n, bulk) per pair and horizon, each as it runs (bulk None,
+    # id "n-pair") and with paths._BULK = 0 (id "n-pair-bulk"): then every
+    # round is a bulk round and every crossing draws its runs' composition
+    return [pytest.param(_PAIRS[pair], n, bulk, id=f"{n}-{pair}" + ("-bulk" if bulk == 0 else ""))
+            for bulk in (None, 0) for n in horizons for pair in pairs]
+
+
+def _set_bulk(monkeypatch, bulk):
+    if bulk is not None:
+        from mdwindow import paths
+
+        monkeypatch.setattr(paths, "_BULK", bulk)
+
+
+@pytest.mark.parametrize("params, n, bulk", _bulk_cases(("default", "small_alpha"), (3, 37, 1000)))
+def test_rolled_paths_end_at_the_origin_with_weight_mu0(monkeypatch, params, n, bulk):
     # a path whose horizon falls on a self-loop renewal ends at the origin;
     # a wrong sign or an off-by-one there moves P[(A_n, B_n) = 0] off mu_0
+    _set_bulk(monkeypatch, bulk)
     reps = 1 << 16
     ch = next(iter_sums(params, n, reps, RngStream(614, n).generator(), chunk=reps))
     origin = ch["an"] == 0
@@ -597,14 +614,9 @@ def _s_tilde_law(params, n):
     return law
 
 
-@pytest.mark.parametrize("params", [DEFAULT, SMALL_ALPHA], ids=["default", "small_alpha"])
-@pytest.mark.parametrize("n", [2, 5, 12])
-def test_rolled_middle_term_has_the_exact_small_horizon_law(params, n):
-    # chi-square of the rolled S~_n against its exact law, one cell per
-    # atom (atoms within 1e-9 merged, edges halfway between), sparse cells
-    # pooled; the law's mass is 1 and its variance the closed form's
-    from scipy.stats import chi2
-
+def _s_tilde_atoms(params, n):
+    # the exact law of S~_n as its atoms (within 1e-9 merged), ascending,
+    # and their masses; the law's mass is 1 and its variance the closed form's
     law = _s_tilde_law(params, n)
     r = np.zeros(n)
     r[1:] = excursion_reward_magnitude(params, np.arange(1, n))
@@ -616,15 +628,41 @@ def test_rolled_middle_term_has_the_exact_small_horizon_law(params, n):
     order = np.argsort(atoms)
     atoms, mass = atoms[order], mass[order]
     cell = np.concatenate(([0], np.cumsum(np.diff(atoms) > 1e-9)))
-    mass = np.bincount(cell, mass)
-    values = atoms[np.flatnonzero(np.diff(cell, prepend=-1))]
-    edges = 0.5 * (values[1:] + values[:-1])
+    return atoms[np.flatnonzero(np.diff(cell, prepend=-1))], np.bincount(cell, mass)
+
+
+def _s_tilde_pvalue(params, n, values, mass, cut):
+    # chi-square of 2^17 rolled S~_n against the exact law, in cells split
+    # halfway between the atoms at indices cut, sparse cells pooled
+    from scipy.stats import chi2
+
+    edges = 0.5 * (values[cut + 1] + values[cut])
     reps = 1 << 17
     x = next(iter_sums(params, n, reps, RngStream(760, n).generator(), chunk=reps))["s_tilde"]
-    got = np.bincount(np.searchsorted(edges, x), minlength=values.size).astype(np.float64)
-    want = reps * mass
+    got = np.bincount(np.searchsorted(edges, x), minlength=edges.size + 1).astype(np.float64)
+    want = reps * np.add.reduceat(mass, np.append(0, cut + 1))
     stat, dof = _pooled_chi2(got, want)
-    assert chi2.sf(stat, max(dof, 1)) > 1e-4, f"chi2={stat:.1f} on {dof} cells"
+    return chi2.sf(stat, max(dof, 1)), stat, dof
+
+
+@pytest.mark.parametrize("params, n, bulk", _bulk_cases(("default", "small_alpha"), (2, 5, 12)))
+def test_rolled_middle_term_has_the_exact_small_horizon_law(monkeypatch, params, n, bulk):
+    # one cell per atom
+    _set_bulk(monkeypatch, bulk)
+    values, mass = _s_tilde_atoms(params, n)
+    p, stat, dof = _s_tilde_pvalue(params, n, values, mass, np.arange(values.size - 1))
+    assert p > 1e-4, f"chi2={stat:.1f} on {dof} cells"
+
+
+def test_rolled_middle_term_has_the_exact_law_at_n30():
+    # 50,925 atoms at (0.3, 0.05): 64 cells of about equal mass, each split
+    # after the atom where the cumulative mass first reaches i/64
+    values, mass = _s_tilde_atoms(DEFAULT, 30)
+    cut = np.unique(np.searchsorted(np.cumsum(mass), np.arange(1, 64) / 64.0))
+    cut = cut[cut < values.size - 1]
+    assert cut.size > 40
+    p, stat, dof = _s_tilde_pvalue(DEFAULT, 30, values, mass, cut)
+    assert p > 1e-4, f"chi2={stat:.1f} on {dof} cells"
 
 
 def test_iter_sums_without_rewards_skips_middle_term():
@@ -789,7 +827,6 @@ def _chunk_md5(params, n, reps, seed, with_rewards, chunk):
 # the md5 of each, per pair and horizon.  Every interior row draws the
 # uniform that decides whether it peels, one-row chunks included
 _CHUNKS = ((1, 64), (7, 100), (4096, 10000))
-_PAIRS = {"default": DEFAULT, "small_alpha": SMALL_ALPHA}
 _BOUNDARY_MD5 = {
     ("default", 1): ("1874884db4070550c6c1be8c5ce77151", "577d7636df4b6365a3d073e4c7179528",
                      "57685e8a729fd1366852b1fb972868b2"),
@@ -930,11 +967,17 @@ def _end_age_law(alpha):
 
 def _end_age_pvalue(params, n, reps, rows, seed):
     # chi-square fit of the boundary engine's A_n to its stationary law
-    from scipy.stats import chi2
-
     gen = RngStream(seed, n).generator()
     an = np.concatenate([ch["an"] for ch in iter_sums(params, n, reps, gen,
                                                       with_rewards=False, chunk=rows)])
+    return _end_age_fit(params, an)
+
+
+def _end_age_fit(params, an):
+    # chi-square p-value of end ages an against their stationary law
+    from scipy.stats import chi2
+
+    reps = an.size
     got = np.bincount(np.searchsorted(_AGE_EDGES, an, side="right") - 1,
                       minlength=len(_AGE_EDGES)).astype(np.float64)
     want = reps * _end_age_law(params.alpha)
@@ -1163,11 +1206,13 @@ def _joint_cells(ch, n):
     return key
 
 
-@pytest.mark.parametrize("n", [6, 40])
-def test_boundary_sampler_matches_rolled_engine_joint_law(n):
+@pytest.mark.parametrize("n, bulk", [pytest.param(n, bulk, id=f"{n}" + ("-bulk" if bulk == 0 else ""))
+                                     for bulk in (None, 0) for n in (6, 40)])
+def test_boundary_sampler_matches_rolled_engine_joint_law(monkeypatch, n, bulk):
     # the rewards engine rolls every excursion, an independent route to
     # the same joint law of start state, end state and trailing sign; at
     # n = 6 the renewal weights u(0..5) differ most from their limit mu_0
+    _set_bulk(monkeypatch, bulk)
     reps = 300_000
     keys = [
         _joint_cells(next(iter_sums(DEFAULT, n, reps, RngStream(seed, n).generator(),
@@ -1194,3 +1239,117 @@ def _assert_same_cell_law(x_keys, y_keys):
     dof = x.size - 1
     assert dof > 50
     assert chi2.sf(stat, dof) > 1e-3, f"chi2={stat:.1f} on {dof} dof"
+
+
+@pytest.mark.parametrize("params", [DEFAULT, SMALL_ALPHA], ids=["default", "small_alpha"])
+def test_bulk_rounds_keep_the_end_age_and_the_variance_at_n_1e4(params):
+    # n = 1e4 lies 9 and 3.6 expected round spans past the first renewal at
+    # the two pairs, so rounds far from n are bulk rounds (the run-sum table
+    # gets built) and rounds near n are not: A_n fits its stationary law by
+    # chi-square and Var(S~_n) the closed form within 5 se
+    from mdwindow import paths
+
+    n, reps = 10_000, 1 << 16
+    chunks = list(iter_sums(params, n, reps, RngStream(763).generator(), chunk=256))
+    assert ("run sums", params.alpha) in paths._TABLES._tables
+    assert _end_age_fit(params, np.concatenate([c["an"] for c in chunks])) > 1e-4
+    x = np.concatenate([c["s_tilde"] for c in chunks])
+    var = float(x.var())
+    se = math.sqrt((float(np.mean((x - x.mean()) ** 4)) - var * var) / reps)
+    assert abs(var - _s_tilde_variance(params, n)) < 5.0 * se
+
+
+@pytest.mark.parametrize("params", [DEFAULT, SMALL_ALPHA], ids=["default", "small_alpha"])
+def test_run_sum_table_holds_the_negative_binomial_law(params):
+    # rebuilt in exact integers from its thresholds, the table's law is
+    # C(s + 47, s) p1^s (1 - p1)^48 on s = 0..8191 within 1e-15 (mpmath)
+    import mpmath
+
+    from mdwindow import paths
+    from mdwindow.chain import interval_alias
+
+    alias = interval_alias(params)
+    table = paths._solve_run_sums(alias)
+    k, cap = alias.K, 1 << 50
+    mass = [0] * k
+    for col, (thr, other) in enumerate(zip(table.thr.tolist(), table.pair[0::2].tolist())):
+        mass[col] += thr
+        mass[other] += cap - thr
+    assert sum(mass) == k * cap
+    with mpmath.workdps(40):
+        p1 = mpmath.mpf(alias.p1)
+        law = [mpmath.binomial(s + 47, s) * p1**s * (1 - p1) ** 48 for s in range(k)]
+        assert max(abs(mpmath.mpf(m) / (k * cap) - w) for m, w in zip(mass, law)) < 1e-15
+
+
+def test_run_sum_table_refuses_a_heavy_tail_past_8191():
+    # near alpha = 0.0855, the smallest the alias table's tau cap check
+    # admits, p1 = 0.938 and the bound on the mass past 8191 is 2^-533; at
+    # p1 = 0.99 the mean run sum is 4752, five standard deviations below
+    # 8191, and the bound is 2^-16
+    from mdwindow import PrecisionError, paths
+    from mdwindow.chain import interval_alias
+
+    alias = interval_alias(Params(0.0855, 0.0))
+    assert 0.93 < alias.p1 < 0.94
+    paths._solve_run_sums(alias)
+    with pytest.raises(PrecisionError, match="run sums"):
+        paths._solve_run_sums(SimpleNamespace(p1=0.99, K=alias.K))
+
+
+def test_compositions_are_uniform():
+    # stars and bars: the 15 compositions of 4 into 3 parts equally often,
+    # drawn among rows of other sums, each row summing to its own
+    from scipy.stats import chisquare
+
+    from mdwindow.paths import _compositions
+
+    s = RngStream(764).generator().choice([0, 4, 9], size=60_000)
+    parts = _compositions(RngStream(765).generator(), s, 3)
+    assert parts.shape == (s.size, 3) and int(parts.min()) == 0
+    assert np.array_equal(parts.sum(axis=1), s)
+    four = parts[s == 4]
+    counts = np.bincount(four[:, 0] * 5 + four[:, 1], minlength=25)
+    cells = [a * 5 + b for a in range(5) for b in range(5 - a)]
+    assert counts.sum() == counts[cells].sum() and len(cells) == 15
+    assert chisquare(counts[cells]).pvalue > 1e-4
+
+
+def test_runs_at_n_1000_never_build_the_run_sum_table(monkeypatch):
+    # a row starts at most n - 2 steps from n, and 1000 is less than 3
+    # expected round spans at both pairs (1,120 and 2,750 steps): every
+    # pinned run and the cold `simulate` stay near n, and their bits too.
+    # The guard fires at n = 1e4
+    from mdwindow import measure, paths
+
+    def refuse(alias):
+        raise AssertionError("run-sum table built")
+
+    monkeypatch.setattr(paths, "_TABLES", measure._TableStore())
+    monkeypatch.setattr(paths, "_solve_run_sums", refuse)
+    for params in (DEFAULT, SMALL_ALPHA):
+        for ch in iter_sums(params, 1000, 512, RngStream(766).generator(), chunk=256):
+            assert ch["s_tilde"].size == 256
+    with pytest.raises(AssertionError, match="run-sum"):
+        next(iter_sums(DEFAULT, 10_000, 256, RngStream(766).generator()))
+
+
+@pytest.mark.parametrize("bits", ["MT19937", "PCG64", "Philox", "SFC64"])
+def test_generators_of_32_bit_words_are_refused_at_the_call(bits):
+    # raw_words reads 64-bit words; MT19937's are 32-bit, so every alias
+    # column would be 0 and the interval law wrong
+    from mdwindow.chain import interval_alias
+
+    calls = (lambda g: iter_sums(DEFAULT, 100, 10, g), lambda g: generate_path(DEFAULT, 50, g),
+             lambda g: conditioned_path(DEFAULT, 50, 10, 3, g),
+             lambda g: interval_alias(DEFAULT).draw(g, 10_000))
+    for call in calls:
+        gen = np.random.Generator(getattr(np.random, bits)(5))
+        if bits == "MT19937":
+            with pytest.raises(ParameterError, match="MT19937"):
+                call(gen)
+        else:
+            call(gen)
+    tau = interval_alias(DEFAULT).draw(np.random.Generator(getattr(np.random, bits)(5))
+                                       if bits != "MT19937" else RngStream(5), 10_000)
+    assert np.unique(tau).size > 20
