@@ -19,7 +19,6 @@ full excursion's reward falls out of it rather than being assumed.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import partial
 from types import SimpleNamespace
@@ -30,7 +29,7 @@ import numpy as np
 from .chain import RngLike, as_generator, interval_alias, raw_words, sample_stationary_levels
 from .chain import _AliasTable, _check_tau_cap, _interval_tail_reject, _stationary_excursions
 from .errors import ParameterError, PrecisionError
-from .measure import _TABLES, Params, _integer, _p_law, _reward_ages
+from .measure import _TABLES, MEAN_TAU, Params, _integer, _p_law, _reward_ages
 
 
 def phi(params: Params, k: int, l: int) -> float:
@@ -416,12 +415,13 @@ def _roll_chunk(params, n, gen, alias, c):
     writes the end records once (sign bits read as sign uniforms).
 
     While the tile's most advanced row is more than _BULK expected round
-    spans, _BLOCK (p1 / (1 - p1) + E[tau | tau >= 2]), from n, a round is a
-    bulk round: a row needs only the sum S of its runs, NegBin(_BLOCK,
-    1 - p1), one word decoded by `_solve_run_sums`' table (built at the first
-    bulk round; it drops the mass of S past 8191, under 2^-53 or refused).
-    Given S the runs are uniform over the compositions of S into _BLOCK
-    parts, so a row whose bulk round crosses n draws them (`_compositions`).
+    spans, _BLOCK MEAN_TAU / (1 - p1), from n, a round is a bulk round (a
+    tile once near n stays near): a row needs only the sum S of its runs,
+    NegBin(_BLOCK, 1 - p1), one word decoded by `_solve_run_sums`' table
+    (built at the first bulk round; it drops the mass of S past 8191, under
+    2^-53 or refused).  Given S the runs are uniform over the compositions
+    of S into _BLOCK parts, so a row whose bulk round crosses n draws them
+    (`_compositions`).
     Draw order of a bulk round: the excursion words, the S words, the
     tail-bucket draws, then the crossing rows' composition uniforms, row by
     row.  Rounds nearer n keep the draws above.
@@ -430,26 +430,27 @@ def _roll_chunk(params, n, gen, alias, c):
     s_tilde = np.zeros(c)
     first = 1 + out["b1"]  # first renewal
     todo = np.flatnonzero(first <= n - 1)
-    mean_tau = alias.weights @ np.arange(1, alias.K + 1)  # E[tau | tau >= 2], the bucket at K
-    reach = _BULK * _BLOCK * (alias.p1 / (1.0 - alias.p1) + mean_tau)
+    reach = _BULK * _BLOCK * MEAN_TAU / (1.0 - alias.p1)  # a block holds 1 / (1 - p1) intervals
     for lo in range(0, todo.size, _TILE):
         idx = todo[lo : lo + _TILE]
-        t = first[idx]
+        t, bulk = first[idx], True
         while idx.size:
             shape = (idx.size, _BLOCK)
             words = raw_words(gen, shape)
-            if bulk := n - t.max() > reach:
+            if bulk := bulk and n - t.max() > reach:
                 table = _TABLES.get(("run sums", params.alpha), _solve_run_sums, alias)
                 runs = table.decode(raw_words(gen, idx.size))[0]
             else:
                 runs = alias.runs(gen.random(shape))
             tau, sign, reward = alias.excursions(gen, words)
-            end = t + (runs if bulk else runs.sum(axis=1)) + tau.sum(axis=1)
+            if not bulk:
+                runs += tau  # the blocks' spans
+            end = t + (runs + tau.sum(axis=1) if bulk else runs.sum(axis=1))
             gain = reward.sum(axis=1)
             rows = np.flatnonzero(end > n)  # renewals cross n
             if rows.size:
-                span = _compositions(gen, runs[rows], _BLOCK) if bulk else runs[rows]
-                pos = np.cumsum(span + tau[rows], axis=1)
+                span = _compositions(gen, runs[rows], _BLOCK) + tau[rows] if bulk else runs[rows]
+                pos = np.cumsum(span, axis=1)
                 pos += t[rows, None]
                 kstar = (pos > n).argmax(axis=1)  # the block straddling n
                 before = np.arange(_BLOCK) < kstar[:, None]
@@ -470,16 +471,15 @@ def _roll_chunk(params, n, gen, alias, c):
 
 def _solve_run_sums(alias) -> _AliasTable:
     """Alias table of the sum of _BLOCK self-loop runs, P[S = s] = C(s + _BLOCK
-    - 1, s) p1^s (1 - p1)^_BLOCK on s < K = 8192, from the ratios p1 (s +
-    _BLOCK) / (s + 1) of successive terms.  They fall in s, so the mass past
-    K - 1 is below P[S = K] / (1 - ratio(K - 1)); over 2^-53 is refused."""
+    - 1, s) p1^s (1 - p1)^_BLOCK on s < K = 8192, from the ratios r(s) = p1
+    (s + _BLOCK) / (s + 1) of successive terms.  They fall in s, so the mass
+    past K - 1 is below P[S = K - 1] r / (1 - r), r = r(K - 1); over 2^-53
+    is refused."""
     p1, k = alias.p1, alias.K
     ratio = p1 * (np.arange(k) + _BLOCK) / (np.arange(k) + 1.0)
-    log_tail = (math.lgamma(k + _BLOCK) - math.lgamma(k + 1) - math.lgamma(_BLOCK)
-                + k * math.log(p1) + _BLOCK * math.log1p(-p1) - math.log1p(-ratio[-1]))
-    if log_tail > -53.0 * math.log(2.0):
-        raise PrecisionError(f"p1={p1:g}: over 2^-53 of the run sums lie past {k - 1}")
     pmf = np.cumprod(np.append((1.0 - p1) ** _BLOCK, ratio[:-1]))
+    if not 0.0 <= pmf[-1] * ratio[-1] / (1.0 - ratio[-1]) < 2.0**-53:
+        raise PrecisionError(f"p1={p1:g}: over 2^-53 of the run sums lie past {k - 1}")
     return _AliasTable(pmf / pmf.sum())
 
 
