@@ -203,7 +203,7 @@ def iter_sums(
     Yields dict chunks with the decomposition terms and end states; the
     per-time values are never materialized.  With rewards every excursion
     is rolled in blocks of a self-loop run and one excursion, far from n
-    only the runs' sum (`_roll_chunk`), about 2.2e10 chain steps per minute
+    only the runs' sum (`_roll_chunk`), about 2.3e10 chain steps per minute
     on one CPU as README measures it.
     With with_rewards=False the middle term is skipped and no excursion is
     rolled (`_boundary_chunk`): an end state is drawn directly below a lag
