@@ -171,100 +171,131 @@ def _interval_tail_reject(
     return out
 
 
-_FRAC_BITS = 50
-_FRAC_MASK = (1 << _FRAC_BITS) - 1
-
-
 def raw_words(gen: np.random.Generator, shape) -> np.ndarray:
     """Uniform 64-bit words from the generator's bit stream, as int64."""
     return gen.bit_generator.random_raw(shape).view(np.int64)
 
 
 class _AliasTable:
-    """Alias table (Vose, IEEE TSE 1991) over `weights`, a power of two of
-    at most 8192 entries summing to 1, drawn by `decode` from 64-bit words."""
+    """Alias table (Vose, IEEE TSE 1991) over `weights`, 2^b entries (b <=
+    13) summing to 1, drawn by `decode` from 64-bit words.
 
-    def __init__(self, weights: np.ndarray):
+    A word's top b + 1 bits h hold its column (the top b) and its sign bit;
+    its low 63 - b bits f (50 for 8192 columns) keep the column's own slot
+    when f < thr = ceil(accept 2^(63 - b)), as for an integer f, f < ceil(x)
+    exactly when f < x.  A column with thr = 2^(63 - b) always keeps it, so
+    it is stored as its own alias with thr 0.  With cut[h] = h 2^(63 - b) +
+    thr, the word read unsigned is below cut[h] exactly when f < thr, and
+    `value` holds values[slot] (int16; the slot itself by default) of the
+    slot drawn at q = 2 h + kept.
+    """
+
+    def __init__(self, weights: np.ndarray, values: np.ndarray | None = None):
         accept, alias = _vose_tables(weights)
-        # for an integer f, f < ceil(x) exactly when f < x
-        self.thr = np.ceil(np.ldexp(accept, _FRAC_BITS)).astype(np.int64)
-        # pair[2 col + take]: the alias when the accept test fails, else col
-        self.pair = np.column_stack((alias, np.arange(weights.size))).ravel()
+        self.shift = 64 - weights.size.bit_length()  # 63 - b
+        thr = np.ceil(np.ldexp(accept, self.shift)).astype(np.uint64)
+        full = (thr >> self.shift).astype(bool)
+        thr[full], alias[full] = 0, full.nonzero()[0]
+        self.cut = np.arange(2 * weights.size, dtype=np.uint64)
+        self.cut <<= self.shift
+        self.cut += thr.repeat(2)
+        slot = np.column_stack((alias, np.arange(weights.size))).astype(np.int16)
+        slot = slot.repeat(2, axis=0).ravel()
+        self.value = slot if values is None else values.astype(np.int16).take(slot)
 
-    def decode(self, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Slot and sign bit of each int64 word: the top 13 bits pick the
-        column (their low bits, for fewer than 8192 columns), bit 50 is the
-        sign, and the low 50 bits f keep the column's own slot when
-        f < thr[col], i.e. f * 2^-50 < accept[col]."""
-        col = (words >> 51) & (self.thr.size - 1)
-        take = (words & _FRAC_MASK) < self.thr.take(col)
-        col <<= 1
-        col |= take
-        return self.pair.take(col), (words >> _FRAC_BITS) & 1
+    def decode(self, words: np.ndarray) -> np.ndarray:
+        """The column index q = 2 h + kept of each int64 word, so value[q]
+        is its draw and bit 1 of q its sign bit."""
+        u = words.view(np.uint64)
+        q = (u >> self.shift).view(np.int64)
+        kept = u < self.cut.take(q)
+        q <<= 1
+        q |= kept
+        return q
 
 
-class IntervalAlias(_AliasTable):
+class _Excursions(_AliasTable):
+    """Excursions from an alias table over interval lengths: slot tau - 1
+    holds tau >= 2, and the last slot, K - 1, is a bucket for the lengths
+    past it, resolved by the exact size-biased rejection step
+    (`_tail_draw`).  Per column index q, `value` holds tau (K in the
+    bucket) and `reward` the signed reward (-1)^sign mag[tau - 1], mag the
+    reward magnitude of each slot's length (0 in the bucket, whose draws
+    take their own), so a word's excursion is two reads of q."""
+
+    def __init__(self, params: Params, weights: np.ndarray, mag: np.ndarray):
+        self.params, self.K = params, weights.size
+        super().__init__(weights, np.arange(1, self.K + 1))
+        self.reward = mag.take(self.value - 1)
+        np.negative(self.reward[2::4], out=self.reward[2::4])  # q = 4 slot + 2 sign + kept
+        np.negative(self.reward[3::4], out=self.reward[3::4])
+
+    @property
+    def mag(self) -> np.ndarray:
+        """Reward magnitude of each slot's length (0 in the bucket): a kept
+        draw of sign bit 0, at q = 4 slot + 1."""
+        return self.reward[1::4]
+
+    def excursions(self, gen: np.random.Generator, words: np.ndarray):
+        """(tau, column index q, signed reward) of one table draw per int64
+        word: the reward is (-1)^sign times the excursion's reward
+        magnitude, with the word's sign bit, bit 1 of q."""
+        q = self.decode(words)
+        tau, bucket, big = self._lengths(gen, q)
+        reward = self.reward.take(q)
+        if bucket is not None:
+            sign = (q[bucket] >> 1) & 1
+            reward[bucket] = (1 - 2 * sign) * excursion_reward_magnitude(self.params, big)
+        return tau, q, reward
+
+    def _lengths(self, gen: np.random.Generator, q: np.ndarray):
+        """Lengths tau of table draws by column index (int16 unless a draw
+        landed in the bucket), with the bucket's mask and its lengths (both
+        None when none did).  Only bucket draws read `gen`: `_tail_draw`
+        gives them their tau."""
+        tau = self.value.take(q)
+        if tau.max(initial=0) < self.K:
+            return tau, None, None
+        bucket = tau == self.K
+        tau = tau.astype(np.int64)
+        tau[bucket] = big = self._tail_draw(gen, int(bucket.sum()))
+        return tau, bucket, big
+
+    def _tail_draw(self, gen: np.random.Generator, count: int) -> np.ndarray:
+        return _interval_tail_reject(self.params, gen, count, self.K - 1)
+
+
+class IntervalAlias(_Excursions):
     """Draws from {p_n}: self-loop runs and one alias table over the
     non-trivial law p_k / (1 - p_1), k >= 2.
 
     A run of G self-loops, P[G >= g] = p_1^g (`runs`, one uniform double),
     then one table draw (`excursions`, one 64-bit word) make a block of
-    {p_n}.  Slot tau - 1 holds tau: slot 0 has mass exactly 0, and the last
-    slot is a bucket for the mass beyond K-1, resolved by the exact
-    size-biased rejection step (`_tail_draw`).  p1 is the self-loop weight
-    of the same normalized law, and signed[2 slot + sign] the signed reward
-    of a table draw below the bucket.
+    {p_n}.  Slot 0 (tau = 1) has mass exactly 0, and the last slot is the
+    tail bucket.  p1 is the self-loop weight of the same normalized law.
     """
 
     K = 8192  # 2^13 columns, so 13 bits of a word pick one uniformly
     _TILE = 1 << 14  # most blocks per `draw` round
+    _tail_draw = _Excursions._tail_draw  # its own entry, which bench/layers.py traces
 
     def __init__(self, params: Params):
         k = self.K
         _check_tau_cap(params.alpha, k - 1)
-        self.params = params
         probs = np.append(_p_law(params, k - 1)[1:], 0.0)  # slot j: p_(j+1)
         probs[k - 1] = max(1.0 - probs[: k - 1].sum(), 0.0)  # tail bucket
         probs /= probs.sum()
         self.p1 = float(probs[0])
         probs[0] = 0.0
         self.weights = probs / probs.sum()
-        super().__init__(self.weights)
-        # the bucket's two entries are 0: its draws take their own reward
         mag = np.append(excursion_reward_magnitude(params, np.arange(1, k)), 0.0)
-        self.signed = np.column_stack((mag, -mag)).ravel()
-
-    def excursions(self, gen: np.random.Generator, words: np.ndarray):
-        """(tau, sign bit, signed reward) of one table draw per int64 word,
-        the reward (-1)^sign times the excursion's reward magnitude."""
-        slot, sign = self.decode(words)
-        reward = self.signed.take((slot << 1) | sign)
-        tau, bucket, big = self._lengths(gen, slot)
-        if bucket is not None:
-            reward[bucket] = (1 - 2 * sign[bucket]) * excursion_reward_magnitude(self.params, big)
-        return tau, sign, reward
-
-    def _lengths(self, gen: np.random.Generator, slot: np.ndarray):
-        """Lengths tau = slot + 1 of table draws, written over `slot`, with
-        the tail bucket's mask and its lengths (both None when no draw landed
-        there).  Only bucket draws read `gen`: `_tail_draw` gives them their
-        tau."""
-        tau = slot
-        tau += 1
-        if tau.max() < self.K:
-            return tau, None, None
-        bucket = tau == self.K
-        tau[bucket] = big = self._tail_draw(gen, int(bucket.sum()))
-        return tau, bucket, big
+        super().__init__(params, self.weights, mag)
 
     def runs(self, u: np.ndarray) -> np.ndarray:
         """Self-loop run lengths floor(log u / log p_1) of uniforms u, so
         P[G >= g] = P[u <= p_1^g] = p_1^g; u = 0 is guarded as in
         `_size_biased_level`."""
         return (np.log(np.maximum(u, 5e-324)) / math.log(self.p1)).astype(np.int64)
-
-    def _tail_draw(self, gen: np.random.Generator, count: int) -> np.ndarray:
-        return _interval_tail_reject(self.params, gen, count, self.K - 1)
 
     def draw(self, rng: RngLike, size: int) -> np.ndarray:
         """`size` intervals from {p_n}: blocks laid end to end, cut to
@@ -280,8 +311,7 @@ class IntervalAlias(_AliasTable):
             pos = np.cumsum(self.runs(gen.random(m)) + 1) + (at - 1)  # table draws
             kept = int(np.searchsorted(pos, size))
             if kept:
-                slot = self.decode(raw_words(gen, kept))[0]
-                tau[pos[:kept]] = self._lengths(gen, slot)[0]
+                tau[pos[:kept]] = self._lengths(gen, self.decode(raw_words(gen, kept)))[0]
             at = int(pos[-1]) + 1
         return tau
 

@@ -19,6 +19,7 @@ full excursion's reward falls out of it rather than being assumed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 from types import SimpleNamespace
@@ -27,7 +28,7 @@ from typing import Iterator
 import numpy as np
 
 from .chain import RngLike, as_generator, interval_alias, raw_words, sample_stationary_levels
-from .chain import _AliasTable, _check_tau_cap, _interval_tail_reject, _stationary_excursions
+from .chain import _AliasTable, _Excursions, _check_tau_cap, _interval_tail_reject, _stationary_excursions
 from .errors import ParameterError, PrecisionError
 from .measure import _TABLES, MEAN_TAU, Params, _integer, _p_law, _reward_ages
 
@@ -397,6 +398,7 @@ _PROPOSALS = 1024  # most proposals a boundary round spreads over its pending ro
 _BLOCK = 48  # blocks (a self-loop run and one excursion) drawn per path per round
 _TILE = 512  # rows rolled together
 _BULK = 3  # expected round spans from n past which a round draws its runs' sum alone
+_PAIR_BITS = 6  # a pair-count atom is (k2 << _PAIR_BITS) + p, p <= k2 <= _BLOCK < 64
 
 
 def _roll_chunk(params, n, gen, alias, c):
@@ -416,15 +418,8 @@ def _roll_chunk(params, n, gen, alias, c):
 
     While the tile's most advanced row is more than _BULK expected round
     spans, _BLOCK MEAN_TAU / (1 - p1), from n, a round is a bulk round (a
-    tile once near n stays near): a row needs only the sum S of its runs,
-    NegBin(_BLOCK, 1 - p1), one word decoded by `_solve_run_sums`' table
-    (built at the first bulk round; it drops the mass of S past 8191, under
-    2^-53 or refused).  Given S the runs are uniform over the compositions
-    of S into _BLOCK parts, so a row whose bulk round crosses n draws them
-    (`_compositions`).
-    Draw order of a bulk round: the excursion words, the S words, the
-    tail-bucket draws, then the crossing rows' composition uniforms, row by
-    row.  Rounds nearer n keep the draws above.
+    tile once near n stays near), drawn by `_bulk_round`.  Rounds nearer n
+    keep the draws above.
     """
     out, ends = _start_chunk(params, n, gen, c)
     s_tilde = np.zeros(c)
@@ -435,30 +430,29 @@ def _roll_chunk(params, n, gen, alias, c):
         idx = todo[lo : lo + _TILE]
         t, bulk = first[idx], True
         while idx.size:
-            shape = (idx.size, _BLOCK)
-            words = raw_words(gen, shape)
             if bulk := bulk and n - t.max() > reach:
-                table = _TABLES.get(("run sums", params.alpha), _solve_run_sums, alias)
-                runs = table.decode(raw_words(gen, idx.size))[0]
+                end, gain, (rows, span, tau, reward, sign) = _bulk_round(params, n, gen, alias, t)
             else:
-                runs = alias.runs(gen.random(shape))
-            tau, sign, reward = alias.excursions(gen, words)
-            if not bulk:
-                runs += tau  # the blocks' spans
-            end = t + (runs + tau.sum(axis=1) if bulk else runs.sum(axis=1))
-            gain = reward.sum(axis=1)
-            rows = np.flatnonzero(end > n)  # renewals cross n
+                words = raw_words(gen, (idx.size, _BLOCK))
+                span = alias.runs(gen.random(words.shape))
+                tau, q, reward = alias.excursions(gen, words)
+                span += tau  # the blocks' spans
+                end = t + span.sum(axis=1)
+                gain = reward.sum(axis=1)
+                rows = np.flatnonzero(end > n)  # renewals cross n
+                span, tau, reward = span[rows], tau[rows], reward[rows]
+                sign = (q[rows] >> 1) & 1
             if rows.size:
-                span = _compositions(gen, runs[rows], _BLOCK) + tau[rows] if bulk else runs[rows]
                 pos = np.cumsum(span, axis=1)
                 pos += t[rows, None]
                 kstar = (pos > n).argmax(axis=1)  # the block straddling n
                 before = np.arange(_BLOCK) < kstar[:, None]
-                gain[rows] = (reward[rows] * before).sum(axis=1)
-                level = tau[rows, kstar]
-                ac = n - (pos[np.arange(rows.size), kstar] - level)
+                gain[rows] = (reward * before).sum(axis=1)
+                at = np.arange(rows.size)
+                level = tau[at, kstar]
+                ac = n - (pos[at, kstar] - level)
                 e = np.flatnonzero(ac > 0)  # ac <= 0: n falls on a self-loop renewal
-                ends.append((idx[rows[e]], ac[e], level[e], sign[rows[e], kstar[e]]))
+                ends.append((idx[rows[e]], ac[e], level[e], sign[e, kstar[e]]))
             s_tilde[idx] += gain
             alive = end <= n - 1
             idx, t = idx[alive], end[alive]
@@ -469,18 +463,103 @@ def _roll_chunk(params, n, gen, alias, c):
     return out
 
 
+def _bulk_round(params, n, gen, alias, t):
+    """One bulk round of rows at `t`: their ends and gains, and the blocks
+    (spans, lengths, rewards, sign bits) of the rows whose renewals cross n.
+
+    A row needs only the sum S of its _BLOCK runs, NegBin(_BLOCK, 1 - p1),
+    and the count k2 ~ Bin(_BLOCK, w2) of its excursions of length 2 (w2 =
+    P[tau = 2 | tau >= 2]) with the number p ~ Bin(k2, 1/2) of them plus:
+    one word each, decoded by `_solve_run_sums`' and `_solve_pair_counts`'
+    tables.  Its other _BLOCK - k2 excursions are decoded by
+    `_solve_long_excursions`' table over lengths >= 3, so it spans S + 2 k2 +
+    their lengths and gains R(2) (2 p - k2) + their rewards.  The tables are
+    built at the first bulk round; the run sums drop their mass past 8191,
+    under 2^-53 or refused.  Given its draws a crossing row's blocks are
+    exchangeable: its length-2 excursions sit at the k2 lowest ranks of
+    _BLOCK uniforms, the p lowest of them plus, its other excursions fill
+    the other blocks in draw order, and given S its runs are uniform over
+    the compositions of S into _BLOCK parts (`_compositions`).  Draw order:
+    the S words, the (k2, p) words, the other excursions' words row by row,
+    their tail-bucket draws, then the crossing rows' rank uniforms and
+    their composition uniforms, row by row.
+    """
+    sums = _TABLES.get(("run sums", params.alpha), _solve_run_sums, alias)
+    pairs = _TABLES.get(("pair counts", params.alpha), _solve_pair_counts, alias)
+    long = _TABLES.get(("long excursions", params.alpha, params.beta), _solve_long_excursions, alias)
+    words = raw_words(gen, 2 * t.size)
+    s = sums.value.take(sums.decode(words[: t.size]))
+    atom = pairs.value.take(pairs.decode(words[t.size :]))
+    k2, plus = atom >> _PAIR_BITS, atom & ((1 << _PAIR_BITS) - 1)
+    count = _BLOCK - k2  # excursions of lengths >= 3
+    tau, q, reward = long.excursions(gen, raw_words(gen, int(count.sum())))
+    end = t + s + 2 * k2 + _segment_sums(tau, count)
+    gain = alias.mag[1] * (2 * plus - k2) + _segment_sums(reward, count)
+    rows = np.flatnonzero(end > n)  # renewals cross n
+    if not rows.size:
+        return end, gain, (rows, None, None, None, None)
+    rank = np.argsort(np.argsort(gen.random((rows.size, _BLOCK)), axis=1), axis=1)
+    short = rank < k2[rows, None]
+    sign = (rank >= plus[rows, None]).astype(np.int64)  # the short blocks' sign bits
+    block_tau = np.where(short, 2, 0)
+    block_reward = np.where(sign == 1, -alias.mag[1], alias.mag[1])
+    crossing = np.zeros(t.size, bool)
+    crossing[rows] = True
+    mine = np.repeat(crossing, count)  # the crossing rows' other excursions, in draw order
+    other = ~short
+    block_tau[other], block_reward[other] = tau[mine], reward[mine]
+    sign[other] = (q[mine] >> 1) & 1
+    span = _compositions(gen, s[rows].astype(np.int64), _BLOCK) + block_tau
+    return end, gain, (rows, span, block_tau, block_reward, sign)
+
+
+def _segment_sums(x, count):
+    """Sums of the consecutive runs of `x` of lengths `count`, 0 for an empty
+    run, in int64 for integers."""
+    full = count.nonzero()[0]
+    out = np.zeros(count.size, np.result_type(x.dtype, np.int64))
+    if full.size:
+        at = np.cumsum(count) - count  # where each run starts
+        out[full] = np.add.reduceat(x, at.take(full), dtype=out.dtype)
+    return out
+
+
 def _solve_run_sums(alias) -> _AliasTable:
     """Alias table of the sum of _BLOCK self-loop runs, P[S = s] = C(s + _BLOCK
-    - 1, s) p1^s (1 - p1)^_BLOCK on s < K = 8192, from the ratios r(s) = p1
-    (s + _BLOCK) / (s + 1) of successive terms.  They fall in s, so the mass
-    past K - 1 is below P[S = K - 1] r / (1 - r), r = r(K - 1); over 2^-53
-    is refused."""
+    - 1, s) p1^s (1 - p1)^_BLOCK on s < k, from the ratios r(s) = p1 (s +
+    _BLOCK) / (s + 1) of successive terms.  They fall in s, so the mass past
+    k - 1 is below P[S = k - 1] r / (1 - r), r = r(k - 1) < 1; k is the
+    fewest columns, a power of two up to K = 8192, that leave under 2^-53
+    there, and more is refused."""
     p1, k = alias.p1, alias.K
     ratio = p1 * (np.arange(k) + _BLOCK) / (np.arange(k) + 1.0)
     pmf = np.cumprod(np.append((1.0 - p1) ** _BLOCK, ratio[:-1]))
-    if not 0.0 <= pmf[-1] * ratio[-1] / (1.0 - ratio[-1]) < 2.0**-53:
+    last = (1 << np.arange(1, k.bit_length())) - 1  # the last s of each power of two
+    fits = (ratio.take(last) < 1.0) & (pmf.take(last) * ratio.take(last) < 2.0**-53 * (1.0 - ratio.take(last)))
+    if not fits.any():
         raise PrecisionError(f"p1={p1:g}: over 2^-53 of the run sums lie past {k - 1}")
+    pmf = pmf[: int(last[fits.argmax()]) + 1]
     return _AliasTable(pmf / pmf.sum())
+
+
+def _solve_pair_counts(alias) -> _AliasTable:
+    """Alias table of a bulk row's (k2, p), atom (k2 << _PAIR_BITS) + p of
+    4096: P = C(_BLOCK, k2) w2^k2 (1 - w2)^(_BLOCK - k2) C(k2, p) 2^-k2, w2
+    = P[tau = 2 | tau >= 2], on all 1,225 atoms p <= k2 <= _BLOCK."""
+    w2 = float(alias.weights[1])
+    law = np.zeros((1 << _PAIR_BITS, 1 << _PAIR_BITS))
+    for k2 in range(_BLOCK + 1):
+        k2_law = math.comb(_BLOCK, k2) * w2**k2 * (1.0 - w2) ** (_BLOCK - k2) * 0.5**k2
+        law[k2, : k2 + 1] = [k2_law * math.comb(k2, p) for p in range(k2 + 1)]
+    return _AliasTable(law.ravel() / law.sum())
+
+
+def _solve_long_excursions(alias) -> _Excursions:
+    """The excursions of `alias` given tau >= 3: its weights without tau = 2,
+    renormalized, with the same reward magnitudes and tail bucket."""
+    weights = alias.weights.copy()
+    weights[1] = 0.0  # slot 1 holds tau = 2
+    return _Excursions(alias.params, weights / weights.sum(), alias.mag)
 
 
 def _compositions(gen, s, k):

@@ -37,6 +37,20 @@ def lag_route(params: Params, tol: float, of_sigma: bool):
     return cut, table, direct, runs.sigma_slack if of_sigma else runs.lag_slack
 
 
+def alias_mass(table, size: int, first: int = 0) -> list:
+    """Exact integer mass of each of `size` slots of an alias table, out of
+    2^64, its values counted from `first` (1 for the lengths of an
+    excursion table): per word head h the kept fractions, cut[h] - h 2^shift
+    of 2^shift, go to the slot of value[2 h + 1] and the rest to that of
+    value[2 h]."""
+    mass, slot, cap = [0] * size, (table.value - first).tolist(), 1 << table.shift
+    for h, cut in enumerate(table.cut.tolist()):
+        kept = cut - h * cap
+        mass[slot[2 * h + 1]] += kept
+        mass[slot[2 * h]] += cap - kept
+    return mass
+
+
 def three_se(p: float, n: int) -> float:
     return 3.0 * np.sqrt(max(p * (1.0 - p), 1e-12) / n)
 

@@ -32,8 +32,9 @@ from mdwindow.chain import (
     sample_stationary_levels,
 )
 from mdwindow.measure import _p_law, p1, small_mass_tail
+from mdwindow.paths import _solve_long_excursions
 
-from conftest import DEFAULT, SMALL_ALPHA, three_se
+from conftest import DEFAULT, SMALL_ALPHA, alias_mass, three_se
 
 
 # --------------------------------------------------------------------- state
@@ -194,7 +195,7 @@ def test_tail_rejection_sampler_matches_conditional_law():
 
 
 class _TinyAlias(IntervalAlias):
-    K = 4  # the low 2 of the 13 column bits: still exactly uniform
+    K = 4  # the top 2 bits of a word pick the column: still exactly uniform
 
 
 def test_sampler_beyond_table_via_public_draw():
@@ -214,18 +215,16 @@ def test_sampler_beyond_table_via_public_draw():
 # ------------------------------------------------------------ word decoding
 
 def test_alias_thresholds_rebuild_the_input_law():
-    # column col keeps its slot with probability thr/2^50 and otherwise
-    # sends the draw to its alias; summed in exact integers
+    # a word of head h keeps its column's slot with probability (cut[h] -
+    # h 2^50) / 2^50 and otherwise goes to the alias; summed in exact integers
     alias = interval_alias(DEFAULT)
-    k, cap = alias.K, 1 << 50
-    assert np.array_equal(alias.pair[1::2], np.arange(k))
-    assert np.all((alias.thr >= 0) & (alias.thr <= cap))
-    mass = [0] * k
-    for col, (thr, other) in enumerate(zip(alias.thr.tolist(), alias.pair[0::2].tolist())):
-        mass[col] += thr
-        mass[other] += cap - thr
-    assert sum(mass) == k * cap
-    rebuilt = np.array([m / (k * cap) for m in mass])
+    k, heads = alias.K, np.arange(1 << 14)
+    assert np.array_equal(alias.value[1::2], (heads >> 1) + 1)  # tau = slot + 1
+    kept = alias.cut.astype(object) - (heads.astype(object) << 50)
+    assert all(0 <= f < 1 << 50 for f in kept)
+    mass = alias_mass(alias, k, 1)
+    assert sum(mass) == 1 << 64
+    rebuilt = np.array([m / 2.0**64 for m in mass])
     assert float(np.abs(rebuilt - alias.weights).max()) < 1e-15
 
 
@@ -314,12 +313,8 @@ def test_alias_table_never_draws_a_self_loop(params):
     # table's tau = 1 slot has mass exactly 0, and with p1 the table gives
     # back the normalized full law
     alias = IntervalAlias(params)
-    k, cap = alias.K, 1 << 50
-    mass = [0] * k
-    for col, (thr, other) in enumerate(zip(alias.thr.tolist(), alias.pair[0::2].tolist())):
-        mass[col] += thr
-        mass[other] += cap - thr
-    assert mass[0] == 0
+    k = alias.K
+    assert alias_mass(alias, k, 1)[0] == 0
     full = np.append(alias.p1, (1.0 - alias.p1) * alias.weights[1:])
     law = np.append(_p_law(params, k - 1)[1:], 0.0)
     law[-1] = 1.0 - law[:-1].sum()
@@ -363,7 +358,7 @@ def _threshold_words(draw):
     # words whose fraction sits at the column's threshold or next to it
     col = draw(st.integers(0, _ALIAS.K - 1))
     sign = draw(st.integers(0, 1))
-    thr = int(_ALIAS.thr[col])
+    thr = math.ceil(_ACCEPT[col] * 2.0**50)
     frac = draw(st.sampled_from([max(thr - 1, 0), min(thr, (1 << 50) - 1)]))
     word = (col << 51) | (sign << 50) | frac
     return word - (1 << 64) if word >= 1 << 63 else word
@@ -373,7 +368,8 @@ def _threshold_words(draw):
 @given(st.lists(st.one_of(st.integers(-(1 << 63), (1 << 63) - 1), _threshold_words()),
                 min_size=1, max_size=64))
 def test_decode_matches_vose_rule(words):
-    slot, sign = _ALIAS.decode(np.array(words, dtype=np.int64))
+    q = _ALIAS.decode(np.array(words, dtype=np.int64))
+    slot, sign = _ALIAS.value.take(q) - 1, (q >> 1) & 1
     for w, s, b in zip(words, slot.tolist(), sign.tolist()):
         u = w % (1 << 64)  # the word's bits as an unsigned integer
         col, frac = u >> 51, u & ((1 << 50) - 1)
@@ -381,15 +377,18 @@ def test_decode_matches_vose_rule(words):
         assert b == (u >> 50) & 1
 
 
-@pytest.mark.parametrize(
-    "alias", [_TinyAlias(DEFAULT), interval_alias(SMALL_ALPHA)], ids=["tiny", "small_alpha"]
-)
-def test_excursion_rewards_match_their_lengths(alias):
+@pytest.mark.parametrize("alias, shortest", [
+    (_TinyAlias(DEFAULT), 2), (interval_alias(SMALL_ALPHA), 2),
+    (_solve_long_excursions(interval_alias(SMALL_ALPHA)), 3),
+], ids=["tiny", "small_alpha", "long_small_alpha"])
+def test_excursion_rewards_match_their_lengths(alias, shortest):
     # every table draw carries (-1)^sign times the reward magnitude of its
-    # own length, the draws the tail bucket resolves included
+    # own length, the draws the tail bucket resolves included; the table
+    # of bulk rounds over lengths >= 3 shares the magnitudes and the bucket
     gen = RngStream(214).generator()
-    tau, sign, reward = alias.excursions(gen, raw_words(gen, 1 << 17))
-    assert int(tau.min()) >= 2 and bool((tau >= alias.K).any())
+    tau, q, reward = alias.excursions(gen, raw_words(gen, 1 << 17))
+    sign = (q >> 1) & 1
+    assert int(tau.min()) == shortest and bool((tau >= alias.K).any())
     assert np.array_equal(reward, (1 - 2 * sign) * excursion_reward_magnitude(alias.params, tau))
 
 

@@ -1048,9 +1048,9 @@ def _table_bits(table):
     # the bits of a table of any kind
     if isinstance(table, np.ndarray):
         return table.dtype.str, table.tobytes()
-    if hasattr(table, "thr"):  # an IntervalAlias
+    if hasattr(table, "cut"):  # an IntervalAlias
         return table.p1.hex(), *(getattr(table, a).tobytes()
-                                 for a in ("weights", "thr", "pair", "signed"))
+                                 for a in ("weights", "cut", "value", "reward"))
     return repr(table)
 
 

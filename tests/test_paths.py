@@ -26,7 +26,7 @@ from mdwindow.measure import MU0, _p_law, _reward_ages, _s_tilde_variance
 from mdwindow.chain import raw_words, sample_stationary_levels
 from mdwindow.paths import _materialize, conditioned_path
 
-from conftest import DEFAULT, SMALL_ALPHA, three_se
+from conftest import DEFAULT, SMALL_ALPHA, alias_mass, three_se
 
 _PAIRS = {"default": DEFAULT, "small_alpha": SMALL_ALPHA}
 
@@ -614,6 +614,7 @@ def _s_tilde_law(params, n):
     return law
 
 
+@functools.cache
 def _s_tilde_atoms(params, n):
     # the exact law of S~_n as its atoms (within 1e-9 merged), ascending,
     # and their masses; the law's mass is 1 and its variance the closed form's
@@ -654,14 +655,19 @@ def test_rolled_middle_term_has_the_exact_small_horizon_law(monkeypatch, params,
     assert p > 1e-4, f"chi2={stat:.1f} on {dof} cells"
 
 
-def test_rolled_middle_term_has_the_exact_law_at_n30():
-    # 50,925 atoms at (0.3, 0.05): 64 cells of about equal mass, each split
-    # after the atom where the cumulative mass first reaches i/64
-    values, mass = _s_tilde_atoms(DEFAULT, 30)
+@pytest.mark.parametrize("params, n, bulk", _bulk_cases(("default", "small_alpha"), (30,)))
+def test_rolled_middle_term_has_the_exact_law_at_n30(monkeypatch, params, n, bulk):
+    # 50,925 atoms: 64 cells of about equal mass, each split after the atom
+    # where the cumulative mass first reaches i/64 (28 cells at the
+    # small-alpha pair, where the atoms near 0 hold more).  With paths._BULK = 0
+    # every round is a bulk round, so the folded length-2 draw and the
+    # crossing rows' rebuild meet the whole law
+    _set_bulk(monkeypatch, bulk)
+    values, mass = _s_tilde_atoms(params, n)
     cut = np.unique(np.searchsorted(np.cumsum(mass), np.arange(1, 64) / 64.0))
     cut = cut[cut < values.size - 1]
-    assert cut.size > 40
-    p, stat, dof = _s_tilde_pvalue(DEFAULT, 30, values, mass, cut)
+    assert cut.size > (40 if params is DEFAULT else 25)
+    p, stat, dof = _s_tilde_pvalue(params, n, values, mass, cut)
     assert p > 1e-4, f"chi2={stat:.1f} on {dof} cells"
 
 
@@ -1262,7 +1268,8 @@ def test_bulk_rounds_keep_the_end_age_and_the_variance_at_n_1e4(params):
 @pytest.mark.parametrize("params", [DEFAULT, SMALL_ALPHA], ids=["default", "small_alpha"])
 def test_run_sum_table_holds_the_negative_binomial_law(params):
     # rebuilt in exact integers from its thresholds, the table's law is
-    # C(s + 47, s) p1^s (1 - p1)^48 on s = 0..8191 within 1e-15 (mpmath)
+    # C(s + 47, s) p1^s (1 - p1)^48 on s = 0..k-1 within 1e-15 (mpmath),
+    # and the mass it drops past k - 1 is below 2^-53; k is 1024 and 2048
     import mpmath
 
     from mdwindow import paths
@@ -1270,21 +1277,66 @@ def test_run_sum_table_holds_the_negative_binomial_law(params):
 
     alias = interval_alias(params)
     table = paths._solve_run_sums(alias)
-    k, cap = alias.K, 1 << 50
-    mass = [0] * k
-    for col, (thr, other) in enumerate(zip(table.thr.tolist(), table.pair[0::2].tolist())):
-        mass[col] += thr
-        mass[other] += cap - thr
-    assert sum(mass) == k * cap
+    k = table.cut.size // 2
+    assert k == (1024 if params is DEFAULT else 2048)
+    mass = alias_mass(table, k)
+    assert sum(mass) == 1 << 64
     with mpmath.workdps(40):
         p1 = mpmath.mpf(alias.p1)
         law = [mpmath.binomial(s + 47, s) * p1**s * (1 - p1) ** 48 for s in range(k)]
-        assert max(abs(mpmath.mpf(m) / (k * cap) - w) for m, w in zip(mass, law)) < 1e-15
+        assert max(abs(mpmath.mpf(m) / 2**64 - w) for m, w in zip(mass, law)) < 1e-15
+        assert 1 - mpmath.fsum(law) < mpmath.mpf(2) ** -53
+
+
+@pytest.mark.parametrize("params", [DEFAULT, SMALL_ALPHA], ids=["default", "small_alpha"])
+def test_pair_count_table_holds_the_binomial_law(params):
+    # rebuilt in exact integers from its thresholds, atom (k2 << 6) + p has
+    # C(48, k2) w2^k2 (1 - w2)^(48 - k2) C(k2, p) 2^-k2 within 1e-15
+    # (mpmath), w2 = P[tau = 2 | tau >= 2]; exactly the 1,225 atoms p <= k2
+    # <= 48 hold mass, so none is truncated
+    import mpmath
+
+    from mdwindow import paths
+    from mdwindow.chain import interval_alias
+
+    alias = interval_alias(params)
+    mass = alias_mass(paths._solve_pair_counts(alias), 1 << 12)
+    assert sum(mass) == 1 << 64
+    atoms = [(k2 << 6) + p for k2 in range(49) for p in range(k2 + 1)]
+    assert len(atoms) == 1225 and [a for a, m in enumerate(mass) if m] == atoms
+    with mpmath.workdps(40):
+        w2 = mpmath.mpf(float(alias.weights[1]))
+        law = {(k2 << 6) + p: mpmath.binomial(48, k2) * w2**k2 * (1 - w2) ** (48 - k2)
+               * mpmath.binomial(k2, p) / 2**k2 for k2 in range(49) for p in range(k2 + 1)}
+        assert max(abs(mpmath.mpf(mass[a]) / 2**64 - law[a]) for a in atoms) < 1e-15
+
+
+@pytest.mark.parametrize("params", [DEFAULT, SMALL_ALPHA], ids=["default", "small_alpha"])
+def test_long_excursion_table_holds_the_conditional_law(params):
+    # rebuilt in exact integers from its thresholds, slot tau - 1 holds
+    # p_tau / (1 - p1 - p2) for tau >= 3, and the tail bucket the mass past
+    # 8191 over the same, within 1e-15; tau = 1 and 2 hold none, and the
+    # reward magnitudes are the interval table's own.  1 - p1 - p2 is the
+    # sum of the p_tau it divides, not a difference: it is 0.078 at the
+    # small-alpha pair, so a difference of rounded terms loses a digit
+    from mdwindow import paths
+    from mdwindow.chain import interval_alias
+
+    alias = interval_alias(params)
+    long = paths._solve_long_excursions(alias)
+    k = alias.K
+    mass = alias_mass(long, k, 1)
+    assert sum(mass) == 1 << 64 and mass[0] == mass[1] == 0
+    law = np.append(_p_law(params, k - 1)[1:], 0.0)  # slot j: p_(j+1)
+    law[-1] = 1.0 - law[:-1].sum()
+    want = law[2:] / law[2:].sum()
+    assert float(np.abs(np.array([m / 2.0**64 for m in mass[2:]]) - want).max()) < 1e-15
+    assert np.array_equal(long.mag, alias.mag) and long.K == k
 
 
 def test_run_sum_table_refuses_a_heavy_tail_past_8191():
     # near alpha = 0.0855, the smallest the alias table's tau cap check
-    # admits, p1 = 0.938 and the bound on the mass past 8191 is 2^-533; at
+    # admits, p1 = 0.938 and 2048 columns leave under 2^-53; at
     # p1 = 0.99 the mean run sum is 4752, five standard deviations below
     # 8191, and the bound is 2^-16
     from mdwindow import PrecisionError, paths
@@ -1292,7 +1344,7 @@ def test_run_sum_table_refuses_a_heavy_tail_past_8191():
 
     alias = interval_alias(Params(0.0855, 0.0))
     assert 0.93 < alias.p1 < 0.94
-    paths._solve_run_sums(alias)
+    assert paths._solve_run_sums(alias).cut.size == 2 * 2048
     with pytest.raises(PrecisionError, match="run sums"):
         paths._solve_run_sums(SimpleNamespace(p1=0.99, K=alias.K))
 
@@ -1319,19 +1371,94 @@ def test_runs_at_n_1000_never_build_the_run_sum_table(monkeypatch):
     # a row starts at most n - 2 steps from n, and 1000 is less than 3
     # expected round spans at both pairs (1,123 and 2,904 steps): every
     # pinned run and the cold `simulate` stay near n, and their bits too.
-    # The guard fires at n = 1e4
+    # No bulk table is built (run sums, pair counts, long excursions); the
+    # guards fire at n = 1e4
     from mdwindow import measure, paths
 
-    def refuse(alias):
-        raise AssertionError("run-sum table built")
+    builders = ("_solve_run_sums", "_solve_pair_counts", "_solve_long_excursions")
+    real = {name: getattr(paths, name) for name in builders}
+
+    def refuse(name):
+        def build(alias):
+            raise AssertionError(f"{name} built")
+        return build
 
     monkeypatch.setattr(paths, "_TABLES", measure._TableStore())
-    monkeypatch.setattr(paths, "_solve_run_sums", refuse)
+    for name in builders:
+        monkeypatch.setattr(paths, name, refuse(name))
     for params in (DEFAULT, SMALL_ALPHA):
         for ch in iter_sums(params, 1000, 512, RngStream(766).generator(), chunk=256):
             assert ch["s_tilde"].size == 256
-    with pytest.raises(AssertionError, match="run-sum"):
-        next(iter_sums(DEFAULT, 10_000, 256, RngStream(766).generator()))
+    for name in builders:
+        monkeypatch.setattr(paths, "_TABLES", measure._TableStore())
+        for other in builders:
+            monkeypatch.setattr(paths, other, refuse(other) if other == name else real[other])
+        with pytest.raises(AssertionError, match=f"{name} built"):
+            next(iter_sums(DEFAULT, 10_000, 256, RngStream(766).generator()))
+
+
+def _forced_bulk_tables(monkeypatch, pairs):
+    # a fresh table store with every round a bulk round, the run sums all
+    # at S = 0, and the pair counts of `pairs`, {(k2, p): weight}
+    from mdwindow import measure, paths
+    from mdwindow.chain import _AliasTable
+
+    weights = np.zeros(1 << 12)
+    for (k2, p), w in pairs.items():
+        weights[(k2 << 6) + p] = w
+    monkeypatch.setattr(paths, "_TABLES", measure._TableStore())
+    monkeypatch.setattr(paths, "_BULK", 0)
+    monkeypatch.setattr(paths, "_solve_run_sums", lambda alias: _AliasTable(np.array([1.0, 0.0])))
+    monkeypatch.setattr(paths, "_solve_pair_counts", lambda alias: _AliasTable(weights / weights.sum()))
+    return paths
+
+
+def test_rows_of_only_length_2_excursions_renew_every_second_step(monkeypatch):
+    # a count table with all its mass at k2 = 48 (about 1e-11 in a real
+    # round) and no self-loops: from its first renewal a path renews every
+    # second step, so S~_n is R(2) times a sum of floor(L / 2) signs, L = n -
+    # 1 - B_1, and the path ends at the origin for even L, else at (1, 1)
+    from math import comb
+
+    _forced_bulk_tables(monkeypatch, {(48, p): comb(48, p) for p in range(49)})
+    n = 500
+    ch = next(iter_sums(DEFAULT, n, 2048, RngStream(767).generator(), chunk=2048))
+    rows = ch["b1"] <= n - 1
+    steps = n - 1 - ch["b1"][rows]
+    net = ch["s_tilde"][rows] / excursion_reward_magnitude(DEFAULT, 2)
+    assert float(np.abs(net - np.round(net)).max()) < 1e-9 and int(rows.sum()) > 1500
+    net = np.round(net).astype(np.int64)
+    assert np.all(np.abs(net) <= steps // 2) and np.all((net - steps // 2) % 2 == 0)
+    assert np.array_equal(ch["an"][rows], steps % 2) and np.array_equal(ch["bn"][rows], steps % 2)
+    assert 0.3 < float((net > 0).mean()) < 0.7
+
+
+def test_bulk_rows_without_long_excursions_read_zero(monkeypatch):
+    # half the rows draw k2 = 48 length-2 excursions, all plus, and half k2
+    # = 0, so empty runs of long excursions sit first, last and between full
+    # ones: an empty row spans exactly 96 steps and gains 48 R(2), and the
+    # full rows hold every long excursion drawn, each once
+    from mdwindow.chain import interval_alias
+
+    paths = _forced_bulk_tables(monkeypatch, {(48, 48): 1.0, (0, 0): 1.0})
+    alias = interval_alias(DEFAULT)
+    long = paths._solve_long_excursions(alias)
+    r2 = excursion_reward_magnitude(DEFAULT, 2)
+    first = last = between = 0  # rounds with an empty row there
+    for seed in range(40):
+        t = np.zeros(16, dtype=np.int64)
+        gen = RngStream(768, seed).generator()
+        end, gain, (rows, *_) = paths._bulk_round(DEFAULT, 1 << 40, gen, alias, t)
+        empty = end == 96
+        assert rows.size == 0 and np.array_equal(gain[empty], np.full(int(empty.sum()), 48 * r2))
+        first, last = first + empty[0], last + empty[-1]
+        between += bool(np.any(empty[1:-1] & ~empty[:-2] & ~empty[2:]))
+        gen = RngStream(768, seed).generator()  # the same draws again
+        raw_words(gen, 2 * t.size)
+        tau, q, reward = long.excursions(gen, raw_words(gen, 48 * int((~empty).sum())))
+        assert int(end[~empty].sum()) == int(tau.sum()) and int(tau.min()) >= 3
+        assert abs(float(gain[~empty].sum() - reward.sum())) < 1e-9
+    assert min(first, last, between) > 0
 
 
 @pytest.mark.parametrize("bits", ["MT19937", "PCG64", "Philox", "SFC64"])
