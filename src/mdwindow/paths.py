@@ -28,7 +28,8 @@ from typing import Iterator
 import numpy as np
 
 from .chain import RngLike, as_generator, interval_alias, raw_words, sample_stationary_levels
-from .chain import _AliasTable, _Excursions, _check_tau_cap, _interval_tail_reject, _stationary_excursions
+from .chain import _AliasTable, _Excursions, _check_tau_cap, _interval_tail_reject
+from .chain import _stationary_excursions
 from .errors import ParameterError, PrecisionError
 from .measure import _TABLES, MEAN_TAU, Params, _integer, _p_law, _reward_ages
 
@@ -203,9 +204,10 @@ def iter_sums(
 
     Yields dict chunks with the decomposition terms and end states; the
     per-time values are never materialized.  With rewards every excursion
-    is rolled in blocks of a self-loop run and one excursion, far from n
-    only the runs' sum (`_roll_chunk`), about 2.3e10 chain steps per minute
-    on one CPU as README measures it.
+    is rolled in blocks of a self-loop run and one excursion; far from n a
+    row draws only its runs' sum and its count of length-2 excursions
+    (`_roll_chunk`), about 2.8e10 chain steps per minute on one CPU as
+    README measures it.
     With with_rewards=False the middle term is skipped and no excursion is
     rolled (`_boundary_chunk`): an end state is drawn directly below a lag
     of 16 or as the first kept of stationary proposals, O(1) per path at
@@ -474,8 +476,8 @@ def _bulk_round(params, n, gen, alias, t):
     tables.  Its other _BLOCK - k2 excursions are decoded by
     `_solve_long_excursions`' table over lengths >= 3, so it spans S + 2 k2 +
     their lengths and gains R(2) (2 p - k2) + their rewards.  The tables are
-    built at the first bulk round; the run sums drop their mass past 8191,
-    under 2^-53 or refused.  Given its draws a crossing row's blocks are
+    built at the first bulk round; the run sums drop their mass past their
+    last column, under 2^-53 or refused.  Given its draws a crossing row's blocks are
     exchangeable: its length-2 excursions sit at the k2 lowest ranks of
     _BLOCK uniforms, the p lowest of them plus, its other excursions fill
     the other blocks in draw order, and given S its runs are uniform over
@@ -486,7 +488,8 @@ def _bulk_round(params, n, gen, alias, t):
     """
     sums = _TABLES.get(("run sums", params.alpha), _solve_run_sums, alias)
     pairs = _TABLES.get(("pair counts", params.alpha), _solve_pair_counts, alias)
-    long = _TABLES.get(("long excursions", params.alpha, params.beta), _solve_long_excursions, alias)
+    long = _TABLES.get(("long excursions", params.alpha, params.beta),
+                       _solve_long_excursions, alias)
     words = raw_words(gen, 2 * t.size)
     s = sums.value.take(sums.decode(words[: t.size]))
     atom = pairs.value.take(pairs.decode(words[t.size :]))
@@ -499,14 +502,11 @@ def _bulk_round(params, n, gen, alias, t):
     if not rows.size:
         return end, gain, (rows, None, None, None, None)
     rank = np.argsort(np.argsort(gen.random((rows.size, _BLOCK)), axis=1), axis=1)
-    short = rank < k2[rows, None]
-    sign = (rank >= plus[rows, None]).astype(np.int64)  # the short blocks' sign bits
-    block_tau = np.where(short, 2, 0)
-    block_reward = np.where(sign == 1, -alias.mag[1], alias.mag[1])
-    crossing = np.zeros(t.size, bool)
-    crossing[rows] = True
-    mine = np.repeat(crossing, count)  # the crossing rows' other excursions, in draw order
-    other = ~short
+    other = rank >= k2[rows, None]
+    sign = (rank >= plus[rows, None]).astype(np.int64)  # the length-2 blocks' sign bits
+    block_tau = np.full(rank.shape, 2)
+    block_reward = np.where(sign, -alias.mag[1], alias.mag[1])
+    mine = np.repeat(end > n, count)  # the crossing rows' other excursions, in draw order
     block_tau[other], block_reward[other] = tau[mine], reward[mine]
     sign[other] = (q[mine] >> 1) & 1
     span = _compositions(gen, s[rows].astype(np.int64), _BLOCK) + block_tau
@@ -535,7 +535,8 @@ def _solve_run_sums(alias) -> _AliasTable:
     ratio = p1 * (np.arange(k) + _BLOCK) / (np.arange(k) + 1.0)
     pmf = np.cumprod(np.append((1.0 - p1) ** _BLOCK, ratio[:-1]))
     last = (1 << np.arange(1, k.bit_length())) - 1  # the last s of each power of two
-    fits = (ratio.take(last) < 1.0) & (pmf.take(last) * ratio.take(last) < 2.0**-53 * (1.0 - ratio.take(last)))
+    r = ratio.take(last)
+    fits = (r < 1.0) & (pmf.take(last) * r < 2.0**-53 * (1.0 - r))
     if not fits.any():
         raise PrecisionError(f"p1={p1:g}: over 2^-53 of the run sums lie past {k - 1}")
     pmf = pmf[: int(last[fits.argmax()]) + 1]

@@ -1409,7 +1409,8 @@ def _forced_bulk_tables(monkeypatch, pairs):
     monkeypatch.setattr(paths, "_TABLES", measure._TableStore())
     monkeypatch.setattr(paths, "_BULK", 0)
     monkeypatch.setattr(paths, "_solve_run_sums", lambda alias: _AliasTable(np.array([1.0, 0.0])))
-    monkeypatch.setattr(paths, "_solve_pair_counts", lambda alias: _AliasTable(weights / weights.sum()))
+    monkeypatch.setattr(paths, "_solve_pair_counts",
+                        lambda alias: _AliasTable(weights / weights.sum()))
     return paths
 
 
