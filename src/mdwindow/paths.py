@@ -399,7 +399,7 @@ _LEVELS = 1 << 13  # fewest levels of F; a level past them takes the rejection s
 _PROPOSALS = 1024  # most proposals a boundary round spreads over its pending rows
 _BLOCK = 48  # blocks (a self-loop run and one excursion) drawn per path per round
 _TILE = 512  # rows rolled together
-_BULK = 3  # expected round spans from n past which a round draws its runs' sum alone
+_BULK = 3  # expected round spans from n past which a round is a bulk round
 _PAIR_BITS = 6  # a pair-count atom is (k2 << _PAIR_BITS) + p, p <= k2 <= _BLOCK < 64
 
 
@@ -477,11 +477,12 @@ def _bulk_round(params, n, gen, alias, t):
     `_solve_long_excursions`' table over lengths >= 3, so it spans S + 2 k2 +
     their lengths and gains R(2) (2 p - k2) + their rewards.  The tables are
     built at the first bulk round; the run sums drop their mass past their
-    last column, under 2^-53 or refused.  Given its draws a crossing row's blocks are
-    exchangeable: its length-2 excursions sit at the k2 lowest ranks of
-    _BLOCK uniforms, the p lowest of them plus, its other excursions fill
-    the other blocks in draw order, and given S its runs are uniform over
-    the compositions of S into _BLOCK parts (`_compositions`).  Draw order:
+    last column, under 2^-53 or refused.  Given its draws a crossing row's
+    blocks are exchangeable: its length-2 excursions sit at the k2 lowest
+    ranks of _BLOCK uniforms, the p lowest of them plus, its other
+    excursions fill the other blocks in draw order, and given S its runs
+    are uniform over the compositions of S into _BLOCK parts
+    (`_compositions`).  Draw order:
     the S words, the (k2, p) words, the other excursions' words row by row,
     their tail-bucket draws, then the crossing rows' rank uniforms and
     their composition uniforms, row by row.
