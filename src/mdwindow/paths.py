@@ -399,7 +399,7 @@ _LEVELS = 1 << 13  # fewest levels of F; a level past them takes the rejection s
 _PROPOSALS = 1024  # most proposals a boundary round spreads over its pending rows
 _BLOCK = 48  # blocks (a self-loop run and one excursion) drawn per path per round
 _TILE = 512  # rows rolled together
-_BULK = 3  # expected round spans from n past which a round is a bulk round
+_BULK = 3  # expected unit spans from n past which a round is a bulk round
 _PAIR_BITS = 6  # a pair-count atom is (k2 << _PAIR_BITS) + p, p <= k2 <= _BLOCK < 64
 
 
@@ -418,22 +418,33 @@ def _roll_chunk(params, n, gen, alias, c):
     (192 KiB each) near the size of an L2 cache.  `_set_end_excursion`
     writes the end records once (sign bits read as sign uniforms).
 
-    While the tile's most advanced row is more than _BULK expected round
-    spans, _BLOCK MEAN_TAU / (1 - p1), from n, a round is a bulk round (a
-    tile once near n stays near), drawn by `_bulk_round`.  Rounds nearer n
-    keep the draws above.
+    While the tile's most advanced row, at lead, is more than the reach,
+    _BULK expected unit spans of span = _BLOCK MEAN_TAU / (1 - p1), from n,
+    a round is a bulk round (a tile once near n stays near), drawn by
+    `_bulk_round`: each of its m rows draws u = min(1 + (n - lead - reach)
+    // span, 2 _TILE // m) units of _BLOCK blocks, at least 1, so that the
+    lead row is expected to start its last unit at least the reach from n.
+    A round costs about 55 NumPy calls whatever its size, so a 256-row round
+    of one unit is bound by that overhead; past 2 _TILE row-units its
+    temporaries outgrow an L1 cache, and the cost per element rises.  A row
+    crossing n gains its units before its crossing unit and that unit's
+    blocks before the one straddling n.  Rounds nearer n keep the draws
+    above.
     """
     out, ends = _start_chunk(params, n, gen, c)
     s_tilde = np.zeros(c)
     first = 1 + out["b1"]  # first renewal
     todo = np.flatnonzero(first <= n - 1)
-    reach = _BULK * _BLOCK * MEAN_TAU / (1.0 - alias.p1)  # a block holds 1 / (1 - p1) intervals
+    mean_span = _BLOCK * MEAN_TAU / (1.0 - alias.p1)  # a block holds 1 / (1 - p1) intervals
+    reach = _BULK * mean_span
     for lo in range(0, todo.size, _TILE):
         idx = todo[lo : lo + _TILE]
         t, bulk = first[idx], True
         while idx.size:
             if bulk := bulk and n - t.max() > reach:
-                end, gain, (rows, span, tau, reward, sign) = _bulk_round(params, n, gen, alias, t)
+                units = min(1 + int((n - t.max() - reach) // mean_span), 2 * _TILE // idx.size)
+                end, gain, (rows, start, span, tau, reward, sign) = _bulk_round(
+                    params, n, gen, alias, t, units)
             else:
                 words = raw_words(gen, (idx.size, _BLOCK))
                 span = alias.runs(gen.random(words.shape))
@@ -442,14 +453,15 @@ def _roll_chunk(params, n, gen, alias, c):
                 end = t + span.sum(axis=1)
                 gain = reward.sum(axis=1)
                 rows = np.flatnonzero(end > n)  # renewals cross n
+                start, gain[rows] = t[rows], 0.0
                 span, tau, reward = span[rows], tau[rows], reward[rows]
                 sign = (q[rows] >> 1) & 1
             if rows.size:
                 pos = np.cumsum(span, axis=1)
-                pos += t[rows, None]
+                pos += start[:, None]
                 kstar = (pos > n).argmax(axis=1)  # the block straddling n
                 before = np.arange(_BLOCK) < kstar[:, None]
-                gain[rows] = (reward * before).sum(axis=1)
+                gain[rows] += (reward * before).sum(axis=1)
                 at = np.arange(rows.size)
                 level = tau[at, kstar]
                 ac = n - (pos[at, kstar] - level)
@@ -465,53 +477,69 @@ def _roll_chunk(params, n, gen, alias, c):
     return out
 
 
-def _bulk_round(params, n, gen, alias, t):
-    """One bulk round of rows at `t`: their ends and gains, and the blocks
-    (spans, lengths, rewards, sign bits) of the rows whose renewals cross n.
+def _bulk_round(params, n, gen, alias, t, units):
+    """One bulk round of `units` units for each row at `t`: the rows' ends
+    and gains, and for the rows whose renewals cross n the start and the
+    blocks (spans, lengths, rewards, sign bits) of their crossing unit.
 
-    A row needs only the sum S of its _BLOCK runs, NegBin(_BLOCK, 1 - p1),
-    and the count k2 ~ Bin(_BLOCK, w2) of its excursions of length 2 (w2 =
-    P[tau = 2 | tau >= 2]) with the number p ~ Bin(k2, 1/2) of them plus:
-    one word each, decoded by `_solve_run_sums`' and `_solve_pair_counts`'
-    tables.  Its other _BLOCK - k2 excursions are decoded by
-    `_solve_long_excursions`' table over lengths >= 3, so it spans S + 2 k2 +
-    their lengths and gains R(2) (2 p - k2) + their rewards.  The tables are
-    built at the first bulk round; the run sums drop their mass past their
-    last column, under 2^-53 or refused.  Given its draws a crossing row's
-    blocks are exchangeable: its length-2 excursions sit at the k2 lowest
-    ranks of _BLOCK uniforms, the p lowest of them plus, its other
-    excursions fill the other blocks in draw order, and given S its runs
-    are uniform over the compositions of S into _BLOCK parts
-    (`_compositions`).  Draw order:
-    the S words, the (k2, p) words, the other excursions' words row by row,
-    their tail-bucket draws, then the crossing rows' rank uniforms and
-    their composition uniforms, row by row.
+    A unit of _BLOCK blocks needs only the sum S of its runs, NegBin(_BLOCK,
+    1 - p1), and the count k2 ~ Bin(_BLOCK, w2) of its excursions of length
+    2 (w2 = P[tau = 2 | tau >= 2]) with the number p ~ Bin(k2, 1/2) of them
+    plus: one word each, decoded by `_solve_run_sums`' and
+    `_solve_pair_counts`' tables.  Its other _BLOCK - k2 excursions are
+    decoded by `_solve_long_excursions`' table over lengths >= 3, so it spans
+    S + 2 k2 + their lengths and gains R(2) (2 p - k2) + their rewards.  A
+    row's units lie end to end from t (one cumulative sum); its end is its
+    last unit's, and its gain that of its units ending at or before n.  The
+    tables are built at the first bulk round; the run sums drop their mass
+    past their last column, under 2^-53 or refused.
+
+    A crossing row's crossing unit is its first unit ending past n; it is
+    rebuilt from its own start, and the units after it are dropped, which
+    leaves the law unchanged: their draws are independent of the path up to
+    n.  Given its draws the unit's blocks are exchangeable: its length-2
+    excursions sit at the k2 lowest ranks of _BLOCK uniforms, the p lowest
+    of them plus, its other excursions fill the other blocks in draw order,
+    and given S its runs are uniform over the compositions of S into _BLOCK
+    parts (`_compositions`).  Draw order: the S words of all units, row by
+    row (a row's units in order), then their (k2, p) words, then the other
+    excursions' words unit by unit, their tail-bucket draws, then the
+    crossing units' rank uniforms and their composition uniforms, row by
+    row.
     """
     sums = _TABLES.get(("run sums", params.alpha), _solve_run_sums, alias)
     pairs = _TABLES.get(("pair counts", params.alpha), _solve_pair_counts, alias)
     long = _TABLES.get(("long excursions", params.alpha, params.beta),
                        _solve_long_excursions, alias)
-    words = raw_words(gen, 2 * t.size)
-    s = sums.value.take(sums.decode(words[: t.size]))
-    atom = pairs.value.take(pairs.decode(words[t.size :]))
+    size = t.size * units
+    words = raw_words(gen, 2 * size)
+    s = sums.value.take(sums.decode(words[:size]))
+    atom = pairs.value.take(pairs.decode(words[size:]))
     k2, plus = atom >> _PAIR_BITS, atom & ((1 << _PAIR_BITS) - 1)
     count = _BLOCK - k2  # excursions of lengths >= 3
     tau, q, reward = long.excursions(gen, raw_words(gen, int(count.sum())))
-    end = t + s + 2 * k2 + _segment_sums(tau, count)
+    span = (s + 2 * k2 + _segment_sums(tau, count)).reshape(t.size, units)
     gain = alias.mag[1] * (2 * plus - k2) + _segment_sums(reward, count)
-    rows = np.flatnonzero(end > n)  # renewals cross n
+    pos = np.cumsum(span, axis=1)  # the units' ends
+    pos += t[:, None]
+    done = pos <= n
+    gain = np.where(done, gain.reshape(done.shape), 0.0).sum(axis=1)
+    start = pos - span
+    cross = (~done & (start <= n)).ravel()  # each crossing row's crossing unit
+    unit = cross.nonzero()[0]
+    rows = unit // units
     if not rows.size:
-        return end, gain, (rows, None, None, None, None)
+        return pos[:, -1], gain, (rows, None, None, None, None, None)
     rank = np.argsort(np.argsort(gen.random((rows.size, _BLOCK)), axis=1), axis=1)
-    other = rank >= k2[rows, None]
-    sign = (rank >= plus[rows, None]).astype(np.int64)  # the length-2 blocks' sign bits
+    other = rank >= k2[unit, None]
+    sign = (rank >= plus[unit, None]).astype(np.int64)  # the length-2 blocks' sign bits
     block_tau = np.full(rank.shape, 2)
     block_reward = np.where(sign, -alias.mag[1], alias.mag[1])
-    mine = np.repeat(end > n, count)  # the crossing rows' other excursions, in draw order
+    mine = np.repeat(cross, count)  # the crossing units' other excursions, in draw order
     block_tau[other], block_reward[other] = tau[mine], reward[mine]
     sign[other] = (q[mine] >> 1) & 1
-    span = _compositions(gen, s[rows].astype(np.int64), _BLOCK) + block_tau
-    return end, gain, (rows, span, block_tau, block_reward, sign)
+    span = _compositions(gen, s[unit].astype(np.int64), _BLOCK) + block_tau
+    return pos[:, -1], gain, (rows, start.ravel()[unit], span, block_tau, block_reward, sign)
 
 
 def _segment_sums(x, count):

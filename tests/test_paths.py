@@ -535,19 +535,27 @@ def test_iter_sums_boundary_sign_symmetry_and_independence():
     assert abs(float((sp * sd).mean())) < 3.0 / math.sqrt(m)
 
 
+_BULK_IDS = {None: "", 0: "-bulk", "units": "-units"}
+
+
 def _bulk_cases(pairs, horizons):
     # (params, n, bulk) per pair and horizon, each as it runs (bulk None,
-    # id "n-pair") and with paths._BULK = 0 (id "n-pair-bulk"): then every
-    # round is a bulk round and every crossing draws its runs' composition
-    return [pytest.param(_PAIRS[pair], n, bulk, id=f"{n}-{pair}" + ("-bulk" if bulk == 0 else ""))
-            for bulk in (None, 0) for n in horizons for pair in pairs]
+    # id "n-pair"), with paths._BULK = 0 (id "n-pair-bulk"): then every
+    # round is a bulk round and every crossing draws its runs' composition,
+    # and with _BULK = 0 and 5 units per bulk round (id "n-pair-units"),
+    # where a row crossing n drops the units after its crossing unit
+    return [pytest.param(_PAIRS[pair], n, bulk, id=f"{n}-{pair}{_BULK_IDS[bulk]}")
+            for bulk in _BULK_IDS for n in horizons for pair in pairs]
 
 
 def _set_bulk(monkeypatch, bulk):
     if bulk is not None:
         from mdwindow import paths
 
-        monkeypatch.setattr(paths, "_BULK", bulk)
+        monkeypatch.setattr(paths, "_BULK", 0)
+        if bulk == "units":
+            real = paths._bulk_round
+            monkeypatch.setattr(paths, "_bulk_round", lambda *args: real(*args[:-1], 5))
 
 
 @pytest.mark.parametrize("params, n, bulk", _bulk_cases(("default", "small_alpha"), (3, 37, 1000)))
@@ -1212,8 +1220,8 @@ def _joint_cells(ch, n):
     return key
 
 
-@pytest.mark.parametrize("n, bulk", [pytest.param(n, bulk, id=f"{n}" + ("-bulk" if bulk == 0 else ""))
-                                     for bulk in (None, 0) for n in (6, 40)])
+@pytest.mark.parametrize("n, bulk", [pytest.param(n, bulk, id=f"{n}{_BULK_IDS[bulk]}")
+                                     for bulk in _BULK_IDS for n in (6, 40)])
 def test_boundary_sampler_matches_rolled_engine_joint_law(monkeypatch, n, bulk):
     # the rewards engine rolls every excursion, an independent route to
     # the same joint law of start state, end state and trailing sign; at
@@ -1369,32 +1377,50 @@ def test_compositions_are_uniform():
 
 def test_runs_at_n_1000_never_build_the_run_sum_table(monkeypatch):
     # a row starts at most n - 2 steps from n, and 1000 is less than 3
-    # expected round spans at both pairs (1,123 and 2,904 steps): every
+    # expected unit spans at both pairs (1,123 and 2,904 steps): every
     # pinned run and the cold `simulate` stay near n, and their bits too.
-    # No bulk table is built (run sums, pair counts, long excursions); the
-    # guards fire at n = 1e4
+    # No bulk round runs and no bulk table is built (run sums, pair counts,
+    # long excursions); the guards fire at n = 1e4
     from mdwindow import measure, paths
 
-    builders = ("_solve_run_sums", "_solve_pair_counts", "_solve_long_excursions")
-    real = {name: getattr(paths, name) for name in builders}
+    guarded = ("_bulk_round", "_solve_run_sums", "_solve_pair_counts", "_solve_long_excursions")
+    real = {name: getattr(paths, name) for name in guarded}
 
     def refuse(name):
-        def build(alias):
-            raise AssertionError(f"{name} built")
-        return build
+        def call(*args):
+            raise AssertionError(f"{name} called")
+        return call
 
     monkeypatch.setattr(paths, "_TABLES", measure._TableStore())
-    for name in builders:
+    for name in guarded:
         monkeypatch.setattr(paths, name, refuse(name))
     for params in (DEFAULT, SMALL_ALPHA):
         for ch in iter_sums(params, 1000, 512, RngStream(766).generator(), chunk=256):
             assert ch["s_tilde"].size == 256
-    for name in builders:
+    for name in guarded:
         monkeypatch.setattr(paths, "_TABLES", measure._TableStore())
-        for other in builders:
+        for other in guarded:
             monkeypatch.setattr(paths, other, refuse(other) if other == name else real[other])
-        with pytest.raises(AssertionError, match=f"{name} built"):
+        with pytest.raises(AssertionError, match=f"{name} called"):
             next(iter_sums(DEFAULT, 10_000, 256, RngStream(766).generator()))
+
+
+def test_bulk_rounds_draw_several_units_per_row(monkeypatch):
+    # at (0.3, 0.05), n = 1e4, a 256-row chunk's rows draw about 21 bulk
+    # units each; a round draws up to 2 _TILE row-units, 4 per row here, so
+    # a chunk takes about 6 bulk rounds (21 while a round drew one unit)
+    from mdwindow import paths
+
+    real, rounds = paths._bulk_round, []
+
+    def counted(params, n, gen, alias, t, units):
+        rounds.append(t.size * units)
+        return real(params, n, gen, alias, t, units)
+
+    monkeypatch.setattr(paths, "_bulk_round", counted)
+    for ch in iter_sums(DEFAULT, 10_000, 256 * 16, RngStream(769).generator(), chunk=256):
+        assert 0 < len(rounds) <= 8 and max(rounds) <= 2 * paths._TILE
+        rounds.clear()
 
 
 def _forced_bulk_tables(monkeypatch, pairs):
@@ -1418,27 +1444,35 @@ def test_rows_of_only_length_2_excursions_renew_every_second_step(monkeypatch):
     # a count table with all its mass at k2 = 48 (about 1e-11 in a real
     # round) and no self-loops: from its first renewal a path renews every
     # second step, so S~_n is R(2) times a sum of floor(L / 2) signs, L = n -
-    # 1 - B_1, and the path ends at the origin for even L, else at (1, 1)
+    # 1 - B_1, and the path ends at the origin for even L, else at (1, 1).
+    # A unit spans 96 steps: in rounds as they run at n = 500 (mostly one
+    # unit, as a tile's lead row starts near n), then in rounds of 5 units,
+    # where a row crosses n in a later unit, rebuilt from its own start
     from math import comb
 
     _forced_bulk_tables(monkeypatch, {(48, p): comb(48, p) for p in range(49)})
     n = 500
-    ch = next(iter_sums(DEFAULT, n, 2048, RngStream(767).generator(), chunk=2048))
-    rows = ch["b1"] <= n - 1
-    steps = n - 1 - ch["b1"][rows]
-    net = ch["s_tilde"][rows] / excursion_reward_magnitude(DEFAULT, 2)
-    assert float(np.abs(net - np.round(net)).max()) < 1e-9 and int(rows.sum()) > 1500
-    net = np.round(net).astype(np.int64)
-    assert np.all(np.abs(net) <= steps // 2) and np.all((net - steps // 2) % 2 == 0)
-    assert np.array_equal(ch["an"][rows], steps % 2) and np.array_equal(ch["bn"][rows], steps % 2)
-    assert 0.3 < float((net > 0).mean()) < 0.7
+    for bulk in (0, "units"):
+        _set_bulk(monkeypatch, bulk)
+        ch = next(iter_sums(DEFAULT, n, 2048, RngStream(767).generator(), chunk=2048))
+        rows = ch["b1"] <= n - 1
+        steps = n - 1 - ch["b1"][rows]
+        net = ch["s_tilde"][rows] / excursion_reward_magnitude(DEFAULT, 2)
+        assert float(np.abs(net - np.round(net)).max()) < 1e-9 and int(rows.sum()) > 1500
+        net = np.round(net).astype(np.int64)
+        assert np.all(np.abs(net) <= steps // 2) and np.all((net - steps // 2) % 2 == 0)
+        assert np.array_equal(ch["an"][rows], steps % 2)
+        assert np.array_equal(ch["bn"][rows], steps % 2)
+        assert 0.3 < float((net > 0).mean()) < 0.7
 
 
 def test_bulk_rows_without_long_excursions_read_zero(monkeypatch):
-    # half the rows draw k2 = 48 length-2 excursions, all plus, and half k2
-    # = 0, so empty runs of long excursions sit first, last and between full
-    # ones: an empty row spans exactly 96 steps and gains 48 R(2), and the
-    # full rows hold every long excursion drawn, each once
+    # half the units draw k2 = 48 length-2 excursions, all plus, and half
+    # k2 = 0, so empty runs of long excursions sit first, last and between
+    # full ones: in rounds of one unit an empty row spans exactly 96 steps
+    # and gains 48 R(2), and the full rows hold every long excursion drawn,
+    # each once.  Rounds of 4 units per row take the same draws, unit by
+    # unit, so each row's end and gain are those of 4 one-unit rows
     from mdwindow.chain import interval_alias
 
     paths = _forced_bulk_tables(monkeypatch, {(48, 48): 1.0, (0, 0): 1.0})
@@ -1449,7 +1483,7 @@ def test_bulk_rows_without_long_excursions_read_zero(monkeypatch):
     for seed in range(40):
         t = np.zeros(16, dtype=np.int64)
         gen = RngStream(768, seed).generator()
-        end, gain, (rows, *_) = paths._bulk_round(DEFAULT, 1 << 40, gen, alias, t)
+        end, gain, (rows, *_) = paths._bulk_round(DEFAULT, 1 << 40, gen, alias, t, 1)
         empty = end == 96
         assert rows.size == 0 and np.array_equal(gain[empty], np.full(int(empty.sum()), 48 * r2))
         first, last = first + empty[0], last + empty[-1]
@@ -1459,6 +1493,10 @@ def test_bulk_rows_without_long_excursions_read_zero(monkeypatch):
         tau, q, reward = long.excursions(gen, raw_words(gen, 48 * int((~empty).sum())))
         assert int(end[~empty].sum()) == int(tau.sum()) and int(tau.min()) >= 3
         assert abs(float(gain[~empty].sum() - reward.sum())) < 1e-9
+        gen = RngStream(768, seed).generator()
+        end4, gain4, (rows, *_) = paths._bulk_round(DEFAULT, 1 << 40, gen, alias, t[:4], 4)
+        assert rows.size == 0 and np.array_equal(end4, end.reshape(4, 4).sum(axis=1))
+        assert np.allclose(gain4, gain.reshape(4, 4).sum(axis=1), rtol=0.0, atol=1e-9)
     assert min(first, last, between) > 0
 
 
