@@ -205,9 +205,9 @@ def iter_sums(
     Yields dict chunks with the decomposition terms and end states; the
     per-time values are never materialized.  With rewards every excursion
     is rolled in blocks of a self-loop run and one excursion; far from n a
-    row draws only its runs' sum and its count of length-2 excursions
-    (`_roll_chunk`), about 2.8e10 chain steps per minute on one CPU as
-    README measures it.
+    row draws several units of 48 blocks per round, each only its runs'
+    sum and its count of length-2 excursions (`_roll_chunk`), about 3.2e10
+    chain steps per minute on one CPU as README measures it.
     With with_rewards=False the middle term is skipped and no excursion is
     rolled (`_boundary_chunk`): an end state is drawn directly below a lag
     of 16 or as the first kept of stationary proposals, O(1) per path at

@@ -1257,7 +1257,7 @@ def _assert_same_cell_law(x_keys, y_keys):
 
 @pytest.mark.parametrize("params", [DEFAULT, SMALL_ALPHA], ids=["default", "small_alpha"])
 def test_bulk_rounds_keep_the_end_age_and_the_variance_at_n_1e4(params):
-    # n = 1e4 is 8.9 and 3.4 times the bulk reach (3 expected round spans)
+    # n = 1e4 is 8.9 and 3.4 times the bulk reach (3 expected unit spans)
     # at the two pairs, so rounds far from n are bulk rounds (the run-sum
     # table gets built) and rounds near n are not: A_n fits its stationary
     # law by chi-square and Var(S~_n) the closed form within 5 se
