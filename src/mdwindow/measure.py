@@ -23,26 +23,24 @@ identity above bounds the levels beyond a cut N by
     sum_{m > N} mu_m w(m) <= C (N+1)^e / N * exp(-N^alpha).
 
 The rule doubles N from 2^10 until that remainder is below the tolerance
-(or past 2^26 levels refuses with PrecisionError).  In absolute mode the
-cut depends only on (alpha, tol, growth) and is kept, and sigma and every
-r(k) read the lag table of their cut, `_lags`, built with one walk over
-the levels.  Past level _RUN_START = 2^16 the table may take each run of
-levels sharing one isqrt in closed form (`_run_bracket`), when the
-remainder plus that bracket's half-width and rounding is below the
-tolerance.  The one relative series, the tail of S''_n, walks its levels
-through `level_series`.  A walk computes mu per block of levels where it
-reads them; exp and log act on each level alone, so a level gets the same
-bits in any block.  Where direct summation cannot reach float resolution
-(p_1 at small alpha) the mass beyond the cut has a closed form,
-`small_mass_tail`, built from incomplete gamma functions.
+(or past 2^26 levels refuses with PrecisionError).  sigma and every r(k)
+to one tol read one lag table, `_lags`, kept under (pair, tol, series) and
+built at its cut with one walk over the levels.  Past level _RUN_START =
+2^16 the table may take each run of levels sharing one isqrt in closed
+form (`_run_bracket`), when the remainder plus that bracket's half-width
+and rounding is below the tolerance.  The one relative series, the tail
+of S''_n, walks its levels through `level_series`.  A walk computes mu per
+block of levels where it reads them; exp and log act on each level alone,
+so a level gets the same bits in any block.  Where direct summation cannot
+reach float resolution (p_1 at small alpha) the mass beyond the cut has a
+closed form, `small_mass_tail`, built from incomplete gamma functions.
 
-Every per-pair table of the package (the cuts, p_1, the window, the lag
-tables and their run brackets, and the alias, renewal and envelope tables
-that `chain` and `paths` hand it their own build functions for) lives in
-one store, `_TABLES`.  A read of a built table is one dict lookup and a
-recency stamp, with no lock.  A miss builds under one lock, so its key is
-built once however many threads miss it together; a build that raises
-keeps nothing.
+Every per-pair table of the package (p_1, the window, the lag tables,
+and the alias, renewal and envelope tables that `chain` and `paths` hand
+it their own build functions for) lives in one store, `_TABLES`.  A read
+of a built table is one dict lookup and a recency stamp, with no lock.  A
+miss builds under one lock, so its key is built once however many threads
+miss it together; a build that raises keeps nothing.
 All tables share one byte budget, the least recently read evicted first;
 `clear` empties the store for tests.
 """
@@ -304,17 +302,9 @@ def _series_cut(params: Params, tol: float, growth: tuple, walked=None):
     levels 2..N and the remainder must be below tol times it.
     PrecisionError is raised once no cut can pass: the cap's remainder
     reaches tol, or in relative mode tol (sum + remainder), a bound on
-    tol * full sum.  In absolute mode the cut depends only on (alpha, tol,
-    growth) and is kept in the table store; a refusal keeps nothing."""
-    if walked is None:
-        key = ("cut", params.alpha, tol, growth)
-        return _TABLES.get(key, _doubling_cut, params.alpha, tol, growth, None)
-    return _doubling_cut(params.alpha, tol, growth, walked)
-
-
-def _doubling_cut(alpha: float, tol: float, growth: tuple, walked):
-    """The doubling of `_series_cut`, tested cut by cut."""
+    tol * full sum."""
     _check_tol(tol)
+    alpha = params.alpha
     best = _cut_remainder(alpha, growth, _LEVEL_CAP)  # the remainder at the last cut
     cut = _FIRST_CUT
     while True:
@@ -343,7 +333,8 @@ def level_series(
     picks the first cut N whose remainder is below tol times the value, or
     refuses with PrecisionError; each doubling of the cut walks only its new
     levels, in blocks of _LEVEL_BLOCK.  (sigma and r(k), the series to an
-    absolute tol, take only a cut and read a lag table through `_lags`.)
+    absolute tol, read a lag table through `_lags`, built at the absolute
+    cut of `_series_cut`.)
     """
     value, done = 0.0, 1
 
@@ -571,29 +562,36 @@ def _run_bracket(params: Params, cut: int) -> SimpleNamespace:
 
 
 def _lags(params: Params, tol: float, of_sigma: bool) -> np.ndarray:
-    """The lag table of the cut of tol for sigma's series or the lags', from
-    the table store.  A series' weight w(m) <= C m^e sets its growth (C, e):
-    sigma's, isqrt(m)^2 m^(-2 beta) / mu_0, is at most m^(1 - 2 beta) / mu_0,
-    and a lag's, (isqrt(tau) - k)^+ tau^(-2 beta), at most tau^(1/2 - 2 beta),
+    """The lag table of sigma's series or the lags' at tol, kept in the
+    table store under (pair, tol, series) and built by `_solve_lags`; a
+    warm read is this one lookup."""
+    key = ("lags", params.alpha, params.beta, tol, of_sigma)
+    return _TABLES.get(key, _solve_lags, params, tol, of_sigma)
+
+
+def _solve_lags(params: Params, tol: float, of_sigma: bool) -> np.ndarray:
+    """The lag table of the cut of tol for sigma's series or the lags'.  A
+    series' weight w(m) <= C m^e sets its growth (C, e): sigma's,
+    isqrt(m)^2 m^(-2 beta) / mu_0, is at most m^(1 - 2 beta) / mu_0, and a
+    lag's, (isqrt(tau) - k)^+ tau^(-2 beta), at most tau^(1/2 - 2 beta),
     taken with C = 2 although 1 would do: C sets the cut, and so a change of
     it would move every lag.  The two cuts may differ (at (0.3, 0.05), tol
-    1e-12, sigma's is 2^16 and the lags' 2^15), and each reads its own table.
+    1e-12, sigma's is 2^16 and the lags' 2^15), and each series has its own
+    table.
 
-    A cut past _RUN_START reads the table whose runs past _RUN_START are
-    `_run_bracket`'s midpoints, kept under a key that carries the start,
-    when the remainder plus that bracket's slack is below tol (the levels
-    2^16..2^21 of the small-alpha sigma at tol 1e-4 are 1,193 runs);
-    otherwise, and at any cut up to _RUN_START, the table of the direct
-    walk, with its bits."""
+    A cut past _RUN_START takes the runs past _RUN_START from
+    `_run_bracket`'s midpoints when the remainder plus that bracket's slack
+    is below tol (the levels 2^16..2^21 of the small-alpha sigma at tol
+    1e-4 are 1,193 runs); otherwise, and at any cut up to _RUN_START, the
+    table is the direct walk's, with its bits."""
     b = params.beta
     growth = (1.0 / MU0, 1.0 - 2.0 * b) if of_sigma else (2.0, 0.5 - 2.0 * b)
     cut, rem = _series_cut(params, tol, growth)
     if cut > _RUN_START:
-        runs = _TABLES.get(("runs", params.alpha, b, cut), _run_bracket, params, cut)
+        runs = _run_bracket(params, cut)
         if rem + (runs.sigma_slack if of_sigma else runs.lag_slack) < tol:
-            key = ("lags", params.alpha, b, cut, _RUN_START)
-            return _TABLES.get(key, _lag_table, params, cut, runs.mid)
-    return _TABLES.get(("lags", params.alpha, b, cut), _lag_table, params, cut)
+            return _lag_table(params, cut, runs.mid)
+    return _lag_table(params, cut)
 
 
 def sigma(params: Params, tol: float = 1e-12) -> ProcessStats:
@@ -603,8 +601,8 @@ def sigma(params: Params, tol: float = 1e-12) -> ProcessStats:
     A level m carries isqrt(m) rewards of size m^(-beta), so on its lag
     table R, E X^2 = sum_s s^2 W_s / mu_0 = (R_1 + 2 sum_{j>=2} R_j) / mu_0:
     sigma^2 is r(0) + 2 sum_{k>=1} r(k), read from one table.  On a table
-    of closed-form runs (`_lags`) the error bound is the remainder plus
-    the runs' slack, which `_lags` holds below tol."""
+    of closed-form runs (`_solve_lags`) the error bound is the remainder
+    plus the runs' slack, which `_solve_lags` holds below tol."""
     table = _lags(params, tol, True)
     m2 = float(table[1] + 2.0 * table[2:].sum()) / MU0
     return ProcessStats(mean_tau=MEAN_TAU, second_moment_jump=m2, sigma=math.sqrt(m2 / MEAN_TAU))
@@ -623,10 +621,10 @@ def autocovariance_exact(params: Params, k: int, tol: float = 1e-12) -> float:
     entry k + 1 of the lag table of the lags' cut (`_lags`), within tol of
     the series whether the table walked every level or took the runs past
     2^16 in closed form.  One cut serves every lag, since a lag's levels
-    all lie at or above (k+1)^2, so a warm lag is one cut lookup and one
-    array read (one more lookup past 2^16).  A lag past the table has all
-    its levels beyond the cut and reads 0.0.  The table's terms are
-    nonnegative, so r(k) never rises with k.  k must be an integer >= 0.
+    all lie at or above (k+1)^2, so a warm lag is one store lookup and one
+    array read.  A lag past the table has all its levels beyond the cut and
+    reads 0.0.  The table's terms are nonnegative, so r(k) never rises with
+    k.  k must be an integer >= 0.
     """
     if type(k) is not int or k < 0:  # the common case skips the call
         k = _integer(k, "lag", 0)

@@ -54,7 +54,7 @@ def s_prime_count(a: int, b: int, n: int) -> int:
     inside the window (1 + b <= n); otherwise the whole window sits inside
     one excursion and the sum is reassigned to the trailing term.
     """
-    a, b, n = _integer(a, "age", 1), _integer(b, "residual", 1), _integer(n, "horizon")
+    a, b, n = _integer(a, "age", 1), _integer(b, "residual", 1), _integer(n, "horizon", 1)
     if 1 + b > n:
         return 0
     return _reward_ages(a + b, a, a + b - 1)
@@ -66,7 +66,7 @@ def s_double_prime_count(a: int, b: int, n: int) -> int:
     Counts the reward-carrying ages max(1, a-n+1)..a; the lower end handles
     windows lying entirely inside one excursion (a >= n).
     """
-    a, b, n = _integer(a, "age", 1), _integer(b, "residual", 1), _integer(n, "horizon")
+    a, b, n = _integer(a, "age", 1), _integer(b, "residual", 1), _integer(n, "horizon", 1)
     return _reward_ages(a + b, max(a - n, 0) + 1, a)
 
 

@@ -102,10 +102,11 @@ def test_measure_imports_only_errors():
     assert _package_imports(Path(measure.__file__)) <= {"errors"}
 
 
-# measure's level-series internals: the cut rule, the lag table and its
-# accessor, the walk, the one relative series, the level cap, and the run
-# start and run bracket past which a lag table sums whole isqrt runs
-_SERIES_INTERNALS = {"_series_cut", "_doubling_cut", "_cut_remainder", "_lag_table", "_lags",
+# measure's level-series internals: the cut rule, the lag table, its
+# accessor and its build, the walk, the one relative series, the level cap,
+# and the run start and run bracket past which a lag table sums whole isqrt
+# runs
+_SERIES_INTERNALS = {"_series_cut", "_cut_remainder", "_lag_table", "_lags", "_solve_lags",
                      "_level_walk", "level_series", "_FIRST_CUT", "_LEVEL_CAP", "_RUN_START",
                      "_run_bracket"}
 _LEVEL_SUMS = {"autocovariance_exact", "autocovariance_bound", "boundary_tail_exact"}

@@ -384,7 +384,7 @@ def test_level_series_refuses_an_unreachable_relative_tolerance_at_once():
 
 
 def _reference_cut(alpha, start, tol, growth):
-    # the plain doubling from a start level, without the store: every cut
+    # the plain doubling from a start level: every cut
     # max(start, _FIRST_CUT 2^j) tested in turn
     c, e = growth
 
@@ -414,10 +414,9 @@ def _reference_cut(alpha, start, tol, growth):
     e=st.floats(0.0, 1.0),
     tol=st.floats(-16.0, -2.0).map(lambda x: 10.0 ** x),
 )
-def test_memoized_cut_matches_the_plain_doubling(alpha, c, e, tol):
-    # the cut kept per (alpha, tol, growth) is the plain doubling's from
-    # level 2, cut and remainder, or its refusal word for word, read cold
-    # and then warm (a refusal is not kept and raises again)
+def test_the_cut_rule_matches_the_plain_doubling(alpha, c, e, tol):
+    # the absolute cut of (alpha, tol, growth) is the plain doubling's from
+    # level 2, cut and remainder, or its refusal word for word
     def outcome(rule, *args):
         try:
             return rule(*args)
@@ -425,25 +424,45 @@ def test_memoized_cut_matches_the_plain_doubling(alpha, c, e, tol):
             return str(err)
 
     want = outcome(_reference_cut, alpha, 2, tol, (c, e))
-    for _ in range(2):
-        assert outcome(_series_cut, Params(alpha, 0.0), tol, (c, e)) == want
+    assert outcome(_series_cut, Params(alpha, 0.0), tol, (c, e)) == want
 
 
 def test_a_lag_sweep_runs_one_doubling_per_tolerance(monkeypatch):
-    # every lag reads the one cut of (alpha, tol, growth), so the doubling
+    # every lag reads the one lag table of (pair, tol), so the doubling
     # runs once per tolerance, to build it
-    doublings, doubling = [], measure._doubling_cut
+    doublings, doubling = [], measure._series_cut
 
     def spy(*args):
         doublings.append(args)
         return doubling(*args)
 
     measure._TABLES.clear()
-    monkeypatch.setattr(measure, "_doubling_cut", spy)
+    monkeypatch.setattr(measure, "_series_cut", spy)
     for tol in (1e-6, 1e-12):
         for k in range(201):
             measure.autocovariance_exact(DEFAULT, k, tol)
     assert [args[1] for args in doublings] == [1e-6, 1e-12]
+
+
+# (0.25, 0.1) at tol 1e-12 reads its lags' runs past 2^16 from their bracket
+@pytest.mark.parametrize("params", [DEFAULT, Params(0.25, 0.1)])
+def test_a_warm_sigma_or_lag_is_one_store_read(monkeypatch, params):
+    # a lag table is kept under its (pair, tol, series), so a warm read
+    # takes neither a cut nor a run bracket from the store
+    reads, get = [], measure._TableStore.get
+
+    def spy(store, key, *rest):
+        reads.append(key)
+        return get(store, key, *rest)
+
+    calls = (lambda: sigma(params), lambda: measure.autocovariance_exact(params, 5))
+    for call in calls:
+        call()
+    monkeypatch.setattr(measure._TableStore, "get", spy)
+    for call in calls:
+        call()
+        assert len(reads) == 1
+        reads.clear()
 
 
 _BAD_TOL_CALLS = {
@@ -1032,13 +1051,15 @@ def test_lag_sweep_computes_each_mu_once(monkeypatch):
 
 def _store_builds(mp) -> tuple:
     # counts every build the store starts, nested ones included: returns the
-    # list of (build function, args) it appends to and the unpatched functions
+    # list of (build function, args) it appends to and the unpatched
+    # functions.  `_solve_lags` calls `_lag_table` inside its own build, so
+    # the lag table of one cut, which only these tests keep, counts its
+    # build where `_store_request` hands it to the store
     from mdwindow import chain, paths
 
-    builds, plain = [], {}
-    for owner, name in [(measure, "_doubling_cut"), (measure, "_p1_sum"), (measure, "_window"),
-                        (measure, "_lag_table"), (chain, "IntervalAlias"),
-                        (paths, "_solve_renewal")]:
+    builds, plain = [], {"_lag_table": measure._lag_table}
+    for owner, name in [(measure, "_solve_lags"), (measure, "_p1_sum"), (measure, "_window"),
+                        (chain, "IntervalAlias"), (paths, "_solve_renewal")]:
         build = plain[name] = getattr(owner, name)
         mp.setattr(owner, name, lambda *a, _b=build, _n=name: builds.append((_n, a)) or _b(*a))
     return builds, plain
@@ -1057,23 +1078,29 @@ def _table_bits(table):
 _STORE_PAIRS = (DEFAULT, Params(0.25, 0.1), Params(0.45, 0.01))
 
 
-def _store_request(kind: str, params: Params, size: int, plain: dict):
+def _store_request(kind: str, params: Params, size: int, plain: dict, builds: list):
     # (read through the store, fresh build by the unpatched function) of one table
     from mdwindow import chain, paths
 
-    growth, cut = (2.0, 0.5 - 2.0 * params.beta), 1 << (8 + size % 9)
+    cut = 1 << (8 + size % 9)
+    tol, of_sigma = 1e-6 if size < 100 else 1e-9, size % 2 == 1
+
+    def lag_build(*args):
+        builds.append(("_lag_table", args))
+        return plain["_lag_table"](*args)
+
     return {
         "renewal": (lambda: paths._renewal_table(params, size),
                     lambda: plain["_solve_renewal"](params, size)),
         "alias": (lambda: chain.interval_alias(params), lambda: plain["IntervalAlias"](params)),
         "lags": (lambda: measure._TABLES.get(("lags", params.alpha, params.beta, cut),
-                                             measure._lag_table, params, cut),
+                                             lag_build, params, cut),
                  lambda: plain["_lag_table"](params, cut)),
         "p1": (lambda: p1(params), lambda: plain["_p1_sum"](params)[0]),
         "window": (lambda: window_from_params(params),
                    lambda: plain["_window"](params.alpha, params.beta)),
-        "cut": (lambda: _series_cut(params, 1e-12, growth),
-                lambda: plain["_doubling_cut"](params.alpha, 1e-12, growth, None)),
+        "lags by tol": (lambda: measure._lags(params, tol, of_sigma),
+                        lambda: plain["_solve_lags"](params, tol, of_sigma)),
     }[kind]
 
 
@@ -1082,7 +1109,7 @@ def _store_request(kind: str, params: Params, size: int, plain: dict):
     budget=st.sampled_from([1 << 12, 1 << 16, 1 << 19, 1 << 20]),
     limit=st.integers(1, 8),
     requests=st.lists(st.tuples(
-        st.sampled_from(["renewal", "alias", "lags", "p1", "window", "cut"]),
+        st.sampled_from(["renewal", "alias", "lags", "p1", "window", "lags by tol"]),
         st.integers(0, len(_STORE_PAIRS) - 1),
         st.sampled_from([1, 50, 700, 3001, 9000]),
     ), min_size=1, max_size=25),
@@ -1098,7 +1125,7 @@ def test_the_store_keeps_tables_exact_within_its_budget(budget, limit, requests)
         store.clear()
         builds, plain = _store_builds(mp)
         for kind, i, size in requests:
-            read, fresh = _store_request(kind, _STORE_PAIRS[i], size, plain)
+            read, fresh = _store_request(kind, _STORE_PAIRS[i], size, plain, builds)
             got = read()
             assert store.bytes <= budget and len(store._tables) <= limit
             assert store.bytes == sum(e[2] for e in store._tables.values())

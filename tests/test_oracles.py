@@ -673,14 +673,15 @@ def test_autocovariance_matches_fsum_over_its_levels(monkeypatch, params, tol):
     # bracket's slack of it (bit for bit on the direct route: at (0.25,
     # 0.1), tol 1e-12, the lags' cut is 2^19 and the runs are read); a lag
     # whose levels all lie past the cut reads 0.0.  At DEFAULT, tol 1e-12,
-    # that is lag 200 of these
+    # that is lag 200 of these.  On a cleared store the first lag takes the
+    # cut, and the later ones read its table without taking it again
     cut, _, direct, slack = lag_route(params, tol, False)
     assert (slack > 0.0) == ((params, tol) == (Params(0.25, 0.1), 1e-12))
+    measure._TABLES.clear()
     cuts, past = _spy_cuts(monkeypatch), []
     for k in (0, 1, 7, 60, 150, 174, 180, 200):
         got = autocovariance_exact(params, k, tol)
         assert cuts == [(params, cut)]
-        cuts.clear()
         start = max((k + 1) ** 2, 2)
         if start > cut:
             past.append(k)
@@ -767,9 +768,10 @@ def test_a_numpy_integer_lag_is_a_lag():
 
 
 def test_cold_lag_sweep_walks_the_levels_once_per_cut(monkeypatch):
-    # every lag reads the run sums of its (pair, cut), walked once over
-    # 2..cut, or over 2..2^16 - 1 where the runs past it are read from their
-    # bracket ((0.25, 0.1) at tol 1e-12): one walk per pair and tolerance
+    # every lag reads the lag table of its (pair, tol), built after its one
+    # cut by one walk over 2..cut, or over 2..2^16 - 1 where the runs past
+    # it are read from their bracket ((0.25, 0.1) at tol 1e-12): one cut
+    # and one walk per pair and tolerance
     walks, walk = [], measure._level_walk
 
     def spy(params, block_sum, lo, hi):
@@ -784,27 +786,26 @@ def test_cold_lag_sweep_walks_the_levels_once_per_cut(monkeypatch):
             for k in range(201):
                 autocovariance_exact(params, k, tol)
     start = measure._RUN_START
-
-    def top(params, cut):
-        runs = ("lags", params.alpha, params.beta, cut, start) in measure._TABLES._tables
-        return start - 1 if runs else cut
-
-    walked = {(params, 2, top(params, cut)) for params, cut in cuts}
-    assert len(walks) == len(walked) == 6
-    assert set(walks) == walked
-    assert (Params(0.25, 0.1), 2, start - 1) in walked
+    assert len(walks) == len(cuts) == 6
+    # each walk follows its cut and tells the route by its top level: the
+    # cut, or below the run start where the cut lies past it
+    for (params, lo, hi), (cut_params, cut) in zip(walks, cuts):
+        assert (params, lo) == (cut_params, 2)
+        assert hi == cut or (hi == start - 1 and cut > start)
+    assert len(set(walks)) == 6
+    assert (Params(0.25, 0.1), 2, start - 1) in walks
 
 
 def test_threads_on_a_cold_run_sum_cache_agree():
     # eight threads sweep the lags on a cold store: as many builds as a
-    # serial sweep (one cut memo, one lag table), and every thread gets the
-    # bits of a serial sweep
+    # serial sweep (one lag table), and every thread gets the bits of a
+    # serial sweep
     def sweep(_):
         return [autocovariance_exact(DEFAULT, k).hex() for k in range(201)]
 
     measure._TABLES.clear()
     serial = sweep(0)
-    assert measure._TABLES.misses == 2
+    assert measure._TABLES.misses == 1
     measure._TABLES.clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -814,7 +815,7 @@ def test_threads_on_a_cold_run_sum_cache_agree():
     finally:
         sys.setswitchinterval(interval)
     assert got == [serial] * 8
-    assert measure._TABLES.misses == 2
+    assert measure._TABLES.misses == 1
 
 
 def test_autocovariance_matches_empirical():

@@ -114,6 +114,14 @@ def test_s_double_prime_count_examples():
     assert s_double_prime_count(10, 2, 3) == 0
 
 
+@pytest.mark.parametrize("count", [s_prime_count, s_double_prime_count])
+@pytest.mark.parametrize("n", [0, -4])
+def test_boundary_counts_refuse_a_horizon_below_one(count, n):
+    # every horizon of the package starts at 1
+    with pytest.raises(ParameterError, match="horizon must be >= 1"):
+        count(2, 3, n)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 25])
 def test_boundary_counts_brute_force(n):
     for a in range(1, 30):
