@@ -24,8 +24,8 @@ identity above bounds the levels beyond a cut N by
 
 The rule doubles N from 2^10 until that remainder is below the tolerance
 (or past 2^26 levels refuses with PrecisionError).  sigma and every r(k)
-to one tol read one lag table, `_lags`, kept under (pair, tol, series) and
-built at its cut with one walk over the levels.  Past level _RUN_START =
+read lag tables, `_lags`, each kept under (pair, tol, series) and built at
+the cut of its tol with one walk over the levels.  Past level _RUN_START =
 2^16 the table may take each run of levels sharing one isqrt in closed
 form (`_run_bracket`), when the remainder plus that bracket's half-width
 and rounding is below the tolerance.  The one relative series, the tail

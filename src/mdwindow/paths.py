@@ -206,7 +206,7 @@ def iter_sums(
     per-time values are never materialized.  With rewards every excursion
     is rolled in blocks of a self-loop run and one excursion; far from n a
     row draws several units of 48 blocks per round, each only its runs'
-    sum and its count of length-2 excursions (`_roll_chunk`), about 3.2e10
+    sum and its count of length-2 excursions (`_roll_chunk`), about 2.7e10
     chain steps per minute on one CPU as README measures it.
     With with_rewards=False the middle term is skipped and no excursion is
     rolled (`_boundary_chunk`): an end state is drawn directly below a lag

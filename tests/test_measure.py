@@ -384,8 +384,8 @@ def test_level_series_refuses_an_unreachable_relative_tolerance_at_once():
 
 
 def _reference_cut(alpha, start, tol, growth):
-    # the plain doubling from a start level: every cut
-    # max(start, _FIRST_CUT 2^j) tested in turn
+    # the plain doubling from a start level: every cut max(start,
+    # _FIRST_CUT 2^j) tested in turn
     c, e = growth
 
     def remainder(cut):

@@ -793,7 +793,7 @@ def test_cold_lag_sweep_walks_the_levels_once_per_cut(monkeypatch):
         assert (params, lo) == (cut_params, 2)
         assert hi == cut or (hi == start - 1 and cut > start)
     assert len(set(walks)) == 6
-    assert (Params(0.25, 0.1), 2, start - 1) in walks
+    assert [w for w in walks if w[2] == start - 1] == [(Params(0.25, 0.1), 2, start - 1)]
 
 
 def test_threads_on_a_cold_run_sum_cache_agree():
